@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import figures, solver
@@ -28,6 +28,14 @@ from .scalarmin import Infeasible
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+
+# scenario-file key -> ShotParams field (also the dest of its CLI flag)
+PARAM_FIELDS = {
+    "a": "release_altitude",
+    "d": "distance",
+    "h": "hoop_height",
+    "g": "gravity",
+}
 
 
 @dataclass
@@ -51,6 +59,12 @@ class ScenarioError(ValueError):
     pass
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def load_scenario(path: str | None) -> Scenario:
     scenario = Scenario()
     if path is None:
@@ -60,20 +74,19 @@ def load_scenario(path: str | None) -> Scenario:
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
+        doc = _object(doc, f"scenario file {path}")
         if "params" in doc:
-            p = doc["params"]
-            scenario.params = ShotParams(
-                release_altitude=p.get("a", 1.7),
-                distance=p.get("d", 10.0),
-                hoop_height=p.get("h", 3.05),
-                gravity=p.get("g", 9.8),
+            p = _object(doc["params"], "params")
+            scenario.params = replace(
+                scenario.params,
+                **{name: p[key] for key, name in PARAM_FIELDS.items() if key in p},
             )
         if "velocities" in doc:
             scenario.velocities = [float(v) for v in doc["velocities"]]
         if "altitudes" in doc:
             scenario.altitudes = [float(a) for a in doc["altitudes"]]
         if "d_grid" in doc:
-            g = doc["d_grid"]
+            g = _object(doc["d_grid"], "d_grid")
             step = float(g.get("step", 0.1))
             if step <= 0:
                 raise ScenarioError(f"d_grid.step must be positive, got {step}")
@@ -88,18 +101,17 @@ def load_scenario(path: str | None) -> Scenario:
 
 
 def _apply_param_flags(scenario: Scenario, args) -> None:
-    p = scenario.params
-    scenario.params = ShotParams(
-        release_altitude=args.altitude if args.altitude is not None else p.release_altitude,
-        distance=args.distance if args.distance is not None else p.distance,
-        hoop_height=args.hoop_height if args.hoop_height is not None else p.hoop_height,
-        gravity=args.gravity if args.gravity is not None else p.gravity,
-    )
+    flags = {name: getattr(args, name) for name in PARAM_FIELDS.values()}
+    given = {name: v for name, v in flags.items() if v is not None}
+    scenario.params = replace(scenario.params, **given)
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scenario", metavar="FILE", help="scenario JSON file")
-    sub.add_argument("--altitude", type=float, help="release altitude, meters")
+    sub.add_argument(
+        "--altitude", dest="release_altitude", type=float, metavar="ALTITUDE",
+        help="release altitude, meters",
+    )
     sub.add_argument("--distance", type=float, help="distance to hoop, meters")
     sub.add_argument("--hoop-height", type=float, help="hoop height, meters")
     sub.add_argument("--gravity", type=float, help="gravity, m/s^2")
@@ -188,10 +200,9 @@ def _cmd_optimize(scenario: Scenario, args) -> int:
 
 
 def _cmd_sweep(scenario: Scenario, args) -> int:
-    grid = scenario.grid()
     p = scenario.params
     altitudes = args.altitudes if args.altitudes else [p.release_altitude]
-    curves = solver.sweep_altitudes(altitudes, p.hoop_height, p.gravity, grid)
+    curves = solver.sweep_altitudes(p, altitudes, scenario.grid())
     csv_text = solver.sweep_csv(curves)
     if args.out:
         Path(args.out).write_text(csv_text)

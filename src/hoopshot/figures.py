@@ -168,12 +168,8 @@ def build_basketball_ladder(
     ]
 
     # stage 5: optimum as a function of distance, then per altitude
-    base_curve = solver.sweep_distance(
-        params.release_altitude, params.hoop_height, params.gravity, d_grid
-    )
-    alt_curves = solver.sweep_altitudes(
-        altitudes, params.hoop_height, params.gravity, d_grid
-    )
+    base_curve = solver.sweep_distance(params, d_grid)
+    alt_curves = solver.sweep_altitudes(params, altitudes, d_grid)
 
     def theta_marks(curves, labeled):
         marks = []

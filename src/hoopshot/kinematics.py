@@ -7,7 +7,7 @@ boundary.  Everything here is pure and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 COS_EPS = 1e-12
 
@@ -33,6 +33,10 @@ class ShotParams:
     gravity: float = 9.8
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.distance <= 0:
             raise ValueError(f"distance must be positive, got {self.distance}")
         if self.gravity <= 0:
@@ -57,8 +61,8 @@ class LaunchState:
     def __post_init__(self) -> None:
         if not 0.0 <= self.angle < math.pi / 2:
             raise ValueError(f"angle must be in [0, pi/2), got {self.angle}")
-        if self.speed <= 0:
-            raise ValueError(f"speed must be positive, got {self.speed}")
+        if not 0.0 < self.speed < math.inf:
+            raise ValueError(f"speed must be positive and finite, got {self.speed}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Bracketed scalar minimization.
+"""Bracketed scalar minimization: the test oracle for the closed-form
+optimum in `solver`.
 
 `minimize_scalar` is golden-section search: derivative-free, robust near
 bracket edges where the objective blows up, and with a provable
@@ -48,6 +49,10 @@ class Bracket:
 
 @dataclass(frozen=True)
 class MinResult:
+    """achieved_tolerance is the final bracket width (grid cell for
+    grid_scan), not a bound on |x - true minimizer|: where f is flat to
+    rounding that error is about sqrt(machine epsilon) * |x|."""
+
     x: float
     f_at_x: float
     iterations: int

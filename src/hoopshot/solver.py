@@ -6,21 +6,20 @@ The hoop-reaching speed for a given angle has the closed form
 
 which is defined only above the feasibility angle atan((h-a)/d); at or
 below it the ball passes under the hoop no matter how hard it is thrown.
+
+The softest shot also has a closed form, which `optimal_angle` uses;
+the golden-section search in `scalarmin` is kept as its test oracle.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .kinematics import ShotParams
-from .scalarmin import Bracket, Infeasible, minimize_scalar
-
-OPT_BRACKET_HI = math.radians(89.9)
-OPT_BRACKET_MARGIN = 1e-6
-OPT_TOL = 1e-9
+from .scalarmin import Infeasible
 
 
 class InfeasibleAngle(Infeasible):
@@ -62,7 +61,8 @@ class OptimumCurve:
 def required_velocity(params: ShotParams, angle: float) -> float:
     """Initial speed for which the ball's height at the hoop plane equals
     the hoop height.  Raises InfeasibleAngle at or below the feasibility
-    angle, where the denominator of the closed form is non-positive."""
+    angle, where the denominator of the closed form is non-positive, and
+    ValueError when the speed overflows to a non-finite value."""
     if not angle < math.pi / 2:
         raise ValueError(f"angle must be below pi/2, got {angle}")
     a, d, h, g = (
@@ -78,7 +78,10 @@ def required_velocity(params: ShotParams, angle: float) -> float:
             f"angle {math.degrees(angle):.3f} deg is at or below the "
             f"feasibility angle {math.degrees(feasibility_angle(params)):.3f} deg"
         )
-    return math.sqrt(0.5 * g * d * d / denom)
+    v = math.sqrt(0.5 * g * d * d / denom)
+    if not math.isfinite(v):
+        raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
+    return v
 
 
 def feasibility_angle(params: ShotParams) -> float:
@@ -110,51 +113,31 @@ def angle_curve(
 
 
 def optimal_angle(params: ShotParams) -> Optimum:
-    """Angle requiring the softest hoop-reaching shot.
-
-    The required velocity diverges at both bracket ends (feasibility
-    angle and the vertical), so the minimum is interior and a bracketed
-    search applies directly.
-    """
-    bracket = Bracket(feasibility_angle(params) + OPT_BRACKET_MARGIN, OPT_BRACKET_HI)
-    result = minimize_scalar(
-        lambda angle: required_velocity(params, angle), bracket, tol=OPT_TOL
-    )
-    return Optimum(angle=result.x, speed=required_velocity(params, result.x))
+    """Angle requiring the softest hoop-reaching shot: pi/4 + phi/2, phi
+    the feasibility angle, where v^2 = g*(sqrt(d^2 + (h-a)^2) + (h-a))
+    (Brancazio, Am. J. Phys. 49, 356, 1981)."""
+    angle = math.pi / 4 + feasibility_angle(params) / 2
+    return Optimum(angle=angle, speed=required_velocity(params, angle))
 
 
-def sweep_distance(
-    release_altitude: float,
-    hoop_height: float,
-    gravity: float,
-    d_grid: Sequence[float],
-) -> OptimumCurve:
-    """Optimal angle and speed at each distance in d_grid."""
-    if any(d <= 0 for d in d_grid):
-        raise ValueError("all distances must be positive")
+def sweep_distance(params: ShotParams, d_grid: Sequence[float]) -> OptimumCurve:
+    """Optimal angle and speed at each distance in d_grid, the other
+    parameters taken from params."""
     if any(b <= a for a, b in zip(d_grid, d_grid[1:])):
         raise ValueError("d_grid must be strictly increasing")
-    entries = []
-    for d in d_grid:
-        params = ShotParams(
-            release_altitude=release_altitude,
-            distance=d,
-            hoop_height=hoop_height,
-            gravity=gravity,
-        )
-        entries.append((d, optimal_angle(params)))
-    return OptimumCurve(release_altitude=release_altitude, entries=tuple(entries))
+    entries = tuple(
+        (d, optimal_angle(replace(params, distance=d))) for d in d_grid
+    )
+    return OptimumCurve(release_altitude=params.release_altitude, entries=entries)
 
 
 def sweep_altitudes(
-    altitudes: Sequence[float],
-    hoop_height: float,
-    gravity: float,
-    d_grid: Sequence[float],
+    params: ShotParams, altitudes: Sequence[float], d_grid: Sequence[float]
 ) -> list[OptimumCurve]:
     """One distance sweep per release altitude, all on the same d_grid."""
     return [
-        sweep_distance(alt, hoop_height, gravity, d_grid) for alt in altitudes
+        sweep_distance(replace(params, release_altitude=alt), d_grid)
+        for alt in altitudes
     ]
 
 

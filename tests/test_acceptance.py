@@ -5,6 +5,7 @@ them)."""
 import dataclasses
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from test_solver import bisect_hoop_speed, random_feasible_case
 DEFAULTS = ShotParams()
 DEG = math.pi / 180.0
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SVG_TOKEN = re.compile(r"-?\d+(?:\.\d+)?|[^\s\d-]+|\S")
 
 
 def report(number, message):
@@ -113,7 +115,7 @@ def test_criterion_06_asymptote_and_monotonicity():
     far = optimal_angle(ShotParams(distance=200.0))
     far_deg = math.degrees(far.angle)
     assert far_deg == pytest.approx(45.19, abs=0.05)
-    curve = sweep_distance(1.7, 3.05, 9.8, default_d_grid())
+    curve = sweep_distance(DEFAULTS, default_d_grid())
     angles = [o.angle for _, o in curve.entries]
     speeds = [o.speed for _, o in curve.entries]
     assert all(b < a for a, b in zip(angles, angles[1:]))
@@ -127,7 +129,7 @@ def test_criterion_06_asymptote_and_monotonicity():
 
 def test_criterion_07_altitude_ordering():
     grid = default_d_grid()
-    curves = sweep_altitudes([1.2, 1.7, 2.2], 3.05, 9.8, grid)
+    curves = sweep_altitudes(DEFAULTS, [1.2, 1.7, 2.2], grid)
     for i in range(len(grid)):
         angles = [c.entries[i][1].angle for c in curves]
         speeds = [c.entries[i][1].speed for c in curves]
@@ -185,6 +187,33 @@ def test_criterion_09_ladder_validation():
     )
 
 
+def golden_mismatch(name, actual, golden):
+    """Failure message for an SVG that differs from its golden file: the
+    first differing token, with the two before it, and the largest
+    deviation between numbers at the same token position."""
+    got = SVG_TOKEN.findall(actual.decode("utf-8"))
+    want = SVG_TOKEN.findall(golden.decode("utf-8"))
+    pairs = list(zip(got, want))
+    i = next((k for k, (g, w) in enumerate(pairs) if g != w), len(pairs))
+    message = (
+        f"{name} deviates from golden at token #{i}: "
+        f"{''.join(got[max(i - 2, 0):i + 1])!r} "
+        f"(golden {''.join(want[max(i - 2, 0):i + 1])!r})"
+    )
+    deviations = []
+    for g, w in pairs:
+        try:
+            deviations.append((abs(float(g) - float(w)), g, w))
+        except ValueError:
+            continue
+    worst, g, w = max(deviations, default=(0.0, "", ""))
+    if worst > 0:
+        message += f"; largest numeric deviation {worst:.6g} ({g} vs {w})"
+    if len(got) != len(want):
+        message += f"; {len(got)} tokens (golden {len(want)})"
+    return message
+
+
 def test_criterion_10_determinism_and_golden_files(tmp_path):
     run(["figures", "--out", str(tmp_path / "a")])
     run(["figures", "--out", str(tmp_path / "b")])
@@ -195,7 +224,8 @@ def test_criterion_10_determinism_and_golden_files(tmp_path):
         assert first == second
         golden = GOLDEN_DIR / name
         assert golden.exists(), f"golden file {golden} missing"
-        assert first == golden.read_bytes(), f"{name} deviates from golden"
+        expected = golden.read_bytes()
+        assert first == expected, golden_mismatch(name, first, expected)
     report(
         10,
         "two figure runs byte-identical and matching the 7 checked-in "

@@ -1,8 +1,24 @@
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hoopshot.cli import build_parser, run
+
+NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
+PARAM_FLAGS = ("--altitude", "--distance", "--hoop-height", "--gravity")
+
+
+def run_captured(argv):
+    """Exit code, stdout and stderr of one CLI call; an exception that
+    escapes run() fails the calling test, as a traceback would."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -151,18 +167,59 @@ class TestScenarioHandling:
         assert run(["optimize", "--scenario", str(scenario_file)]) == 0
         assert "48.8" in capsys.readouterr().out
 
-    def test_bad_scenario_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("{not json", id="not-json"),
+            pytest.param('{"params": 5}', id="params-not-object"),
+            pytest.param('{"d_grid": 5}', id="d_grid-not-object"),
+        ],
+    )
+    def test_bad_scenario_exits_2(self, tmp_path, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run(["optimize", "--scenario", str(bad)]) == 2
+        bad.write_text(text)
+        code, _, err = run_captured(["optimize", "--scenario", str(bad)])
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
 
     def test_bad_step_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"d_grid": {"lo": 1, "hi": 2, "step": 0}}))
         assert run(["sweep", "--scenario", str(bad)]) == 2
 
-    def test_bad_flag_value_exits_2(self, capsys):
-        assert run(["optimize", "--distance", "-5"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "optimize --distance -5",
+            "velocity --angle 30 --gravity inf",
+            "velocity --angle 30 --altitude nan",
+            "velocity --angle 30 --gravity 1e308",
+            "trajectory --angle 30 --speed nan",
+            "optimize --distance nan",
+            "optimize --distance inf",
+            "optimize --gravity 1e308",
+        ],
+        ids=lambda argv: argv.replace(" ", "_"),
+    )
+    def test_bad_flag_value_exits_2(self, argv):
+        code, out, err = run_captured(argv.split())
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert not NON_FINITE.search(out)
+
+    @settings(deadline=None)
+    @given(
+        command=st.sampled_from([["optimize"], ["velocity", "--angle", "30"]]),
+        flag=st.sampled_from(PARAM_FLAGS),
+        value=st.floats(),
+    )
+    def test_any_float_param_keeps_exit_contract(self, command, flag, value):
+        # --flag=VALUE so that a negative value is not parsed as an option
+        code, out, err = run_captured(command + [f"{flag}={value!r}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            assert not NON_FINITE.search(out)
 
 
 class TestUsage:

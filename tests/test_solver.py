@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hoopshot.kinematics import LaunchState, ShotParams, height_at_plane
-from hoopshot.scalarmin import Bracket, grid_scan
+from hoopshot.scalarmin import Bracket, grid_scan, minimize_scalar
 from hoopshot.solver import (
     InfeasibleAngle,
     angle_curve,
@@ -132,9 +132,9 @@ class TestAngleCurve:
 
 
 def closed_form_optimum_angle(params):
-    """45 degrees plus half the feasibility angle; validated against the
-    grid-scan oracle in test_closed_form_matches_grid_oracle before being
-    used to check the optimizer."""
+    """45 degrees plus half the feasibility angle, written out here apart
+    from the library so that test_closed_form_matches_grid_oracle checks
+    the formula itself against the grid-scan oracle."""
     return math.pi / 4 + 0.5 * feasibility_angle(params)
 
 
@@ -185,11 +185,23 @@ class TestOptimalAngle:
             assert abs(opt.angle - scan.x) <= cell
 
     def test_optimizer_matches_closed_form(self):
+        """Golden-section search on the required speed, the paper's
+        method, lands on the closed-form optimum, and the optimal speed
+        obeys v^2 = g*(sqrt(d^2 + (h-a)^2) + (h-a))."""
         rng = random.Random(77)
         for _ in range(20):
             params, _ = random_feasible_case(rng)
             opt = optimal_angle(params)
-            assert abs(opt.angle - closed_form_optimum_angle(params)) <= 1e-4
+            bracket = Bracket(feasibility_angle(params) + 1e-6, 89.9 * DEG)
+            search = minimize_scalar(
+                lambda x: required_velocity(params, x), bracket, tol=1e-9
+            )
+            assert abs(search.x - opt.angle) <= 1e-6
+            a, d = params.release_altitude, params.distance
+            h, g = params.hoop_height, params.gravity
+            assert opt.speed**2 == pytest.approx(
+                g * (math.hypot(d, h - a) + (h - a)), rel=1e-12
+            )
 
     def test_unimodality_on_grid(self):
         curve = angle_curve(
@@ -206,28 +218,28 @@ class TestOptimalAngle:
 class TestSweeps:
     def test_theta_decreases_and_speed_increases_with_distance(self):
         grid = [1.0 + 0.5 * i for i in range(29)]
-        curve = sweep_distance(1.7, 3.05, 9.8, grid)
+        curve = sweep_distance(DEFAULTS, grid)
         angles = [o.angle for _, o in curve.entries]
         speeds = [o.speed for _, o in curve.entries]
         assert all(b < a for a, b in zip(angles, angles[1:]))
         assert all(b > a for a, b in zip(speeds, speeds[1:]))
 
     def test_single_point_sweep(self):
-        curve = sweep_distance(1.7, 3.05, 9.8, [10.0])
+        curve = sweep_distance(DEFAULTS, [10.0])
         (d, opt), = curve.entries
         assert d == 10.0
         expected = optimal_angle(DEFAULTS)
         assert opt.angle == pytest.approx(expected.angle, abs=1e-12)
 
     def test_close_range_steep_angle(self):
-        curve = sweep_distance(1.7, 3.05, 9.8, [1.0])
+        curve = sweep_distance(DEFAULTS, [1.0])
         assert math.degrees(curve.entries[0][1].angle) == pytest.approx(
             71.7, abs=0.05
         )
 
     def test_altitude_ordering(self):
         grid = [1.0 + i for i in range(15)]
-        curves = sweep_altitudes([1.2, 1.7, 2.2], 3.05, 9.8, grid)
+        curves = sweep_altitudes(DEFAULTS, [1.2, 1.7, 2.2], grid)
         for i in range(len(grid)):
             angles = [c.entries[i][1].angle for c in curves]
             speeds = [c.entries[i][1].speed for c in curves]
@@ -236,25 +248,25 @@ class TestSweeps:
 
     def test_single_altitude_equals_distance_sweep(self):
         grid = [2.0, 5.0, 10.0]
-        [curve] = sweep_altitudes([1.7], 3.05, 9.8, grid)
-        assert curve == sweep_distance(1.7, 3.05, 9.8, grid)
+        [curve] = sweep_altitudes(DEFAULTS, [1.7], grid)
+        assert curve == sweep_distance(DEFAULTS, grid)
 
     def test_default_altitude_row_matches_headline(self):
-        curves = sweep_altitudes([1.2, 1.7, 2.2], 3.05, 9.8, [10.0])
+        curves = sweep_altitudes(DEFAULTS, [1.2, 1.7, 2.2], [10.0])
         opt = curves[1].entries[0][1]
         assert math.degrees(opt.angle) == pytest.approx(48.8, abs=0.05)
         assert opt.speed == pytest.approx(10.6, abs=0.05)
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep_distance(1.7, 3.05, 9.8, [2.0, 1.0])
+            sweep_distance(DEFAULTS, [2.0, 1.0])
         with pytest.raises(ValueError):
-            sweep_distance(1.7, 3.05, 9.8, [-1.0, 2.0])
+            sweep_distance(DEFAULTS, [-1.0, 2.0])
 
 
 class TestCsvExport:
     def test_format(self):
-        curves = sweep_altitudes([1.7], 3.05, 9.8, [10.0])
+        curves = sweep_altitudes(DEFAULTS, [1.7], [10.0])
         csv_text = sweep_csv(curves)
         lines = csv_text.strip().split("\n")
         assert lines[0] == "d,theta_opt_deg,v_opt,altitude"
