@@ -6,8 +6,13 @@ violations), 2 usage or scenario-parse error.
 
 Scenario files are JSON with top-level keys `params` (a, d, h, g),
 `velocities`, `altitudes`, `d_grid` (lo, hi, step), and `output`.
-Flags override file values; defaults are a=1.7, d=10, h=3.05, g=9.8,
-velocities 5/10/15/20, altitudes 1.2/1.7/2.2, d_grid 1..15 step 0.1.
+Flags override file values.  The defaults live where they are used:
+params in `kinematics.ShotParams`; velocities, altitudes and the
+distance grid (with its validation) in `solver`.
+
+Only `figures` and `validate-ladder` import the ladder and renderer
+modules, inside their command functions, so the other commands start
+without them.
 """
 
 from __future__ import annotations
@@ -19,10 +24,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import figures, solver
+from . import solver
 from .kinematics import LaunchState, ShotParams, VerticalShot, sample_trajectory
-from .ladder import ladder_from_json, ladder_to_json, validate_ladder
-from .render import export_figures
 from .scalarmin import Infeasible
 
 EXIT_OK = 0
@@ -42,17 +45,13 @@ PARAM_FIELDS = {
 class Scenario:
     params: ShotParams = field(default_factory=ShotParams)
     velocities: list[float] = field(
-        default_factory=lambda: list(figures.DEFAULT_VELOCITIES)
+        default_factory=lambda: list(solver.DEFAULT_VELOCITIES)
     )
     altitudes: list[float] = field(
-        default_factory=lambda: list(figures.DEFAULT_ALTITUDES)
+        default_factory=lambda: list(solver.DEFAULT_ALTITUDES)
     )
-    d_grid: tuple[float, float, float] = (1.0, 15.0, 0.1)
+    d_grid: list[float] = field(default_factory=solver.default_d_grid)
     output: str = "figures"
-
-    def grid(self) -> list[float]:
-        lo, hi, step = self.d_grid
-        return figures.default_d_grid(lo, hi, step)
 
 
 class ScenarioError(ValueError):
@@ -63,6 +62,12 @@ def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{what} must be a JSON object, got {value!r}")
     return value
+
+
+def _numbers(value, what: str) -> list[float]:
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(f"{what} must be a non-empty JSON list, got {value!r}")
+    return [float(v) for v in value]
 
 
 def load_scenario(path: str | None) -> Scenario:
@@ -82,15 +87,14 @@ def load_scenario(path: str | None) -> Scenario:
                 **{name: p[key] for key, name in PARAM_FIELDS.items() if key in p},
             )
         if "velocities" in doc:
-            scenario.velocities = [float(v) for v in doc["velocities"]]
+            scenario.velocities = _numbers(doc["velocities"], "velocities")
         if "altitudes" in doc:
-            scenario.altitudes = [float(a) for a in doc["altitudes"]]
+            scenario.altitudes = _numbers(doc["altitudes"], "altitudes")
         if "d_grid" in doc:
             g = _object(doc["d_grid"], "d_grid")
-            step = float(g.get("step", 0.1))
-            if step <= 0:
-                raise ScenarioError(f"d_grid.step must be positive, got {step}")
-            scenario.d_grid = (float(g["lo"]), float(g["hi"]), step)
+            scenario.d_grid = solver.default_d_grid(
+                float(g["lo"]), float(g["hi"]), float(g.get("step", 0.1))
+            )
         if "output" in doc:
             scenario.output = str(doc["output"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -202,7 +206,7 @@ def _cmd_optimize(scenario: Scenario, args) -> int:
 def _cmd_sweep(scenario: Scenario, args) -> int:
     p = scenario.params
     altitudes = args.altitudes if args.altitudes else [p.release_altitude]
-    curves = solver.sweep_altitudes(p, altitudes, scenario.grid())
+    curves = solver.sweep_altitudes(p, altitudes, scenario.d_grid)
     csv_text = solver.sweep_csv(curves)
     if args.out:
         Path(args.out).write_text(csv_text)
@@ -213,22 +217,24 @@ def _cmd_sweep(scenario: Scenario, args) -> int:
 
 
 def _cmd_figures(scenario: Scenario, args) -> int:
+    from . import figures, ladder, render
+
     out_dir = Path(args.out if args.out else scenario.output)
     spec, scenes = figures.build_basketball_ladder(
         params=scenario.params,
         velocities=scenario.velocities,
         altitudes=scenario.altitudes,
-        d_grid=scenario.grid(),
+        d_grid=scenario.d_grid,
     )
-    violations = validate_ladder(spec)
+    violations = ladder.validate_ladder(spec)
     if violations:
         for v in violations:
             print(f"{v.kind.name}: {v.message}", file=sys.stderr)
         return EXIT_DOMAIN
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = export_figures(scenes, out_dir)
+    paths = render.export_figures(scenes, out_dir)
     spec_path = out_dir / "ladder.json"
-    spec_path.write_text(ladder_to_json(spec))
+    spec_path.write_text(ladder.ladder_to_json(spec))
     for path in paths:
         print(path)
     print(spec_path)
@@ -236,12 +242,14 @@ def _cmd_figures(scenario: Scenario, args) -> int:
 
 
 def _cmd_validate_ladder(args) -> int:
+    from . import ladder
+
     try:
-        spec = ladder_from_json(Path(args.file).read_text())
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        spec = ladder.ladder_from_json(Path(args.file).read_text())
+    except (OSError, ValueError) as exc:
         print(f"cannot load ladder spec {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    violations = validate_ladder(spec)
+    violations = ladder.validate_ladder(spec)
     print(f"{len(violations)} violations")
     for v in violations:
         print(f"{v.kind.name} (stages {', '.join(map(str, v.stages))}): {v.message}")

@@ -30,8 +30,6 @@ from .render import (
 )
 
 DEMO_ANGLE = math.radians(30.0)
-DEFAULT_VELOCITIES = (5.0, 10.0, 15.0, 20.0)
-DEFAULT_ALTITUDES = (1.2, 1.7, 2.2)
 TRAJECTORY_SAMPLES = 200
 ANGLE_CURVE_POINTS = 400
 
@@ -41,11 +39,6 @@ BLUE = Style(color_role=ColorRole.SOLUTION)
 GREEN = Style(color_role=ColorRole.OPTIMUM)
 BLACK_DASHED = Style(color_role=ColorRole.BASELINE, dash=Dash.DASHED)
 GREEN_DOTTED = Style(color_role=ColorRole.OPTIMUM, dash=Dash.DOTTED)
-
-
-def default_d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> list[float]:
-    count = int(round((hi - lo) / step)) + 1
-    return [lo + i * step for i in range(count)]
 
 
 def _court_space(params: ShotParams) -> PlotSpace:
@@ -112,11 +105,14 @@ def build_basketball_ladder(
     (3) the hoop-reaching trajectory in context, (4) required speed vs
     angle and its minimum, (5) the optimum vs distance, then per
     release altitude.  The returned spec validates with zero violations.
+
+    The stage-2/3 shots are drawn at DEMO_ANGLE, or at the optimal angle
+    where DEMO_ANGLE is not above the feasibility angle.
     """
     params = params or ShotParams()
-    velocities = tuple(velocities) if velocities else DEFAULT_VELOCITIES
-    altitudes = tuple(altitudes) if altitudes else DEFAULT_ALTITUDES
-    d_grid = list(d_grid) if d_grid else default_d_grid()
+    velocities = solver.DEFAULT_VELOCITIES if velocities is None else tuple(velocities)
+    altitudes = solver.DEFAULT_ALTITUDES if altitudes is None else tuple(altitudes)
+    d_grid = solver.default_d_grid() if d_grid is None else list(d_grid)
 
     court_space = _court_space(params)
     angle_space = _angle_space()
@@ -136,25 +132,27 @@ def build_basketball_ladder(
     )
 
     court = _court_marks(params)
-    demo_deg = math.degrees(DEMO_ANGLE)
+    feasibility = solver.feasibility_angle(params)
+    optimum = solver.optimal_angle(params)
+    demo = DEMO_ANGLE if DEMO_ANGLE > feasibility else optimum.angle
+    demo_deg = math.degrees(demo)
 
     # stage 2: one concrete shot, then a fan of launch speeds
-    one_shot, _ = _trajectory_mark(params, DEMO_ANGLE, 15.0, RED)
+    one_shot, _ = _trajectory_mark(params, demo, 15.0, RED)
     fan = []
     for v in velocities:
-        mark, traj = _trajectory_mark(params, DEMO_ANGLE, v, RED)
+        mark, traj = _trajectory_mark(params, demo, v, RED)
         end = traj.samples[-1]
         fan.append(mark)
         fan.append(text(end.x + 0.1, end.y + 0.1, f"{v:g}", RED))
 
     # stage 3: the speed that exactly reaches the hoop
-    v_solution = solver.required_velocity(params, DEMO_ANGLE)
-    solution_mark, _ = _trajectory_mark(params, DEMO_ANGLE, v_solution, BLUE)
+    v_solution = solver.required_velocity(params, demo)
+    solution_mark, _ = _trajectory_mark(params, demo, v_solution, BLUE)
 
     # stage 4: required speed as a function of angle
     curve_mark = _angle_curve_polyline(params)
-    feas_deg = math.degrees(solver.feasibility_angle(params))
-    optimum = solver.optimal_angle(params)
+    feas_deg = math.degrees(feasibility)
     opt_deg = math.degrees(optimum.angle)
     curve_panel_marks = [
         curve_mark,

@@ -253,13 +253,62 @@ def _space_to_dict(space: PlotSpace) -> dict:
     }
 
 
-def _space_from_dict(data: dict) -> PlotSpace:
+_NUMBER = (int, float)
+_JSON_TYPES = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer",
+    _NUMBER: "a number",
+}
+
+
+def _typed(value, kind, what: str):
+    """value if it is of the JSON type `kind` (a key of _JSON_TYPES),
+    else ValueError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r:.60}")
+    return value
+
+
+def _pair(value, kind, what: str) -> tuple:
+    items = _typed(value, list, what)
+    if len(items) != 2:
+        raise ValueError(f"{what} must have 2 items, got {len(items)}")
+    return tuple(_typed(v, kind, what) for v in items)
+
+
+def _members(enum_type, names, what: str) -> frozenset:
+    members = set()
+    for name in _typed(names, list, what):
+        if not isinstance(name, str) or name not in enum_type.__members__:
+            raise ValueError(f"{what}: unknown {enum_type.__name__} {name!r}")
+        members.add(enum_type[name])
+    return frozenset(members)
+
+
+def _space_from_dict(data, what: str) -> PlotSpace:
+    data = _typed(data, dict, what)
     return PlotSpace(
-        x_var=tuple(data["x_var"]),
-        y_var=tuple(data["y_var"]),
-        x_range=tuple(data["x_range"]),
-        y_range=tuple(data["y_range"]),
-        aspect=data["aspect"],
+        x_var=_pair(data["x_var"], str, f"{what} x_var"),
+        y_var=_pair(data["y_var"], str, f"{what} y_var"),
+        x_range=_pair(data["x_range"], _NUMBER, f"{what} x_range"),
+        y_range=_pair(data["y_range"], _NUMBER, f"{what} y_range"),
+        aspect=_typed(data["aspect"], _NUMBER, f"{what} aspect"),
+    )
+
+
+def _stage_from_dict(item, index: int) -> Stage:
+    what = f"stages[{index}]"
+    item = _typed(item, dict, what)
+    parent = item["parent"]
+    return Stage(
+        id=_typed(item["id"], int, f"{what} id"),
+        panels=tuple(
+            _space_from_dict(p, f"{what} panels[{i}]")
+            for i, p in enumerate(_typed(item["panels"], list, f"{what} panels"))
+        ),
+        roles_used=_members(ColorRole, item["roles_used"], f"{what} roles_used"),
+        tags=_members(StrategyTag, item["tags"], f"{what} tags"),
+        caption=_typed(item["caption"], str, f"{what} caption"),
+        parent=None if parent is None else _typed(parent, int, f"{what} parent"),
     )
 
 
@@ -282,17 +331,13 @@ def ladder_to_json(spec: LadderSpec) -> str:
 
 
 def ladder_from_json(text: str) -> LadderSpec:
-    doc = json.loads(text)
-    stages = []
-    for item in doc["stages"]:
-        stages.append(
-            Stage(
-                id=item["id"],
-                panels=tuple(_space_from_dict(p) for p in item["panels"]),
-                roles_used=frozenset(ColorRole[n] for n in item["roles_used"]),
-                tags=frozenset(StrategyTag[n] for n in item["tags"]),
-                caption=item["caption"],
-                parent=item["parent"],
-            )
+    """Parse the JSON form of a LadderSpec.  Invalid JSON or a document
+    not of that form raises ValueError with a one-line message."""
+    doc = _typed(json.loads(text), dict, "ladder spec")
+    try:
+        items = _typed(doc["stages"], list, "stages")
+        return LadderSpec(
+            stages=tuple(_stage_from_dict(item, i) for i, item in enumerate(items))
         )
-    return LadderSpec(stages=tuple(stages))
+    except KeyError as exc:
+        raise ValueError(f"ladder spec is missing key {exc}") from None

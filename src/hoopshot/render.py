@@ -20,7 +20,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .ladder import ColorRole, PlotSpace
 
@@ -43,6 +42,12 @@ MARGIN_TOP = 28.0
 MARGIN_BOTTOM = 38.0
 FONT_FAMILY = "sans-serif"
 SHARED_X_TOL = 1e-9
+
+
+def _escape(text: str) -> str:
+    """Text content with &, < and > escaped, as html.escape(text,
+    quote=False) does, without importing html and its entity table."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class LayoutError(ValueError):
@@ -259,19 +264,19 @@ def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
         out.append(
             f'<text x="{_fmt((vx0 + vx1) / 2)}" y="{_fmt(py + 18.0)}" '
             f'font-family="{FONT_FAMILY}" font-size="13.000" '
-            f'text-anchor="middle" fill="#000000">{escape(panel.title)}</text>'
+            f'text-anchor="middle" fill="#000000">{_escape(panel.title)}</text>'
         )
     xl, yl = panel.axis_labels
     out.append(
         f'<text x="{_fmt((vx0 + vx1) / 2)}" y="{_fmt(vy1 + 30.0)}" '
         f'font-family="{FONT_FAMILY}" font-size="11.000" '
-        f'text-anchor="middle" fill="#000000">{escape(xl)}</text>'
+        f'text-anchor="middle" fill="#000000">{_escape(xl)}</text>'
     )
     out.append(
         f'<text x="{_fmt(px + 14.0)}" y="{_fmt((vy0 + vy1) / 2)}" '
         f'font-family="{FONT_FAMILY}" font-size="11.000" text-anchor="middle" '
         f'transform="rotate(-90.000 {_fmt(px + 14.0)} {_fmt((vy0 + vy1) / 2)})" '
-        f'fill="#000000">{escape(yl)}</text>'
+        f'fill="#000000">{_escape(yl)}</text>'
     )
     # end-of-axis tick labels
     for dv, anchor in (
@@ -327,7 +332,7 @@ def _render_mark(out: list[str], mark: Mark, xs, ys, box) -> None:
         out.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="{FONT_FAMILY}" '
             f'font-size="10.000" text-anchor="start" '
-            f'fill="{PALETTE[mark.style.color_role]}">{escape(mark.text)}</text>'
+            f'fill="{PALETTE[mark.style.color_role]}">{_escape(mark.text)}</text>'
         )
     elif mark.kind is MarkKind.VLINE:
         x = scale_map(xs, mark.value)

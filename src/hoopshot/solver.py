@@ -21,6 +21,10 @@ from typing import Sequence
 from .kinematics import ShotParams
 from .scalarmin import Infeasible
 
+DEFAULT_VELOCITIES = (5.0, 10.0, 15.0, 20.0)
+DEFAULT_ALTITUDES = (1.2, 1.7, 2.2)
+MAX_GRID_POINTS = 100_000
+
 
 class InfeasibleAngle(Infeasible):
     """No finite speed reaches the hoop at this angle."""
@@ -118,6 +122,26 @@ def optimal_angle(params: ShotParams) -> Optimum:
     (Brancazio, Am. J. Phys. 49, 356, 1981)."""
     angle = math.pi / 4 + feasibility_angle(params) / 2
     return Optimum(angle=angle, speed=required_velocity(params, angle))
+
+
+def default_d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> list[float]:
+    """Distances lo, lo + step, ... up to hi (the count rounded to the
+    nearest step).  Raises ValueError for a non-finite bound or step, a
+    non-positive step, lo > hi, or more than MAX_GRID_POINTS points."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"d_grid values must be finite, got {lo}, {hi}, {step}")
+    if step <= 0:
+        raise ValueError(f"d_grid.step must be positive, got {step}")
+    if lo > hi:
+        raise ValueError(f"d_grid.lo must not exceed d_grid.hi, got {lo} > {hi}")
+    # round(intervals) + 1 points; compared before rounding, since
+    # hi - lo may overflow to inf
+    intervals = (hi - lo) / step
+    if not intervals < MAX_GRID_POINTS - 0.5:
+        raise ValueError(
+            f"d_grid has more than {MAX_GRID_POINTS} points: {lo}..{hi} step {step}"
+        )
+    return [lo + i * step for i in range(round(intervals) + 1)]
 
 
 def sweep_distance(params: ShotParams, d_grid: Sequence[float]) -> OptimumCurve:

@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 
 from hoopshot.cli import run
-from hoopshot.figures import build_basketball_ladder, default_d_grid
+from hoopshot.figures import build_basketball_ladder
 from hoopshot.kinematics import LaunchState, ShotParams, height_at_plane
 from hoopshot.ladder import LadderSpec, ViolationKind, validate_ladder
 from hoopshot.scalarmin import Bracket, grid_scan, minimize_scalar
 from hoopshot.solver import (
     InfeasibleAngle,
+    default_d_grid,
     feasibility_angle,
     optimal_angle,
     required_velocity,

@@ -129,6 +129,18 @@ class TestFigures:
         assert run(["validate-ladder", str(out_dir / "ladder.json")]) == 0
         assert "0 violations" in capsys.readouterr().out
 
+    def test_short_distance_draws_at_the_optimal_angle(self, capsys, tmp_path):
+        # 30 deg lies below the 53.5 deg feasibility angle at d = 1 m
+        out_dir = tmp_path / "figs"
+        argv = ["figures", "--distance", "1", "--out", str(out_dir)]
+        assert run(argv + ["--scenario", str(_small_scenario(tmp_path))]) == 0
+        assert len(list(out_dir.glob("figure_*.svg"))) == 7
+        spec = json.loads((out_dir / "ladder.json").read_text())
+        assert "One shot at 71.7" in spec["stages"][1]["caption"]
+        capsys.readouterr()
+        assert run(["validate-ladder", str(out_dir / "ladder.json")]) == 0
+        assert "0 violations" in capsys.readouterr().out
+
     def test_byte_identical_across_runs(self, tmp_path):
         scenario = _small_scenario(tmp_path)
         dir1 = tmp_path / "run1"
@@ -162,6 +174,41 @@ class TestValidateLadder:
         assert "BROKEN_PARENT_ORDER" in out
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param([], id="top-level-not-object"),
+            pytest.param({}, id="no-stages"),
+            pytest.param({"stages": 5}, id="stages-not-list"),
+            pytest.param({"stages": [5]}, id="stage-not-object"),
+            pytest.param({"stages": [{"id": 1}]}, id="stage-missing-keys"),
+            pytest.param("roles_used", id="unknown-color-role"),
+            pytest.param("tags", id="unknown-strategy-tag"),
+            pytest.param("panels", id="panel-not-object"),
+            pytest.param("x_range", id="range-not-numbers"),
+        ],
+    )
+    def test_malformed_spec_exits_2(self, tmp_path, doc):
+        if isinstance(doc, str):  # one field of a valid spec broken
+            from hoopshot.figures import build_basketball_ladder
+            from hoopshot.ladder import ladder_to_json
+
+            spec, _ = build_basketball_ladder(d_grid=[2.0, 3.0])
+            broken = json.loads(ladder_to_json(spec))
+            stage = broken["stages"][1]
+            if doc == "x_range":
+                stage["panels"][0]["x_range"] = ["0", "1"]
+            else:
+                stage[doc] = [*stage[doc][:1], "NO_SUCH_NAME"]
+            doc = broken
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_captured(["validate-ladder", str(path)])
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestScenarioHandling:
     def test_scenario_file_values_used(self, capsys, scenario_file):
         assert run(["optimize", "--scenario", str(scenario_file)]) == 0
@@ -173,6 +220,22 @@ class TestScenarioHandling:
             pytest.param("{not json", id="not-json"),
             pytest.param('{"params": 5}', id="params-not-object"),
             pytest.param('{"d_grid": 5}', id="d_grid-not-object"),
+            pytest.param(
+                '{"d_grid": {"lo": 5, "hi": 2, "step": 1}}', id="d_grid-inverted"
+            ),
+            pytest.param(
+                '{"d_grid": {"lo": NaN, "hi": 2, "step": 1}}', id="d_grid-lo-nan"
+            ),
+            pytest.param(
+                '{"d_grid": {"lo": 1, "hi": Infinity, "step": 1}}', id="d_grid-hi-inf"
+            ),
+            # ~1.4e8 points: rejected from the count, never built
+            pytest.param(
+                '{"d_grid": {"lo": 1, "hi": 15, "step": 1e-7}}', id="d_grid-too-many"
+            ),
+            pytest.param('{"velocities": []}', id="velocities-empty"),
+            pytest.param('{"altitudes": []}', id="altitudes-empty"),
+            pytest.param('{"velocities": "5"}', id="velocities-not-list"),
         ],
     )
     def test_bad_scenario_exits_2(self, tmp_path, text):

@@ -6,8 +6,10 @@ import pytest
 from hoopshot.kinematics import LaunchState, ShotParams, height_at_plane
 from hoopshot.scalarmin import Bracket, grid_scan, minimize_scalar
 from hoopshot.solver import (
+    MAX_GRID_POINTS,
     InfeasibleAngle,
     angle_curve,
+    default_d_grid,
     feasibility_angle,
     optimal_angle,
     required_velocity,
@@ -262,6 +264,38 @@ class TestSweeps:
             sweep_distance(DEFAULTS, [2.0, 1.0])
         with pytest.raises(ValueError):
             sweep_distance(DEFAULTS, [-1.0, 2.0])
+
+
+class TestDistanceGrid:
+    def test_default(self):
+        grid = default_d_grid()
+        assert len(grid) == 141
+        assert grid[0] == 1.0 and grid[-1] == pytest.approx(15.0)
+
+    def test_single_point(self):
+        assert default_d_grid(2.0, 2.0, 1.0) == [2.0]
+
+    def test_size_bound(self):
+        assert len(default_d_grid(1.0, MAX_GRID_POINTS, 1.0)) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="more than"):
+            default_d_grid(1.0, MAX_GRID_POINTS + 1.0, 1.0)
+        with pytest.raises(ValueError, match="more than"):
+            default_d_grid(-1e308, 1e308, 1.0)  # hi - lo overflows
+
+    @pytest.mark.parametrize(
+        "lo, hi, step",
+        [
+            (5.0, 2.0, 1.0),
+            (math.nan, 2.0, 1.0),
+            (1.0, math.inf, 1.0),
+            (1.0, 2.0, 0.0),
+            (1.0, 2.0, -0.1),
+            (1.0, 2.0, math.nan),
+        ],
+    )
+    def test_invalid_rejected(self, lo, hi, step):
+        with pytest.raises(ValueError, match="d_grid"):
+            default_d_grid(lo, hi, step)
 
 
 class TestCsvExport:
