@@ -14,7 +14,7 @@ import math
 from typing import Sequence
 
 from . import solver
-from .kinematics import LaunchState, ShotParams, sample_trajectory
+from .kinematics import LaunchState, ShotParams, height_at_plane, sample_trajectory
 from .ladder import ColorRole, LadderSpec, PlotSpace, Stage, StrategyTag
 from .render import (
     Dash,
@@ -30,6 +30,7 @@ from .render import (
 )
 
 DEMO_ANGLE = math.radians(30.0)
+ONE_SHOT_SPEED = 15.0
 TRAJECTORY_SAMPLES = 200
 ANGLE_CURVE_POINTS = 400
 
@@ -93,6 +94,52 @@ def _angle_curve_polyline(params: ShotParams):
     return polyline(pts, BLUE)
 
 
+def _optimum_marks(curves, y_of, label_dy: float | None) -> list:
+    """One green polyline of y_of(optimum) over distance per curve; with a
+    label_dy, each is labelled with its release altitude near its end."""
+    marks = []
+    for curve in curves:
+        pts = [(d, y_of(o)) for d, o in curve.entries]
+        marks.append(polyline(pts, GREEN))
+        if label_dy is not None:
+            x, y = pts[-1]
+            label = f"a = {curve.release_altitude:g}"
+            marks.append(text(x - 1.6, y + label_dy, label, GREEN))
+    return marks
+
+
+def _theta_deg(optimum: solver.Optimum) -> float:
+    return math.degrees(optimum.angle)
+
+
+def _speed(optimum: solver.Optimum) -> float:
+    return optimum.speed
+
+
+def _stage_2_caption(
+    params: ShotParams, demo: float, velocities: Sequence[float], v_solution: float
+) -> str:
+    """Whether the one shot misses high or falls short, and whether the
+    fan brackets the hoop-reaching speed, from the model itself."""
+    height = height_at_plane(params, LaunchState(angle=demo, speed=ONE_SHOT_SPEED))
+    if height > params.hoop_height:
+        shot = "misses high"
+    elif height < params.hoop_height:
+        shot = "falls short"
+    else:
+        shot = "reaches the hoop"
+    if max(velocities) < v_solution:
+        fan = "stays below"
+    elif min(velocities) > v_solution:
+        fan = "stays above"
+    else:
+        fan = "brackets"
+    return (
+        f"One shot at {math.degrees(demo):g} deg and {ONE_SHOT_SPEED:g} m/s "
+        f"{shot}; a fan of launch speeds {fan} the hoop-reaching speed."
+    )
+
+
 def build_basketball_ladder(
     params: ShotParams | None = None,
     velocities: Sequence[float] | None = None,
@@ -113,6 +160,11 @@ def build_basketball_ladder(
     velocities = solver.DEFAULT_VELOCITIES if velocities is None else tuple(velocities)
     altitudes = solver.DEFAULT_ALTITUDES if altitudes is None else tuple(altitudes)
     d_grid = solver.default_d_grid() if d_grid is None else list(d_grid)
+    if len(d_grid) < 2 or not d_grid[0] < d_grid[-1]:
+        raise ValueError(
+            f"figures need a d_grid of at least 2 points from lo < hi, "
+            f"got {len(d_grid)} point(s)"
+        )
 
     court_space = _court_space(params)
     angle_space = _angle_space()
@@ -138,7 +190,7 @@ def build_basketball_ladder(
     demo_deg = math.degrees(demo)
 
     # stage 2: one concrete shot, then a fan of launch speeds
-    one_shot, _ = _trajectory_mark(params, demo, 15.0, RED)
+    one_shot, _ = _trajectory_mark(params, demo, ONE_SHOT_SPEED, RED)
     fan = []
     for v in velocities:
         mark, traj = _trajectory_mark(params, demo, v, RED)
@@ -169,38 +221,6 @@ def build_basketball_ladder(
     base_curve = solver.sweep_distance(params, d_grid)
     alt_curves = solver.sweep_altitudes(params, altitudes, d_grid)
 
-    def theta_marks(curves, labeled):
-        marks = []
-        for curve in curves:
-            pts = [(d, math.degrees(o.angle)) for d, o in curve.entries]
-            marks.append(polyline(pts, GREEN))
-            if labeled:
-                marks.append(
-                    text(
-                        pts[-1][0] - 1.6,
-                        pts[-1][1] + 1.5,
-                        f"a = {curve.release_altitude:g}",
-                        GREEN,
-                    )
-                )
-        return marks
-
-    def speed_marks(curves, labeled):
-        marks = []
-        for curve in curves:
-            pts = [(d, o.speed) for d, o in curve.entries]
-            marks.append(polyline(pts, GREEN))
-            if labeled:
-                marks.append(
-                    text(
-                        pts[-1][0] - 1.6,
-                        pts[-1][1] - 0.5,
-                        f"a = {curve.release_altitude:g}",
-                        GREEN,
-                    )
-                )
-        return marks
-
     stages = (
         Stage(
             id=1,
@@ -219,10 +239,7 @@ def build_basketball_ladder(
             panels=(court_space, court_space),
             roles_used=frozenset({ColorRole.BASELINE, ColorRole.CONCRETE}),
             tags=frozenset({StrategyTag.EXPAND_SAMPLING}),
-            caption=(
-                f"One shot at {demo_deg:g} deg and 15 m/s misses high; a fan "
-                f"of launch speeds brackets the hoop-reaching speed."
-            ),
+            caption=_stage_2_caption(params, demo, velocities, v_solution),
             parent=1,
         ),
         Stage(
@@ -353,13 +370,13 @@ def build_basketball_ladder(
             panels=(
                 Panel(
                     space=d_theta_space,
-                    marks=tuple(theta_marks([base_curve], labeled=False)),
+                    marks=tuple(_optimum_marks([base_curve], _theta_deg, None)),
                     axis_labels=("distance (m)", "optimal angle (deg)"),
                     title="Optimum vs distance",
                 ),
                 Panel(
                     space=d_speed_space,
-                    marks=tuple(speed_marks([base_curve], labeled=False)),
+                    marks=tuple(_optimum_marks([base_curve], _speed, None)),
                     axis_labels=("distance (m)", "optimal speed (m/s)"),
                 ),
             ),
@@ -369,13 +386,13 @@ def build_basketball_ladder(
             panels=(
                 Panel(
                     space=d_theta_space,
-                    marks=tuple(theta_marks(alt_curves, labeled=True)),
+                    marks=tuple(_optimum_marks(alt_curves, _theta_deg, 1.5)),
                     axis_labels=("distance (m)", "optimal angle (deg)"),
                     title="Optimum vs distance and release altitude",
                 ),
                 Panel(
                     space=d_speed_space,
-                    marks=tuple(speed_marks(alt_curves, labeled=True)),
+                    marks=tuple(_optimum_marks(alt_curves, _speed, -0.5)),
                     axis_labels=("distance (m)", "optimal speed (m/s)"),
                 ),
             ),

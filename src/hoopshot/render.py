@@ -30,11 +30,6 @@ PALETTE = {
     ColorRole.OPTIMUM: "#00AA00",
 }
 
-DASH_PATTERNS = {
-    "DASHED": "6.000,4.000",
-    "DOTTED": "1.500,3.000",
-}
-
 DEFAULT_SIZE = (600.0, 450.0)
 MARGIN_LEFT = 52.0
 MARGIN_RIGHT = 12.0
@@ -66,6 +61,14 @@ class Dash(enum.Enum):
     SOLID = "solid"
     DASHED = "dashed"
     DOTTED = "dotted"
+
+
+# the stroke-dasharray attribute of each dash, "" for a solid stroke
+DASH_PATTERNS = {
+    Dash.SOLID: "",
+    Dash.DASHED: ' stroke-dasharray="6.000,4.000"',
+    Dash.DOTTED: ' stroke-dasharray="1.500,3.000"',
+}
 
 
 @dataclass(frozen=True)
@@ -196,15 +199,11 @@ def _clip_segment(p0, p1, box):
 
 
 def _stroke_attrs(style: Style) -> str:
-    attrs = (
+    return (
         f'stroke="{PALETTE[style.color_role]}" '
         f'stroke-width="{_fmt(style.width)}" fill="none"'
+        f"{DASH_PATTERNS[style.dash]}"
     )
-    if style.dash is Dash.DASHED:
-        attrs += f' stroke-dasharray="{DASH_PATTERNS["DASHED"]}"'
-    elif style.dash is Dash.DOTTED:
-        attrs += f' stroke-dasharray="{DASH_PATTERNS["DOTTED"]}"'
-    return attrs
 
 
 def _panel_rects(scene: Scene) -> list[tuple[float, float, float, float]]:
@@ -304,20 +303,46 @@ def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
 def _render_mark(out: list[str], mark: Mark, xs, ys, box) -> None:
     vx0, vy0, vx1, vy1 = box
     if mark.kind is MarkKind.POLYLINE:
-        pixels = [(scale_map(xs, x), scale_map(ys, y)) for x, y in mark.points]
+        # scale_map inlined, with its operand order, so the bits match
+        (xd0, xd1), (xr0, xr1) = xs.domain, xs.range
+        (yd0, yd1), (yr0, yr1) = ys.domain, ys.range
+        xk, xw, yk, yw = xr1 - xr0, xd1 - xd0, yr1 - yr0, yd1 - yd0
+        pixels = [
+            (xr0 + (x - xd0) * xk / xw, yr0 + (y - yd0) * yk / yw)
+            for x, y in mark.points
+        ]
+        # an infinite box (an infinite scene) admits infinite vertices
+        inside = (
+            [vx0 <= x <= vx1 and vy0 <= y <= vy1 for x, y in pixels]
+            if all(map(math.isfinite, box))
+            else [False] * len(pixels)
+        )
         # emit clipped segments so no coordinate escapes the viewport
         segs = []
-        for p0, p1 in zip(pixels, pixels[1:]):
-            clipped = _clip_segment(p0, p1, box)
-            if clipped is None:
-                continue
+        for p0, p1, in0, in1 in zip(pixels, pixels[1:], inside, inside[1:]):
+            if in0 and in1:
+                # Liang-Barsky's t0 = 0 and t1 = 1 are exact here: rounded
+                # subtraction and division are monotone, so every q/p is
+                # >= 1 for p > 0 and <= 0 for p < 0.  Its start x0 + 0*dx
+                # is p0 up to the sign of a zero, which == and _fmt ignore;
+                # its end x0 + 1*dx need not equal p1, and decides the join.
+                (x0, y0), (x1, y1) = p0, p1
+                clipped = (p0, (x0 + (x1 - x0), y0 + (y1 - y0)))
+            else:
+                clipped = _clip_segment(p0, p1, box)
+                if clipped is None:
+                    continue
             if segs and segs[-1][-1] == clipped[0]:
                 segs[-1].append(clipped[1])
             else:
                 segs.append([clipped[0], clipped[1]])
+        attrs = _stroke_attrs(mark.style)
         for seg in segs:
-            coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in seg)
-            out.append(f'<polyline points="{coords}" {_stroke_attrs(mark.style)}/>')
+            # every number has 3 decimals and a delimiter on each side, so
+            # replacing "-0.000" applies _fmt's rule to whole numbers only
+            coords = " ".join(["%.3f,%.3f" % xy for xy in seg])
+            coords = coords.replace("-0.000", "0.000")
+            out.append(f'<polyline points="{coords}" {attrs}/>')
     elif mark.kind is MarkKind.POINT:
         x = scale_map(xs, mark.points[0][0])
         y = scale_map(ys, mark.points[0][1])

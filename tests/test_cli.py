@@ -12,6 +12,34 @@ NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
 PARAM_FLAGS = ("--altitude", "--distance", "--hoop-height", "--gravity")
 
 
+# every float flag of every command, its value left open; figures and
+# sweep read a 3-point grid so that each example stays fast
+_BASE_CALLS = (
+    "optimize",
+    "velocity --angle=30",
+    "trajectory --angle=30 --speed=15 --samples=5",
+    "sweep --scenario={out}/small.json",
+    "figures --scenario={out}/small.json --out={out}/figs",
+)
+FLOAT_FLAG_CALLS = [
+    f"{call} {flag}={{value}}" for call in _BASE_CALLS for flag in PARAM_FLAGS
+] + [
+    "velocity --angle={value}",
+    "trajectory --angle={value} --speed=15 --samples=5",
+    "trajectory --angle=30 --speed={value} --samples=5",
+    "sweep --scenario={out}/small.json --altitudes={value}",
+]
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """A directory holding small.json (3-point grid) for the property
+    test's sweep and figures calls, which write under it."""
+    path = tmp_path_factory.mktemp("contract")
+    _small_scenario(path)
+    return path
+
+
 def run_captured(argv):
     """Exit code, stdout and stderr of one CLI call; an exception that
     escapes run() fails the calling test, as a traceback would."""
@@ -140,6 +168,52 @@ class TestFigures:
         capsys.readouterr()
         assert run(["validate-ladder", str(out_dir / "ladder.json")]) == 0
         assert "0 violations" in capsys.readouterr().out
+
+    def test_one_point_grid_exits_2_naming_d_grid(self, tmp_path):
+        one_point = tmp_path / "one_point.json"
+        one_point.write_text(json.dumps({"d_grid": {"lo": 2, "hi": 2, "step": 1}}))
+        code, out, _ = run_captured(["sweep", "--scenario", str(one_point)])
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2  # header and the one distance
+        argv = ["figures", "--scenario", str(one_point), "--out", str(tmp_path / "figs")]
+        code, _, err = run_captured(argv)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "d_grid" in err and "2 points" in err
+
+    @pytest.mark.parametrize(
+        "distance, caption",
+        [
+            pytest.param(
+                None,
+                "One shot at 30 deg and 15 m/s misses high; a fan of launch "
+                "speeds brackets the hoop-reaching speed.",
+                id="default",
+            ),
+            # 15 m/s at 30 deg is at -7.1 m at the hoop plane; 19.2 m/s is needed
+            pytest.param(
+                "30",
+                "One shot at 30 deg and 15 m/s falls short; a fan of launch "
+                "speeds brackets the hoop-reaching speed.",
+                id="falls-short",
+            ),
+            # 21.9 m/s is needed at 30 deg, above the fastest default speed, 20
+            pytest.param(
+                "40",
+                "One shot at 30 deg and 15 m/s falls short; a fan of launch "
+                "speeds stays below the hoop-reaching speed.",
+                id="fan-below",
+            ),
+        ],
+    )
+    def test_stage_2_caption_follows_the_shots(self, tmp_path, distance, caption):
+        out_dir = tmp_path / "figs"
+        argv = ["figures", "--out", str(out_dir), "--scenario", str(_small_scenario(tmp_path))]
+        if distance is not None:
+            argv += ["--distance", distance]
+        assert run_captured(argv)[0] == 0
+        spec = json.loads((out_dir / "ladder.json").read_text())
+        assert spec["stages"][1]["caption"] == caption
 
     def test_byte_identical_across_runs(self, tmp_path):
         scenario = _small_scenario(tmp_path)
@@ -270,19 +344,15 @@ class TestScenarioHandling:
         assert len(err.strip().splitlines()) == 1
         assert not NON_FINITE.search(out)
 
-    @settings(deadline=None)
-    @given(
-        command=st.sampled_from([["optimize"], ["velocity", "--angle", "30"]]),
-        flag=st.sampled_from(PARAM_FLAGS),
-        value=st.floats(),
-    )
-    def test_any_float_param_keeps_exit_contract(self, command, flag, value):
+    @settings(deadline=None, max_examples=300)
+    @given(call=st.sampled_from(FLOAT_FLAG_CALLS), value=st.floats())
+    def test_any_float_param_keeps_exit_contract(self, contract_dir, call, value):
         # --flag=VALUE so that a negative value is not parsed as an option
-        code, out, err = run_captured(command + [f"{flag}={value!r}"])
+        argv = call.format(value=repr(value), out=contract_dir).split()
+        code, out, err = run_captured(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
-        if code == 0:
-            assert not NON_FINITE.search(out)
+        assert not NON_FINITE.search(out)
 
 
 class TestUsage:

@@ -57,6 +57,13 @@ class TestLadderStructure:
         for stage in spec.stages:
             assert stage.caption.strip()
 
+    def test_stage_2_caption_when_the_fan_is_too_fast(self):
+        # 12.2 m/s reaches the hoop at 30 deg, below the whole fan
+        spec, _ = build_basketball_ladder(velocities=[15.0, 20.0], d_grid=[2.0, 3.0])
+        assert spec.stage(2).caption.endswith(
+            "a fan of launch speeds stays above the hoop-reaching speed."
+        )
+
 
 class TestSceneContent:
     def test_layouts(self, built):

@@ -2,14 +2,16 @@ import math
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hoopshot.ladder import ColorRole, PlotSpace
 from hoopshot.render import (
+    DEFAULT_SIZE,
     MARGIN_BOTTOM,
     MARGIN_LEFT,
     MARGIN_RIGHT,
     MARGIN_TOP,
+    Dash,
     Layout,
     LayoutError,
     LinearScale,
@@ -22,6 +24,9 @@ from hoopshot.render import (
     render_svg,
     scale_map,
     text,
+    _clip_segment,
+    _fmt,
+    _stroke_attrs,
 )
 
 BLACK = Style(color_role=ColorRole.BASELINE)
@@ -36,7 +41,7 @@ def unit_space(x_range=(0.0, 10.0), y_range=(0.0, 10.0), x_name="x"):
     )
 
 
-def one_panel_scene(marks, space=None):
+def one_panel_scene(marks, space=None, size=DEFAULT_SIZE):
     return Scene(
         panels=(
             Panel(
@@ -47,6 +52,7 @@ def one_panel_scene(marks, space=None):
             ),
         ),
         layout=Layout.SINGLE,
+        size=size,
     )
 
 
@@ -185,6 +191,77 @@ class TestRenderSvg:
             point(0.0, 0.0, BLACK, size=0.0)
         with pytest.raises(ValueError):
             Style(color_role=ColorRole.BASELINE, width=0.0)
+
+
+SPACE = unit_space(x_range=(-2.0, 8.0), y_range=(0.0, 5.0))
+
+
+def reference_polylines(mark, size):
+    """The <polyline> elements of one mark in a single-panel scene of this
+    size, built segment by segment from scale_map, _clip_segment and _fmt."""
+    w, h = size
+    vx0, vy0 = MARGIN_LEFT, MARGIN_TOP
+    vx1, vy1 = w - MARGIN_RIGHT, h - MARGIN_BOTTOM
+    xs = LinearScale(domain=SPACE.x_range, range=(vx0, vx1))
+    ys = LinearScale(domain=SPACE.y_range, range=(vy1, vy0))
+    pixels = [(scale_map(xs, x), scale_map(ys, y)) for x, y in mark.points]
+    segs = []
+    for p0, p1 in zip(pixels, pixels[1:]):
+        clipped = _clip_segment(p0, p1, (vx0, vy0, vx1, vy1))
+        if clipped is None:
+            continue
+        if segs and segs[-1][-1] == clipped[0]:
+            segs[-1].append(clipped[1])
+        else:
+            segs.append(list(clipped))
+    return [
+        f'<polyline points="{" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in seg)}" '
+        f"{_stroke_attrs(mark.style)}/>"
+        for seg in segs
+    ]
+
+
+def coordinate(lo, hi):
+    span = hi - lo
+    near = 0.01 * span
+    return st.one_of(
+        st.sampled_from([lo, hi]),  # on the box edge
+        st.floats(lo - near, lo + near),  # next to it
+        st.floats(hi - near, hi + near),
+        st.floats(lo, hi),  # inside
+        st.floats(lo - 2 * span, hi + 2 * span),  # crossing or outside
+        st.floats(),  # anything, NaN and +-inf included
+    )
+
+
+vertices = st.lists(
+    # a repeated vertex makes a zero-length segment
+    st.tuples(coordinate(*SPACE.x_range), coordinate(*SPACE.y_range), st.booleans()),
+    min_size=1,
+    max_size=12,
+).map(lambda drawn: [(x, y) for x, y, twice in drawn for _ in range(1 + twice)])
+
+
+class TestPolylineMatchesSegmentwiseReference:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pts=vertices.filter(lambda pts: len(pts) >= 2),
+        dash=st.sampled_from(Dash),
+        # the default canvas, a small one, one too small for its margins,
+        # and an infinite one, whose box admits infinite vertices
+        size=st.sampled_from(
+            [DEFAULT_SIZE, (150.0, 120.0), (40.0, 30.0), (math.inf, math.inf)]
+        ),
+    )
+    @example(  # box edges, a repeated vertex, corner to corner, then inside
+        pts=[(-2.0, 0.0), (-2.0, 0.0), (8.0, 0.0), (8.0, 5.0), (-2.0, 5.0), (3.0, 2.5)],
+        dash=Dash.SOLID,
+        size=DEFAULT_SIZE,
+    )
+    def test_points_byte_equal(self, pts, dash, size):
+        mark = polyline(pts, Style(color_role=ColorRole.CONCRETE, dash=dash))
+        svg = render_svg(one_panel_scene([mark], SPACE, size)).decode()
+        assert re.findall(r"<polyline [^\n]*", svg) == reference_polylines(mark, size)
 
 
 class TestExportFigures:
