@@ -12,7 +12,9 @@ distance grid (with its validation) in `solver`.
 
 Only `figures` and `validate-ladder` import the ladder and renderer
 modules, inside their command functions, so the other commands start
-without them.
+without them.  `run` builds the argparse subparser of the invoked
+command only (one row of `COMMANDS`), and every subparser only for
+top-level help, a missing command or an unknown one.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import solver
 from .kinematics import LaunchState, ShotParams, VerticalShot, sample_trajectory
@@ -121,62 +124,6 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gravity", type=float, help="gravity, m/s^2")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hoopshot",
-        description=(
-            "Basketball-shot model: trajectories, required launch speed, "
-            "optimal angle, sweeps, and the ladder-of-abstraction figures. "
-            "Angles are degrees at the CLI, distances meters, speeds m/s."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "trajectory", help="print a sampled trajectory as CSV (t, x, y)"
-    )
-    _add_scenario_flags(p)
-    p.add_argument("--angle", type=float, required=True, help="launch angle, degrees")
-    p.add_argument("--speed", type=float, required=True, help="launch speed, m/s")
-    p.add_argument("--samples", type=int, default=200, help="number of samples")
-
-    p = sub.add_parser(
-        "velocity", help="print the speed required to reach the hoop"
-    )
-    _add_scenario_flags(p)
-    p.add_argument("--angle", type=float, required=True, help="launch angle, degrees")
-
-    p = sub.add_parser(
-        "optimize", help="print the optimal angle (degrees) and speed"
-    )
-    _add_scenario_flags(p)
-
-    p = sub.add_parser(
-        "sweep", help="write optimal angle/speed over a distance grid as CSV"
-    )
-    _add_scenario_flags(p)
-    p.add_argument(
-        "--altitudes",
-        type=float,
-        nargs="+",
-        help="release altitudes to sweep, meters (default: single altitude)",
-    )
-    p.add_argument("--out", metavar="FILE", help="CSV output path (default stdout)")
-
-    p = sub.add_parser(
-        "figures", help="build, validate, and render the figure ladder"
-    )
-    _add_scenario_flags(p)
-    p.add_argument("--out", metavar="DIR", help="output directory for SVG files")
-
-    p = sub.add_parser(
-        "validate-ladder", help="check a ladder spec JSON file for violations"
-    )
-    p.add_argument("file", metavar="FILE", help="ladder spec JSON file")
-
-    return parser
-
-
 def _cmd_trajectory(scenario: Scenario, args) -> int:
     launch = LaunchState(angle=math.radians(args.angle), speed=args.speed)
     traj = sample_trajectory(scenario.params, launch, n=args.samples)
@@ -256,15 +203,102 @@ def _cmd_validate_ladder(args) -> int:
     return EXIT_OK if not violations else EXIT_DOMAIN
 
 
+def _trajectory_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--angle", type=float, required=True, help="launch angle, degrees")
+    p.add_argument("--speed", type=float, required=True, help="launch speed, m/s")
+    p.add_argument("--samples", type=int, default=200, help="number of samples")
+
+
+def _velocity_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--angle", type=float, required=True, help="launch angle, degrees")
+
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--altitudes",
+        type=float,
+        nargs="+",
+        help="release altitudes to sweep, meters (default: single altitude)",
+    )
+    p.add_argument("--out", metavar="FILE", help="CSV output path (default stdout)")
+
+
+def _figures_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", metavar="DIR", help="output directory for SVG files")
+
+
+def _validate_ladder_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file", metavar="FILE", help="ladder spec JSON file")
+
+
+class Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    # handler(scenario, args) when the command reads a scenario, else handler(args)
+    handler: Callable[..., int]
+    reads_scenario: bool = True
+
+
+COMMANDS = {
+    "trajectory": Command(
+        "print a sampled trajectory as CSV (t, x, y)", _trajectory_args, _cmd_trajectory
+    ),
+    "velocity": Command(
+        "print the speed required to reach the hoop", _velocity_args, _cmd_velocity
+    ),
+    "optimize": Command(
+        "print the optimal angle (degrees) and speed", lambda p: None, _cmd_optimize
+    ),
+    "sweep": Command(
+        "write optimal angle/speed over a distance grid as CSV", _sweep_args, _cmd_sweep
+    ),
+    "figures": Command(
+        "build, validate, and render the figure ladder", _figures_args, _cmd_figures
+    ),
+    "validate-ladder": Command(
+        "check a ladder spec JSON file for violations",
+        _validate_ladder_args,
+        _cmd_validate_ladder,
+        reads_scenario=False,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with only `command`; the
+    usage line names all of them either way."""
+    parser = argparse.ArgumentParser(
+        prog="hoopshot",
+        description=(
+            "Basketball-shot model: trajectories, required launch speed, "
+            "optimal angle, sweeps, and the ladder-of-abstraction figures. "
+            "Angles are degrees at the CLI, distances meters, speeds m/s."
+        ),
+    )
+    # one subparser: spell out the metavar argparse derives from all of them
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        spec = COMMANDS[name]
+        p = sub.add_parser(name, help=spec.help)
+        if spec.reads_scenario:
+            _add_scenario_flags(p)
+        spec.add_arguments(p)
+    return parser
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
-    if args.command == "validate-ladder":
-        return _cmd_validate_ladder(args)
+    command = COMMANDS[args.command]
+    if not command.reads_scenario:
+        return command.handler(args)
 
     try:
         scenario = load_scenario(args.scenario)
@@ -274,16 +308,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
-        if args.command == "trajectory":
-            return _cmd_trajectory(scenario, args)
-        if args.command == "velocity":
-            return _cmd_velocity(scenario, args)
-        if args.command == "optimize":
-            return _cmd_optimize(scenario, args)
-        if args.command == "sweep":
-            return _cmd_sweep(scenario, args)
-        if args.command == "figures":
-            return _cmd_figures(scenario, args)
+        return command.handler(scenario, args)
     except (VerticalShot, Infeasible) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DOMAIN
@@ -293,8 +318,6 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DOMAIN
-    parser.error(f"unknown command {args.command}")
-    return EXIT_USAGE
 
 
 def main() -> None:

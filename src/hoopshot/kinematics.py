@@ -17,6 +17,15 @@ class VerticalShot(ValueError):
     advances toward the hoop plane."""
 
 
+def check_distance(distance: float) -> None:
+    """Raise ValueError unless distance is finite and positive; the one
+    distance check of `ShotParams` and of the solver's distance sweep."""
+    if not math.isfinite(distance):
+        raise ValueError(f"distance must be finite, got {distance}")
+    if distance <= 0:
+        raise ValueError(f"distance must be positive, got {distance}")
+
+
 @dataclass(frozen=True)
 class ShotParams:
     """Fixed scenario geometry and physics.
@@ -37,8 +46,7 @@ class ShotParams:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.distance <= 0:
-            raise ValueError(f"distance must be positive, got {self.distance}")
+        check_distance(self.distance)
         if self.gravity <= 0:
             raise ValueError(f"gravity must be positive, got {self.gravity}")
         if self.release_altitude < 0:

@@ -169,7 +169,8 @@ def _fmt(v: float) -> str:
 
 def _clip_segment(p0, p1, box):
     """Liang-Barsky clip of segment p0-p1 to box=(x0,y0,x1,y1).
-    Returns the clipped segment or None if fully outside."""
+    Returns the clipped segment, or None if it is fully outside or an
+    end is not finite (a NaN or infinite vertex leaves a gap)."""
     x0, y0 = p0
     x1, y1 = p1
     bx0, by0, bx1, by1 = box
@@ -195,7 +196,10 @@ def _clip_segment(p0, p1, box):
             if r < t0:
                 return None
             t1 = min(t1, r)
-    return (x0 + t0 * dx, y0 + t0 * dy), (x0 + t1 * dx, y0 + t1 * dy)
+    clipped = (x0 + t0 * dx, y0 + t0 * dy), (x0 + t1 * dx, y0 + t1 * dy)
+    if not all(map(math.isfinite, clipped[0] + clipped[1])):
+        return None
+    return clipped
 
 
 def _stroke_attrs(style: Style) -> str:

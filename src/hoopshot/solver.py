@@ -13,12 +13,11 @@ the golden-section search in `scalarmin` is kept as its test oracle.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .kinematics import ShotParams
+from .kinematics import ShotParams, check_distance
 from .scalarmin import Infeasible
 
 DEFAULT_VELOCITIES = (5.0, 10.0, 15.0, 20.0)
@@ -67,20 +66,29 @@ def required_velocity(params: ShotParams, angle: float) -> float:
     the hoop height.  Raises InfeasibleAngle at or below the feasibility
     angle, where the denominator of the closed form is non-positive, and
     ValueError when the speed overflows to a non-finite value."""
-    if not angle < math.pi / 2:
-        raise ValueError(f"angle must be below pi/2, got {angle}")
-    a, d, h, g = (
+    return _hoop_speed(*_values(params), angle)
+
+
+def _values(params: ShotParams) -> tuple[float, float, float, float]:
+    return (
         params.release_altitude,
         params.distance,
         params.hoop_height,
         params.gravity,
     )
+
+
+def _hoop_speed(a: float, d: float, h: float, g: float, angle: float) -> float:
+    """The closed form in the module docstring, with its checks; every
+    hoop-reaching speed in this module comes from here."""
+    if not angle < math.pi / 2:
+        raise ValueError(f"angle must be below pi/2, got {angle}")
     c = math.cos(angle)
     denom = c * c * (d * math.tan(angle) + a - h)
     if denom <= 0:
         raise InfeasibleAngle(
             f"angle {math.degrees(angle):.3f} deg is at or below the "
-            f"feasibility angle {math.degrees(feasibility_angle(params)):.3f} deg"
+            f"feasibility angle {math.degrees(_feasibility(a, d, h)):.3f} deg"
         )
     v = math.sqrt(0.5 * g * d * d / denom)
     if not math.isfinite(v):
@@ -90,9 +98,12 @@ def required_velocity(params: ShotParams, angle: float) -> float:
 
 def feasibility_angle(params: ShotParams) -> float:
     """atan((h-a)/d); negative when releasing above the hoop."""
-    return math.atan(
-        (params.hoop_height - params.release_altitude) / params.distance
-    )
+    a, d, h, _ = _values(params)
+    return _feasibility(a, d, h)
+
+
+def _feasibility(a: float, d: float, h: float) -> float:
+    return math.atan((h - a) / d)
 
 
 def angle_curve(
@@ -120,8 +131,12 @@ def optimal_angle(params: ShotParams) -> Optimum:
     """Angle requiring the softest hoop-reaching shot: pi/4 + phi/2, phi
     the feasibility angle, where v^2 = g*(sqrt(d^2 + (h-a)^2) + (h-a))
     (Brancazio, Am. J. Phys. 49, 356, 1981)."""
-    angle = math.pi / 4 + feasibility_angle(params) / 2
-    return Optimum(angle=angle, speed=required_velocity(params, angle))
+    return _optimum(*_values(params))
+
+
+def _optimum(a: float, d: float, h: float, g: float) -> Optimum:
+    angle = math.pi / 4 + _feasibility(a, d, h) / 2
+    return Optimum(angle=angle, speed=_hoop_speed(a, d, h, g, angle))
 
 
 def default_d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> list[float]:
@@ -146,13 +161,18 @@ def default_d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> list
 
 def sweep_distance(params: ShotParams, d_grid: Sequence[float]) -> OptimumCurve:
     """Optimal angle and speed at each distance in d_grid, the other
-    parameters taken from params."""
+    parameters taken from params.  Each distance is validated once, by
+    the same check and message as `ShotParams.distance`, and no
+    `ShotParams` is built per point: the result is `optimal_angle` of
+    params at that distance, bit for bit."""
     if any(b <= a for a, b in zip(d_grid, d_grid[1:])):
         raise ValueError("d_grid must be strictly increasing")
-    entries = tuple(
-        (d, optimal_angle(replace(params, distance=d))) for d in d_grid
-    )
-    return OptimumCurve(release_altitude=params.release_altitude, entries=entries)
+    a, h, g = params.release_altitude, params.hoop_height, params.gravity
+    entries = []
+    for d in d_grid:
+        check_distance(d)
+        entries.append((d, _optimum(a, d, h, g)))
+    return OptimumCurve(release_altitude=a, entries=tuple(entries))
 
 
 def sweep_altitudes(
@@ -167,12 +187,11 @@ def sweep_altitudes(
 
 def sweep_csv(curves: Sequence[OptimumCurve]) -> str:
     """CSV export: d,theta_opt_deg,v_opt,altitude with 6 decimal places."""
-    out = io.StringIO()
-    out.write("d,theta_opt_deg,v_opt,altitude\n")
+    rows = ["d,theta_opt_deg,v_opt,altitude\n"]
     for curve in curves:
-        for d, opt in curve.entries:
-            out.write(
-                f"{d:.6f},{math.degrees(opt.angle):.6f},"
-                f"{opt.speed:.6f},{curve.release_altitude:.6f}\n"
-            )
-    return out.getvalue()
+        altitude = ",%.6f\n" % curve.release_altitude
+        rows += [
+            "%.6f,%.6f,%.6f%s" % (d, math.degrees(opt.angle), opt.speed, altitude)
+            for d, opt in curve.entries
+        ]
+    return "".join(rows)

@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hoopshot.cli import build_parser, run
+from hoopshot.cli import COMMANDS, build_parser, run
 
 NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
 PARAM_FLAGS = ("--altitude", "--distance", "--hoop-height", "--gravity")
@@ -375,3 +375,50 @@ class TestUsage:
         out = capsys.readouterr().out
         assert "degrees" in out
         assert "m/s" in out
+
+
+def full_parser_captured(argv):
+    """Exit code, stdout and stderr of parsing argv with every subparser
+    built; a successful parse reads as None."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            build_parser().parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOneSubparser:
+    """run() builds only the invoked command's subparser; what it prints
+    for help and usage errors is what the full parser prints."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[name, "--help"] for name in COMMANDS]
+        + [[name, "--bogus"] for name in COMMANDS]  # rejected by the top level
+        + [
+            ["trajectory", "--angle", "30"],  # --speed missing
+            ["velocity", "--angle", "steep"],
+            ["optimize", "--distance"],
+            ["sweep", "--altitudes"],
+            ["figures", "--gravity", "g"],
+            ["validate-ladder"],
+            ["--help"],
+            [],
+            ["frobnicate"],
+            ["-h", "sweep"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_help_and_usage_errors_match_the_full_parser(self, argv):
+        code, out, err = full_parser_captured(argv)
+        assert code in (0, 2)
+        assert run_captured(argv) == (code, out, err)
+
+    def test_named_command_builds_one_subparser(self):
+        parser = build_parser("sweep")
+        [sub] = [a for a in parser._actions if a.dest == "command"]
+        assert list(sub.choices) == ["sweep"]
+        assert parser.format_usage() == build_parser().format_usage()

@@ -262,6 +262,50 @@ class TestPolylineMatchesSegmentwiseReference:
         mark = polyline(pts, Style(color_role=ColorRole.CONCRETE, dash=dash))
         svg = render_svg(one_panel_scene([mark], SPACE, size)).decode()
         assert re.findall(r"<polyline [^\n]*", svg) == reference_polylines(mark, size)
+        assert not NON_FINITE.search(" ".join(polyline_points(svg)))
+
+
+def polyline_points(svg):
+    return re.findall(r'<polyline points="([^"]*)"', svg)
+
+
+NON_FINITE = re.compile(r"nan|inf", re.IGNORECASE)
+
+
+class TestNonFiniteVertices:
+    """A NaN or infinite vertex leaves a gap: its two segments are not
+    drawn, the finite ones on either side are."""
+
+    FINITE = [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0), (5.0, 5.0)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_gap_instead_of_non_finite_points(self, bad, axis):
+        pts = list(self.FINITE)
+        pts[2] = (bad, 3.0) if axis == "x" else (3.0, bad)
+        svg = render_svg(one_panel_scene([polyline(pts, BLACK)])).decode()
+        assert not NON_FINITE.search(" ".join(polyline_points(svg)))
+        expected = [
+            polyline_points(render_svg(one_panel_scene([polyline(part, BLACK)])).decode())[0]
+            for part in (self.FINITE[:2], self.FINITE[3:])
+        ]
+        assert polyline_points(svg) == expected
+
+    @pytest.mark.parametrize(
+        "pts",
+        [[(1.0, 1.0), (math.nan, 2.0), (3.0, 3.0)], [(1.0, 1.0), (3.0, math.inf)]],
+    )
+    def test_no_finite_segment_draws_nothing(self, pts):
+        svg = render_svg(one_panel_scene([polyline(pts, BLACK)])).decode()
+        assert polyline_points(svg) == []
+
+    @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
+    def test_infinite_canvas(self, bad):
+        pts = list(self.FINITE)
+        if bad is not None:
+            pts[2] = (bad, 3.0)
+        scene = one_panel_scene([polyline(pts, BLACK)], size=(math.inf, math.inf))
+        assert not NON_FINITE.search(" ".join(polyline_points(render_svg(scene).decode())))
 
 
 class TestExportFigures:

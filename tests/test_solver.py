@@ -1,7 +1,9 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hoopshot.kinematics import LaunchState, ShotParams, height_at_plane
 from hoopshot.scalarmin import Bracket, grid_scan, minimize_scalar
@@ -264,6 +266,85 @@ class TestSweeps:
             sweep_distance(DEFAULTS, [2.0, 1.0])
         with pytest.raises(ValueError):
             sweep_distance(DEFAULTS, [-1.0, 2.0])
+
+
+def outcome(compute):
+    """compute()'s value, or the type and message of what it raised."""
+    try:
+        return compute()
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def per_point_sweep(params, grid):
+    """The sweep as one validated ShotParams per distance."""
+    return [(d, optimal_angle(replace(params, distance=d))) for d in grid]
+
+
+def bits(entries):
+    return [(d, o.angle.hex(), o.speed.hex()) for d, o in entries]
+
+
+def swept_params(hoop, offset, gravity, above):
+    """Release altitude offset above the hoop or below it (not below 0)."""
+    altitude = hoop + offset if above else max(hoop - offset, 0.0)
+    return ShotParams(
+        release_altitude=altitude, hoop_height=hoop, gravity=gravity
+    )
+
+
+params_strategy = st.builds(
+    swept_params,
+    hoop=st.floats(0.0, 6.0),
+    offset=st.floats(0.0, 6.0),
+    gravity=st.floats(0.1, 30.0),
+    above=st.booleans(),
+)
+increasing_grids = st.lists(
+    st.floats(1e-3, 1e3), min_size=1, max_size=30, unique=True
+).map(sorted)
+
+
+class TestSweepMatchesPerPointOptimum:
+    @settings(max_examples=300, deadline=None)
+    @given(params=params_strategy, grid=increasing_grids)
+    @example(params=ShotParams(release_altitude=1.2), grid=[1.0, 2.7, 10.0])
+    @example(params=ShotParams(release_altitude=5.0), grid=[0.5, 1.0, 15.0])
+    def test_entries_bit_identical(self, params, grid):
+        curve = sweep_distance(params, grid)
+        expected = per_point_sweep(params, grid)
+        assert curve.release_altitude == params.release_altitude
+        assert bits(curve.entries) == bits(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        params=params_strategy,
+        grid=increasing_grids,
+        bad=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e308]),
+        where=st.integers(0, 30),
+    )
+    def test_bad_distance_raises_as_shot_params_does(self, params, grid, bad, where):
+        if math.isnan(bad):
+            grid.insert(where % (len(grid) + 1), bad)
+        else:  # kept strictly increasing, so only the distance check fires
+            grid = sorted(set(grid) | {bad})
+        got = outcome(lambda: sweep_distance(params, grid))
+        assert got == outcome(lambda: per_point_sweep(params, grid))
+        check = "finite" if not math.isfinite(bad) else "positive"
+        assert got == (ValueError, f"distance must be {check}, got {bad}")
+
+    def test_sweep_builds_one_shot_params_per_altitude(self, monkeypatch):
+        calls = []
+        post_init = ShotParams.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ShotParams, "__post_init__", counted)
+        curves = sweep_altitudes(DEFAULTS, [1.2, 1.7, 2.2], default_d_grid())
+        assert [len(c.entries) for c in curves] == [141] * 3
+        assert len(calls) <= 3
 
 
 class TestDistanceGrid:
