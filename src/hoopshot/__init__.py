@@ -15,7 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "kinematics": """LaunchState ShotParams Trajectory TrajectorySample VerticalShot
+    "kinematics": """LaunchState ShotParams Trajectory VerticalShot
         height_at_plane position_at sample_trajectory time_to_plane""",
     "solver": """AngleCurve InfeasibleAngle Optimum OptimumCurve VelocityRequirement
         angle_curve feasibility_angle optimal_angle required_velocity

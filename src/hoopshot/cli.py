@@ -127,9 +127,7 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
 def _cmd_trajectory(scenario: Scenario, args) -> int:
     launch = LaunchState(angle=math.radians(args.angle), speed=args.speed)
     traj = sample_trajectory(scenario.params, launch, n=args.samples)
-    print("t,x,y")
-    for s in traj.samples:
-        print(f"{s.t:.6f},{s.x:.6f},{s.y:.6f}")
+    sys.stdout.write("t,x,y\n" + "".join(["%.6f,%.6f,%.6f\n" % s for s in traj.samples]))
     return EXIT_OK
 
 

@@ -33,6 +33,7 @@ DEMO_ANGLE = math.radians(30.0)
 ONE_SHOT_SPEED = 15.0
 TRAJECTORY_SAMPLES = 200
 ANGLE_CURVE_POINTS = 400
+COUNT_WORDS = "zero one two three four five six seven eight nine".split()
 
 BLACK = Style(color_role=ColorRole.BASELINE)
 RED = Style(color_role=ColorRole.CONCRETE)
@@ -81,7 +82,7 @@ def _trajectory_mark(params: ShotParams, angle: float, speed: float, style: Styl
     traj = sample_trajectory(
         params, LaunchState(angle=angle, speed=speed), n=TRAJECTORY_SAMPLES
     )
-    return polyline([(s.x, s.y) for s in traj.samples], style), traj
+    return polyline([(x, y) for _, x, y in traj.samples], style), traj
 
 
 def _angle_curve_polyline(params: ShotParams):
@@ -114,6 +115,12 @@ def _theta_deg(optimum: solver.Optimum) -> float:
 
 def _speed(optimum: solver.Optimum) -> float:
     return optimum.speed
+
+
+def _count(n: int, noun: str) -> str:
+    """'one altitude', 'three altitudes', '12 altitudes': n in words below 10."""
+    word = COUNT_WORDS[n] if n < len(COUNT_WORDS) else str(n)
+    return f"{word} {noun}{'' if n == 1 else 's'}"
 
 
 def _stage_2_caption(
@@ -194,9 +201,9 @@ def build_basketball_ladder(
     fan = []
     for v in velocities:
         mark, traj = _trajectory_mark(params, demo, v, RED)
-        end = traj.samples[-1]
+        _, x_end, y_end = traj.samples[-1]
         fan.append(mark)
-        fan.append(text(end.x + 0.1, end.y + 0.1, f"{v:g}", RED))
+        fan.append(text(x_end + 0.1, y_end + 0.1, f"{v:g}", RED))
 
     # stage 3: the speed that exactly reaches the hoop
     v_solution = solver.required_velocity(params, demo)
@@ -288,7 +295,7 @@ def build_basketball_ladder(
             ),
             caption=(
                 "Optimal angle and speed as the distance varies, then for "
-                "three release altitudes."
+                f"{_count(len(altitudes), 'release altitude')}."
             ),
             parent=4,
         ),

@@ -74,17 +74,10 @@ class LaunchState:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     params: ShotParams
     launch: LaunchState
-    samples: tuple[TrajectorySample, ...]
+    samples: tuple[tuple[float, float, float], ...]
 
 
 def position_at(
@@ -136,14 +129,17 @@ def sample_trajectory(
     """Sample the trajectory at n equally spaced times.
 
     Runs from t=0 to the earlier of the hoop-plane crossing and ground
-    impact, so the drawn path stops at the plane or the floor.
+    impact, so the drawn path stops at the plane or the floor.  Each
+    sample is the tuple (t, *position_at(params, launch, t)), bit for bit.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     t_end = min(time_to_plane(launch, params.distance), ground_impact_time(params, launch))
-    samples = []
-    for i in range(n):
-        t = t_end * i / (n - 1)
-        x, y = position_at(params, launch, t)
-        samples.append(TrajectorySample(t=t, x=x, y=y))
-    return Trajectory(params=params, launch=launch, samples=tuple(samples))
+    vx = launch.speed * math.cos(launch.angle)
+    vy = launch.speed * math.sin(launch.angle)
+    a, hg = params.release_altitude, 0.5 * params.gravity
+    m = n - 1
+    samples = tuple(
+        [(t, vx * t, a + vy * t - hg * t * t) for i in range(n) for t in [t_end * i / m]]
+    )
+    return Trajectory(params=params, launch=launch, samples=samples)

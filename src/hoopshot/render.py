@@ -322,24 +322,32 @@ def _render_mark(out: list[str], mark: Mark, xs, ys, box) -> None:
             else [False] * len(pixels)
         )
         # emit clipped segments so no coordinate escapes the viewport
-        segs = []
-        for p0, p1, in0, in1 in zip(pixels, pixels[1:], inside, inside[1:]):
-            if in0 and in1:
-                # Liang-Barsky's t0 = 0 and t1 = 1 are exact here: rounded
-                # subtraction and division are monotone, so every q/p is
-                # >= 1 for p > 0 and <= 0 for p < 0.  Its start x0 + 0*dx
-                # is p0 up to the sign of a zero, which == and _fmt ignore;
-                # its end x0 + 1*dx need not equal p1, and decides the join.
-                (x0, y0), (x1, y1) = p0, p1
-                clipped = (p0, (x0 + (x1 - x0), y0 + (y1 - y0)))
-            else:
-                clipped = _clip_segment(p0, p1, box)
-                if clipped is None:
-                    continue
-            if segs and segs[-1][-1] == clipped[0]:
-                segs[-1].append(clipped[1])
-            else:
-                segs.append([clipped[0], clipped[1]])
+        # every vertex inside and each in-box end (below) the next vertex:
+        # the segments would all join, so the mark is one polyline of pixels
+        if all(inside) and pixels[1:] == [
+            (x0 + (x1 - x0), y0 + (y1 - y0))
+            for (x0, y0), (x1, y1) in zip(pixels, pixels[1:])
+        ]:
+            segs = [pixels]
+        else:
+            segs = []
+            for p0, p1, in0, in1 in zip(pixels, pixels[1:], inside, inside[1:]):
+                if in0 and in1:
+                    # Liang-Barsky's t0 = 0 and t1 = 1 are exact here: rounded
+                    # subtraction and division are monotone, so every q/p is
+                    # >= 1 for p > 0 and <= 0 for p < 0.  Its start x0 + 0*dx
+                    # is p0 up to the sign of a zero, which == and _fmt ignore;
+                    # its end x0 + 1*dx need not equal p1, and decides the join.
+                    (x0, y0), (x1, y1) = p0, p1
+                    clipped = (p0, (x0 + (x1 - x0), y0 + (y1 - y0)))
+                else:
+                    clipped = _clip_segment(p0, p1, box)
+                    if clipped is None:
+                        continue
+                if segs and segs[-1][-1] == clipped[0]:
+                    segs[-1].append(clipped[1])
+                else:
+                    segs.append([clipped[0], clipped[1]])
         attrs = _stroke_attrs(mark.style)
         for seg in segs:
             # every number has 3 decimals and a delimiter on each side, so

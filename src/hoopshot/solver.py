@@ -116,11 +116,12 @@ def angle_curve(
         raise ValueError(f"need angle_lo < angle_hi, got {angle_lo}, {angle_hi}")
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
+    values = _values(params)
     points = []
     for i in range(n):
         angle = angle_lo + (angle_hi - angle_lo) * i / (n - 1)
         try:
-            speed: float | None = required_velocity(params, angle)
+            speed: float | None = _hoop_speed(*values, angle)
         except InfeasibleAngle:
             speed = None
         points.append(VelocityRequirement(angle=angle, speed=speed))

@@ -136,6 +136,20 @@ class TestCustomInputs:
         top_space = spec.stage(5).panels[0]
         assert top_space.x_range == (2.0, 4.0)
 
+    @pytest.mark.parametrize(
+        "altitudes, count",
+        [
+            ([1.7], "one release altitude"),
+            ([1.2, 3.5], "two release altitudes"),
+            ([1.2, 1.7, 2.2], "three release altitudes"),
+        ],
+    )
+    def test_stage_5_caption_counts_the_altitudes(self, altitudes, count):
+        spec, _ = build_basketball_ladder(altitudes=altitudes, d_grid=[2.0, 3.0])
+        assert spec.stage(5).caption == (
+            f"Optimal angle and speed as the distance varies, then for {count}."
+        )
+
     def test_custom_velocities_label_fan(self):
         _, scenes = build_basketball_ladder(velocities=[6.0, 9.0])
         fan_panel = scenes[1].panels[1]

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hoopshot.kinematics import (
     LaunchState,
@@ -85,20 +85,38 @@ class TestSampleTrajectory:
     def test_two_samples_are_endpoints(self):
         traj = sample_trajectory(DEFAULTS, LaunchState(DEG30, 15.0), n=2)
         assert len(traj.samples) == 2
-        assert traj.samples[0].t == 0.0
-        assert (traj.samples[0].x, traj.samples[0].y) == (0.0, 1.7)
+        t, x, y = traj.samples[0]
+        assert t == 0.0
+        assert (x, y) == (0.0, 1.7)
 
     def test_clipping_contract(self):
         traj = sample_trajectory(DEFAULTS, LaunchState(DEG30, 15.0), n=100)
-        last = traj.samples[-1]
-        assert last.x <= 10.0 + 1e-9
-        assert last.y >= -1e-9
+        _, x, y = traj.samples[-1]
+        assert x <= 10.0 + 1e-9
+        assert y >= -1e-9
 
-    def test_samples_reproduce_position_at_exactly(self):
-        launch = LaunchState(DEG30, 15.0)
-        traj = sample_trajectory(DEFAULTS, launch, n=50)
+    @given(
+        params=st.builds(
+            ShotParams,
+            # up to 6 m: releases above the 0-5 m hoop are drawn too
+            release_altitude=st.floats(0.0, 6.0),
+            distance=st.floats(0.1, 40.0),
+            hoop_height=st.floats(0.0, 5.0),
+            gravity=st.floats(0.1, 30.0),
+        ),
+        angle=st.floats(0.0, 1.5),
+        speed=st.floats(0.1, 60.0),
+        n=st.integers(2, 300),
+    )
+    @example(params=DEFAULTS, angle=DEG30, speed=15.0, n=50)
+    def test_samples_reproduce_position_at_exactly(self, params, angle, speed, n):
+        launch = LaunchState(angle, speed)
+        traj = sample_trajectory(params, launch, n=n)
+        assert type(traj.samples) is tuple and len(traj.samples) == n
         for s in traj.samples:
-            assert position_at(DEFAULTS, launch, s.t) == (s.x, s.y)
+            assert type(s) is tuple
+            expected = (s[0], *position_at(params, launch, s[0]))
+            assert list(map(float.hex, s)) == list(map(float.hex, expected))
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -110,7 +128,7 @@ class TestSampleTrajectory:
     )
     def test_x_strictly_increasing(self, angle, speed):
         traj = sample_trajectory(DEFAULTS, LaunchState(angle, speed), n=40)
-        xs = [s.x for s in traj.samples]
+        xs = [x for _, x, _ in traj.samples]
         assert all(b > a for a, b in zip(xs, xs[1:]))
 
     @given(
@@ -123,8 +141,9 @@ class TestSampleTrajectory:
         g = DEFAULTS.gravity
 
         def energy(s):
-            vy = speed * math.sin(angle) - g * s.t
-            return vy * vy + 2.0 * g * s.y
+            t, _, y = s
+            vy = speed * math.sin(angle) - g * t
+            return vy * vy + 2.0 * g * y
 
         e0 = energy(traj.samples[0])
         for s in traj.samples:

@@ -264,6 +264,24 @@ class TestPolylineMatchesSegmentwiseReference:
         assert re.findall(r"<polyline [^\n]*", svg) == reference_polylines(mark, size)
         assert not NON_FINITE.search(" ".join(polyline_points(svg)))
 
+    @pytest.mark.parametrize(
+        "pts, count",
+        [
+            ([(0.0, 1.0), (1.0, 2.0), (2.5, 3.0), (6.0, 4.0)], 1),
+            # these x map to pixels 460.5821241974569 and 53.12884459619533;
+            # the in-box end of that segment is 53.128844596195336, so the
+            # mark splits there
+            ([(5.62280082457942, 1.0), (-1.978939466488893, 1.0), (3.0, 2.0)], 2),
+        ],
+        ids=["joined", "end-off-the-next-vertex"],
+    )
+    def test_all_inside(self, pts, count):
+        mark = polyline(pts, BLACK)
+        svg = render_svg(one_panel_scene([mark], SPACE)).decode()
+        polylines = re.findall(r"<polyline [^\n]*", svg)
+        assert polylines == reference_polylines(mark, DEFAULT_SIZE)
+        assert len(polylines) == count
+
 
 def polyline_points(svg):
     return re.findall(r'<polyline points="([^"]*)"', svg)

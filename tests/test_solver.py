@@ -10,6 +10,7 @@ from hoopshot.scalarmin import Bracket, grid_scan, minimize_scalar
 from hoopshot.solver import (
     MAX_GRID_POINTS,
     InfeasibleAngle,
+    VelocityRequirement,
     angle_curve,
     default_d_grid,
     feasibility_angle,
@@ -345,6 +346,43 @@ class TestSweepMatchesPerPointOptimum:
         curves = sweep_altitudes(DEFAULTS, [1.2, 1.7, 2.2], default_d_grid())
         assert [len(c.entries) for c in curves] == [141] * 3
         assert len(calls) <= 3
+
+
+def per_point_curve(params, lo, hi, n):
+    """The angle curve as one required_velocity call per angle; the speed
+    is None exactly where that call raises InfeasibleAngle."""
+    points = []
+    for i in range(n):
+        angle = lo + (hi - lo) * i / (n - 1)
+        try:
+            points.append(VelocityRequirement(angle, required_velocity(params, angle)))
+        except InfeasibleAngle:
+            points.append(VelocityRequirement(angle, None))
+    return points
+
+
+def curve_bits(points):
+    return [(p.angle.hex(), None if p.speed is None else p.speed.hex()) for p in points]
+
+
+class TestAngleCurveMatchesRequiredVelocity:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # release altitude above or below the hoop, at any distance
+        params=st.builds(
+            lambda p, d: replace(p, distance=d), params_strategy, st.floats(0.1, 40.0)
+        ),
+        lo=st.floats(-0.5, 1.5),
+        span=st.floats(1e-3, 2.0),
+        n=st.integers(2, 60),
+    )
+    @example(params=DEFAULTS, lo=0.0, span=math.radians(89.9), n=400)
+    @example(params=ShotParams(release_altitude=5.0), lo=-0.5, span=1.0, n=41)
+    def test_speeds_bit_identical(self, params, lo, span, n):
+        hi = min(lo + span, 1.57)
+        got = outcome(lambda: curve_bits(angle_curve(params, lo, hi, n).points))
+        # an overflowing speed raises from both, with the same message
+        assert got == outcome(lambda: curve_bits(per_point_curve(params, lo, hi, n)))
 
 
 class TestDistanceGrid:
