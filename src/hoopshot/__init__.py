@@ -15,12 +15,12 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "kinematics": """LaunchState ShotParams Trajectory VerticalShot
+    "kinematics": """Infeasible LaunchState ShotParams Trajectory VerticalShot
         height_at_plane position_at sample_trajectory time_to_plane""",
     "solver": """AngleCurve InfeasibleAngle Optimum OptimumCurve VelocityRequirement
         angle_curve feasibility_angle optimal_angle required_velocity
         sweep_altitudes sweep_csv sweep_distance""",
-    "scalarmin": """AllInfeasible Bracket Infeasible InvalidBracket MinResult
+    "scalarmin": """AllInfeasible Bracket InvalidBracket MinResult
         NonFiniteObjective grid_scan minimize_scalar""",
     "ladder": """ColorRole LadderSpec PlotSpace Stage StrategyTag Violation
         ViolationKind ladder_from_json ladder_to_json validate_ladder""",

@@ -11,25 +11,23 @@ params in `kinematics.ShotParams`; velocities, altitudes and the
 distance grid (with its validation) in `solver`.
 
 Only `figures` and `validate-ladder` import the ladder and renderer
-modules, inside their command functions, so the other commands start
-without them.  `run` builds the argparse subparser of the invoked
-command only (one row of `COMMANDS`), and every subparser only for
-top-level help, a missing command or an unknown one.
+modules, inside their command functions, and only a scenario file
+imports `json`, so the other commands start without them.  `run` builds
+the argparse subparser of the invoked command only (one row of
+`COMMANDS`), and every subparser only for top-level help, a missing
+command or an unknown one.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import solver
-from .kinematics import LaunchState, ShotParams, VerticalShot, sample_trajectory
-from .scalarmin import Infeasible
+from .kinematics import Infeasible, LaunchState, ShotParams, VerticalShot, sample_trajectory
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -44,17 +42,16 @@ PARAM_FIELDS = {
 }
 
 
-@dataclass
 class Scenario:
-    params: ShotParams = field(default_factory=ShotParams)
-    velocities: list[float] = field(
-        default_factory=lambda: list(solver.DEFAULT_VELOCITIES)
-    )
-    altitudes: list[float] = field(
-        default_factory=lambda: list(solver.DEFAULT_ALTITUDES)
-    )
-    d_grid: list[float] = field(default_factory=solver.default_d_grid)
-    output: str = "figures"
+    """The inputs of one call: the defaults, then the scenario file,
+    then the flags."""
+
+    def __init__(self) -> None:
+        self.params = ShotParams()
+        self.velocities = list(solver.DEFAULT_VELOCITIES)
+        self.altitudes = list(solver.DEFAULT_ALTITUDES)
+        self.d_grid = solver.default_d_grid()
+        self.output = "figures"
 
 
 class ScenarioError(ValueError):
@@ -77,6 +74,8 @@ def load_scenario(path: str | None) -> Scenario:
     scenario = Scenario()
     if path is None:
         return scenario
+    import json
+
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -85,9 +84,8 @@ def load_scenario(path: str | None) -> Scenario:
         doc = _object(doc, f"scenario file {path}")
         if "params" in doc:
             p = _object(doc["params"], "params")
-            scenario.params = replace(
-                scenario.params,
-                **{name: p[key] for key, name in PARAM_FIELDS.items() if key in p},
+            scenario.params = scenario.params.replace(
+                **{name: p[key] for key, name in PARAM_FIELDS.items() if key in p}
             )
         if "velocities" in doc:
             scenario.velocities = _numbers(doc["velocities"], "velocities")
@@ -110,7 +108,7 @@ def load_scenario(path: str | None) -> Scenario:
 def _apply_param_flags(scenario: Scenario, args) -> None:
     flags = {name: getattr(args, name) for name in PARAM_FIELDS.values()}
     given = {name: v for name, v in flags.items() if v is not None}
-    scenario.params = replace(scenario.params, **given)
+    scenario.params = scenario.params.replace(**given)
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:

@@ -304,106 +304,43 @@ def build_basketball_ladder(
 
     court_labels = ("horizontal position (m)", "height (m)")
     angle_labels = ("launch angle (deg)", "required speed (m/s)")
+    curve_panel = Panel(
+        angle_space, tuple(curve_panel_marks), angle_labels, "Required speed vs angle"
+    )
+
+    def court_panel(marks: list, title: str) -> Panel:
+        return Panel(court_space, tuple(marks), court_labels, title)
+
+    def distance_scene(curves, theta_dy, speed_dy, title: str) -> Scene:
+        theta = tuple(_optimum_marks(curves, _theta_deg, theta_dy))
+        speed = tuple(_optimum_marks(curves, _speed, speed_dy))
+        return Scene(
+            (
+                Panel(d_theta_space, theta, ("distance (m)", "optimal angle (deg)"), title),
+                Panel(d_speed_space, speed, ("distance (m)", "optimal speed (m/s)")),
+            ),
+            Layout.STACKED_SHARED_X,
+        )
 
     scenes = [
+        Scene((court_panel(court, "The court"),)),
         Scene(
-            panels=(
-                Panel(
-                    space=court_space,
-                    marks=tuple(court),
-                    axis_labels=court_labels,
-                    title="The court",
-                ),
+            (
+                court_panel(court + [one_shot], "One shot"),
+                court_panel(court + fan, "Several launch speeds"),
             ),
-            layout=Layout.SINGLE,
+            Layout.SIDE_BY_SIDE,
         ),
+        Scene((court_panel(court + fan + [solution_mark], "The hoop-reaching shot"),)),
+        Scene((curve_panel,)),
         Scene(
-            panels=(
-                Panel(
-                    space=court_space,
-                    marks=tuple(court + [one_shot]),
-                    axis_labels=court_labels,
-                    title="One shot",
-                ),
-                Panel(
-                    space=court_space,
-                    marks=tuple(court + fan),
-                    axis_labels=court_labels,
-                    title="Several launch speeds",
-                ),
+            (
+                curve_panel,
+                Panel(angle_space, tuple(optimum_panel_marks), angle_labels, "The softest shot"),
             ),
-            layout=Layout.SIDE_BY_SIDE,
+            Layout.SIDE_BY_SIDE,
         ),
-        Scene(
-            panels=(
-                Panel(
-                    space=court_space,
-                    marks=tuple(court + fan + [solution_mark]),
-                    axis_labels=court_labels,
-                    title="The hoop-reaching shot",
-                ),
-            ),
-            layout=Layout.SINGLE,
-        ),
-        Scene(
-            panels=(
-                Panel(
-                    space=angle_space,
-                    marks=tuple(curve_panel_marks),
-                    axis_labels=angle_labels,
-                    title="Required speed vs angle",
-                ),
-            ),
-            layout=Layout.SINGLE,
-        ),
-        Scene(
-            panels=(
-                Panel(
-                    space=angle_space,
-                    marks=tuple(curve_panel_marks),
-                    axis_labels=angle_labels,
-                    title="Required speed vs angle",
-                ),
-                Panel(
-                    space=angle_space,
-                    marks=tuple(optimum_panel_marks),
-                    axis_labels=angle_labels,
-                    title="The softest shot",
-                ),
-            ),
-            layout=Layout.SIDE_BY_SIDE,
-        ),
-        Scene(
-            panels=(
-                Panel(
-                    space=d_theta_space,
-                    marks=tuple(_optimum_marks([base_curve], _theta_deg, None)),
-                    axis_labels=("distance (m)", "optimal angle (deg)"),
-                    title="Optimum vs distance",
-                ),
-                Panel(
-                    space=d_speed_space,
-                    marks=tuple(_optimum_marks([base_curve], _speed, None)),
-                    axis_labels=("distance (m)", "optimal speed (m/s)"),
-                ),
-            ),
-            layout=Layout.STACKED_SHARED_X,
-        ),
-        Scene(
-            panels=(
-                Panel(
-                    space=d_theta_space,
-                    marks=tuple(_optimum_marks(alt_curves, _theta_deg, 1.5)),
-                    axis_labels=("distance (m)", "optimal angle (deg)"),
-                    title="Optimum vs distance and release altitude",
-                ),
-                Panel(
-                    space=d_speed_space,
-                    marks=tuple(_optimum_marks(alt_curves, _speed, -0.5)),
-                    axis_labels=("distance (m)", "optimal speed (m/s)"),
-                ),
-            ),
-            layout=Layout.STACKED_SHARED_X,
-        ),
+        distance_scene([base_curve], None, None, "Optimum vs distance"),
+        distance_scene(alt_curves, 1.5, -0.5, "Optimum vs distance and release altitude"),
     ]
     return spec, scenes

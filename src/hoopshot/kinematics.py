@@ -1,20 +1,75 @@
 """Projectile kinematics for a single basketball shot.
 
 All angles are radians internally; degrees appear only at the CLI
-boundary.  Everything here is pure and deterministic.
+boundary.  Everything here is pure and deterministic.  Every other
+submodule imports this one, so it also holds what they share: the `Record`
+base of the checked records, the `Infeasible` error and the point limit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 COS_EPS = 1e-12
+# the most trajectory samples or distance-grid points one call builds
+MAX_GRID_POINTS = 100_000
 
 
 class VerticalShot(ValueError):
     """The launch angle is (numerically) vertical: the ball never
     advances toward the hoop plane."""
+
+
+class Infeasible(ValueError):
+    """Raised by an objective to mark a point as having no defined value.
+
+    grid_scan skips such points; minimize_scalar does not catch it (its
+    contract requires the objective to be finite on the bracket).
+    """
+
+
+class Record:
+    """Immutable value record, the base of every checked input record.
+    A subclass names its fields, in order, in `__slots__`, and its
+    `__init__` sets them with `_fill` before its checks.  Records of one
+    class are equal when their fields are; `repr` reads
+    `Name(field=value, ...)`.  `replace` builds the copy through
+    `__init__`, so every check runs again."""
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(**dict(zip(self.__slots__, self._values())) | changes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def check_distance(distance: float) -> None:
@@ -26,8 +81,7 @@ def check_distance(distance: float) -> None:
         raise ValueError(f"distance must be positive, got {distance}")
 
 
-@dataclass(frozen=True)
-class ShotParams:
+class ShotParams(Record):
     """Fixed scenario geometry and physics.
 
     release_altitude: height of the release point above the ground, m
@@ -36,16 +90,20 @@ class ShotParams:
     gravity: gravitational acceleration, m/s^2
     """
 
-    release_altitude: float = 1.7
-    distance: float = 10.0
-    hoop_height: float = 3.05
-    gravity: float = 9.8
+    __slots__ = ("release_altitude", "distance", "hoop_height", "gravity")
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __init__(
+        self,
+        release_altitude: float = 1.7,
+        distance: float = 10.0,
+        hoop_height: float = 3.05,
+        gravity: float = 9.8,
+    ) -> None:
+        self._fill(release_altitude, distance, hoop_height, gravity)
+        for name in self.__slots__:
+            value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
         check_distance(self.distance)
         if self.gravity <= 0:
             raise ValueError(f"gravity must be positive, got {self.gravity}")
@@ -59,22 +117,20 @@ class ShotParams:
             )
 
 
-@dataclass(frozen=True)
-class LaunchState:
+class LaunchState(Record):
     """Controllable shot inputs: launch angle (radians) and speed (m/s)."""
 
-    angle: float
-    speed: float
+    __slots__ = ("angle", "speed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, angle: float, speed: float) -> None:
+        self._fill(angle, speed)
         if not 0.0 <= self.angle < math.pi / 2:
             raise ValueError(f"angle must be in [0, pi/2), got {self.angle}")
         if not 0.0 < self.speed < math.inf:
             raise ValueError(f"speed must be positive and finite, got {self.speed}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     params: ShotParams
     launch: LaunchState
     samples: tuple[tuple[float, float, float], ...]
@@ -134,6 +190,8 @@ def sample_trajectory(
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"need at most {MAX_GRID_POINTS} samples, got {n}")
     t_end = min(time_to_plane(launch, params.distance), ground_impact_time(params, launch))
     vx = launch.speed * math.cos(launch.angle)
     vy = launch.speed * math.sin(launch.angle)
@@ -142,4 +200,4 @@ def sample_trajectory(
     samples = tuple(
         [(t, vx * t, a + vy * t - hg * t * t) for i in range(n) for t in [t_end * i / m]]
     )
-    return Trajectory(params=params, launch=launch, samples=samples)
+    return Trajectory(params, launch, samples)

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+from .kinematics import Record
 
 RANGE_TOL = 1e-9
 
@@ -53,18 +54,21 @@ class ViolationKind(enum.Enum):
     BROKEN_PARENT_ORDER = "broken_parent_order"
 
 
-@dataclass(frozen=True)
-class PlotSpace:
+class PlotSpace(Record):
     """Axis variables (name, unit), their ranges, and the aspect ratio
     (y data-units per pixel over x data-units per pixel)."""
 
-    x_var: tuple[str, str]
-    y_var: tuple[str, str]
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    aspect: float = 1.0
+    __slots__ = ("x_var", "y_var", "x_range", "y_range", "aspect")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        x_var: tuple[str, str],
+        y_var: tuple[str, str],
+        x_range: tuple[float, float],
+        y_range: tuple[float, float],
+        aspect: float = 1.0,
+    ) -> None:
+        self._fill(x_var, y_var, x_range, y_range, aspect)
         if not self.x_range[0] < self.x_range[1]:
             raise ValueError(f"bad x_range {self.x_range}")
         if not self.y_range[0] < self.y_range[1]:
@@ -77,27 +81,30 @@ class PlotSpace:
         return (self.x_var, self.y_var)
 
 
-@dataclass(frozen=True)
-class Stage:
-    id: int
-    panels: tuple[PlotSpace, ...]
-    roles_used: frozenset[ColorRole]
-    tags: frozenset[StrategyTag]
-    caption: str
-    parent: int | None = None
+class Stage(Record):
+    __slots__ = ("id", "panels", "roles_used", "tags", "caption", "parent")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        id: int,
+        panels: tuple[PlotSpace, ...],
+        roles_used: frozenset[ColorRole],
+        tags: frozenset[StrategyTag],
+        caption: str,
+        parent: int | None = None,
+    ) -> None:
+        self._fill(id, panels, roles_used, tags, caption, parent)
         if not self.panels:
             raise ValueError(f"stage {self.id} has no panels")
         if not self.caption:
             raise ValueError(f"stage {self.id} has no caption")
 
 
-@dataclass(frozen=True)
-class LadderSpec:
-    stages: tuple[Stage, ...]
+class LadderSpec(Record):
+    __slots__ = ("stages",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, stages: tuple[Stage, ...]) -> None:
+        self._fill(stages)
         ids = [s.id for s in self.stages]
         if ids != list(range(1, len(ids) + 1)):
             raise ValueError(f"stage ids must be consecutive from 1, got {ids}")
@@ -111,8 +118,7 @@ class LadderSpec:
         return self.stages[stage_id - 1]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: ViolationKind
     stages: tuple[int, ...]
     message: str

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
+from .kinematics import Record
 from .ladder import ColorRole, PlotSpace
 
 PALETTE = {
@@ -71,29 +72,32 @@ DASH_PATTERNS = {
 }
 
 
-@dataclass(frozen=True)
-class Style:
-    color_role: ColorRole
-    dash: Dash = Dash.SOLID
-    width: float = 1.5
+class Style(Record):
+    __slots__ = ("color_role", "dash", "width")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, color_role: ColorRole, dash: Dash = Dash.SOLID, width: float = 1.5
+    ) -> None:
+        self._fill(color_role, dash, width)
         if self.width <= 0:
             raise ValueError(f"stroke width must be positive, got {self.width}")
 
 
-@dataclass(frozen=True)
-class Mark:
+class Mark(Record):
     """One drawable element, in the panel's data coordinates."""
 
-    kind: MarkKind
-    style: Style
-    points: tuple[tuple[float, float], ...] = ()
-    value: float = 0.0  # VLINE: x position; HLINE: y position
-    text: str = ""
-    size: float = 3.0  # POINT radius in pixels
+    __slots__ = ("kind", "style", "points", "value", "text", "size")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        kind: MarkKind,
+        style: Style,
+        points: tuple[tuple[float, float], ...] = (),
+        value: float = 0.0,  # VLINE: x position; HLINE: y position
+        text: str = "",
+        size: float = 3.0,  # POINT radius in pixels
+    ) -> None:
+        self._fill(kind, style, points, value, text, size)
         if self.kind is MarkKind.POLYLINE and len(self.points) < 2:
             raise ValueError("polyline needs at least 2 vertices")
         if self.kind in (MarkKind.POINT, MarkKind.TEXT) and len(self.points) != 1:
@@ -122,8 +126,7 @@ def hline(y: float, style: Style) -> Mark:
     return Mark(kind=MarkKind.HLINE, value=y, style=style)
 
 
-@dataclass(frozen=True)
-class Panel:
+class Panel(NamedTuple):
     space: PlotSpace
     marks: tuple[Mark, ...]
     axis_labels: tuple[str, str]
@@ -136,19 +139,17 @@ class Layout(enum.Enum):
     STACKED_SHARED_X = "stacked_shared_x"
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     panels: tuple[Panel, ...]
     layout: Layout = Layout.SINGLE
     size: tuple[float, float] = DEFAULT_SIZE
 
 
-@dataclass(frozen=True)
-class LinearScale:
-    domain: tuple[float, float]
-    range: tuple[float, float]
+class LinearScale(Record):
+    __slots__ = ("domain", "range")
 
-    def __post_init__(self) -> None:
+    def __init__(self, domain: tuple[float, float], range: tuple[float, float]) -> None:
+        self._fill(domain, range)
         if not self.domain[0] < self.domain[1]:
             raise ValueError(f"bad domain {self.domain}")
         if self.range[0] == self.range[1]:

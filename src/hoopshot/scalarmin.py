@@ -11,8 +11,9 @@ search in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
+
+from .kinematics import Infeasible, Record
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -25,30 +26,20 @@ class NonFiniteObjective(ValueError):
     pass
 
 
-class Infeasible(ValueError):
-    """Raised by an objective to mark a point as having no defined value.
-
-    grid_scan skips such points; minimize_scalar does not catch it (its
-    contract requires the objective to be finite on the bracket).
-    """
-
-
 class AllInfeasible(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Bracket:
-    lo: float
-    hi: float
+class Bracket(Record):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
+    def __init__(self, lo: float, hi: float) -> None:
+        self._fill(lo, hi)
         if not self.lo < self.hi:
             raise InvalidBracket(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
-class MinResult:
+class MinResult(NamedTuple):
     """achieved_tolerance is the final bracket width (grid cell for
     grid_scan), not a bound on |x - true minimizer|: where f is flat to
     rounding that error is about sqrt(machine epsilon) * |x|."""

@@ -14,23 +14,19 @@ the golden-section search in `scalarmin` is kept as its test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .kinematics import ShotParams, check_distance
-from .scalarmin import Infeasible
+from .kinematics import MAX_GRID_POINTS, Infeasible, ShotParams, check_distance
 
 DEFAULT_VELOCITIES = (5.0, 10.0, 15.0, 20.0)
 DEFAULT_ALTITUDES = (1.2, 1.7, 2.2)
-MAX_GRID_POINTS = 100_000
 
 
 class InfeasibleAngle(Infeasible):
     """No finite speed reaches the hoop at this angle."""
 
 
-@dataclass(frozen=True)
-class VelocityRequirement:
+class VelocityRequirement(NamedTuple):
     """Required speed at one angle; speed is None when infeasible."""
 
     angle: float
@@ -41,22 +37,19 @@ class VelocityRequirement:
         return self.speed is not None
 
 
-@dataclass(frozen=True)
-class AngleCurve:
+class AngleCurve(NamedTuple):
     params: ShotParams
     points: tuple[VelocityRequirement, ...]
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(NamedTuple):
     """Angle minimizing the required speed, and that minimal speed."""
 
     angle: float
     speed: float
 
 
-@dataclass(frozen=True)
-class OptimumCurve:
+class OptimumCurve(NamedTuple):
     release_altitude: float
     entries: tuple[tuple[float, Optimum], ...]
 
@@ -124,8 +117,8 @@ def angle_curve(
             speed: float | None = _hoop_speed(*values, angle)
         except InfeasibleAngle:
             speed = None
-        points.append(VelocityRequirement(angle=angle, speed=speed))
-    return AngleCurve(params=params, points=tuple(points))
+        points.append(VelocityRequirement(angle, speed))
+    return AngleCurve(params, tuple(points))
 
 
 def optimal_angle(params: ShotParams) -> Optimum:
@@ -137,7 +130,7 @@ def optimal_angle(params: ShotParams) -> Optimum:
 
 def _optimum(a: float, d: float, h: float, g: float) -> Optimum:
     angle = math.pi / 4 + _feasibility(a, d, h) / 2
-    return Optimum(angle=angle, speed=_hoop_speed(a, d, h, g, angle))
+    return Optimum(angle, _hoop_speed(a, d, h, g, angle))
 
 
 def default_d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> list[float]:
@@ -173,7 +166,7 @@ def sweep_distance(params: ShotParams, d_grid: Sequence[float]) -> OptimumCurve:
     for d in d_grid:
         check_distance(d)
         entries.append((d, _optimum(a, d, h, g)))
-    return OptimumCurve(release_altitude=a, entries=tuple(entries))
+    return OptimumCurve(a, tuple(entries))
 
 
 def sweep_altitudes(
@@ -181,7 +174,7 @@ def sweep_altitudes(
 ) -> list[OptimumCurve]:
     """One distance sweep per release altitude, all on the same d_grid."""
     return [
-        sweep_distance(replace(params, release_altitude=alt), d_grid)
+        sweep_distance(params.replace(release_altitude=alt), d_grid)
         for alt in altitudes
     ]
 

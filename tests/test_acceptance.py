@@ -2,7 +2,6 @@
 with the measured value when its assertions hold (run pytest -s to see
 them)."""
 
-import dataclasses
 import math
 import random
 import re
@@ -155,14 +154,12 @@ def test_criterion_09_ladder_validation():
 
     def mutate(stage_id, **changes):
         stages = list(spec.stages)
-        stages[stage_id - 1] = dataclasses.replace(
-            stages[stage_id - 1], **changes
-        )
+        stages[stage_id - 1] = stages[stage_id - 1].replace(**changes)
         return LadderSpec(stages=tuple(stages))
 
     # range mismatch on stage 2's second panel
     stage2 = spec.stage(2)
-    bad_panel = dataclasses.replace(stage2.panels[1], y_range=(0.0, 9.0))
+    bad_panel = stage2.panels[1].replace(y_range=(0.0, 9.0))
     v1 = validate_ladder(mutate(2, panels=(stage2.panels[0], bad_panel)))
     assert [v.kind for v in v1] == [ViolationKind.SHARED_SPACE_MISMATCH]
 
@@ -173,7 +170,7 @@ def test_criterion_09_ladder_validation():
         {ColorRole.BASELINE, ColorRole.CONCRETE, ColorRole.OPTIMUM}
     )
     stages = list(spec.stages)
-    stages[2] = dataclasses.replace(stages[2], roles_used=s3_roles)
+    stages[2] = stages[2].replace(roles_used=s3_roles)
     v2 = validate_ladder(LadderSpec(stages=tuple(stages)))
     assert [v.kind for v in v2] == [ViolationKind.ROLE_RANK_REGRESSION]
 

@@ -103,6 +103,11 @@ class TestTrajectory:
         run(["trajectory", "--angle", "30", "--speed", "15"])
         assert capsys.readouterr().out == first
 
+    def test_too_many_samples_exits_2(self):
+        # the distance grid's 100,000-point limit bounds the samples too
+        argv = ["trajectory", "--angle", "30", "--speed", "15", "--samples", "100001"]
+        assert run_captured(argv) == (2, "", "need at most 100000 samples, got 100001\n")
+
 
 class TestSweep:
     def test_stdout_csv(self, capsys):
@@ -231,14 +236,12 @@ class TestValidateLadder:
         assert run(["validate-ladder", str(tmp_path / "nope.json")]) == 2
 
     def test_violations_reported(self, capsys, tmp_path):
-        import dataclasses
-
         from hoopshot.figures import build_basketball_ladder
         from hoopshot.ladder import LadderSpec, ladder_to_json
 
         spec, _ = build_basketball_ladder(d_grid=[2.0, 3.0])
         stages = list(spec.stages)
-        stages[2] = dataclasses.replace(stages[2], parent=3)
+        stages[2] = stages[2].replace(parent=3)
         broken = LadderSpec(stages=tuple(stages))
         path = tmp_path / "broken.json"
         path.write_text(ladder_to_json(broken))

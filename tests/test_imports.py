@@ -10,7 +10,8 @@ import pytest
 import hoopshot
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# the renderer stack, and what xml.sax.saxutils used to drag in with it
+# the renderer stack, and what xml.sax.saxutils used to drag in with it;
+# dataclasses (with inspect), json and the test-oracle search
 HEAVY = (
     "hoopshot.render",
     "hoopshot.figures",
@@ -18,6 +19,10 @@ HEAVY = (
     "xml.sax",
     "urllib.request",
     "http.client",
+    "dataclasses",
+    "inspect",
+    "json",
+    "hoopshot.scalarmin",
 )
 PROBE = f"""
 import contextlib, io, sys

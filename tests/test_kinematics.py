@@ -122,6 +122,12 @@ class TestSampleTrajectory:
         with pytest.raises(ValueError):
             sample_trajectory(DEFAULTS, LaunchState(DEG30, 15.0), n=1)
 
+    def test_samples_bounded_by_the_grid_limit(self):
+        launch = LaunchState(DEG30, 15.0)
+        assert len(sample_trajectory(DEFAULTS, launch, n=100_000).samples) == 100_000
+        with pytest.raises(ValueError, match="need at most 100000 samples, got 100001"):
+            sample_trajectory(DEFAULTS, launch, n=100_001)
+
     @given(
         angle=st.floats(0.05, 1.4),
         speed=st.floats(1.0, 30.0),

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from hoopshot.figures import build_basketball_ladder
@@ -43,7 +41,7 @@ def basketball():
 
 def replace_stage(spec, stage_id, **changes):
     stages = list(spec.stages)
-    stages[stage_id - 1] = dataclasses.replace(stages[stage_id - 1], **changes)
+    stages[stage_id - 1] = stages[stage_id - 1].replace(**changes)
     return LadderSpec(stages=tuple(stages))
 
 
@@ -55,7 +53,7 @@ class TestValidateLadder:
     def test_shared_space_mismatch(self, basketball):
         spec, _ = basketball
         stage2 = spec.stage(2)
-        mutated_panel = dataclasses.replace(stage2.panels[1], y_range=(0.0, 8.0))
+        mutated_panel = stage2.panels[1].replace(y_range=(0.0, 8.0))
         mutated = replace_stage(
             spec, 2, panels=(stage2.panels[0], mutated_panel)
         )
@@ -67,9 +65,7 @@ class TestValidateLadder:
         spec, _ = basketball
         stage2 = spec.stage(2)
         lo, hi = stage2.panels[1].y_range
-        nudged = dataclasses.replace(
-            stage2.panels[1], y_range=(lo, hi + 1e-12)
-        )
+        nudged = stage2.panels[1].replace(y_range=(lo, hi + 1e-12))
         mutated = replace_stage(spec, 2, panels=(stage2.panels[0], nudged))
         assert validate_ladder(mutated) == []
 

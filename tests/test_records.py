@@ -1,0 +1,243 @@
+"""Value semantics of the public records: `repr`, equality, hash and
+immutability, and `replace` running every constructor check again."""
+
+import copy
+import math
+import pickle
+
+import pytest
+
+from hoopshot.kinematics import LaunchState, ShotParams, sample_trajectory
+from hoopshot.ladder import (
+    ColorRole,
+    LadderSpec,
+    PlotSpace,
+    Stage,
+    StrategyTag,
+    Violation,
+    ViolationKind,
+)
+from hoopshot.render import LinearScale, Mark, MarkKind, Panel, Scene, Style
+from hoopshot.scalarmin import Bracket, MinResult
+from hoopshot.solver import Optimum, VelocityRequirement, angle_curve, sweep_distance
+
+SHOT = "ShotParams(release_altitude=1.7, distance=10.0, hoop_height=3.05, gravity=9.8)"
+SPACE = (
+    "PlotSpace(x_var=('x', 'm'), y_var=('y', 'm'), x_range=(0.0, 1.0), "
+    "y_range=(0.0, 2.0), aspect=1.0)"
+)
+STYLE = "Style(color_role=<ColorRole.BASELINE: 0>, dash=<Dash.SOLID: 'solid'>, width=1.5)"
+
+
+def space():
+    return PlotSpace(("x", "m"), ("y", "m"), (0.0, 1.0), (0.0, 2.0))
+
+
+def stage():
+    return Stage(
+        1,
+        (space(),),
+        frozenset({ColorRole.BASELINE}),
+        frozenset({StrategyTag.UNFIX_PARAMETER}),
+        "c",
+    )
+
+
+# (build a fresh record, its repr, one field name)
+RECORDS = [
+    pytest.param(ShotParams, SHOT, "distance", id="ShotParams"),
+    pytest.param(
+        lambda: LaunchState(0.5, 10.0), "LaunchState(angle=0.5, speed=10.0)", "angle",
+        id="LaunchState",
+    ),
+    pytest.param(
+        lambda: sample_trajectory(ShotParams(), LaunchState(0.5, 10.0), 2),
+        f"Trajectory(params={SHOT}, launch=LaunchState(angle=0.5, speed=10.0), "
+        "samples=((0.0, 0.0, 1.7), (1.139493927324549, 10.0, 0.8006374874312341)))",
+        "samples",
+        id="Trajectory",
+    ),
+    pytest.param(
+        lambda: VelocityRequirement(0.25, None),
+        "VelocityRequirement(angle=0.25, speed=None)",
+        "speed",
+        id="VelocityRequirement",
+    ),
+    pytest.param(
+        lambda: angle_curve(ShotParams(), 0.5, 1.0, 2),
+        f"AngleCurve(params={SHOT}, points=("
+        "VelocityRequirement(angle=0.5, speed=12.437393810305435), "
+        "VelocityRequirement(angle=1.0, speed=10.862984702177616)))",
+        "points",
+        id="AngleCurve",
+    ),
+    pytest.param(
+        lambda: Optimum(0.5, 2.0), "Optimum(angle=0.5, speed=2.0)", "speed", id="Optimum"
+    ),
+    pytest.param(
+        lambda: sweep_distance(ShotParams(), [1.0]),
+        "OptimumCurve(release_altitude=1.7, entries=((1.0, "
+        "Optimum(angle=1.2520219277255502, speed=5.449246889624585)),))",
+        "entries",
+        id="OptimumCurve",
+    ),
+    pytest.param(lambda: Bracket(0.0, 1.0), "Bracket(lo=0.0, hi=1.0)", "lo", id="Bracket"),
+    pytest.param(
+        lambda: MinResult(0.5, 1.0, 3, 1e-9),
+        "MinResult(x=0.5, f_at_x=1.0, iterations=3, achieved_tolerance=1e-09)",
+        "x",
+        id="MinResult",
+    ),
+    pytest.param(space, SPACE, "aspect", id="PlotSpace"),
+    pytest.param(
+        stage,
+        f"Stage(id=1, panels=({SPACE},), roles_used=frozenset({{<ColorRole.BASELINE: 0>}}), "
+        "tags=frozenset({<StrategyTag.UNFIX_PARAMETER: 'unfix_parameter'>}), "
+        "caption='c', parent=None)",
+        "caption",
+        id="Stage",
+    ),
+    pytest.param(
+        lambda: LadderSpec((stage(),)),
+        f"LadderSpec(stages=({repr(stage())},))",
+        "stages",
+        id="LadderSpec",
+    ),
+    pytest.param(
+        lambda: Violation(ViolationKind.BROKEN_PARENT_ORDER, (2,), "m"),
+        "Violation(kind=<ViolationKind.BROKEN_PARENT_ORDER: 'broken_parent_order'>, "
+        "stages=(2,), message='m')",
+        "message",
+        id="Violation",
+    ),
+    pytest.param(
+        lambda: Style(ColorRole.CONCRETE),
+        "Style(color_role=<ColorRole.CONCRETE: 1>, dash=<Dash.SOLID: 'solid'>, width=1.5)",
+        "width",
+        id="Style",
+    ),
+    pytest.param(
+        lambda: Mark(MarkKind.POINT, Style(ColorRole.BASELINE), ((1.0, 2.0),)),
+        f"Mark(kind=<MarkKind.POINT: 'point'>, style={STYLE}, points=((1.0, 2.0),), "
+        "value=0.0, text='', size=3.0)",
+        "points",
+        id="Mark",
+    ),
+    pytest.param(
+        lambda: Panel(space(), (), ("x", "y")),
+        f"Panel(space={SPACE}, marks=(), axis_labels=('x', 'y'), title='')",
+        "title",
+        id="Panel",
+    ),
+    pytest.param(
+        lambda: Scene(()),
+        "Scene(panels=(), layout=<Layout.SINGLE: 'single'>, size=(600.0, 450.0))",
+        "size",
+        id="Scene",
+    ),
+    pytest.param(
+        lambda: LinearScale((0.0, 1.0), (10.0, 0.0)),
+        "LinearScale(domain=(0.0, 1.0), range=(10.0, 0.0))",
+        "range",
+        id="LinearScale",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, text, name", RECORDS)
+def test_repr_names_every_field_in_order(build, text, name):
+    assert repr(build()) == text
+
+
+@pytest.mark.parametrize("build, text, name", RECORDS)
+def test_equal_values_are_equal_and_hash_alike(build, text, name):
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("build, text, name", RECORDS)
+def test_copy_and_pickle_give_an_equal_record(build, text, name):
+    record = build()
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record
+
+
+def test_each_record_equals_only_itself():
+    records = [p.values[0]() for p in RECORDS]
+    for record in records:
+        assert [r for r in records if r == record] == [record]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (ShotParams(), ShotParams(distance=11.0)),
+        (LaunchState(0.5, 10.0), LaunchState(0.5, 10.5)),
+        (Bracket(0.0, 1.0), Bracket(0.0, 2.0)),
+        (Style(ColorRole.CONCRETE), Style(ColorRole.CONCRETE, width=2.0)),
+        (Optimum(0.5, 2.0), Optimum(0.5, 2.5)),
+        (VelocityRequirement(0.25, None), VelocityRequirement(0.25, 1.0)),
+    ],
+)
+def test_one_differing_field_makes_records_unequal(a, b):
+    assert a != b and not a == b
+
+
+@pytest.mark.parametrize("build, text, name", RECORDS)
+def test_fields_cannot_be_assigned_or_deleted(build, text, name):
+    record = build()
+    with pytest.raises(AttributeError):
+        setattr(record, name, 0.0)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert repr(record) == text
+
+
+def test_replace_reruns_the_constructor_checks():
+    with pytest.raises(ValueError) as built:
+        ShotParams(distance=math.nan)
+    with pytest.raises(ValueError) as replaced:
+        ShotParams().replace(distance=math.nan)
+    assert str(replaced.value) == str(built.value) == "distance must be finite, got nan"
+
+
+REPLACE_CASES = [
+    (ShotParams(), {"gravity": 0.0}, "gravity must be positive, got 0.0"),
+    (LaunchState(0.5, 10.0), {"speed": -1.0}, "speed must be positive and finite"),
+    (Bracket(0.0, 1.0), {"hi": 0.0}, r"need lo < hi, got \[0.0, 0.0\]"),
+    (space(), {"aspect": 0.0}, "aspect must be positive, got 0.0"),
+    (stage(), {"caption": ""}, "stage 1 has no caption"),
+    (
+        LadderSpec((stage(),)),
+        {"stages": (stage(), stage())},
+        r"stage ids must be consecutive from 1, got \[1, 1\]",
+    ),
+    (Style(ColorRole.CONCRETE), {"width": 0.0}, "stroke width must be positive"),
+    (
+        Mark(MarkKind.POINT, Style(ColorRole.BASELINE), ((1.0, 2.0),)),
+        {"size": 0.0},
+        "point size must be positive, got 0.0",
+    ),
+    (LinearScale((0.0, 1.0), (10.0, 0.0)), {"range": (1.0, 1.0)}, "degenerate range"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, changes, message",
+    REPLACE_CASES,
+    ids=[type(record).__name__ for record, _, _ in REPLACE_CASES],
+)
+def test_replace_returns_a_new_checked_record(record, changes, message):
+    kept = repr(record)
+    with pytest.raises(ValueError, match=message):
+        record.replace(**changes)
+    assert repr(record) == kept
+    assert record.replace() == record and record.replace() is not record
+
+
+def test_replace_changes_only_the_named_fields():
+    assert ShotParams().replace(distance=11.0) == ShotParams(distance=11.0)
+    with pytest.raises(TypeError):
+        ShotParams().replace(no_such_field=1.0)

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -279,7 +278,7 @@ def outcome(compute):
 
 def per_point_sweep(params, grid):
     """The sweep as one validated ShotParams per distance."""
-    return [(d, optimal_angle(replace(params, distance=d))) for d in grid]
+    return [(d, optimal_angle(params.replace(distance=d))) for d in grid]
 
 
 def bits(entries):
@@ -336,13 +335,13 @@ class TestSweepMatchesPerPointOptimum:
 
     def test_sweep_builds_one_shot_params_per_altitude(self, monkeypatch):
         calls = []
-        post_init = ShotParams.__post_init__
+        init = ShotParams.__init__
 
-        def counted(self):
+        def counted(self, *args, **kwargs):
             calls.append(self)
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ShotParams, "__post_init__", counted)
+        monkeypatch.setattr(ShotParams, "__init__", counted)
         curves = sweep_altitudes(DEFAULTS, [1.2, 1.7, 2.2], default_d_grid())
         assert [len(c.entries) for c in curves] == [141] * 3
         assert len(calls) <= 3
@@ -370,7 +369,7 @@ class TestAngleCurveMatchesRequiredVelocity:
     @given(
         # release altitude above or below the hoop, at any distance
         params=st.builds(
-            lambda p, d: replace(p, distance=d), params_strategy, st.floats(0.1, 40.0)
+            lambda p, d: p.replace(distance=d), params_strategy, st.floats(0.1, 40.0)
         ),
         lo=st.floats(-0.5, 1.5),
         span=st.floats(1e-3, 2.0),
