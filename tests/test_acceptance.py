@@ -186,7 +186,7 @@ def test_criterion_09_ladder_validation():
 
 
 def golden_mismatch(name, actual, golden):
-    """Failure message for an SVG that differs from its golden file: the
+    """Failure message for an output that differs from its golden file: the
     first differing token, with the two before it, and the largest
     deviation between numbers at the same token position."""
     got = SVG_TOKEN.findall(actual.decode("utf-8"))
@@ -215,7 +215,7 @@ def golden_mismatch(name, actual, golden):
 def test_criterion_10_determinism_and_golden_files(tmp_path):
     run(["figures", "--out", str(tmp_path / "a")])
     run(["figures", "--out", str(tmp_path / "b")])
-    names = [f"figure_{i:02d}.svg" for i in range(1, 8)]
+    names = [f"figure_{i:02d}.svg" for i in range(1, 8)] + ["ladder.json"]
     for name in names:
         first = (tmp_path / "a" / name).read_bytes()
         second = (tmp_path / "b" / name).read_bytes()
@@ -227,7 +227,7 @@ def test_criterion_10_determinism_and_golden_files(tmp_path):
     report(
         10,
         "two figure runs byte-identical and matching the 7 checked-in "
-        "golden SVGs",
+        "golden SVGs and ladder.json",
     )
 
 
