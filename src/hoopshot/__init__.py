@@ -20,8 +20,6 @@ _EXPORTS = {
     "solver": """AngleCurve InfeasibleAngle Optimum OptimumCurve VelocityRequirement
         angle_curve feasibility_angle optimal_angle required_velocity
         sweep_altitudes sweep_csv sweep_distance""",
-    "scalarmin": """AllInfeasible Bracket InvalidBracket MinResult
-        NonFiniteObjective grid_scan minimize_scalar""",
     "ladder": """ColorRole LadderSpec PlotSpace Stage StrategyTag Violation
         ViolationKind ladder_from_json ladder_to_json validate_ladder""",
     "figures": "build_basketball_ladder",

@@ -42,25 +42,29 @@ GREEN = Style(color_role=ColorRole.OPTIMUM)
 BLACK_DASHED = Style(color_role=ColorRole.BASELINE, dash=Dash.DASHED)
 GREEN_DOTTED = Style(color_role=ColorRole.OPTIMUM, dash=Dash.DOTTED)
 
-
-def _court_space(params: ShotParams) -> PlotSpace:
-    return PlotSpace(
-        x_var=("horizontal position", "m"),
-        y_var=("height", "m"),
-        x_range=(0.0, params.distance * 1.1),
-        y_range=(0.0, 7.0),
-        aspect=1.0,
-    )
-
-
-def _angle_space() -> PlotSpace:
-    return PlotSpace(
-        x_var=("launch angle", "deg"),
-        y_var=("required speed", "m/s"),
-        x_range=(0.0, 90.0),
-        y_range=(0.0, 40.0),
-        aspect=1.0,
-    )
+# each stage's figures (numbered from 1) and strategy tags; the rest of
+# its Stage is what those figures draw (see _ladder)
+STAGES = (
+    ((1,), (StrategyTag.DEFINE_ABSTRACT_SPACE,)),
+    ((2,), (StrategyTag.EXPAND_SAMPLING,)),
+    ((3,), (StrategyTag.MODELED_OR_OPTIMIZED_VALUES,)),
+    (
+        (4, 5),
+        (
+            StrategyTag.DEFINE_ABSTRACT_SPACE,
+            StrategyTag.MODELED_OR_OPTIMIZED_VALUES,
+            StrategyTag.UNFIX_PARAMETER,
+        ),
+    ),
+    (
+        (6, 7),
+        (
+            StrategyTag.UNFIX_PARAMETER,
+            StrategyTag.EXPAND_SAMPLING,
+            StrategyTag.DEFINE_ABSTRACT_SPACE,
+        ),
+    ),
+)
 
 
 def _court_marks(params: ShotParams) -> list:
@@ -147,6 +151,31 @@ def _stage_2_caption(
     )
 
 
+def _panel(space: PlotSpace, marks: list, title: str = "") -> Panel:
+    """A panel whose axis labels name its space's variables and units."""
+    labels = tuple(f"{name} ({unit})" for name, unit in (space.x_var, space.y_var))
+    return Panel(space, tuple(marks), labels, title)
+
+
+def _ladder(scenes: Sequence[Scene], captions: Sequence[str]) -> LadderSpec:
+    """The STAGES as their figures draw them.  A stage's last figure
+    draws it in full, so that figure's panels give the stage's panels;
+    its roles are BASELINE (every frame, axis label and tick is black)
+    plus the color of every mark in its figures; its parent is the stage
+    before it."""
+    stages = []
+    for n, ((figures, tags), caption) in enumerate(zip(STAGES, captions, strict=True), 1):
+        drawn = [scenes[f - 1] for f in figures]
+        roles = {ColorRole.BASELINE}.union(
+            m.style.color_role for s in drawn for p in s.panels for m in p.marks
+        )
+        panels = tuple(p.space for p in drawn[-1].panels)
+        stages.append(
+            Stage(n, panels, frozenset(roles), frozenset(tags), caption, n - 1 or None)
+        )
+    return LadderSpec(tuple(stages))
+
+
 def build_basketball_ladder(
     params: ShotParams | None = None,
     velocities: Sequence[float] | None = None,
@@ -172,23 +201,6 @@ def build_basketball_ladder(
             f"figures need a d_grid of at least 2 points from lo < hi, "
             f"got {len(d_grid)} point(s)"
         )
-
-    court_space = _court_space(params)
-    angle_space = _angle_space()
-    d_theta_space = PlotSpace(
-        x_var=("distance", "m"),
-        y_var=("optimal angle", "deg"),
-        x_range=(d_grid[0], d_grid[-1]),
-        y_range=(40.0, 80.0),
-        aspect=1.0,
-    )
-    d_speed_space = PlotSpace(
-        x_var=("distance", "m"),
-        y_var=("optimal speed", "m/s"),
-        x_range=(d_grid[0], d_grid[-1]),
-        y_range=(0.0, 14.0),
-        aspect=1.0,
-    )
 
     court = _court_marks(params)
     feasibility = solver.feasibility_angle(params)
@@ -228,119 +240,59 @@ def build_basketball_ladder(
     base_curve = solver.sweep_distance(params, d_grid)
     alt_curves = solver.sweep_altitudes(params, altitudes, d_grid)
 
-    stages = (
-        Stage(
-            id=1,
-            panels=(court_space,),
-            roles_used=frozenset({ColorRole.BASELINE}),
-            tags=frozenset({StrategyTag.DEFINE_ABSTRACT_SPACE}),
-            caption=(
-                f"A shooter {params.distance:g} m from the hoop, releasing at "
-                f"{params.release_altitude:g} m; the hoop is "
-                f"{params.hoop_height:g} m high."
-            ),
-            parent=None,
-        ),
-        Stage(
-            id=2,
-            panels=(court_space, court_space),
-            roles_used=frozenset({ColorRole.BASELINE, ColorRole.CONCRETE}),
-            tags=frozenset({StrategyTag.EXPAND_SAMPLING}),
-            caption=_stage_2_caption(params, demo, velocities, v_solution),
-            parent=1,
-        ),
-        Stage(
-            id=3,
-            panels=(court_space,),
-            roles_used=frozenset(
-                {ColorRole.BASELINE, ColorRole.CONCRETE, ColorRole.SOLUTION}
-            ),
-            tags=frozenset({StrategyTag.MODELED_OR_OPTIMIZED_VALUES}),
-            caption=(
-                f"The shot at {demo_deg:g} deg reaches the hoop at "
-                f"{v_solution:.1f} m/s, shown against the other speeds."
-            ),
-            parent=2,
-        ),
-        Stage(
-            id=4,
-            panels=(angle_space, angle_space),
-            roles_used=frozenset(
-                {ColorRole.BASELINE, ColorRole.SOLUTION, ColorRole.OPTIMUM}
-            ),
-            tags=frozenset(
-                {
-                    StrategyTag.DEFINE_ABSTRACT_SPACE,
-                    StrategyTag.MODELED_OR_OPTIMIZED_VALUES,
-                    StrategyTag.UNFIX_PARAMETER,
-                }
-            ),
-            caption=(
-                f"Required speed as a function of launch angle; it is "
-                f"minimized at {opt_deg:.1f} deg, where {optimum.speed:.1f} "
-                f"m/s suffices."
-            ),
-            parent=3,
-        ),
-        Stage(
-            id=5,
-            panels=(d_theta_space, d_speed_space),
-            roles_used=frozenset({ColorRole.BASELINE, ColorRole.OPTIMUM}),
-            tags=frozenset(
-                {
-                    StrategyTag.UNFIX_PARAMETER,
-                    StrategyTag.EXPAND_SAMPLING,
-                    StrategyTag.DEFINE_ABSTRACT_SPACE,
-                }
-            ),
-            caption=(
-                "Optimal angle and speed as the distance varies, then for "
-                f"{_count(len(altitudes), 'release altitude')}."
-            ),
-            parent=4,
-        ),
+    court_space = PlotSpace(
+        x_var=("horizontal position", "m"),
+        y_var=("height", "m"),
+        x_range=(0.0, params.distance * 1.1),
+        y_range=(0.0, 7.0),
     )
-    spec = LadderSpec(stages=stages)
-
-    court_labels = ("horizontal position (m)", "height (m)")
-    angle_labels = ("launch angle (deg)", "required speed (m/s)")
-    curve_panel = Panel(
-        angle_space, tuple(curve_panel_marks), angle_labels, "Required speed vs angle"
+    angle_space = PlotSpace(
+        x_var=("launch angle", "deg"),
+        y_var=("required speed", "m/s"),
+        x_range=(0.0, 90.0),
+        y_range=(0.0, 40.0),
     )
-
-    def court_panel(marks: list, title: str) -> Panel:
-        return Panel(court_space, tuple(marks), court_labels, title)
+    curve_panel = _panel(angle_space, curve_panel_marks, "Required speed vs angle")
 
     def distance_scene(curves, theta_dy, speed_dy, title: str) -> Scene:
-        theta = tuple(_optimum_marks(curves, _theta_deg, theta_dy))
-        speed = tuple(_optimum_marks(curves, _speed, speed_dy))
+        x_var, x_range = ("distance", "m"), (d_grid[0], d_grid[-1])
+        theta_space = PlotSpace(x_var, ("optimal angle", "deg"), x_range, (40.0, 80.0))
+        speed_space = PlotSpace(x_var, ("optimal speed", "m/s"), x_range, (0.0, 14.0))
         return Scene(
             (
-                Panel(d_theta_space, theta, ("distance (m)", "optimal angle (deg)"), title),
-                Panel(d_speed_space, speed, ("distance (m)", "optimal speed (m/s)")),
+                _panel(theta_space, _optimum_marks(curves, _theta_deg, theta_dy), title),
+                _panel(speed_space, _optimum_marks(curves, _speed, speed_dy)),
             ),
             Layout.STACKED_SHARED_X,
         )
 
     scenes = [
-        Scene((court_panel(court, "The court"),)),
+        Scene((_panel(court_space, court, "The court"),)),
         Scene(
             (
-                court_panel(court + [one_shot], "One shot"),
-                court_panel(court + fan, "Several launch speeds"),
+                _panel(court_space, court + [one_shot], "One shot"),
+                _panel(court_space, court + fan, "Several launch speeds"),
             ),
             Layout.SIDE_BY_SIDE,
         ),
-        Scene((court_panel(court + fan + [solution_mark], "The hoop-reaching shot"),)),
+        Scene((_panel(court_space, court + fan + [solution_mark], "The hoop-reaching shot"),)),
         Scene((curve_panel,)),
         Scene(
-            (
-                curve_panel,
-                Panel(angle_space, tuple(optimum_panel_marks), angle_labels, "The softest shot"),
-            ),
+            (curve_panel, _panel(angle_space, optimum_panel_marks, "The softest shot")),
             Layout.SIDE_BY_SIDE,
         ),
         distance_scene([base_curve], None, None, "Optimum vs distance"),
         distance_scene(alt_curves, 1.5, -0.5, "Optimum vs distance and release altitude"),
     ]
-    return spec, scenes
+    captions = (
+        f"A shooter {params.distance:g} m from the hoop, releasing at "
+        f"{params.release_altitude:g} m; the hoop is {params.hoop_height:g} m high.",
+        _stage_2_caption(params, demo, velocities, v_solution),
+        f"The shot at {demo_deg:g} deg reaches the hoop at "
+        f"{v_solution:.1f} m/s, shown against the other speeds.",
+        f"Required speed as a function of launch angle; it is minimized at "
+        f"{opt_deg:.1f} deg, where {optimum.speed:.1f} m/s suffices.",
+        "Optimal angle and speed as the distance varies, then for "
+        f"{_count(len(altitudes), 'release altitude')}.",
+    )
+    return _ladder(scenes, captions), scenes

@@ -22,11 +22,7 @@ class VerticalShot(ValueError):
 
 
 class Infeasible(ValueError):
-    """Raised by an objective to mark a point as having no defined value.
-
-    grid_scan skips such points; minimize_scalar does not catch it (its
-    contract requires the objective to be finite on the bracket).
-    """
+    """Raised by an objective to mark a point as having no defined value."""
 
 
 class Record:

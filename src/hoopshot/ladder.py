@@ -40,10 +40,7 @@ class ColorRole(enum.Enum):
 class StrategyTag(enum.Enum):
     DEFINE_ABSTRACT_SPACE = "define_abstract_space"
     MODELED_OR_OPTIMIZED_VALUES = "modeled_or_optimized_values"
-    STATISTICAL_AVERAGES = "statistical_averages"
-    EXPAND_YEARS = "expand_years"
     EXPAND_SAMPLING = "expand_sampling"
-    DEFINE_SUBGROUPS = "define_subgroups"
     UNFIX_PARAMETER = "unfix_parameter"
 
 

@@ -8,7 +8,7 @@ which is defined only above the feasibility angle atan((h-a)/d); at or
 below it the ball passes under the hoop no matter how hard it is thrown.
 
 The softest shot also has a closed form, which `optimal_angle` uses;
-the golden-section search in `scalarmin` is kept as its test oracle.
+the tests check it against golden-section search and a grid scan.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""Bracketed scalar minimization: the test oracle for the closed-form
-optimum in `solver`.
+"""Bracketed scalar minimization: the test oracles for the closed-form
+optimum in `hoopshot.solver`.  Nothing in the package imports them.
 
 `minimize_scalar` is golden-section search: derivative-free, robust near
 bracket edges where the objective blows up, and with a provable
 iteration bound.  `grid_scan` is a brute-force argmin on an even grid,
-kept deliberately independent so it can serve as an oracle for the
-search in tests.
+kept deliberately independent so it can also check the search.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .kinematics import Infeasible, Record
+from hoopshot.kinematics import Infeasible, Record
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -94,7 +93,7 @@ def grid_scan(f: Callable[[float], float], bracket: Bracket, n: int) -> MinResul
     """Argmin of f over n evenly spaced points including both endpoints.
 
     Points where f raises Infeasible are skipped; ties break toward the
-    smaller x.  This is the test oracle, not a production path.
+    smaller x.
     """
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")

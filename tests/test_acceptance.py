@@ -13,7 +13,6 @@ from hoopshot.cli import run
 from hoopshot.figures import build_basketball_ladder
 from hoopshot.kinematics import LaunchState, ShotParams, height_at_plane
 from hoopshot.ladder import LadderSpec, ViolationKind, validate_ladder
-from hoopshot.scalarmin import Bracket, grid_scan, minimize_scalar
 from hoopshot.solver import (
     InfeasibleAngle,
     default_d_grid,
@@ -24,6 +23,7 @@ from hoopshot.solver import (
     sweep_distance,
 )
 
+from oracles import Bracket, grid_scan, minimize_scalar
 from test_solver import bisect_hoop_speed, random_feasible_case
 
 DEFAULTS = ShotParams()

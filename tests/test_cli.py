@@ -261,22 +261,26 @@ class TestValidateLadder:
             pytest.param({"stages": [{"id": 1}]}, id="stage-missing-keys"),
             pytest.param("roles_used", id="unknown-color-role"),
             pytest.param("tags", id="unknown-strategy-tag"),
+            pytest.param(("tags", "EXPAND_YEARS"), id="retired-strategy-tag"),
             pytest.param("panels", id="panel-not-object"),
             pytest.param("x_range", id="range-not-numbers"),
         ],
     )
     def test_malformed_spec_exits_2(self, tmp_path, doc):
-        if isinstance(doc, str):  # one field of a valid spec broken
+        if isinstance(doc, str):
+            doc = (doc, "NO_SUCH_NAME")
+        if isinstance(doc, tuple):  # one field of a valid spec broken
             from hoopshot.figures import build_basketball_ladder
             from hoopshot.ladder import ladder_to_json
 
+            field, bad_name = doc
             spec, _ = build_basketball_ladder(d_grid=[2.0, 3.0])
             broken = json.loads(ladder_to_json(spec))
             stage = broken["stages"][1]
-            if doc == "x_range":
+            if field == "x_range":
                 stage["panels"][0]["x_range"] = ["0", "1"]
             else:
-                stage[doc] = [*stage[doc][:1], "NO_SUCH_NAME"]
+                stage[field] = [*stage[field][:1], bad_name]
             doc = broken
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))

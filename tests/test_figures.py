@@ -1,12 +1,13 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hoopshot.figures import build_basketball_ladder
+from hoopshot.figures import STAGES, build_basketball_ladder
 from hoopshot.kinematics import ShotParams
 from hoopshot.ladder import ColorRole, StrategyTag, validate_ladder
 from hoopshot.render import Layout, MarkKind
-from hoopshot.solver import required_velocity
+from hoopshot.solver import default_d_grid, required_velocity
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,34 @@ class TestLadderStructure:
         assert spec.stage(2).caption.endswith(
             "a fan of launch speeds stays above the hoop-reaching speed."
         )
+
+
+class TestStagesFromFigures:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        altitude=st.floats(0.0, 6.0),  # the hoop is at 3.05 m
+        distance=st.floats(2.0, 14.0),
+        velocities=st.lists(st.floats(2.0, 30.0), min_size=1, max_size=12, unique=True),
+        lo=st.floats(0.5, 3.0),
+        span=st.floats(2.0, 15.0),
+        step=st.floats(0.2, 2.0),
+    )
+    @example(altitude=1.7, distance=10.0, velocities=[5.0], lo=1.0, span=14.0, step=0.1)
+    @example(altitude=4.5, distance=6.0, velocities=[8.0], lo=1.0, span=3.0, step=1.0)
+    def test_each_stage_is_what_its_figures_draw(
+        self, altitude, distance, velocities, lo, span, step
+    ):
+        params = ShotParams(release_altitude=altitude, distance=distance)
+        d_grid = default_d_grid(lo, lo + span, step)
+        spec, scenes = build_basketball_ladder(params, velocities, d_grid=d_grid)
+        figures = [n for numbers, _ in STAGES for n in numbers]
+        assert figures == list(range(1, len(scenes) + 1)) == list(range(1, 8))
+        for stage, (numbers, _) in zip(spec.stages, STAGES, strict=True):
+            drawn = [scenes[n - 1] for n in numbers]
+            colors = {m.style.color_role for s in drawn for p in s.panels for m in p.marks}
+            assert stage.roles_used == {ColorRole.BASELINE} | colors
+            assert stage.panels == tuple(p.space for p in drawn[-1].panels)
+        assert validate_ladder(spec) == []
 
 
 class TestSceneContent:

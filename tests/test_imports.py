@@ -48,11 +48,17 @@ def test_cli_and_optimize_skip_the_renderer_stack():
 
 
 def test_every_exported_name_resolves():
-    assert len(hoopshot.__all__) == len(set(hoopshot.__all__)) == 48
+    assert len(hoopshot.__all__) == len(set(hoopshot.__all__)) == 41
     for name in hoopshot.__all__:
         value = getattr(hoopshot, name)
         assert value.__name__ == name
         assert value.__module__.startswith("hoopshot.")
+
+
+def test_every_module_is_exported_or_the_cli():
+    # a module that nothing exports or runs fails here instead of lingering
+    modules = {path.stem for path in (SRC / "hoopshot").glob("*.py")}
+    assert modules - {"__init__", "cli"} == set(hoopshot._EXPORTS)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -18,8 +18,9 @@ from hoopshot.ladder import (
     ViolationKind,
 )
 from hoopshot.render import LinearScale, Mark, MarkKind, Panel, Scene, Style
-from hoopshot.scalarmin import Bracket, MinResult
 from hoopshot.solver import Optimum, VelocityRequirement, angle_curve, sweep_distance
+
+from oracles import Bracket, MinResult
 
 SHOT = "ShotParams(release_altitude=1.7, distance=10.0, hoop_height=3.05, gravity=9.8)"
 SPACE = (

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hoopshot.scalarmin import (
+from oracles import (
     INV_PHI,
     AllInfeasible,
     Bracket,

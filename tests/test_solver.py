@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hoopshot.kinematics import LaunchState, ShotParams, height_at_plane
-from hoopshot.scalarmin import Bracket, grid_scan, minimize_scalar
 from hoopshot.solver import (
     MAX_GRID_POINTS,
     InfeasibleAngle,
@@ -19,6 +18,8 @@ from hoopshot.solver import (
     sweep_csv,
     sweep_distance,
 )
+
+from oracles import Bracket, grid_scan, minimize_scalar
 
 DEFAULTS = ShotParams()
 DEG = math.pi / 180.0
