@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 domain error (infeasible query, validation
 violations), 2 usage or scenario-parse error.
 
 Scenario files are JSON with top-level keys `params` (a, d, h, g),
-`velocities`, `altitudes`, `d_grid` (lo, hi, step), and `output`.
-Flags override file values.  The defaults live where they are used:
-params in `kinematics.ShotParams`; velocities, altitudes and the
-distance grid (with its validation) in `solver`.
+`velocities`, `altitudes`, `d_grid` (lo, hi, step), and `output`; any
+other key is a scenario error.  Flags override file values.  The
+defaults live where they are used: params in `kinematics.ShotParams`;
+velocities, altitudes and the distance grid (with its validation) in
+`solver`, so a key the file leaves out takes that default.
 
 Only `figures` and `validate-ladder` import the ladder and renderer
 modules, inside their command functions, and only a scenario file
@@ -40,6 +41,8 @@ PARAM_FIELDS = {
     "h": "hoop_height",
     "g": "gravity",
 }
+# the top-level keys of a scenario file
+SCENARIO_KEYS = ("params", "velocities", "altitudes", "d_grid", "output")
 
 
 class Scenario:
@@ -58,9 +61,13 @@ class ScenarioError(ValueError):
     pass
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, keys) -> dict:
+    """value if it is a JSON object with no key outside keys."""
     if not isinstance(value, dict):
         raise ScenarioError(f"{what} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ScenarioError(f"{what} has unknown key {key!r}; known: {', '.join(keys)}")
     return value
 
 
@@ -81,9 +88,9 @@ def load_scenario(path: str | None) -> Scenario:
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        doc = _object(doc, f"scenario file {path}")
+        doc = _object(doc, f"scenario file {path}", SCENARIO_KEYS)
         if "params" in doc:
-            p = _object(doc["params"], "params")
+            p = _object(doc["params"], "params", PARAM_FIELDS)
             scenario.params = scenario.params.replace(
                 **{name: p[key] for key, name in PARAM_FIELDS.items() if key in p}
             )
@@ -92,10 +99,10 @@ def load_scenario(path: str | None) -> Scenario:
         if "altitudes" in doc:
             scenario.altitudes = _numbers(doc["altitudes"], "altitudes")
         if "d_grid" in doc:
-            g = _object(doc["d_grid"], "d_grid")
-            scenario.d_grid = solver.default_d_grid(
-                float(g["lo"]), float(g["hi"]), float(g.get("step", 0.1))
-            )
+            g = _object(doc["d_grid"], "d_grid", ("lo", "hi", "step"))
+            lo, hi = float(g["lo"]), float(g["hi"])
+            step = {"step": float(g["step"])} if "step" in g else {}
+            scenario.d_grid = solver.default_d_grid(lo, hi, **step)
         if "output" in doc:
             scenario.output = str(doc["output"])
     except (KeyError, TypeError, ValueError) as exc:

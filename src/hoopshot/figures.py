@@ -67,10 +67,10 @@ STAGES = (
 )
 
 
-def _court_marks(params: ShotParams) -> list:
+def _court_marks(params: ShotParams) -> tuple:
     a, d, h = params.release_altitude, params.distance, params.hoop_height
     x_max = d * 1.1
-    return [
+    return (
         polyline([(0.0, 0.0), (x_max, 0.0)], BLACK),
         polyline([(0.0, 0.0), (0.0, a)], BLACK),
         point(0.0, a, BLACK, size=3.0),
@@ -79,7 +79,7 @@ def _court_marks(params: ShotParams) -> list:
         text(0.15, a + 0.35, f"a = {a:g} m", BLACK),
         text(d - 2.4, h + 0.35, f"h = {h:g} m", BLACK),
         text(d / 2 - 1.0, 0.45, f"d = {d:g} m", BLACK),
-    ]
+    )
 
 
 def _trajectory_mark(params: ShotParams, angle: float, speed: float, style: Style):
@@ -99,7 +99,7 @@ def _angle_curve_polyline(params: ShotParams):
     return polyline(pts, BLUE)
 
 
-def _optimum_marks(curves, y_of, label_dy: float | None) -> list:
+def _optimum_marks(curves, y_of, label_dy: float | None) -> tuple:
     """One green polyline of y_of(optimum) over distance per curve; with a
     label_dy, each is labelled with its release altitude near its end."""
     marks = []
@@ -110,7 +110,12 @@ def _optimum_marks(curves, y_of, label_dy: float | None) -> list:
             x, y = pts[-1]
             label = f"a = {curve.release_altitude:g}"
             marks.append(text(x - 1.6, y + label_dy, label, GREEN))
-    return marks
+    return tuple(marks)
+
+
+def _range(low: float, high: float, lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi), widened to whole units where low..high leaves it."""
+    return min(lo, float(math.floor(low))), max(hi, float(math.ceil(high)))
 
 
 def _theta_deg(optimum: solver.Optimum) -> float:
@@ -149,12 +154,6 @@ def _stage_2_caption(
         f"One shot at {math.degrees(demo):g} deg and {ONE_SHOT_SPEED:g} m/s "
         f"{shot}; a fan of launch speeds {fan} the hoop-reaching speed."
     )
-
-
-def _panel(space: PlotSpace, marks: list, title: str = "") -> Panel:
-    """A panel whose axis labels name its space's variables and units."""
-    labels = tuple(f"{name} ({unit})" for name, unit in (space.x_var, space.y_var))
-    return Panel(space, tuple(marks), labels, title)
 
 
 def _ladder(scenes: Sequence[Scene], captions: Sequence[str]) -> LadderSpec:
@@ -214,8 +213,8 @@ def build_basketball_ladder(
     for v in velocities:
         mark, traj = _trajectory_mark(params, demo, v, RED)
         _, x_end, y_end = traj.samples[-1]
-        fan.append(mark)
-        fan.append(text(x_end + 0.1, y_end + 0.1, f"{v:g}", RED))
+        fan += [mark, text(x_end + 0.1, y_end + 0.1, f"{v:g}", RED)]
+    fan = tuple(fan)
 
     # stage 3: the speed that exactly reaches the hoop
     v_solution = solver.required_velocity(params, demo)
@@ -225,20 +224,28 @@ def build_basketball_ladder(
     curve_mark = _angle_curve_polyline(params)
     feas_deg = math.degrees(feasibility)
     opt_deg = math.degrees(optimum.angle)
-    curve_panel_marks = [
+    curve_panel_marks = (
         curve_mark,
         vline(feas_deg, BLACK_DASHED),
         point(demo_deg, v_solution, BLUE, size=4.0),
-    ]
-    optimum_panel_marks = curve_panel_marks + [
+    )
+    optimum_panel_marks = curve_panel_marks + (
         vline(opt_deg, GREEN_DOTTED),
         hline(optimum.speed, GREEN_DOTTED),
         point(opt_deg, optimum.speed, GREEN, size=4.0),
-    ]
+    )
 
-    # stage 5: optimum as a function of distance, then per altitude
+    # stage 5: optimum as a function of distance, then per altitude; one
+    # range per space, widened only where an optimum would leave it
     base_curve = solver.sweep_distance(params, d_grid)
     alt_curves = solver.sweep_altitudes(params, altitudes, d_grid)
+    angles, speeds = zip(*[o for c in (base_curve, *alt_curves) for _, o in c.entries])
+    x_var, x_range = ("distance", "m"), (d_grid[0], d_grid[-1])
+    # degrees is monotone: these are the extremes of the plotted angles
+    theta_y = _range(math.degrees(min(angles)), math.degrees(max(angles)), 40.0, 80.0)
+    theta_space = PlotSpace(x_var, ("optimal angle", "deg"), x_range, theta_y)
+    speed_y = _range(min(speeds), max(speeds), 0.0, 14.0)
+    speed_space = PlotSpace(x_var, ("optimal speed", "m/s"), x_range, speed_y)
 
     court_space = PlotSpace(
         x_var=("horizontal position", "m"),
@@ -252,33 +259,30 @@ def build_basketball_ladder(
         x_range=(0.0, 90.0),
         y_range=(0.0, 40.0),
     )
-    curve_panel = _panel(angle_space, curve_panel_marks, "Required speed vs angle")
+    curve_panel = Panel(angle_space, curve_panel_marks, "Required speed vs angle")
 
     def distance_scene(curves, theta_dy, speed_dy, title: str) -> Scene:
-        x_var, x_range = ("distance", "m"), (d_grid[0], d_grid[-1])
-        theta_space = PlotSpace(x_var, ("optimal angle", "deg"), x_range, (40.0, 80.0))
-        speed_space = PlotSpace(x_var, ("optimal speed", "m/s"), x_range, (0.0, 14.0))
         return Scene(
             (
-                _panel(theta_space, _optimum_marks(curves, _theta_deg, theta_dy), title),
-                _panel(speed_space, _optimum_marks(curves, _speed, speed_dy)),
+                Panel(theta_space, _optimum_marks(curves, _theta_deg, theta_dy), title),
+                Panel(speed_space, _optimum_marks(curves, _speed, speed_dy)),
             ),
             Layout.STACKED_SHARED_X,
         )
 
     scenes = [
-        Scene((_panel(court_space, court, "The court"),)),
+        Scene((Panel(court_space, court, "The court"),)),
         Scene(
             (
-                _panel(court_space, court + [one_shot], "One shot"),
-                _panel(court_space, court + fan, "Several launch speeds"),
+                Panel(court_space, court + (one_shot,), "One shot"),
+                Panel(court_space, court + fan, "Several launch speeds"),
             ),
             Layout.SIDE_BY_SIDE,
         ),
-        Scene((_panel(court_space, court + fan + [solution_mark], "The hoop-reaching shot"),)),
+        Scene((Panel(court_space, court + fan + (solution_mark,), "The hoop-reaching shot"),)),
         Scene((curve_panel,)),
         Scene(
-            (curve_panel, _panel(angle_space, optimum_panel_marks, "The softest shot")),
+            (curve_panel, Panel(angle_space, optimum_panel_marks, "The softest shot")),
             Layout.SIDE_BY_SIDE,
         ),
         distance_scene([base_curve], None, None, "Optimum vs distance"),

@@ -246,16 +246,6 @@ def validate_ladder(spec: LadderSpec) -> list[Violation]:
 
 # --- JSON serialization ------------------------------------------------
 
-def _space_to_dict(space: PlotSpace) -> dict:
-    return {
-        "x_var": list(space.x_var),
-        "y_var": list(space.y_var),
-        "x_range": list(space.x_range),
-        "y_range": list(space.y_range),
-        "aspect": space.aspect,
-    }
-
-
 _NUMBER = (int, float)
 _JSON_TYPES = {
     dict: "an object", list: "a list", str: "a string", int: "an integer",
@@ -316,12 +306,16 @@ def _stage_from_dict(item, index: int) -> Stage:
 
 
 def ladder_to_json(spec: LadderSpec) -> str:
-    """Lossless JSON form of a LadderSpec."""
+    """Lossless JSON form of a LadderSpec; a panel is an object of its
+    PlotSpace fields, each pair a list."""
     doc = {
         "stages": [
             {
                 "id": stage.id,
-                "panels": [_space_to_dict(p) for p in stage.panels],
+                "panels": [
+                    {name: getattr(p, name) for name in PlotSpace.__slots__}
+                    for p in stage.panels
+                ],
                 "roles_used": sorted(r.name for r in stage.roles_used),
                 "tags": sorted(t.name for t in stage.tags),
                 "caption": stage.caption,

@@ -12,6 +12,9 @@ Style constants (golden-file contract):
   canvas   600x450 per scene by default; side-by-side panels split the
            width, stacked panels split the height equally
   margins  left 52, right 12, top 28, bottom 38 pixels per panel
+  text     sans-serif: title 13, axis labels 11, TEXT marks 10 and the
+           end-of-axis tick labels 9 pixels, black but for TEXT marks
+  labels   "name (unit)" of each axis variable of the panel's PlotSpace
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .kinematics import Record
-from .ladder import ColorRole, PlotSpace
+from .ladder import RANGE_TOL, ColorRole, PlotSpace
 
 PALETTE = {
     ColorRole.BASELINE: "#000000",
@@ -37,7 +40,6 @@ MARGIN_RIGHT = 12.0
 MARGIN_TOP = 28.0
 MARGIN_BOTTOM = 38.0
 FONT_FAMILY = "sans-serif"
-SHARED_X_TOL = 1e-9
 
 
 def _escape(text: str) -> str:
@@ -129,7 +131,6 @@ def hline(y: float, style: Style) -> Mark:
 class Panel(NamedTuple):
     space: PlotSpace
     marks: tuple[Mark, ...]
-    axis_labels: tuple[str, str]
     title: str = ""
 
 
@@ -211,6 +212,32 @@ def _stroke_attrs(style: Style) -> str:
     )
 
 
+# one writer per element kind written in more than one place
+def _text(x, y, content: str, size: float, anchor="middle", fill="#000000", turn=False):
+    """A <text> element; with turn, rotated -90 degrees about (x, y)."""
+    rotate = f' transform="rotate(-90.000 {_fmt(x)} {_fmt(y)})"' if turn else ""
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="{FONT_FAMILY}" '
+        f'font-size="{_fmt(size)}" text-anchor="{anchor}"{rotate} '
+        f'fill="{fill}">{_escape(content)}</text>'
+    )
+
+
+def _rect(box, attrs: str = "") -> str:
+    x0, y0, x1, y1 = box
+    return (
+        f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
+        f'height="{_fmt(y1 - y0)}"{attrs}/>'
+    )
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, style: Style) -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+        f'y2="{_fmt(y2)}" {_stroke_attrs(style)}/>'
+    )
+
+
 def _panel_rects(scene: Scene) -> list[tuple[float, float, float, float]]:
     w, h = scene.size
     n = len(scene.panels)
@@ -226,78 +253,45 @@ def _panel_rects(scene: Scene) -> list[tuple[float, float, float, float]]:
     return [(0.0, i * ch, w, ch) for i in range(n)]
 
 
+def _viewport(rect) -> tuple[float, float, float, float]:
+    """The plotting box (x0, y0, x1, y1): panel rectangle less margins."""
+    px, py, pw, ph = rect
+    return px + MARGIN_LEFT, py + MARGIN_TOP, px + pw - MARGIN_RIGHT, py + ph - MARGIN_BOTTOM
+
+
 def _check_stacked(scene: Scene) -> None:
     first = scene.panels[0].space
     for panel in scene.panels[1:]:
         s = panel.space
         if s.x_var != first.x_var:
             raise LayoutError(
-                f"stacked panels must share the x variable: "
-                f"{s.x_var} vs {first.x_var}"
+                f"stacked panels must share the x variable: {s.x_var} vs {first.x_var}"
             )
-        if (
-            abs(s.x_range[0] - first.x_range[0]) > SHARED_X_TOL
-            or abs(s.x_range[1] - first.x_range[1]) > SHARED_X_TOL
-        ):
+        if any(abs(a - b) > RANGE_TOL for a, b in zip(s.x_range, first.x_range)):
             raise LayoutError(
-                f"stacked panels must share the x range: "
-                f"{s.x_range} vs {first.x_range}"
+                f"stacked panels must share the x range: {s.x_range} vs {first.x_range}"
             )
-
-
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return min(max(v, lo), hi)
 
 
 def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
-    px, py, pw, ph = rect
-    vx0 = px + MARGIN_LEFT
-    vy0 = py + MARGIN_TOP
-    vx1 = px + pw - MARGIN_RIGHT
-    vy1 = py + ph - MARGIN_BOTTOM
-    xs = LinearScale(domain=panel.space.x_range, range=(vx0, vx1))
-    ys = LinearScale(domain=panel.space.y_range, range=(vy1, vy0))
-    box = (vx0, vy0, vx1, vy1)
+    px, py = rect[:2]
+    box = vx0, vy0, vx1, vy1 = _viewport(rect)
+    space = panel.space
+    xs = LinearScale(domain=space.x_range, range=(vx0, vx1))
+    ys = LinearScale(domain=space.y_range, range=(vy1, vy0))
+    mid_x, mid_y = (vx0 + vx1) / 2, (vy0 + vy1) / 2
 
-    out.append(
-        f'<rect x="{_fmt(vx0)}" y="{_fmt(vy0)}" width="{_fmt(vx1 - vx0)}" '
-        f'height="{_fmt(vy1 - vy0)}" stroke="#000000" stroke-width="1.000" '
-        f'fill="none"/>'
-    )
+    out.append(_rect(box, ' stroke="#000000" stroke-width="1.000" fill="none"'))
     if panel.title:
-        out.append(
-            f'<text x="{_fmt((vx0 + vx1) / 2)}" y="{_fmt(py + 18.0)}" '
-            f'font-family="{FONT_FAMILY}" font-size="13.000" '
-            f'text-anchor="middle" fill="#000000">{_escape(panel.title)}</text>'
-        )
-    xl, yl = panel.axis_labels
-    out.append(
-        f'<text x="{_fmt((vx0 + vx1) / 2)}" y="{_fmt(vy1 + 30.0)}" '
-        f'font-family="{FONT_FAMILY}" font-size="11.000" '
-        f'text-anchor="middle" fill="#000000">{_escape(xl)}</text>'
-    )
-    out.append(
-        f'<text x="{_fmt(px + 14.0)}" y="{_fmt((vy0 + vy1) / 2)}" '
-        f'font-family="{FONT_FAMILY}" font-size="11.000" text-anchor="middle" '
-        f'transform="rotate(-90.000 {_fmt(px + 14.0)} {_fmt((vy0 + vy1) / 2)})" '
-        f'fill="#000000">{_escape(yl)}</text>'
-    )
+        out.append(_text(mid_x, py + 18.0, panel.title, 13.0))
+    x_label, y_label = (f"{name} ({unit})" for name, unit in (space.x_var, space.y_var))
+    out.append(_text(mid_x, vy1 + 30.0, x_label, 11.0))
+    out.append(_text(px + 14.0, mid_y, y_label, 11.0, turn=True))
     # end-of-axis tick labels
-    for dv, anchor in (
-        (panel.space.x_range[0], "start"),
-        (panel.space.x_range[1], "end"),
-    ):
-        out.append(
-            f'<text x="{_fmt(scale_map(xs, dv))}" y="{_fmt(vy1 + 14.0)}" '
-            f'font-family="{FONT_FAMILY}" font-size="9.000" '
-            f'text-anchor="{anchor}" fill="#000000">{_fmt(dv)}</text>'
-        )
-    for dv in (panel.space.y_range[0], panel.space.y_range[1]):
-        out.append(
-            f'<text x="{_fmt(vx0 - 4.0)}" y="{_fmt(scale_map(ys, dv) + 3.0)}" '
-            f'font-family="{FONT_FAMILY}" font-size="9.000" '
-            f'text-anchor="end" fill="#000000">{_fmt(dv)}</text>'
-        )
+    for dv, anchor in zip(space.x_range, ("start", "end")):
+        out.append(_text(scale_map(xs, dv), vy1 + 14.0, _fmt(dv), 9.0, anchor))
+    for dv in space.y_range:
+        out.append(_text(vx0 - 4.0, scale_map(ys, dv) + 3.0, _fmt(dv), 9.0, "end"))
 
     out.append(f'<g clip-path="url(#{clip_id})">')
     for mark in panel.marks:
@@ -365,27 +359,17 @@ def _render_mark(out: list[str], mark: Mark, xs, ys, box) -> None:
                 f'fill="{PALETTE[mark.style.color_role]}" stroke="none"/>'
             )
     elif mark.kind is MarkKind.TEXT:
-        x = _clamp(scale_map(xs, mark.points[0][0]), vx0, vx1)
-        y = _clamp(scale_map(ys, mark.points[0][1]), vy0, vy1)
-        out.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="{FONT_FAMILY}" '
-            f'font-size="10.000" text-anchor="start" '
-            f'fill="{PALETTE[mark.style.color_role]}">{_escape(mark.text)}</text>'
-        )
+        x = min(max(scale_map(xs, mark.points[0][0]), vx0), vx1)
+        y = min(max(scale_map(ys, mark.points[0][1]), vy0), vy1)
+        out.append(_text(x, y, mark.text, 10.0, "start", PALETTE[mark.style.color_role]))
     elif mark.kind is MarkKind.VLINE:
         x = scale_map(xs, mark.value)
         if vx0 <= x <= vx1:
-            out.append(
-                f'<line x1="{_fmt(x)}" y1="{_fmt(vy0)}" x2="{_fmt(x)}" '
-                f'y2="{_fmt(vy1)}" {_stroke_attrs(mark.style)}/>'
-            )
+            out.append(_line(x, vy0, x, vy1, mark.style))
     elif mark.kind is MarkKind.HLINE:
         y = scale_map(ys, mark.value)
         if vy0 <= y <= vy1:
-            out.append(
-                f'<line x1="{_fmt(vx0)}" y1="{_fmt(y)}" x2="{_fmt(vx1)}" '
-                f'y2="{_fmt(y)}" {_stroke_attrs(mark.style)}/>'
-            )
+            out.append(_line(vx0, y, vx1, y, mark.style))
 
 
 def render_svg(scene: Scene) -> bytes:
@@ -393,8 +377,7 @@ def render_svg(scene: Scene) -> bytes:
     if scene.layout is Layout.STACKED_SHARED_X and len(scene.panels) > 1:
         _check_stacked(scene)
     w, h = scene.size
-    out: list[str] = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
+    out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(w)}" height="{_fmt(h)}" '
@@ -403,18 +386,9 @@ def render_svg(scene: Scene) -> bytes:
     rects = _panel_rects(scene)
     out.append("<defs>")
     for i, rect in enumerate(rects):
-        px, py, pw, ph = rect
-        out.append(
-            f'<clipPath id="panel-{i}"><rect x="{_fmt(px + MARGIN_LEFT)}" '
-            f'y="{_fmt(py + MARGIN_TOP)}" '
-            f'width="{_fmt(pw - MARGIN_LEFT - MARGIN_RIGHT)}" '
-            f'height="{_fmt(ph - MARGIN_TOP - MARGIN_BOTTOM)}"/></clipPath>'
-        )
+        out.append(f'<clipPath id="panel-{i}">{_rect(_viewport(rect))}</clipPath>')
     out.append("</defs>")
-    out.append(
-        f'<rect x="0.000" y="0.000" width="{_fmt(w)}" height="{_fmt(h)}" '
-        f'fill="#FFFFFF" stroke="none"/>'
-    )
+    out.append(_rect((0.0, 0.0, w, h), ' fill="#FFFFFF" stroke="none"'))
     for i, (panel, rect) in enumerate(zip(scene.panels, rects)):
         _render_panel(out, panel, rect, f"panel-{i}")
     out.append("</svg>")

@@ -317,6 +317,11 @@ class TestScenarioHandling:
             pytest.param('{"velocities": []}', id="velocities-empty"),
             pytest.param('{"altitudes": []}', id="altitudes-empty"),
             pytest.param('{"velocities": "5"}', id="velocities-not-list"),
+            pytest.param('{"params": {"dd": 3}}', id="params-unknown-key"),
+            pytest.param('{"velocity": [1, 2]}', id="top-level-unknown-key"),
+            pytest.param(
+                '{"d_grid": {"lo": 1, "hi": 3, "stp": 0.5}}', id="d_grid-unknown-key"
+            ),
         ],
     )
     def test_bad_scenario_exits_2(self, tmp_path, text):

@@ -184,3 +184,49 @@ class TestCustomInputs:
         fan_panel = scenes[1].panels[1]
         labels = {m.text for m in fan_panel.marks if m.kind is MarkKind.TEXT}
         assert {"6", "9"} <= labels
+
+
+def stage_5_vertices(scenes):
+    """(x, y, space) of every polyline vertex of figures 6 and 7."""
+    for scene in scenes[5:]:
+        for panel in scene.panels:
+            for mark in panel.marks:
+                if mark.kind is MarkKind.POLYLINE:
+                    for x, y in mark.points:
+                        yield x, y, panel.space
+
+
+class TestStage5PanelsHoldTheirData:
+    """The optimum curves of figures 6 and 7 are never clipped: a range
+    widens where the optima leave it, and otherwise keeps its default."""
+
+    @pytest.mark.parametrize(
+        "kwargs, count",
+        [
+            (dict(d_grid=default_d_grid(1, 40, 0.5)), 632),  # speeds above 14 m/s
+            (dict(altitudes=[3.5]), 564),  # angles below 40 deg
+        ],
+        ids=["long-grid", "release-above-the-hoop"],
+    )
+    def test_every_vertex_inside_its_panel(self, kwargs, count):
+        spec, scenes = build_basketball_ladder(**kwargs)
+        vertices = list(stage_5_vertices(scenes))
+        assert len(vertices) == count
+        outside = [
+            (x, y)
+            for x, y, space in vertices
+            if not (
+                space.x_range[0] <= x <= space.x_range[1]
+                and space.y_range[0] <= y <= space.y_range[1]
+            )
+        ]
+        assert outside == []
+        assert validate_ladder(spec) == []
+
+    def test_figures_6_and_7_share_each_space(self):
+        _, scenes = build_basketball_ladder(altitudes=[3.5], d_grid=default_d_grid(1, 40, 0.5))
+        assert [p.space for p in scenes[5].panels] == [p.space for p in scenes[6].panels]
+
+    def test_default_ranges_kept(self, built):
+        spec, _ = built
+        assert [s.y_range for s in spec.stage(5).panels] == [(40.0, 80.0), (0.0, 14.0)]

@@ -125,8 +125,8 @@ RECORDS = [
         id="Mark",
     ),
     pytest.param(
-        lambda: Panel(space(), (), ("x", "y")),
-        f"Panel(space={SPACE}, marks=(), axis_labels=('x', 'y'), title='')",
+        lambda: Panel(space(), ()),
+        f"Panel(space={SPACE}, marks=(), title='')",
         "title",
         id="Panel",
     ),

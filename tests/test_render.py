@@ -47,7 +47,6 @@ def one_panel_scene(marks, space=None, size=DEFAULT_SIZE):
             Panel(
                 space=space or unit_space(),
                 marks=tuple(marks),
-                axis_labels=("x (m)", "y (m)"),
                 title="test",
             ),
         ),
@@ -156,28 +155,29 @@ class TestRenderSvg:
         assert "<circle" not in svg
 
     def test_stacked_requires_shared_x(self):
-        top = Panel(
-            space=unit_space(x_range=(0.0, 10.0)),
-            marks=(),
-            axis_labels=("x", "y"),
-        )
-        bottom = Panel(
-            space=unit_space(x_range=(0.0, 12.0)),
-            marks=(),
-            axis_labels=("x", "y"),
-        )
+        top = Panel(space=unit_space(x_range=(0.0, 10.0)), marks=())
+        bottom = Panel(space=unit_space(x_range=(0.0, 12.0)), marks=())
         scene = Scene(panels=(top, bottom), layout=Layout.STACKED_SHARED_X)
         with pytest.raises(LayoutError):
             render_svg(scene)
 
     def test_stacked_requires_same_x_var(self):
-        top = Panel(space=unit_space(), marks=(), axis_labels=("x", "y"))
-        bottom = Panel(
-            space=unit_space(x_name="other"), marks=(), axis_labels=("x", "y")
-        )
+        top = Panel(space=unit_space(), marks=())
+        bottom = Panel(space=unit_space(x_name="other"), marks=())
         scene = Scene(panels=(top, bottom), layout=Layout.STACKED_SHARED_X)
         with pytest.raises(LayoutError):
             render_svg(scene)
+
+    def test_axis_labels_from_the_space(self):
+        space = PlotSpace(
+            x_var=("launch angle", "deg"),
+            y_var=("a < b", "m/s"),
+            x_range=(0.0, 90.0),
+            y_range=(0.0, 40.0),
+        )
+        svg = render_svg(one_panel_scene([], space)).decode()
+        assert ">launch angle (deg)</text>" in svg
+        assert ">a &lt; b (m/s)</text>" in svg
 
     def test_text_escaped(self):
         scene = one_panel_scene([text(5.0, 5.0, "a < b & c", BLACK)])
