@@ -6,26 +6,31 @@ violations), 2 usage or scenario-parse error.
 
 Scenario files are JSON with top-level keys `params` (a, d, h, g),
 `velocities`, `altitudes`, `d_grid` (lo, hi, step), and `output`; any
-other key is a scenario error.  Flags override file values.  The
-defaults live where they are used: params in `kinematics.ShotParams`;
-velocities, altitudes and the distance grid (with its validation) in
-`solver`, so a key the file leaves out takes that default.
+other key, or a value of another JSON type, is a scenario error.  Flags
+override file values.  The defaults live where they are used: params in
+`kinematics.ShotParams`; velocities, altitudes and the distance grid
+(with its validation) in `solver`, so a key the file leaves out takes
+that default.
 
-Only `figures` and `validate-ladder` import the ladder and renderer
-modules, inside their command functions, and only a scenario file
-imports `json`, so the other commands start without them.  `run` builds
-the argparse subparser of the invoked command only (one row of
-`COMMANDS`), and every subparser only for top-level help, a missing
-command or an unknown one.
+Each flag is one `Flag` row of `COMMANDS`.  `run` parses an argv of the
+plain shape (see `_parse`) from those rows, and builds an argparse
+parser from them only for help, usage errors and other argv: with the
+invoked command only, or with every command for top-level help or a
+missing or unknown command.  Only `figures` and `validate-ladder` import
+the ladder and renderer modules, and only a scenario file imports
+`json`, so the other commands start without them.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
+
+if TYPE_CHECKING:
+    import argparse
 
 from . import solver
 from .kinematics import Infeasible, LaunchState, ShotParams, VerticalShot, sample_trajectory
@@ -35,12 +40,7 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 # scenario-file key -> ShotParams field (also the dest of its CLI flag)
-PARAM_FIELDS = {
-    "a": "release_altitude",
-    "d": "distance",
-    "h": "hoop_height",
-    "g": "gravity",
-}
+PARAM_FIELDS = {"a": "release_altitude", "d": "distance", "h": "hoop_height", "g": "gravity"}
 # the top-level keys of a scenario file
 SCENARIO_KEYS = ("params", "velocities", "altitudes", "d_grid", "output")
 
@@ -51,8 +51,8 @@ class Scenario:
 
     def __init__(self) -> None:
         self.params = ShotParams()
-        self.velocities = list(solver.DEFAULT_VELOCITIES)
-        self.altitudes = list(solver.DEFAULT_ALTITUDES)
+        self.velocities: list[float] | None = None  # not in the file
+        self.altitudes: list[float] | None = None
         self.d_grid = solver.default_d_grid()
         self.output = "figures"
 
@@ -71,10 +71,18 @@ def _object(value, what: str, keys) -> dict:
     return value
 
 
+def _number(value, what: str) -> float:
+    """value as a float, if it is a JSON number (true and false are not)."""
+    fits = type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+    if not fits:
+        raise ScenarioError(f"{what} must be a JSON number that fits a float, got {value!r}")
+    return float(value)
+
+
 def _numbers(value, what: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ScenarioError(f"{what} must be a non-empty JSON list, got {value!r}")
-    return [float(v) for v in value]
+    return [_number(v, f"{what}[{i}]") for i, v in enumerate(value)]
 
 
 def load_scenario(path: str | None) -> Scenario:
@@ -92,7 +100,7 @@ def load_scenario(path: str | None) -> Scenario:
         if "params" in doc:
             p = _object(doc["params"], "params", PARAM_FIELDS)
             scenario.params = scenario.params.replace(
-                **{name: p[key] for key, name in PARAM_FIELDS.items() if key in p}
+                **{PARAM_FIELDS[k]: _number(v, f"params.{k}") for k, v in p.items()}
             )
         if "velocities" in doc:
             scenario.velocities = _numbers(doc["velocities"], "velocities")
@@ -100,33 +108,17 @@ def load_scenario(path: str | None) -> Scenario:
             scenario.altitudes = _numbers(doc["altitudes"], "altitudes")
         if "d_grid" in doc:
             g = _object(doc["d_grid"], "d_grid", ("lo", "hi", "step"))
-            lo, hi = float(g["lo"]), float(g["hi"])
-            step = {"step": float(g["step"])} if "step" in g else {}
-            scenario.d_grid = solver.default_d_grid(lo, hi, **step)
+            g = {k: _number(v, f"d_grid.{k}") for k, v in g.items()}
+            scenario.d_grid = solver.default_d_grid(g.pop("lo"), g.pop("hi"), **g)
         if "output" in doc:
-            scenario.output = str(doc["output"])
+            if not isinstance(doc["output"], str):
+                raise ScenarioError(f"output must be a JSON string, got {doc['output']!r}")
+            scenario.output = doc["output"]
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"bad scenario file {path}: {exc}") from exc
     return scenario
-
-
-def _apply_param_flags(scenario: Scenario, args) -> None:
-    flags = {name: getattr(args, name) for name in PARAM_FIELDS.values()}
-    given = {name: v for name, v in flags.items() if v is not None}
-    scenario.params = scenario.params.replace(**given)
-
-
-def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scenario", metavar="FILE", help="scenario JSON file")
-    sub.add_argument(
-        "--altitude", dest="release_altitude", type=float, metavar="ALTITUDE",
-        help="release altitude, meters",
-    )
-    sub.add_argument("--distance", type=float, help="distance to hoop, meters")
-    sub.add_argument("--hoop-height", type=float, help="hoop height, meters")
-    sub.add_argument("--gravity", type=float, help="gravity, m/s^2")
 
 
 def _cmd_trajectory(scenario: Scenario, args) -> int:
@@ -155,7 +147,7 @@ def _cmd_optimize(scenario: Scenario, args) -> int:
 
 def _cmd_sweep(scenario: Scenario, args) -> int:
     p = scenario.params
-    altitudes = args.altitudes if args.altitudes else [p.release_altitude]
+    altitudes = args.altitudes or scenario.altitudes or [p.release_altitude]
     curves = solver.sweep_altitudes(p, altitudes, scenario.d_grid)
     csv_text = solver.sweep_csv(curves)
     if args.out:
@@ -171,10 +163,7 @@ def _cmd_figures(scenario: Scenario, args) -> int:
 
     out_dir = Path(args.out if args.out else scenario.output)
     spec, scenes = figures.build_basketball_ladder(
-        params=scenario.params,
-        velocities=scenario.velocities,
-        altitudes=scenario.altitudes,
-        d_grid=scenario.d_grid,
+        scenario.params, scenario.velocities, scenario.altitudes, scenario.d_grid
     )
     violations = ladder.validate_ladder(spec)
     if violations:
@@ -206,63 +195,66 @@ def _cmd_validate_ladder(args) -> int:
     return EXIT_OK if not violations else EXIT_DOMAIN
 
 
-def _trajectory_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--angle", type=float, required=True, help="launch angle, degrees")
-    p.add_argument("--speed", type=float, required=True, help="launch speed, m/s")
-    p.add_argument("--samples", type=int, default=200, help="number of samples")
+class Flag(NamedTuple):
+    """One argument of a command: its name ("--flag", or a positional's
+    dest) and the keywords of its `add_argument` call, each left out of
+    the call while it has the default given here."""
+
+    name: str
+    help: str
+    type: Callable[[str], object] | None = None
+    dest: str | None = None
+    required: bool = False
+    default: object = None
+    nargs: str | None = None
+    metavar: str | None = None
+
+    @property
+    def key(self) -> str:  # where argparse stores the value
+        return self.dest or self.name.lstrip("-").replace("-", "_")
 
 
-def _velocity_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--angle", type=float, required=True, help="launch angle, degrees")
-
-
-def _sweep_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--altitudes",
-        type=float,
-        nargs="+",
-        help="release altitudes to sweep, meters (default: single altitude)",
-    )
-    p.add_argument("--out", metavar="FILE", help="CSV output path (default stdout)")
-
-
-def _figures_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", metavar="DIR", help="output directory for SVG files")
-
-
-def _validate_ladder_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", metavar="FILE", help="ladder spec JSON file")
+SCENARIO_FLAGS = (
+    Flag("--scenario", "scenario JSON file", metavar="FILE"),
+    Flag("--altitude", "release altitude, meters", float, "release_altitude", metavar="ALTITUDE"),
+    Flag("--distance", "distance to hoop, meters", float),
+    Flag("--hoop-height", "hoop height, meters", float),
+    Flag("--gravity", "gravity, m/s^2", float),
+)
+ANGLE = Flag("--angle", "launch angle, degrees", float, required=True)
 
 
 class Command(NamedTuple):
     help: str
-    add_arguments: Callable[[argparse.ArgumentParser], None]
     # handler(scenario, args) when the command reads a scenario, else handler(args)
     handler: Callable[..., int]
+    own_flags: tuple[Flag, ...] = ()
     reads_scenario: bool = True
+
+    @property
+    def flags(self) -> tuple[Flag, ...]:
+        return (SCENARIO_FLAGS if self.reads_scenario else ()) + self.own_flags
 
 
 COMMANDS = {
-    "trajectory": Command(
-        "print a sampled trajectory as CSV (t, x, y)", _trajectory_args, _cmd_trajectory
-    ),
-    "velocity": Command(
-        "print the speed required to reach the hoop", _velocity_args, _cmd_velocity
-    ),
-    "optimize": Command(
-        "print the optimal angle (degrees) and speed", lambda p: None, _cmd_optimize
-    ),
-    "sweep": Command(
-        "write optimal angle/speed over a distance grid as CSV", _sweep_args, _cmd_sweep
-    ),
-    "figures": Command(
-        "build, validate, and render the figure ladder", _figures_args, _cmd_figures
-    ),
+    "trajectory": Command("print a sampled trajectory as CSV (t, x, y)", _cmd_trajectory, (
+        ANGLE,
+        Flag("--speed", "launch speed, m/s", float, required=True),
+        Flag("--samples", "number of samples", int, default=200),
+    )),
+    "velocity": Command("print the speed required to reach the hoop", _cmd_velocity, (ANGLE,)),
+    "optimize": Command("print the optimal angle (degrees) and speed", _cmd_optimize),
+    "sweep": Command("write optimal angle/speed over a distance grid as CSV", _cmd_sweep, (
+        Flag("--altitudes", "release altitudes to sweep, meters (default: single altitude)",
+             float, nargs="+"),
+        Flag("--out", "CSV output path (default stdout)", metavar="FILE"),
+    )),
+    "figures": Command("build, validate, and render the figure ladder", _cmd_figures, (
+        Flag("--out", "output directory for SVG files", metavar="DIR"),
+    )),
     "validate-ladder": Command(
-        "check a ladder spec JSON file for violations",
-        _validate_ladder_args,
-        _cmd_validate_ladder,
-        reads_scenario=False,
+        "check a ladder spec JSON file for violations", _cmd_validate_ladder,
+        (Flag("file", "ladder spec JSON file", metavar="FILE"),), reads_scenario=False,
     ),
 }
 
@@ -270,6 +262,8 @@ COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser with every subcommand, or with only `command`; the
     usage line names all of them either way."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hoopshot",
         description=(
@@ -282,22 +276,63 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in COMMANDS if command is None else [command]:
-        spec = COMMANDS[name]
-        p = sub.add_parser(name, help=spec.help)
-        if spec.reads_scenario:
-            _add_scenario_flags(p)
-        spec.add_arguments(p)
+        p = sub.add_parser(name, help=COMMANDS[name].help)
+        for flag in COMMANDS[name].flags:
+            keywords = zip(Flag._fields[1:], flag[1:])
+            p.add_argument(
+                flag.name, **{k: v for k, v in keywords if v != Flag._field_defaults.get(k)}
+            )
     return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """`build_parser().parse_args(argv)` for a plain argv: a command, then
+    each of its flags at most once, in full, with its value(s) in the next
+    token(s), every required flag and the positional given, and no value
+    starting with "-" or failing the flag's type.  Else None: argparse
+    parses it, or prints the help or the usage error."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {f.name: f for f in command.flags if f.name.startswith("-")}
+    positionals = [f for f in command.flags if not f.name.startswith("-")]
+    given: dict[Flag, list[str]] = {}
+    flag = None
+    for token in argv[1:]:
+        if token in options:
+            flag = options.pop(token)
+            given[flag] = []
+        elif token.startswith("-"):
+            return None
+        elif flag is not None and (not given[flag] or flag.nargs):
+            given[flag].append(token)
+        elif positionals:
+            flag = positionals.pop(0)
+            given[flag] = [token]
+        else:
+            return None
+    if positionals or not all(given.values()) or any(f.required for f in options.values()):
+        return None
+    args = {f.key: f.default for f in options.values()}
+    for flag, tokens in given.items():
+        try:
+            values = [flag.type(t) for t in tokens] if flag.type else tokens
+        except ValueError:
+            return None
+        args[flag.key] = values if flag.nargs else values[0]
+    return SimpleNamespace(command=argv[0], **args)
 
 
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    args = _parse(argv)
+    if args is None:
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     command = COMMANDS[args.command]
     if not command.reads_scenario:
@@ -305,22 +340,18 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         scenario = load_scenario(args.scenario)
-        _apply_param_flags(scenario, args)
-    except (ScenarioError, ValueError) as exc:
+        given = {k: v for k in PARAM_FIELDS.values() if (v := getattr(args, k)) is not None}
+        scenario.params = scenario.params.replace(**given)
+    except ValueError as exc:  # a ScenarioError, or a flag value ShotParams rejects
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 
     try:
         return command.handler(scenario, args)
-    except (VerticalShot, Infeasible) as exc:
+    except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DOMAIN
+        domain = isinstance(exc, (VerticalShot, Infeasible, OSError))
+        return EXIT_DOMAIN if domain else EXIT_USAGE
 
 
 def main() -> None:

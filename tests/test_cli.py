@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hoopshot.cli import COMMANDS, build_parser, run
+from hoopshot.cli import COMMANDS, _parse, build_parser, run
 
 NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
 PARAM_FLAGS = ("--altitude", "--distance", "--hoop-height", "--gravity")
@@ -136,6 +136,21 @@ class TestSweep:
         lines = out.read_text().strip().split("\n")
         altitudes = {line.split(",")[3] for line in lines[1:]}
         assert altitudes == {"1.200000", "2.200000"}
+
+    @pytest.mark.parametrize(
+        "doc, flags, altitudes",
+        [
+            pytest.param({"altitudes": [1.5, 2.5]}, [], {"1.500000", "2.500000"}, id="file"),
+            pytest.param({"altitudes": [1.5]}, ["--altitudes", "2.2"], {"2.200000"}, id="flag"),
+            pytest.param({"params": {"a": 1.9}}, [], {"1.900000"}, id="release-altitude"),
+        ],
+    )
+    def test_altitudes_from_flag_then_file_then_release(self, tmp_path, doc, flags, altitudes):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**doc, "d_grid": {"lo": 2, "hi": 4, "step": 1}}))
+        code, out, err = run_captured(["sweep", "--scenario", str(path), *flags])
+        assert (code, err) == (0, "")
+        assert {line.split(",")[3] for line in out.splitlines()[1:]} == altitudes
 
 
 def _small_scenario(tmp_path):
@@ -331,6 +346,39 @@ class TestScenarioHandling:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            pytest.param('{"velocities": [true, "7"]}', "velocities[0]", id="velocities-bool"),
+            pytest.param('{"velocities": [5, "7"]}', "velocities[1]", id="velocities-string"),
+            pytest.param('{"altitudes": [null]}', "altitudes[0]", id="altitudes-null"),
+            pytest.param('{"params": {"a": true}}', "params.a", id="params-bool"),
+            pytest.param('{"params": {"g": "9.8"}}', "params.g", id="params-string"),
+            pytest.param(
+                '{"d_grid": {"lo": "1", "hi": true, "step": "0.5"}}',
+                "d_grid.lo",
+                id="d_grid-strings",
+            ),
+            pytest.param(
+                '{"d_grid": {"lo": 1, "hi": 3, "step": false}}',
+                "d_grid.step",
+                id="d_grid-step-bool",
+            ),
+            pytest.param('{"output": 5}', "output", id="output-not-string"),
+            # an int too large for a float
+            pytest.param(
+                '{"params": {"d": 1%s}}' % ("0" * 400), "params.d", id="params-401-digit-int"
+            ),
+        ],
+    )
+    def test_value_of_wrong_type_exits_2_naming_the_key(self, tmp_path, text, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run_captured(["optimize", "--scenario", str(bad)])
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert f"{key} must be a JSON" in err
+
     def test_bad_step_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"d_grid": {"lo": 1, "hi": 2, "step": 0}}))
@@ -434,3 +482,106 @@ class TestOneSubparser:
         [sub] = [a for a in parser._actions if a.dest == "command"]
         assert list(sub.choices) == ["sweep"]
         assert parser.format_usage() == build_parser().format_usage()
+
+
+# argv drawn from tokens: a command (or none, or an unknown one), then
+# flags of that command spelled in full, abbreviated or joined to a value
+# by "=", values that argparse reads in different ways, "-h", "--" and
+# bare values.  Most items are plain: distinct flags with values every
+# type accepts, and in half of the argv each required flag; at most one
+# item is drawn from the whole grammar, and it may repeat a flag.
+_PLAIN_VALUES = ["5", " 5", "1_0", "2"]
+_VALUES = [*_PLAIN_VALUES, "-1", "1e3", "nan", "inf", "x", "", "2.5", "-h", "--", "-x"]
+
+
+@st.composite
+def _argvs(draw):
+    name = draw(st.sampled_from([*COMMANDS, "frobnicate", "-h", None]))
+    command = COMMANDS.get(name, COMMANDS["optimize"])
+    flag = st.sampled_from([f.name for f in command.flags])
+    value = st.sampled_from(_VALUES)
+    item = st.one_of(
+        st.tuples(flag, value),
+        st.tuples(flag, value, value),
+        st.tuples(flag.map(lambda f: f[:-1]), value),  # abbreviated
+        st.builds(lambda f, v: (f"{f}={v}",), flag, value),
+        st.tuples(value),
+    )
+    # a positional ("file") is given as its value alone
+    plain = st.tuples(flag, st.sampled_from(_PLAIN_VALUES)).map(
+        lambda item: item if item[0].startswith("-") else item[1:]
+    )
+    items = draw(st.lists(plain, max_size=4, unique_by=lambda item: item[0]))
+    if draw(st.booleans()):
+        named = {item[0] for item in items}
+        items += [(f.name, "5") for f in command.flags if f.required and f.name not in named]
+    items += draw(st.lists(item, max_size=1))
+    items = draw(st.permutations(items))
+    return ([] if name is None else [name]) + [token for item in items for token in item]
+
+
+_FULL_PARSER = build_parser()  # parse_args leaves a parser as it was
+
+
+def _fields(namespace):
+    # repr, so that nan equals nan
+    return repr(sorted(vars(namespace).items()))
+
+
+class TestQuickParse:
+    """run() parses a plain argv without argparse; what it reads must be
+    what argparse reads, and any argv argparse rejects it leaves alone."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv=_argvs())
+    def test_quick_parse_is_none_or_what_argparse_returns(self, argv):
+        quick = _parse(argv)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                full = _FULL_PARSER.parse_args(argv)
+        except SystemExit:  # argparse printed help or a usage error
+            assert quick is None
+        else:
+            assert quick is None or _fields(quick) == _fields(full)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "optimize",
+            "optimize --scenario s.json --altitude 2 --distance 7 --hoop-height 3 --gravity 9",
+            "velocity --angle 30 --distance nan",
+            "trajectory --speed 15 --angle 30 --samples 5",
+            "sweep --scenario s.json --altitudes 1.2 1_0 inf --out o.csv",
+            "figures --out figs",
+            "validate-ladder figs/ladder.json",
+        ],
+    )
+    def test_plain_argv_parses_as_argparse_does(self, argv):
+        argv = argv.split()
+        quick = _parse(argv)
+        assert quick is not None
+        assert _fields(quick) == _fields(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "optimize -h",
+            "optimize --dist 5",
+            "optimize --distance=5",
+            "optimize --distance -5",
+            "optimize --distance 5 --distance 6",
+            "figures --out -x",
+            "optimize -- --distance 5",
+            "velocity --angle steep",
+            "trajectory --angle 30 --speed 15 --samples 1e3",
+            "trajectory --angle 30",
+            "sweep --altitudes",
+            "validate-ladder",
+            "validate-ladder a b",
+            "--distance 5",
+            "frobnicate --distance 5",
+            "",
+        ],
+    )
+    def test_argv_outside_the_plain_shape_is_left_to_argparse(self, argv):
+        assert _parse(argv.split()) is None

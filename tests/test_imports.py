@@ -11,7 +11,8 @@ import hoopshot
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # the renderer stack, and what xml.sax.saxutils used to drag in with it;
-# dataclasses (with inspect), json and the test-oracle search
+# dataclasses (with inspect), json, the test-oracle search, and argparse
+# with the gettext and locale modules its messages load
 HEAVY = (
     "hoopshot.render",
     "hoopshot.figures",
@@ -23,6 +24,9 @@ HEAVY = (
     "inspect",
     "json",
     "hoopshot.scalarmin",
+    "argparse",
+    "gettext",
+    "locale",
 )
 PROBE = f"""
 import contextlib, io, sys
@@ -31,6 +35,9 @@ import hoopshot.cli
 print(sorted(m for m in heavy if m in sys.modules))
 with contextlib.redirect_stdout(io.StringIO()):
     code = hoopshot.cli.run(["optimize"])
+print(code, sorted(m for m in heavy if m in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hoopshot.cli.run(["sweep"])
 print(code, sorted(m for m in heavy if m in sys.modules))
 """
 
@@ -44,7 +51,7 @@ def test_cli_and_optimize_skip_the_renderer_stack():
         env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
     )
-    assert result.stdout.splitlines() == ["[]", "0 []"]
+    assert result.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
 
 def test_every_exported_name_resolves():
