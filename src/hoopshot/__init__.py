@@ -10,8 +10,6 @@ The names in `__all__` are loaded from their submodule on first use
 code that touches the renderer pays for it.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
@@ -38,7 +36,7 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
 
 
 def __dir__() -> list[str]:

@@ -17,20 +17,16 @@ plain shape (see `_parse`) from those rows, and builds an argparse
 parser from them only for help, usage errors and other argv: with the
 invoked command only, or with every command for top-level help or a
 missing or unknown command.  Only `figures` and `validate-ladder` import
-the ladder and renderer modules, and only a scenario file imports
-`json`, so the other commands start without them.
+the ladder and renderer modules and `pathlib`, and only a scenario file
+imports `json`, so the other commands start without them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from pathlib import Path
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NamedTuple
-
-if TYPE_CHECKING:
-    import argparse
 
 from . import solver
 from .kinematics import Infeasible, LaunchState, ShotParams, VerticalShot, sample_trajectory
@@ -92,7 +88,8 @@ def load_scenario(path: str | None) -> Scenario:
     import json
 
     try:
-        doc = json.loads(Path(path).read_text())
+        with open(path) as file:
+            doc = json.load(file)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
@@ -151,7 +148,8 @@ def _cmd_sweep(scenario: Scenario, args) -> int:
     curves = solver.sweep_altitudes(p, altitudes, scenario.d_grid)
     csv_text = solver.sweep_csv(curves)
     if args.out:
-        Path(args.out).write_text(csv_text)
+        with open(args.out, "w") as file:
+            file.write(csv_text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(csv_text)
@@ -159,6 +157,8 @@ def _cmd_sweep(scenario: Scenario, args) -> int:
 
 
 def _cmd_figures(scenario: Scenario, args) -> int:
+    from pathlib import Path
+
     from . import figures, ladder, render
 
     out_dir = Path(args.out if args.out else scenario.output)
@@ -181,6 +181,8 @@ def _cmd_figures(scenario: Scenario, args) -> int:
 
 
 def _cmd_validate_ladder(args) -> int:
+    from pathlib import Path
+
     from . import ladder
 
     try:
@@ -195,19 +197,15 @@ def _cmd_validate_ladder(args) -> int:
     return EXIT_OK if not violations else EXIT_DOMAIN
 
 
-class Flag(NamedTuple):
+class Flag(namedtuple(
+    "Flag", "name help type dest required default nargs metavar",
+    defaults=(None, None, False, None, None, None),
+)):
     """One argument of a command: its name ("--flag", or a positional's
     dest) and the keywords of its `add_argument` call, each left out of
     the call while it has the default given here."""
 
-    name: str
-    help: str
-    type: Callable[[str], object] | None = None
-    dest: str | None = None
-    required: bool = False
-    default: object = None
-    nargs: str | None = None
-    metavar: str | None = None
+    __slots__ = ()
 
     @property
     def key(self) -> str:  # where argparse stores the value
@@ -224,12 +222,13 @@ SCENARIO_FLAGS = (
 ANGLE = Flag("--angle", "launch angle, degrees", float, required=True)
 
 
-class Command(NamedTuple):
-    help: str
-    # handler(scenario, args) when the command reads a scenario, else handler(args)
-    handler: Callable[..., int]
-    own_flags: tuple[Flag, ...] = ()
-    reads_scenario: bool = True
+class Command(namedtuple(
+    "Command", "help handler own_flags reads_scenario", defaults=((), True)
+)):
+    """A subcommand: handler(scenario, args) runs it when it reads a
+    scenario, else handler(args)."""
+
+    __slots__ = ()
 
     @property
     def flags(self) -> tuple[Flag, ...]:
@@ -259,7 +258,7 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None):
     """The CLI parser with every subcommand, or with only `command`; the
     usage line names all of them either way."""
     import argparse

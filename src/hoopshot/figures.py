@@ -11,7 +11,7 @@ blue solution, green optimum.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import solver
 from .kinematics import LaunchState, ShotParams, height_at_plane, sample_trajectory

@@ -2,14 +2,15 @@
 
 All angles are radians internally; degrees appear only at the CLI
 boundary.  Everything here is pure and deterministic.  Every other
-submodule imports this one, so it also holds what they share: the `Record`
-base of the checked records, the `Infeasible` error and the point limit.
+submodule imports this one, so it also holds what they share: the
+`checked_record` base of the checked records, the `Infeasible` error and
+the point limit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 COS_EPS = 1e-12
 # the most trajectory samples or distance-grid points one call builds
@@ -25,47 +26,24 @@ class Infeasible(ValueError):
     """Raised by an objective to mark a point as having no defined value."""
 
 
-class Record:
-    """Immutable value record, the base of every checked input record.
-    A subclass names its fields, in order, in `__slots__`, and its
-    `__init__` sets them with `_fill` before its checks.  Records of one
-    class are equal when their fields are; `repr` reads
-    `Name(field=value, ...)`.  `replace` builds the copy through
-    `__init__`, so every check runs again."""
+def checked_record(typename: str, fields: str, defaults: tuple = ()) -> type:
+    """A `collections.namedtuple` base for a checked record.  The record
+    subclasses it with `__slots__ = ()` and a `_check` method, which runs
+    on construction and in `_make`, `_replace` and `replace`.  `replace`
+    builds its copy through the constructor, so an unknown field raises
+    TypeError there and ValueError in `_replace`."""
+    base = namedtuple(typename, fields, defaults=defaults)
+    make = base._make.__func__
 
-    __slots__ = ()
+    def _make(cls, iterable):
+        record = make(cls, iterable)
+        record._check()
+        return record
 
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def replace(self, **changes):
-        """A copy with the named fields changed."""
-        return type(self)(**dict(zip(self.__slots__, self._values())) | changes)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
+    base.__init__ = lambda self, *args, **kwargs: self._check()
+    base._make = classmethod(_make)
+    base.replace = lambda self, **changes: type(self)(**self._asdict() | changes)
+    return base
 
 
 def check_distance(distance: float) -> None:
@@ -77,7 +55,9 @@ def check_distance(distance: float) -> None:
         raise ValueError(f"distance must be positive, got {distance}")
 
 
-class ShotParams(Record):
+class ShotParams(checked_record(
+    "ShotParams", "release_altitude distance hoop_height gravity", (1.7, 10.0, 3.05, 9.8)
+)):
     """Fixed scenario geometry and physics.
 
     release_altitude: height of the release point above the ground, m
@@ -86,18 +66,10 @@ class ShotParams(Record):
     gravity: gravitational acceleration, m/s^2
     """
 
-    __slots__ = ("release_altitude", "distance", "hoop_height", "gravity")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        release_altitude: float = 1.7,
-        distance: float = 10.0,
-        hoop_height: float = 3.05,
-        gravity: float = 9.8,
-    ) -> None:
-        self._fill(release_altitude, distance, hoop_height, gravity)
-        for name in self.__slots__:
-            value = getattr(self, name)
+    def _check(self) -> None:
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         check_distance(self.distance)
@@ -113,23 +85,20 @@ class ShotParams(Record):
             )
 
 
-class LaunchState(Record):
+class LaunchState(checked_record("LaunchState", "angle speed")):
     """Controllable shot inputs: launch angle (radians) and speed (m/s)."""
 
-    __slots__ = ("angle", "speed")
+    __slots__ = ()
 
-    def __init__(self, angle: float, speed: float) -> None:
-        self._fill(angle, speed)
+    def _check(self) -> None:
         if not 0.0 <= self.angle < math.pi / 2:
             raise ValueError(f"angle must be in [0, pi/2), got {self.angle}")
         if not 0.0 < self.speed < math.inf:
             raise ValueError(f"speed must be positive and finite, got {self.speed}")
 
 
-class Trajectory(NamedTuple):
-    params: ShotParams
-    launch: LaunchState
-    samples: tuple[tuple[float, float, float], ...]
+# samples: (t, x, y) tuples
+Trajectory = namedtuple("Trajectory", "params launch samples")
 
 
 def position_at(
@@ -155,7 +124,9 @@ def time_to_plane(launch: LaunchState, distance: float) -> float:
         raise VerticalShot(
             f"cos(angle)={c:.3e} below threshold; shot never reaches the plane"
         )
-    return distance / (launch.speed * c)
+    vx = launch.speed * c
+    # vx underflows to 0 for a tiny speed; the time then overflows to inf
+    return distance / vx if vx else math.inf
 
 
 def height_at_plane(params: ShotParams, launch: LaunchState) -> float:
@@ -196,4 +167,8 @@ def sample_trajectory(
     samples = tuple(
         [(t, vx * t, a + vy * t - hg * t * t) for i in range(n) for t in [t_end * i / m]]
     )
+    # every term of x and y is non-negative and monotone in t, so a finite
+    # last sample bounds all the others
+    if not all(map(math.isfinite, samples[-1])):
+        raise ValueError(f"trajectory sample is not finite: {samples[-1]}")
     return Trajectory(params, launch, samples)

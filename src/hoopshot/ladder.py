@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import enum
 import json
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
-from .kinematics import Record
+from .kinematics import checked_record
 
 RANGE_TOL = 1e-9
 
@@ -51,21 +52,13 @@ class ViolationKind(enum.Enum):
     BROKEN_PARENT_ORDER = "broken_parent_order"
 
 
-class PlotSpace(Record):
+class PlotSpace(checked_record("PlotSpace", "x_var y_var x_range y_range aspect", (1.0,))):
     """Axis variables (name, unit), their ranges, and the aspect ratio
     (y data-units per pixel over x data-units per pixel)."""
 
-    __slots__ = ("x_var", "y_var", "x_range", "y_range", "aspect")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        x_var: tuple[str, str],
-        y_var: tuple[str, str],
-        x_range: tuple[float, float],
-        y_range: tuple[float, float],
-        aspect: float = 1.0,
-    ) -> None:
-        self._fill(x_var, y_var, x_range, y_range, aspect)
+    def _check(self) -> None:
         if not self.x_range[0] < self.x_range[1]:
             raise ValueError(f"bad x_range {self.x_range}")
         if not self.y_range[0] < self.y_range[1]:
@@ -78,30 +71,20 @@ class PlotSpace(Record):
         return (self.x_var, self.y_var)
 
 
-class Stage(Record):
-    __slots__ = ("id", "panels", "roles_used", "tags", "caption", "parent")
+class Stage(checked_record("Stage", "id panels roles_used tags caption parent", (None,))):
+    __slots__ = ()
 
-    def __init__(
-        self,
-        id: int,
-        panels: tuple[PlotSpace, ...],
-        roles_used: frozenset[ColorRole],
-        tags: frozenset[StrategyTag],
-        caption: str,
-        parent: int | None = None,
-    ) -> None:
-        self._fill(id, panels, roles_used, tags, caption, parent)
+    def _check(self) -> None:
         if not self.panels:
             raise ValueError(f"stage {self.id} has no panels")
         if not self.caption:
             raise ValueError(f"stage {self.id} has no caption")
 
 
-class LadderSpec(Record):
-    __slots__ = ("stages",)
+class LadderSpec(checked_record("LadderSpec", "stages")):
+    __slots__ = ()
 
-    def __init__(self, stages: tuple[Stage, ...]) -> None:
-        self._fill(stages)
+    def _check(self) -> None:
         ids = [s.id for s in self.stages]
         if ids != list(range(1, len(ids) + 1)):
             raise ValueError(f"stage ids must be consecutive from 1, got {ids}")
@@ -115,10 +98,7 @@ class LadderSpec(Record):
         return self.stages[stage_id - 1]
 
 
-class Violation(NamedTuple):
-    kind: ViolationKind
-    stages: tuple[int, ...]
-    message: str
+Violation = namedtuple("Violation", "kind stages message")
 
 
 def _parent_chain(spec: LadderSpec, stage: Stage) -> list[Stage]:
@@ -312,10 +292,7 @@ def ladder_to_json(spec: LadderSpec) -> str:
         "stages": [
             {
                 "id": stage.id,
-                "panels": [
-                    {name: getattr(p, name) for name in PlotSpace.__slots__}
-                    for p in stage.panels
-                ],
+                "panels": [p._asdict() for p in stage.panels],
                 "roles_used": sorted(r.name for r in stage.roles_used),
                 "tags": sorted(t.name for t in stage.tags),
                 "caption": stage.caption,

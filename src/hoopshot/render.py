@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
-from .kinematics import Record
+from .kinematics import checked_record
 from .ladder import RANGE_TOL, ColorRole, PlotSpace
 
 PALETTE = {
@@ -74,32 +74,22 @@ DASH_PATTERNS = {
 }
 
 
-class Style(Record):
-    __slots__ = ("color_role", "dash", "width")
+class Style(checked_record("Style", "color_role dash width", (Dash.SOLID, 1.5))):
+    __slots__ = ()
 
-    def __init__(
-        self, color_role: ColorRole, dash: Dash = Dash.SOLID, width: float = 1.5
-    ) -> None:
-        self._fill(color_role, dash, width)
+    def _check(self) -> None:
         if self.width <= 0:
             raise ValueError(f"stroke width must be positive, got {self.width}")
 
 
-class Mark(Record):
-    """One drawable element, in the panel's data coordinates."""
+class Mark(checked_record("Mark", "kind style points value text size", ((), 0.0, "", 3.0))):
+    """One drawable element, in the panel's data coordinates.  value is
+    the x position of a VLINE and the y position of an HLINE; size is the
+    radius of a POINT in pixels."""
 
-    __slots__ = ("kind", "style", "points", "value", "text", "size")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        kind: MarkKind,
-        style: Style,
-        points: tuple[tuple[float, float], ...] = (),
-        value: float = 0.0,  # VLINE: x position; HLINE: y position
-        text: str = "",
-        size: float = 3.0,  # POINT radius in pixels
-    ) -> None:
-        self._fill(kind, style, points, value, text, size)
+    def _check(self) -> None:
         if self.kind is MarkKind.POLYLINE and len(self.points) < 2:
             raise ValueError("polyline needs at least 2 vertices")
         if self.kind in (MarkKind.POINT, MarkKind.TEXT) and len(self.points) != 1:
@@ -128,10 +118,7 @@ def hline(y: float, style: Style) -> Mark:
     return Mark(kind=MarkKind.HLINE, value=y, style=style)
 
 
-class Panel(NamedTuple):
-    space: PlotSpace
-    marks: tuple[Mark, ...]
-    title: str = ""
+Panel = namedtuple("Panel", "space marks title", defaults=("",))
 
 
 class Layout(enum.Enum):
@@ -140,17 +127,13 @@ class Layout(enum.Enum):
     STACKED_SHARED_X = "stacked_shared_x"
 
 
-class Scene(NamedTuple):
-    panels: tuple[Panel, ...]
-    layout: Layout = Layout.SINGLE
-    size: tuple[float, float] = DEFAULT_SIZE
+Scene = namedtuple("Scene", "panels layout size", defaults=(Layout.SINGLE, DEFAULT_SIZE))
 
 
-class LinearScale(Record):
-    __slots__ = ("domain", "range")
+class LinearScale(checked_record("LinearScale", "domain range")):
+    __slots__ = ()
 
-    def __init__(self, domain: tuple[float, float], range: tuple[float, float]) -> None:
-        self._fill(domain, range)
+    def _check(self) -> None:
         if not self.domain[0] < self.domain[1]:
             raise ValueError(f"bad domain {self.domain}")
         if self.range[0] == self.range[1]:

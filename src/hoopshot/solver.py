@@ -14,7 +14,8 @@ the tests check it against golden-section search and a grid scan.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .kinematics import MAX_GRID_POINTS, Infeasible, ShotParams, check_distance
 
@@ -26,32 +27,28 @@ class InfeasibleAngle(Infeasible):
     """No finite speed reaches the hoop at this angle."""
 
 
-class VelocityRequirement(NamedTuple):
+class VelocityRequirement(namedtuple("VelocityRequirement", "angle speed")):
     """Required speed at one angle; speed is None when infeasible."""
 
-    angle: float
-    speed: float | None
+    __slots__ = ()
 
     @property
     def feasible(self) -> bool:
         return self.speed is not None
 
 
-class AngleCurve(NamedTuple):
-    params: ShotParams
-    points: tuple[VelocityRequirement, ...]
+# points: a VelocityRequirement per grid angle
+AngleCurve = namedtuple("AngleCurve", "params points")
 
 
-class Optimum(NamedTuple):
+class Optimum(namedtuple("Optimum", "angle speed")):
     """Angle minimizing the required speed, and that minimal speed."""
 
-    angle: float
-    speed: float
+    __slots__ = ()
 
 
-class OptimumCurve(NamedTuple):
-    release_altitude: float
-    entries: tuple[tuple[float, Optimum], ...]
+# entries: (distance, Optimum) pairs
+OptimumCurve = namedtuple("OptimumCurve", "release_altitude entries")
 
 
 def required_velocity(params: ShotParams, angle: float) -> float:
@@ -59,16 +56,7 @@ def required_velocity(params: ShotParams, angle: float) -> float:
     the hoop height.  Raises InfeasibleAngle at or below the feasibility
     angle, where the denominator of the closed form is non-positive, and
     ValueError when the speed overflows to a non-finite value."""
-    return _hoop_speed(*_values(params), angle)
-
-
-def _values(params: ShotParams) -> tuple[float, float, float, float]:
-    return (
-        params.release_altitude,
-        params.distance,
-        params.hoop_height,
-        params.gravity,
-    )
+    return _hoop_speed(*params, angle)
 
 
 def _hoop_speed(a: float, d: float, h: float, g: float, angle: float) -> float:
@@ -91,7 +79,7 @@ def _hoop_speed(a: float, d: float, h: float, g: float, angle: float) -> float:
 
 def feasibility_angle(params: ShotParams) -> float:
     """atan((h-a)/d); negative when releasing above the hoop."""
-    a, d, h, _ = _values(params)
+    a, d, h, _ = params
     return _feasibility(a, d, h)
 
 
@@ -109,12 +97,11 @@ def angle_curve(
         raise ValueError(f"need angle_lo < angle_hi, got {angle_lo}, {angle_hi}")
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
-    values = _values(params)
     points = []
     for i in range(n):
         angle = angle_lo + (angle_hi - angle_lo) * i / (n - 1)
         try:
-            speed: float | None = _hoop_speed(*values, angle)
+            speed: float | None = _hoop_speed(*params, angle)
         except InfeasibleAngle:
             speed = None
         points.append(VelocityRequirement(angle, speed))
@@ -125,7 +112,7 @@ def optimal_angle(params: ShotParams) -> Optimum:
     """Angle requiring the softest hoop-reaching shot: pi/4 + phi/2, phi
     the feasibility angle, where v^2 = g*(sqrt(d^2 + (h-a)^2) + (h-a))
     (Brancazio, Am. J. Phys. 49, 356, 1981)."""
-    return _optimum(*_values(params))
+    return _optimum(*params)
 
 
 def _optimum(a: float, d: float, h: float, g: float) -> Optimum:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from hoopshot.kinematics import Infeasible, Record
+from hoopshot.kinematics import Infeasible, checked_record
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -29,11 +29,10 @@ class AllInfeasible(ValueError):
     pass
 
 
-class Bracket(Record):
-    __slots__ = ("lo", "hi")
+class Bracket(checked_record("Bracket", "lo hi")):
+    __slots__ = ()
 
-    def __init__(self, lo: float, hi: float) -> None:
-        self._fill(lo, hi)
+    def _check(self) -> None:
         if not self.lo < self.hi:
             raise InvalidBracket(f"need lo < hi, got [{self.lo}, {self.hi}]")
 

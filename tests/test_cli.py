@@ -103,6 +103,12 @@ class TestTrajectory:
         run(["trajectory", "--angle", "30", "--speed", "15"])
         assert capsys.readouterr().out == first
 
+    def test_speed_too_small_to_reach_the_plane_ends_at_the_ground(self):
+        argv = ["trajectory", "--angle", "89.99999999", "--speed", "1e-320", "--samples", "3"]
+        code, out, err = run_captured(argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].endswith(",0.000000,0.000000")
+
     def test_too_many_samples_exits_2(self):
         # the distance grid's 100,000-point limit bounds the samples too
         argv = ["trajectory", "--angle", "30", "--speed", "15", "--samples", "100001"]
@@ -395,6 +401,7 @@ class TestScenarioHandling:
             "optimize --distance nan",
             "optimize --distance inf",
             "optimize --gravity 1e308",
+            "trajectory --angle 45 --speed 1e-300 --gravity 1e308",
         ],
         ids=lambda argv: argv.replace(" ", "_"),
     )

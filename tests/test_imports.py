@@ -28,30 +28,37 @@ HEAVY = (
     "gettext",
     "locale",
 )
+# what a clean interpreter (python -S) has not loaded, and the plain
+# commands must not load: `typing` or `pathlib` alone adds ~30 ms to start-up
+STARTUP = ("typing", "pathlib", "importlib", "re", "enum")
+PLAIN = (["optimize"], ["sweep"], ["velocity", "--angle", "60"],
+         ["trajectory", "--angle", "30", "--speed", "15"])
 PROBE = f"""
-import contextlib, io, sys
-heavy = {HEAVY!r}
+import io, sys
+unwanted = {HEAVY + STARTUP!r}
+print(sorted(m for m in unwanted if m in sys.modules))
 import hoopshot.cli
-print(sorted(m for m in heavy if m in sys.modules))
-with contextlib.redirect_stdout(io.StringIO()):
-    code = hoopshot.cli.run(["optimize"])
-print(code, sorted(m for m in heavy if m in sys.modules))
-with contextlib.redirect_stdout(io.StringIO()):
-    code = hoopshot.cli.run(["sweep"])
-print(code, sorted(m for m in heavy if m in sys.modules))
+print(sorted(m for m in unwanted if m in sys.modules))
+for argv in {PLAIN!r}:
+    sys.stdout = io.StringIO()
+    code = hoopshot.cli.run(argv)
+    sys.stdout = sys.__stdout__
+    print(code, sorted(m for m in unwanted if m in sys.modules))
 """
 
 
 def test_cli_and_optimize_skip_the_renderer_stack():
-    # a fresh interpreter: this test process has imported everything already
+    # a fresh interpreter: this test process has imported everything
+    # already; -S, because a site-packages .pth file may import typing,
+    # pathlib, re or enum at start-up and so hide them
     result = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-S", "-c", PROBE],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
     )
-    assert result.stdout.splitlines() == ["[]", "0 []", "0 []"]
+    assert result.stdout.splitlines() == ["[]", "[]"] + ["0 []"] * len(PLAIN)
 
 
 def test_every_exported_name_resolves():

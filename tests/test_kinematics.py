@@ -57,6 +57,15 @@ class TestTimeToPlane:
         with pytest.raises(VerticalShot):
             time_to_plane(near_vertical, 10.0)
 
+    def test_underflowing_horizontal_speed_never_reaches_the_plane(self):
+        # speed * cos(angle) underflows to 0 though cos(angle) is above
+        # the threshold: the crossing time overflows, and inf is its value
+        launch = LaunchState(math.radians(89.99999999), 1e-320)
+        assert time_to_plane(launch, 10.0) == math.inf
+        traj = sample_trajectory(DEFAULTS, launch, n=5)
+        assert traj.samples[-1][0] == ground_impact_time(DEFAULTS, launch)
+        assert traj.samples[-1][2] == pytest.approx(0.0, abs=1e-9)
+
 
 class TestHeightAtPlane:
     def test_hoop_reaching_speed_hits_hoop(self):
@@ -117,6 +126,12 @@ class TestSampleTrajectory:
             assert type(s) is tuple
             expected = (s[0], *position_at(params, launch, s[0]))
             assert list(map(float.hex, s)) == list(map(float.hex, expected))
+
+    def test_overflowing_sample_rejected(self):
+        # 2*g*a overflows, so the ground time is inf and y ends at -inf
+        params = ShotParams(gravity=1e308)
+        with pytest.raises(ValueError, match="trajectory sample is not finite"):
+            sample_trajectory(params, LaunchState(math.pi / 4, 1e-300), n=3)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):

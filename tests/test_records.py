@@ -2,6 +2,7 @@
 immutability, and `replace` running every constructor check again."""
 
 import copy
+import inspect
 import math
 import pickle
 
@@ -242,3 +243,46 @@ def test_replace_changes_only_the_named_fields():
     assert ShotParams().replace(distance=11.0) == ShotParams(distance=11.0)
     with pytest.raises(TypeError):
         ShotParams().replace(no_such_field=1.0)
+
+
+@pytest.mark.parametrize(
+    "record, changes, message",
+    REPLACE_CASES,
+    ids=[type(record).__name__ for record, _, _ in REPLACE_CASES],
+)
+def test_make_and_replace_raise_the_constructor_message(record, changes, message):
+    values = record._asdict() | changes
+    with pytest.raises(ValueError, match=message) as built:
+        type(record)(**values)
+    for rebuild in (lambda: record._replace(**changes), lambda: record._make(values.values())):
+        with pytest.raises(ValueError) as raised:
+            rebuild()
+        assert str(raised.value) == str(built.value)
+
+
+# each checked record's constructor signature: its fields and defaults
+SIGNATURES = {
+    ShotParams: "(release_altitude=1.7, distance=10.0, hoop_height=3.05, gravity=9.8)",
+    LaunchState: "(angle, speed)",
+    Bracket: "(lo, hi)",
+    PlotSpace: "(x_var, y_var, x_range, y_range, aspect=1.0)",
+    Stage: "(id, panels, roles_used, tags, caption, parent=None)",
+    LadderSpec: "(stages)",
+    Style: "(color_role, dash=<Dash.SOLID: 'solid'>, width=1.5)",
+    Mark: "(kind, style, points=(), value=0.0, text='', size=3.0)",
+    LinearScale: "(domain, range)",
+}
+
+
+@pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
+def test_signature_names_each_field_and_default(cls):
+    assert str(inspect.signature(cls)) == SIGNATURES[cls]
+
+
+def test_checked_records_are_tuples():
+    params = ShotParams(distance=11.0)
+    a, d, h, g = params
+    assert params == (a, d, h, g) == (1.7, 11.0, 3.05, 9.8) and params[1] == d
+    assert params._asdict() == {
+        "release_altitude": 1.7, "distance": 11.0, "hoop_height": 3.05, "gravity": 9.8
+    }
