@@ -5,9 +5,12 @@ Exit codes: 0 success, 1 domain error (infeasible query, validation
 violations), 2 usage or scenario-parse error.
 
 Scenario files are JSON with top-level keys `params` (a, d, h, g),
-`velocities`, `altitudes`, `d_grid` (lo, hi, step), and `output`; any
-other key, or a value of another JSON type, is a scenario error.  Flags
-override file values.  The defaults live where they are used: params in
+`velocities`, `altitudes`, `d_grid` (lo, hi, step), and `output`.  They
+and ladder specs are read by `kinematics.json_value` and `json_object`:
+an unknown key, a missing required one (`d_grid` lo and hi), a value of
+another JSON type or a number that is not finite or does not fit a
+float exits 2 with one line naming the key path.  Flags override file
+values.  The defaults live where they are used: params in
 `kinematics.ShotParams`; velocities, altitudes and the distance grid
 (with its validation) in `solver`, so a key the file leaves out takes
 that default.
@@ -30,6 +33,7 @@ from types import SimpleNamespace
 
 from . import solver
 from .kinematics import Infeasible, LaunchState, ShotParams, VerticalShot, sample_trajectory
+from .kinematics import json_object, json_value
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -53,32 +57,10 @@ class Scenario:
         self.output = "figures"
 
 
-class ScenarioError(ValueError):
-    pass
-
-
-def _object(value, what: str, keys) -> dict:
-    """value if it is a JSON object with no key outside keys."""
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{what} must be a JSON object, got {value!r}")
-    for key in value:
-        if key not in keys:
-            raise ScenarioError(f"{what} has unknown key {key!r}; known: {', '.join(keys)}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """value as a float, if it is a JSON number (true and false are not)."""
-    fits = type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
-    if not fits:
-        raise ScenarioError(f"{what} must be a JSON number that fits a float, got {value!r}")
-    return float(value)
-
-
 def _numbers(value, what: str) -> list[float]:
-    if not isinstance(value, list) or not value:
-        raise ScenarioError(f"{what} must be a non-empty JSON list, got {value!r}")
-    return [_number(v, f"{what}[{i}]") for i, v in enumerate(value)]
+    if not json_value(value, list, what):
+        raise ValueError(f"{what} must be a non-empty JSON list, got []")
+    return [json_value(v, float, f"{what}[{i}]") for i, v in enumerate(value)]
 
 
 def load_scenario(path: str | None) -> Scenario:
@@ -90,31 +72,25 @@ def load_scenario(path: str | None) -> Scenario:
     try:
         with open(path) as file:
             doc = json.load(file)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        doc = _object(doc, f"scenario file {path}", SCENARIO_KEYS)
-        if "params" in doc:
-            p = _object(doc["params"], "params", PARAM_FIELDS)
-            scenario.params = scenario.params.replace(
-                **{PARAM_FIELDS[k]: _number(v, f"params.{k}") for k, v in p.items()}
-            )
-        if "velocities" in doc:
-            scenario.velocities = _numbers(doc["velocities"], "velocities")
-        if "altitudes" in doc:
-            scenario.altitudes = _numbers(doc["altitudes"], "altitudes")
-        if "d_grid" in doc:
-            g = _object(doc["d_grid"], "d_grid", ("lo", "hi", "step"))
-            g = {k: _number(v, f"d_grid.{k}") for k, v in g.items()}
-            scenario.d_grid = solver.default_d_grid(g.pop("lo"), g.pop("hi"), **g)
-        if "output" in doc:
-            if not isinstance(doc["output"], str):
-                raise ScenarioError(f"output must be a JSON string, got {doc['output']!r}")
-            scenario.output = doc["output"]
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"bad scenario file {path}: {exc}") from exc
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read scenario file {path}: {exc}") from exc
+    doc = json_object(doc, f"scenario file {path}", SCENARIO_KEYS)
+    if "params" in doc:
+        p = json_object(doc["params"], "params", PARAM_FIELDS)
+        scenario.params = scenario.params.replace(
+            **{PARAM_FIELDS[k]: json_value(v, float, f"params.{k}") for k, v in p.items()}
+        )
+    if "velocities" in doc:
+        scenario.velocities = _numbers(doc["velocities"], "velocities")
+    if "altitudes" in doc:
+        scenario.altitudes = _numbers(doc["altitudes"], "altitudes")
+    if "d_grid" in doc:
+        g = json_object(doc["d_grid"], "d_grid", ("lo", "hi", "step"), ("lo", "hi"))
+        scenario.d_grid = solver.default_d_grid(
+            **{k: json_value(v, float, f"d_grid.{k}") for k, v in g.items()}
+        )
+    if "output" in doc:
+        scenario.output = json_value(doc["output"], str, "output")
     return scenario
 
 
@@ -187,7 +163,7 @@ def _cmd_validate_ladder(args) -> int:
 
     try:
         spec = ladder.ladder_from_json(Path(args.file).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         print(f"cannot load ladder spec {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     violations = ladder.validate_ladder(spec)
@@ -341,7 +317,7 @@ def run(argv: list[str] | None = None) -> int:
         scenario = load_scenario(args.scenario)
         given = {k: v for k in PARAM_FIELDS.values() if (v := getattr(args, k)) is not None}
         scenario.params = scenario.params.replace(**given)
-    except ValueError as exc:  # a ScenarioError, or a flag value ShotParams rejects
+    except ValueError as exc:  # a bad scenario file, or a flag value ShotParams rejects
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

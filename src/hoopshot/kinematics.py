@@ -3,13 +3,15 @@
 All angles are radians internally; degrees appear only at the CLI
 boundary.  Everything here is pure and deterministic.  Every other
 submodule imports this one, so it also holds what they share: the
-`checked_record` base of the checked records, the `Infeasible` error and
-the point limit.
+`checked_record` base of the checked records, the `Infeasible` error,
+the point limit, and `json_value` and `json_object`, which check every
+value the CLI reads from a JSON input file.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 COS_EPS = 1e-12
@@ -44,6 +46,32 @@ def checked_record(typename: str, fields: str, defaults: tuple = ()) -> type:
     base._make = classmethod(_make)
     base.replace = lambda self, **changes: type(self)(**self._asdict() | changes)
     return base
+
+
+# the kinds of `json_value`, as its messages name them; float is any number
+_JSON_KINDS = {dict: "object", list: "list", str: "string", int: "integer that fits a float",
+              float: "number that is finite and fits a float"}
+
+
+def json_value(value, kind: type, what: str):
+    """value if it is a JSON value of `kind` (float: any number, returned
+    as a float; true and false are none), else ValueError naming `what`."""
+    ok = type(value) is kind or kind is float and type(value) is int
+    if not ok or kind in (int, float) and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r:.60}")
+    return float(value) if kind is float else value
+
+
+def json_object(value, what: str, keys, required=()) -> dict:
+    """value if it is a JSON object with every key of `required` and no
+    key outside `keys`, else ValueError naming `what`."""
+    for key in json_value(value, dict, what):
+        if key not in keys:
+            raise ValueError(f"{what} has unknown key {key!r:.60}; known: {', '.join(keys)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{what} is missing key {key!r}")
+    return value
 
 
 def check_distance(distance: float) -> None:
@@ -136,14 +164,19 @@ def height_at_plane(params: ShotParams, launch: LaunchState) -> float:
     hoop-reaching solution for this angle.
     """
     t = time_to_plane(launch, params.distance)
-    return position_at(params, launch, t)[1]
+    # an infinite crossing time: the ball has fallen without end
+    return position_at(params, launch, t)[1] if t < math.inf else -math.inf
 
 
 def ground_impact_time(params: ShotParams, launch: LaunchState) -> float:
     """Larger root of y(t) = 0: when the ball would hit the ground."""
     vy = launch.speed * math.sin(launch.angle)
     g = params.gravity
-    return (vy + math.sqrt(vy * vy + 2.0 * g * params.release_altitude)) / g
+    t = (vy + math.sqrt(vy * vy + 2.0 * g * params.release_altitude)) / g
+    if t == math.inf:  # vy*vy or 2*g*a overflowed: the same root over s = sqrt(g)
+        s = math.sqrt(g)
+        t = (vy / s + math.hypot(vy / s, math.sqrt(2.0 * params.release_altitude))) / s
+    return t
 
 
 def sample_trajectory(

@@ -11,16 +11,21 @@ R2  A color role reused by a stage must have been introduced somewhere
 R3  The ranks of newly introduced color roles are non-decreasing along
     the stage order: colors climb, they never fall back.
 R4  A stage's parent must come before it.
+
+`ladder_from_json` reads a spec with the readers of scenario files,
+`kinematics.json_value` and `json_object`: a stage or panel key missing,
+an unknown key or a bad value raises ValueError naming its key path.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .kinematics import checked_record
+from .kinematics import checked_record, json_object, json_value
 
 RANGE_TOL = 1e-9
 
@@ -59,10 +64,11 @@ class PlotSpace(checked_record("PlotSpace", "x_var y_var x_range y_range aspect"
     __slots__ = ()
 
     def _check(self) -> None:
-        if not self.x_range[0] < self.x_range[1]:
-            raise ValueError(f"bad x_range {self.x_range}")
-        if not self.y_range[0] < self.y_range[1]:
-            raise ValueError(f"bad y_range {self.y_range}")
+        for name, (lo, hi) in (("x_range", self.x_range), ("y_range", self.y_range)):
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"bad {name} {(lo, hi)}")
+        if not math.isfinite(self.aspect):
+            raise ValueError(f"aspect must be finite, got {self.aspect}")
         if self.aspect <= 0:
             raise ValueError(f"aspect must be positive, got {self.aspect}")
 
@@ -226,62 +232,45 @@ def validate_ladder(spec: LadderSpec) -> list[Violation]:
 
 # --- JSON serialization ------------------------------------------------
 
-_NUMBER = (int, float)
-_JSON_TYPES = {
-    dict: "an object", list: "a list", str: "a string", int: "an integer",
-    _NUMBER: "a number",
-}
-
-
-def _typed(value, kind, what: str):
-    """value if it is of the JSON type `kind` (a key of _JSON_TYPES),
-    else ValueError."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r:.60}")
-    return value
-
-
 def _pair(value, kind, what: str) -> tuple:
-    items = _typed(value, list, what)
+    items = json_value(value, list, what)
     if len(items) != 2:
         raise ValueError(f"{what} must have 2 items, got {len(items)}")
-    return tuple(_typed(v, kind, what) for v in items)
+    return tuple(json_value(v, kind, f"{what}[{i}]") for i, v in enumerate(items))
 
 
 def _members(enum_type, names, what: str) -> frozenset:
-    members = set()
-    for name in _typed(names, list, what):
-        if not isinstance(name, str) or name not in enum_type.__members__:
-            raise ValueError(f"{what}: unknown {enum_type.__name__} {name!r}")
-        members.add(enum_type[name])
-    return frozenset(members)
+    names = json_value(names, list, what)
+    for i, name in enumerate(names):
+        if json_value(name, str, f"{what}[{i}]") not in enum_type.__members__:
+            raise ValueError(f"{what}[{i}]: unknown {enum_type.__name__} {name!r:.60}")
+    return frozenset(enum_type[name] for name in names)
 
 
 def _space_from_dict(data, what: str) -> PlotSpace:
-    data = _typed(data, dict, what)
+    data = json_object(data, what, PlotSpace._fields, PlotSpace._fields)
     return PlotSpace(
-        x_var=_pair(data["x_var"], str, f"{what} x_var"),
-        y_var=_pair(data["y_var"], str, f"{what} y_var"),
-        x_range=_pair(data["x_range"], _NUMBER, f"{what} x_range"),
-        y_range=_pair(data["y_range"], _NUMBER, f"{what} y_range"),
-        aspect=_typed(data["aspect"], _NUMBER, f"{what} aspect"),
+        x_var=_pair(data["x_var"], str, f"{what}.x_var"),
+        y_var=_pair(data["y_var"], str, f"{what}.y_var"),
+        x_range=_pair(data["x_range"], float, f"{what}.x_range"),
+        y_range=_pair(data["y_range"], float, f"{what}.y_range"),
+        aspect=json_value(data["aspect"], float, f"{what}.aspect"),
     )
 
 
-def _stage_from_dict(item, index: int) -> Stage:
-    what = f"stages[{index}]"
-    item = _typed(item, dict, what)
+def _stage_from_dict(item, what: str) -> Stage:
+    item = json_object(item, what, Stage._fields, Stage._fields)
     parent = item["parent"]
     return Stage(
-        id=_typed(item["id"], int, f"{what} id"),
+        id=json_value(item["id"], int, f"{what}.id"),
         panels=tuple(
-            _space_from_dict(p, f"{what} panels[{i}]")
-            for i, p in enumerate(_typed(item["panels"], list, f"{what} panels"))
+            _space_from_dict(p, f"{what}.panels[{i}]")
+            for i, p in enumerate(json_value(item["panels"], list, f"{what}.panels"))
         ),
-        roles_used=_members(ColorRole, item["roles_used"], f"{what} roles_used"),
-        tags=_members(StrategyTag, item["tags"], f"{what} tags"),
-        caption=_typed(item["caption"], str, f"{what} caption"),
-        parent=None if parent is None else _typed(parent, int, f"{what} parent"),
+        roles_used=_members(ColorRole, item["roles_used"], f"{what}.roles_used"),
+        tags=_members(StrategyTag, item["tags"], f"{what}.tags"),
+        caption=json_value(item["caption"], str, f"{what}.caption"),
+        parent=None if parent is None else json_value(parent, int, f"{what}.parent"),
     )
 
 
@@ -306,12 +295,7 @@ def ladder_to_json(spec: LadderSpec) -> str:
 
 def ladder_from_json(text: str) -> LadderSpec:
     """Parse the JSON form of a LadderSpec.  Invalid JSON or a document
-    not of that form raises ValueError with a one-line message."""
-    doc = _typed(json.loads(text), dict, "ladder spec")
-    try:
-        items = _typed(doc["stages"], list, "stages")
-        return LadderSpec(
-            stages=tuple(_stage_from_dict(item, i) for i, item in enumerate(items))
-        )
-    except KeyError as exc:
-        raise ValueError(f"ladder spec is missing key {exc}") from None
+    not of that form raises ValueError with one line naming the key path."""
+    doc = json_object(json.loads(text), "ladder spec", ("stages",), ("stages",))
+    items = json_value(doc["stages"], list, "stages")
+    return LadderSpec(tuple(_stage_from_dict(item, f"stages[{i}]") for i, item in enumerate(items)))

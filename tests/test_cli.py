@@ -1,7 +1,11 @@
+import copy
 import io
 import json
+import math
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +33,57 @@ FLOAT_FLAG_CALLS = [
     "trajectory --angle=30 --speed={value} --samples=5",
     "sweep --scenario={out}/small.json --altitudes={value}",
 ]
+
+
+# the two JSON inputs in full: a scenario file with every key, and the
+# default ladder spec
+FULL_SCENARIO = {
+    "params": {"a": 1.7, "d": 10, "h": 3.05, "g": 9.8},
+    "velocities": [5, 10],
+    "altitudes": [1.2, 1.7],
+    "d_grid": {"lo": 1, "hi": 3, "step": 0.5},
+    "output": "figs",
+}
+LADDER = json.loads((Path(__file__).parent / "golden" / "ladder.json").read_text())
+# any JSON value: NaN, +-Infinity and ints too large for a float included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers(-3, 20) | st.floats()
+    | st.sampled_from([10**400, -(10**400)]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _key_paths(value, path=()):
+    """Every key path in a JSON value, its own () first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _key_paths(item, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _conforms(new, old, key=None) -> bool:
+    """new, put where the valid value old sits under key, passes the
+    reader's policy: a number that is finite and fits a float where old
+    is a number, a stage's parent null or a number, else old's JSON
+    kind, item by item in a list and with none but old's keys in an
+    object."""
+    if key == "parent":
+        return new is None or _conforms(new, 0)
+    if type(old) in (int, float):
+        return type(new) in (int, float) and abs(new) <= sys.float_info.max
+    if type(old) is list:
+        return type(new) is list and all(_conforms(v, old[0]) for v in new)
+    if type(old) is dict:
+        return type(new) is dict and all(k in old and _conforms(v, old[k], k) for k, v in new.items())
+    return type(new) is type(old)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +163,14 @@ class TestTrajectory:
         code, out, err = run_captured(argv)
         assert (code, err) == (0, "")
         assert out.splitlines()[-1].endswith(",0.000000,0.000000")
+
+    def test_huge_gravity_and_tiny_speed_end_at_the_ground(self):
+        # the ground time sqrt(2a/g) is finite though 2*g*a overflows
+        argv = "trajectory --angle 45 --speed 1e-300 --gravity 1e308 --samples 3".split()
+        code, out, err = run_captured(argv)
+        assert (code, err) == (0, "")
+        assert not NON_FINITE.search(out)
+        assert [float(v) for v in out.splitlines()[-1].split(",")] == [0.0, 0.0, 0.0]
 
     def test_too_many_samples_exits_2(self):
         # the distance grid's 100,000-point limit bounds the samples too
@@ -285,22 +348,30 @@ class TestValidateLadder:
             pytest.param(("tags", "EXPAND_YEARS"), id="retired-strategy-tag"),
             pytest.param("panels", id="panel-not-object"),
             pytest.param("x_range", id="range-not-numbers"),
+            pytest.param(
+                lambda stage: stage["panels"][0].update(x_range=[0, 10**400]),
+                id="range-401-digit-int",
+            ),
+            pytest.param(lambda stage: stage["panels"][0].update(aspect=math.nan), id="aspect-nan"),
+            pytest.param(lambda stage: stage.update(parnet=3), id="stage-unknown-key"),
         ],
     )
     def test_malformed_spec_exits_2(self, tmp_path, doc):
         if isinstance(doc, str):
             doc = (doc, "NO_SUCH_NAME")
-        if isinstance(doc, tuple):  # one field of a valid spec broken
+        if isinstance(doc, tuple) or callable(doc):  # one field of a valid spec broken
             from hoopshot.figures import build_basketball_ladder
             from hoopshot.ladder import ladder_to_json
 
-            field, bad_name = doc
             spec, _ = build_basketball_ladder(d_grid=[2.0, 3.0])
             broken = json.loads(ladder_to_json(spec))
             stage = broken["stages"][1]
-            if field == "x_range":
+            if callable(doc):
+                doc(stage)
+            elif doc[0] == "x_range":
                 stage["panels"][0]["x_range"] = ["0", "1"]
             else:
+                field, bad_name = doc
                 stage[field] = [*stage[field][:1], bad_name]
             doc = broken
         path = tmp_path / "spec.json"
@@ -309,6 +380,13 @@ class TestValidateLadder:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_too_deeply_nested_spec_exits_2(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"stages": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, _, err = run_captured(["validate-ladder", str(path)])
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestScenarioHandling:
@@ -343,6 +421,9 @@ class TestScenarioHandling:
             pytest.param(
                 '{"d_grid": {"lo": 1, "hi": 3, "stp": 0.5}}', id="d_grid-unknown-key"
             ),
+            pytest.param('{"d_grid": {"hi": 3}}', id="d_grid-no-lo"),
+            # deeper than the JSON decoder's recursion limit
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
         ],
     )
     def test_bad_scenario_exits_2(self, tmp_path, text):
@@ -375,6 +456,11 @@ class TestScenarioHandling:
             pytest.param(
                 '{"params": {"d": 1%s}}' % ("0" * 400), "params.d", id="params-401-digit-int"
             ),
+            pytest.param('{"params": {"d": NaN}}', "params.d", id="params-nan"),
+            pytest.param(
+                '{"velocities": [5, -Infinity]}', "velocities[1]", id="velocities-minus-inf"
+            ),
+            pytest.param('{"d_grid": {"lo": 1, "hi": 1e400}}', "d_grid.hi", id="d_grid-hi-1e400"),
         ],
     )
     def test_value_of_wrong_type_exits_2_naming_the_key(self, tmp_path, text, key):
@@ -401,7 +487,7 @@ class TestScenarioHandling:
             "optimize --distance nan",
             "optimize --distance inf",
             "optimize --gravity 1e308",
-            "trajectory --angle 45 --speed 1e-300 --gravity 1e308",
+            "trajectory --angle 89 --speed 1e10 --distance 1e308 --gravity 1e-300",
         ],
         ids=lambda argv: argv.replace(" ", "_"),
     )
@@ -410,6 +496,38 @@ class TestScenarioHandling:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert not NON_FINITE.search(out)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        data=st.data(), ladder=st.booleans(), add_key=st.booleans(), value=JSON_VALUES
+    )
+    def test_any_json_value_keeps_exit_contract(self, contract_dir, data, ladder, add_key, value):
+        # one value of a valid scenario file or ladder spec replaced, or
+        # one key added; exit 0 (or a domain exit 1) only for a value
+        # that passes the reader's policy
+        doc = copy.deepcopy(LADDER if ladder else FULL_SCENARIO)
+        paths = [p for p in _key_paths(doc) if not add_key or type(_at(doc, p)) is dict]
+        path = data.draw(st.sampled_from(paths), label="path")
+        if add_key:
+            target = _at(doc, path)
+            target[data.draw(st.text(max_size=3).filter(lambda k: k not in target))] = value
+            conforms = False
+        elif path:
+            target = _at(doc, path[:-1])
+            conforms = _conforms(value, target[path[-1]], path[-1])
+            target[path[-1]] = value
+        else:
+            conforms, doc = _conforms(value, doc), value
+        file = contract_dir / "input.json"
+        file.write_text(json.dumps(doc))
+        argv = ["validate-ladder", str(file)] if ladder else ["optimize", "--scenario", str(file)]
+        code, out, err = run_captured(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert len(err.strip().splitlines()) == 1
+        else:
+            assert conforms, (code, err)
 
     @settings(deadline=None, max_examples=300)
     @given(call=st.sampled_from(FLOAT_FLAG_CALLS), value=st.floats())

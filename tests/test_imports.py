@@ -1,5 +1,6 @@
 """Start-up cost: which modules the CLI and the package pull in."""
 
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +34,13 @@ HEAVY = (
 STARTUP = ("typing", "pathlib", "importlib", "re", "enum")
 PLAIN = (["optimize"], ["sweep"], ["velocity", "--angle", "60"],
          ["trajectory", "--angle", "30", "--speed", "15"])
+# what reading a scenario file must not load, and what it does load: json,
+# with the re and enum that json pulls in
+SCENARIO_UNWANTED = ("hoopshot.ladder", "hoopshot.render", "hoopshot.figures", "argparse",
+                     "pathlib", "typing", "importlib")
+SCENARIO_LOADS = ("json", "re", "enum")
+SCENARIO = {"params": {"a": 2.0}, "velocities": [5], "altitudes": [1.7],
+            "d_grid": {"lo": 1, "hi": 3}, "output": "figs"}
 PROBE = f"""
 import io, sys
 unwanted = {HEAVY + STARTUP!r}
@@ -44,21 +52,28 @@ for argv in {PLAIN!r}:
     code = hoopshot.cli.run(argv)
     sys.stdout = sys.__stdout__
     print(code, sorted(m for m in unwanted if m in sys.modules))
+sys.stdout = io.StringIO()
+code = hoopshot.cli.run(["optimize", "--scenario", sys.argv[1]])
+sys.stdout = sys.__stdout__
+print(code, sorted(m for m in {SCENARIO_UNWANTED!r} if m in sys.modules),
+      all(m in sys.modules for m in {SCENARIO_LOADS!r}))
 """
 
 
-def test_cli_and_optimize_skip_the_renderer_stack():
+def test_cli_and_optimize_skip_the_renderer_stack(tmp_path):
     # a fresh interpreter: this test process has imported everything
     # already; -S, because a site-packages .pth file may import typing,
     # pathlib, re or enum at start-up and so hide them
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO))
     result = subprocess.run(
-        [sys.executable, "-S", "-c", PROBE],
+        [sys.executable, "-S", "-c", PROBE, str(scenario)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
     )
-    assert result.stdout.splitlines() == ["[]", "[]"] + ["0 []"] * len(PLAIN)
+    assert result.stdout.splitlines() == ["[]", "[]"] + ["0 []"] * len(PLAIN) + ["0 [] True"]
 
 
 def test_every_exported_name_resolves():

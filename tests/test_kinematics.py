@@ -68,6 +68,13 @@ class TestTimeToPlane:
 
 
 class TestHeightAtPlane:
+    @pytest.mark.parametrize("speed", [1e-300, 1e-320])
+    def test_height_at_an_unreachable_plane_is_minus_infinity(self, speed):
+        # the crossing time is inf: the ball falls without end before it
+        launch = LaunchState(1.5707963266, speed)
+        assert time_to_plane(launch, DEFAULTS.distance) == math.inf
+        assert height_at_plane(DEFAULTS, launch) == -math.inf
+
     def test_hoop_reaching_speed_hits_hoop(self):
         # 12.153021... is the closed-form hoop-reaching speed at 30 deg
         y = height_at_plane(DEFAULTS, LaunchState(DEG30, 12.153021336394197))
@@ -128,10 +135,20 @@ class TestSampleTrajectory:
             assert list(map(float.hex, s)) == list(map(float.hex, expected))
 
     def test_overflowing_sample_rejected(self):
-        # 2*g*a overflows, so the ground time is inf and y ends at -inf
-        params = ShotParams(gravity=1e308)
+        # the path reaches the far plane at a height above the float range
+        params = ShotParams(distance=1e308, gravity=1e-300)
         with pytest.raises(ValueError, match="trajectory sample is not finite"):
-            sample_trajectory(params, LaunchState(math.pi / 4, 1e-300), n=3)
+            sample_trajectory(params, LaunchState(math.radians(89.0), 1e10), n=3)
+
+    def test_huge_gravity_and_tiny_speed_end_at_the_ground(self):
+        # 2*g*a overflows though the ground time is finite, sqrt(2a/g)
+        params = ShotParams(gravity=1e308)
+        launch = LaunchState(math.pi / 4, 1e-300)
+        t = ground_impact_time(params, launch)
+        assert t == pytest.approx(math.sqrt(2.0 * 1.7 / 1e308), rel=1e-12)
+        traj = sample_trajectory(params, launch, n=3)
+        assert traj.samples[-1][0] == t
+        assert traj.samples[-1][2] == pytest.approx(0.0, abs=1e-9)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):

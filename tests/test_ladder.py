@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 
 from hoopshot.figures import build_basketball_ladder
@@ -161,6 +164,15 @@ class TestStructuralInvariants:
                 y_range=(0.0, 1.0),
                 aspect=0.0,
             )
+        # non-finite ends and aspects, which a library caller can pass
+        for bad in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)):
+            with pytest.raises(ValueError):
+                space(x_range=bad)
+            with pytest.raises(ValueError):
+                space(y_range=bad)
+        for aspect in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                space().replace(aspect=aspect)
 
 
 class TestJsonRoundTrip:
@@ -175,3 +187,40 @@ class TestJsonRoundTrip:
     def test_serialization_deterministic(self, basketball):
         spec, _ = basketball
         assert ladder_to_json(spec) == ladder_to_json(spec)
+
+    @pytest.mark.parametrize(
+        "break_stage, message",
+        [
+            pytest.param(
+                lambda stage: stage["panels"][0].update(x_range=[0, 10**400]),
+                "stages[1].panels[0].x_range[1] must be a JSON number",
+                id="range-401-digit-int",
+            ),
+            pytest.param(
+                lambda stage: stage["panels"][0].update(aspect=math.nan),
+                "stages[1].panels[0].aspect must be a JSON number",
+                id="aspect-nan",
+            ),
+            pytest.param(
+                lambda stage: stage.update(parnet=3),
+                "stages[1] has unknown key 'parnet'",
+                id="unknown-key",
+            ),
+            pytest.param(
+                lambda stage: stage.pop("caption"),
+                "stages[1] is missing key 'caption'",
+                id="missing-key",
+            ),
+            pytest.param(
+                lambda stage: stage.update(id=True),
+                "stages[1].id must be a JSON integer",
+                id="id-bool",
+            ),
+        ],
+    )
+    def test_bad_value_is_named_by_its_key_path(self, basketball, break_stage, message):
+        doc = json.loads(ladder_to_json(basketball[0]))
+        break_stage(doc["stages"][1])
+        with pytest.raises(ValueError) as raised:
+            ladder_from_json(json.dumps(doc))
+        assert str(raised.value).startswith(message)

@@ -210,6 +210,8 @@ REPLACE_CASES = [
     (LaunchState(0.5, 10.0), {"speed": -1.0}, "speed must be positive and finite"),
     (Bracket(0.0, 1.0), {"hi": 0.0}, r"need lo < hi, got \[0.0, 0.0\]"),
     (space(), {"aspect": 0.0}, "aspect must be positive, got 0.0"),
+    (space(), {"aspect": math.nan}, "aspect must be finite, got nan"),
+    (space(), {"y_range": (-math.inf, 0.0)}, r"bad y_range \(-inf, 0.0\)"),
     (stage(), {"caption": ""}, "stage 1 has no caption"),
     (
         LadderSpec((stage(),)),
@@ -224,12 +226,18 @@ REPLACE_CASES = [
     ),
     (LinearScale((0.0, 1.0), (10.0, 0.0)), {"range": (1.0, 1.0)}, "degenerate range"),
 ]
+# each case's record type, and after the first case of a type the changed fields too
+_TYPES = [type(record).__name__ for record, _, _ in REPLACE_CASES]
+REPLACE_IDS = [
+    name if _TYPES.index(name) == i else f"{name}-{'-'.join(changes)}"
+    for i, (name, (_, changes, _)) in enumerate(zip(_TYPES, REPLACE_CASES))
+]
 
 
 @pytest.mark.parametrize(
     "record, changes, message",
     REPLACE_CASES,
-    ids=[type(record).__name__ for record, _, _ in REPLACE_CASES],
+    ids=REPLACE_IDS,
 )
 def test_replace_returns_a_new_checked_record(record, changes, message):
     kept = repr(record)
@@ -248,7 +256,7 @@ def test_replace_changes_only_the_named_fields():
 @pytest.mark.parametrize(
     "record, changes, message",
     REPLACE_CASES,
-    ids=[type(record).__name__ for record, _, _ in REPLACE_CASES],
+    ids=REPLACE_IDS,
 )
 def test_make_and_replace_raise_the_constructor_message(record, changes, message):
     values = record._asdict() | changes
