@@ -53,7 +53,7 @@ class Scenario:
         self.params = ShotParams()
         self.velocities: list[float] | None = None  # not in the file
         self.altitudes: list[float] | None = None
-        self.d_grid = solver.default_d_grid()
+        self.d_grid: list[float] | None = None  # the default grid
         self.output = "figures"
 
 
@@ -121,7 +121,8 @@ def _cmd_optimize(scenario: Scenario, args) -> int:
 def _cmd_sweep(scenario: Scenario, args) -> int:
     p = scenario.params
     altitudes = args.altitudes or scenario.altitudes or [p.release_altitude]
-    curves = solver.sweep_altitudes(p, altitudes, scenario.d_grid)
+    d_grid = solver.default_d_grid() if scenario.d_grid is None else scenario.d_grid
+    curves = solver.sweep_altitudes(p, altitudes, d_grid)
     csv_text = solver.sweep_csv(curves)
     if args.out:
         with open(args.out, "w") as file:

@@ -4,8 +4,8 @@ All angles are radians internally; degrees appear only at the CLI
 boundary.  Everything here is pure and deterministic.  Every other
 submodule imports this one, so it also holds what they share: the
 `checked_record` base of the checked records, the `Infeasible` error,
-the point limit, and `json_value` and `json_object`, which check every
-value the CLI reads from a JSON input file.
+the point limit, and `json_value` and `json_object` (`short_repr` shows
+the bad value), which check every value the CLI reads from a JSON file.
 """
 
 from __future__ import annotations
@@ -53,12 +53,18 @@ _JSON_KINDS = {dict: "object", list: "list", str: "string", int: "integer that f
               float: "number that is finite and fits a float"}
 
 
+def short_repr(value) -> str:
+    """repr(value) for a message: cut to 60 characters, marked as cut."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def json_value(value, kind: type, what: str):
     """value if it is a JSON value of `kind` (float: any number, returned
     as a float; true and false are none), else ValueError naming `what`."""
     ok = type(value) is kind or kind is float and type(value) is int
     if not ok or kind in (int, float) and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r:.60}")
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {short_repr(value)}")
     return float(value) if kind is float else value
 
 
@@ -67,7 +73,7 @@ def json_object(value, what: str, keys, required=()) -> dict:
     key outside `keys`, else ValueError naming `what`."""
     for key in json_value(value, dict, what):
         if key not in keys:
-            raise ValueError(f"{what} has unknown key {key!r:.60}; known: {', '.join(keys)}")
+            raise ValueError(f"{what} has unknown key {short_repr(key)}; known: {', '.join(keys)}")
     for key in required:
         if key not in value:
             raise ValueError(f"{what} is missing key {key!r}")

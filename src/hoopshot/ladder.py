@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .kinematics import checked_record, json_object, json_value
+from .kinematics import checked_record, json_object, json_value, short_repr
 
 RANGE_TOL = 1e-9
 
@@ -243,7 +243,7 @@ def _members(enum_type, names, what: str) -> frozenset:
     names = json_value(names, list, what)
     for i, name in enumerate(names):
         if json_value(name, str, f"{what}[{i}]") not in enum_type.__members__:
-            raise ValueError(f"{what}[{i}]: unknown {enum_type.__name__} {name!r:.60}")
+            raise ValueError(f"{what}[{i}]: unknown {enum_type.__name__} {short_repr(name)}")
     return frozenset(enum_type[name] for name in names)
 
 

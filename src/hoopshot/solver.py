@@ -16,11 +16,15 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
+from math import atan, cos, degrees, isfinite, sqrt, tan
+from operator import le
 
 from .kinematics import MAX_GRID_POINTS, Infeasible, ShotParams, check_distance
 
 DEFAULT_VELOCITIES = (5.0, 10.0, 15.0, 20.0)
 DEFAULT_ALTITUDES = (1.2, 1.7, 2.2)
+_HALF_PI = math.pi / 2
+_QUARTER_PI = math.pi / 4
 
 
 class InfeasibleAngle(Infeasible):
@@ -62,17 +66,17 @@ def required_velocity(params: ShotParams, angle: float) -> float:
 def _hoop_speed(a: float, d: float, h: float, g: float, angle: float) -> float:
     """The closed form in the module docstring, with its checks; every
     hoop-reaching speed in this module comes from here."""
-    if not angle < math.pi / 2:
+    if not angle < _HALF_PI:
         raise ValueError(f"angle must be below pi/2, got {angle}")
-    c = math.cos(angle)
-    denom = c * c * (d * math.tan(angle) + a - h)
+    c = cos(angle)
+    denom = c * c * (d * tan(angle) + a - h)
     if denom <= 0:
         raise InfeasibleAngle(
-            f"angle {math.degrees(angle):.3f} deg is at or below the "
-            f"feasibility angle {math.degrees(_feasibility(a, d, h)):.3f} deg"
+            f"angle {degrees(angle):.3f} deg is at or below the "
+            f"feasibility angle {degrees(_feasibility(a, d, h)):.3f} deg"
         )
-    v = math.sqrt(0.5 * g * d * d / denom)
-    if not math.isfinite(v):
+    v = sqrt(0.5 * g * d * d / denom)
+    if not isfinite(v):
         raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
     return v
 
@@ -112,12 +116,22 @@ def optimal_angle(params: ShotParams) -> Optimum:
     """Angle requiring the softest hoop-reaching shot: pi/4 + phi/2, phi
     the feasibility angle, where v^2 = g*(sqrt(d^2 + (h-a)^2) + (h-a))
     (Brancazio, Am. J. Phys. 49, 356, 1981)."""
-    return _optimum(*params)
+    a, d, h, g = params
+    return _optima(a, h, g, (d,))[0][1]
 
 
-def _optimum(a: float, d: float, h: float, g: float) -> Optimum:
-    angle = math.pi / 4 + _feasibility(a, d, h) / 2
-    return Optimum(angle, _hoop_speed(a, d, h, g, angle))
+def _optima(a: float, h: float, g: float, distances) -> list:
+    """(d, Optimum) per distance, in order: the one copy of the optimal
+    angle.  Each distance is checked just before its optimum, so the
+    first bad point raises first."""
+    new = tuple.__new__
+    entries = []
+    for d in distances:
+        if not (isfinite(d) and d > 0):
+            check_distance(d)  # raises, with the message of ShotParams
+        angle = _QUARTER_PI + atan((h - a) / d) / 2  # phi as in _feasibility
+        entries.append((d, new(Optimum, (angle, _hoop_speed(a, d, h, g, angle)))))
+    return entries
 
 
 def default_d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> list[float]:
@@ -142,18 +156,12 @@ def default_d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> list
 
 def sweep_distance(params: ShotParams, d_grid: Sequence[float]) -> OptimumCurve:
     """Optimal angle and speed at each distance in d_grid, the other
-    parameters taken from params.  Each distance is validated once, by
-    the same check and message as `ShotParams.distance`, and no
-    `ShotParams` is built per point: the result is `optimal_angle` of
-    params at that distance, bit for bit."""
-    if any(b <= a for a, b in zip(d_grid, d_grid[1:])):
+    parameters taken from params: `optimal_angle` of params at that
+    distance, bit for bit, with no `ShotParams` built per point."""
+    if any(map(le, d_grid[1:], d_grid)):
         raise ValueError("d_grid must be strictly increasing")
     a, h, g = params.release_altitude, params.hoop_height, params.gravity
-    entries = []
-    for d in d_grid:
-        check_distance(d)
-        entries.append((d, _optimum(a, d, h, g)))
-    return OptimumCurve(a, tuple(entries))
+    return OptimumCurve(a, tuple(_optima(a, h, g, d_grid)))
 
 
 def sweep_altitudes(
@@ -172,7 +180,7 @@ def sweep_csv(curves: Sequence[OptimumCurve]) -> str:
     for curve in curves:
         altitude = ",%.6f\n" % curve.release_altitude
         rows += [
-            "%.6f,%.6f,%.6f%s" % (d, math.degrees(opt.angle), opt.speed, altitude)
-            for d, opt in curve.entries
+            "%.6f,%.6f,%.6f%s" % (d, degrees(angle), speed, altitude)
+            for d, (angle, speed) in curve.entries
         ]
     return "".join(rows)

@@ -471,6 +471,48 @@ class TestScenarioHandling:
         assert len(err.strip().splitlines()) == 1
         assert f"{key} must be a JSON" in err
 
+    @pytest.mark.parametrize(
+        "command, doc, shown",
+        [
+            pytest.param(
+                "validate-ladder",
+                {**LADDER, "stages": [{**LADDER["stages"][0], "panels": [
+                    {**LADDER["stages"][0]["panels"][0], "x_range": [0, 10**400]}
+                ]}]},
+                "got 1%s... (401 characters)" % ("0" * 59),
+                id="range-401-digit-int",
+            ),
+            pytest.param(
+                "validate-ladder",
+                {**LADDER, "stages": [{**LADDER["stages"][0], "roles_used": ["X" * 100]}]},
+                "unknown ColorRole '%s... (102 characters)" % ("X" * 59),
+                id="role-100-characters",
+            ),
+            pytest.param(
+                "optimize",
+                {"params": {"d": 10**400}},
+                "got 1%s... (401 characters)" % ("0" * 59),
+                id="params-401-digit-int",
+            ),
+            pytest.param(
+                "optimize",
+                {"k" * 100: 1},
+                "unknown key '%s... (102 characters); known:" % ("k" * 59),
+                id="unknown-key-100-characters",
+            ),
+        ],
+    )
+    def test_a_value_cut_short_in_the_message_is_marked(self, tmp_path, command, doc, shown):
+        # a 401-digit int must not read as a complete 60-digit one
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        path = str(bad)
+        argv = [command, path] if command == "validate-ladder" else [command, "--scenario", path]
+        code, _, err = run_captured(argv)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert shown in err
+
     def test_bad_step_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"d_grid": {"lo": 1, "hi": 2, "step": 0}}))

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hoopshot import solver
 from hoopshot.kinematics import LaunchState, ShotParams, height_at_plane
 from hoopshot.solver import (
     MAX_GRID_POINTS,
@@ -333,6 +334,59 @@ class TestSweepMatchesPerPointOptimum:
         assert got == outcome(lambda: per_point_sweep(params, grid))
         check = "finite" if not math.isfinite(bad) else "positive"
         assert got == (ValueError, f"distance must be {check}, got {bad}")
+
+    @pytest.mark.parametrize(
+        "valid, message",
+        [
+            # h > a: phi = atan(inf) = pi/2, so theta* = pi/2
+            pytest.param(
+                5e-324, "angle must be below pi/2, got 1.5707963267948966", id="vertical"
+            ),
+            pytest.param(
+                1e300,
+                "required speed at angle 0.7853981633974483 rad is not finite: inf",
+                id="speed-overflows",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "grid_of",
+        [
+            lambda v: [v, math.nan],
+            lambda v: [math.nan, v],
+            lambda v: [v, math.inf],
+            lambda v: [-math.inf, v],
+        ],
+        ids=["before-nan", "after-nan", "before-inf", "after-minus-inf"],
+    )
+    def test_first_failing_point_decides(self, valid, message, grid_of):
+        # a valid distance at which the optimum itself raises, next to a
+        # distance the check rejects: whichever comes first must raise
+        grid = grid_of(valid)
+        got = outcome(lambda: sweep_distance(DEFAULTS, grid))
+        assert got == outcome(lambda: per_point_sweep(DEFAULTS, grid))
+        bad = grid[1] if grid[0] == valid else grid[0]
+        first = message if grid[0] == valid else f"distance must be finite, got {bad}"
+        assert got == (ValueError, first)
+
+    def test_one_speed_evaluation_per_point_and_no_distance_check(self, monkeypatch):
+        counts = dict.fromkeys(["_hoop_speed", "check_distance"], 0)
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(solver, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        grid = default_d_grid()
+        sweep_distance(DEFAULTS, grid)
+        assert counts == {"_hoop_speed": len(grid), "check_distance": 0}
+        counts.update(_hoop_speed=0)
+        optimal_angle(DEFAULTS)
+        assert counts == {"_hoop_speed": 1, "check_distance": 0}
+        counts.update(_hoop_speed=0)
+        with pytest.raises(ValueError):  # only a bad distance is checked
+            sweep_distance(DEFAULTS, [*grid, math.nan])
+        assert counts == {"_hoop_speed": len(grid), "check_distance": 1}
 
     def test_sweep_builds_one_shot_params_per_altitude(self, monkeypatch):
         calls = []
