@@ -7,8 +7,11 @@ The hoop-reaching speed for a given angle has the closed form
 which is defined only above the feasibility angle atan((h-a)/d); at or
 below it the ball passes under the hoop no matter how hard it is thrown.
 
-The softest shot also has a closed form, which `optimal_angle` uses;
-the tests check it against golden-section search and a grid scan.
+The softest shot has a closed form too, with k = h - a and
+r = sqrt(d^2 + k^2): tan(theta*) = (r + k)/d and v*^2 = g*(r + k), where
+r + k = d^2/(r - k) when k < 0.  `optimal_angle` and the sweeps compute
+it directly, not through the speed formula above; the tests check it
+against golden-section search, a grid scan and a 50-digit oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from math import atan, cos, degrees, isfinite, sqrt, tan
+from math import atan, atan2, cos, degrees, hypot, inf, isfinite, sqrt, tan
 from operator import le
 
 from .kinematics import MAX_GRID_POINTS, Infeasible, ShotParams, check_distance
@@ -64,8 +67,9 @@ def required_velocity(params: ShotParams, angle: float) -> float:
 
 
 def _hoop_speed(a: float, d: float, h: float, g: float, angle: float) -> float:
-    """The closed form in the module docstring, with its checks; every
-    hoop-reaching speed in this module comes from here."""
+    """The closed form in the module docstring, with its checks: the
+    speed at a given angle for `required_velocity` and `angle_curve`.
+    The optimum's speed comes from `_optima` instead."""
     if not angle < _HALF_PI:
         raise ValueError(f"angle must be below pi/2, got {angle}")
     c = cos(angle)
@@ -115,22 +119,39 @@ def angle_curve(
 def optimal_angle(params: ShotParams) -> Optimum:
     """Angle requiring the softest hoop-reaching shot: pi/4 + phi/2, phi
     the feasibility angle, where v^2 = g*(sqrt(d^2 + (h-a)^2) + (h-a))
-    (Brancazio, Am. J. Phys. 49, 356, 1981)."""
+    (Brancazio, Am. J. Phys. 49, 356, 1981).  For a release above the hoop
+    (k = h - a < 0) the angle is atan2(d, r - k), r = hypot(d, k): the
+    same value, without the cancellation in pi/4 + phi/2 as phi -> -pi/2."""
     a, d, h, g = params
     return _optima(a, h, g, (d,))[0][1]
 
 
 def _optima(a: float, h: float, g: float, distances) -> list:
-    """(d, Optimum) per distance, in order: the one copy of the optimal
-    angle.  Each distance is checked just before its optimum, so the
-    first bad point raises first."""
+    """(d, Optimum) per distance, in order: the one copy of the optimum,
+    from r = hypot(d, k) with k = h - a and no call to the speed kernel.
+    Each distance is checked just before its optimum, so the first bad
+    point raises first."""
     new = tuple.__new__
+    k = h - a
     entries = []
     for d in distances:
-        if not (isfinite(d) and d > 0):
+        if not 0 < d < inf:
             check_distance(d)  # raises, with the message of ShotParams
-        angle = _QUARTER_PI + atan((h - a) / d) / 2  # phi as in _feasibility
-        entries.append((d, new(Optimum, (angle, _hoop_speed(a, d, h, g, angle)))))
+        r = hypot(d, k)
+        if k >= 0:
+            angle = _QUARTER_PI + atan(k / d) / 2  # phi as in _feasibility
+            if not angle < _HALF_PI:
+                raise ValueError(f"angle must be below pi/2, got {angle}")
+            v = sqrt(g * (r + k))
+        else:  # r + k = d*d/(r - k), which does not cancel
+            s, t = d, r - k
+            if t == inf:  # the same ratio s/t at a quarter of the scale
+                s, t = 0.25 * d, hypot(0.25 * d, 0.25 * k) - 0.25 * k
+            angle = atan2(s, t)
+            v = sqrt(g * (s / t) * d)
+        if v == inf:
+            raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
+        entries.append((d, new(Optimum, (angle, v))))
     return entries
 
 
@@ -175,12 +196,15 @@ def sweep_altitudes(
 
 
 def sweep_csv(curves: Sequence[OptimumCurve]) -> str:
-    """CSV export: d,theta_opt_deg,v_opt,altitude with 6 decimal places."""
+    """CSV export: d,theta_opt_deg,v_opt,altitude with 6 decimal places,
+    each curve's rows written by one % over its values in one tuple."""
     rows = ["d,theta_opt_deg,v_opt,altitude\n"]
-    for curve in curves:
-        altitude = ",%.6f\n" % curve.release_altitude
-        rows += [
-            "%.6f,%.6f,%.6f%s" % (d, degrees(angle), speed, altitude)
-            for d, (angle, speed) in curve.entries
-        ]
+    for altitude, entries in curves:
+        if entries:
+            distances, optima = zip(*entries)
+            angles, speeds = zip(*optima)
+            flat = [0.0] * (3 * len(entries))
+            flat[::3], flat[1::3], flat[2::3] = distances, map(degrees, angles), speeds
+            row = "%%.6f,%%.6f,%%.6f,%.6f\n" % altitude  # no % in a formatted float
+            rows.append(row * len(entries) % tuple(flat))
     return "".join(rows)

@@ -1,15 +1,18 @@
-"""Bracketed scalar minimization: the test oracles for the closed-form
-optimum in `hoopshot.solver`.  Nothing in the package imports them.
+"""Test oracles for the closed-form optimum in `hoopshot.solver`.
+Nothing in the package imports them.
 
 `minimize_scalar` is golden-section search: derivative-free, robust near
 bracket edges where the objective blows up, and with a provable
 iteration bound.  `grid_scan` is a brute-force argmin on an even grid,
 kept deliberately independent so it can also check the search.
+`decimal_optimum` is the optimum in 50-digit `decimal` arithmetic, to
+measure the solver's rounding error in ulps (`ulps`).
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from typing import Callable, NamedTuple
 
 from hoopshot.kinematics import Infeasible, checked_record
@@ -117,3 +120,43 @@ def grid_scan(f: Callable[[float], float], bracket: Bracket, n: int) -> MinResul
         iterations=evaluated,
         achieved_tolerance=(hi - lo) / (n - 1),
     )
+
+
+def decimal_atan(x: Decimal) -> Decimal:
+    """arctan(x) to the precision of the current decimal context: halve
+    the angle, atan x = 2 atan(x / (1 + sqrt(1 + x^2))), until |x| is
+    below 1e-3, then sum the Taylor series x - x^3/3 + x^5/5 - ..."""
+    with localcontext() as ctx:
+        ctx.prec += 10
+        eps = Decimal(10) ** -ctx.prec
+        halvings = 0
+        while abs(x) > Decimal("1e-3"):
+            x /= 1 + (1 + x * x).sqrt()
+            halvings += 1
+        total = term = x
+        n = 1
+        while abs(term) > eps * abs(total):
+            term *= -x * x
+            n += 2
+            total += term / n
+        total *= 2**halvings
+    return +total
+
+
+def decimal_optimum(a: float, d: float, h: float, g: float, digits: int = 50):
+    """(theta*, v*) as Decimals to `digits` digits, from the exact float
+    inputs: k = h - a, r = sqrt(d^2 + k^2), tan(theta*) = (r + k)/d, which
+    is d/(r - k) with no cancellation when k < 0, and v*^2 = g*d*tan(theta*)
+    (= g*(r + k))."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a, d, h, g = map(Decimal, (a, d, h, g))
+        k = h - a
+        r = (d * d + k * k).sqrt()
+        tan = (r + k) / d if k >= 0 else d / (r - k)
+        return decimal_atan(tan), (g * d * tan).sqrt()
+
+
+def ulps(x: float, exact: Decimal) -> float:
+    """|x - exact| in units of the last place of exact rounded to a float."""
+    return float(abs(Decimal(x) - exact) / Decimal(math.ulp(float(exact))))

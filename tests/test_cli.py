@@ -132,6 +132,20 @@ class TestOptimize:
         out = capsys.readouterr().out
         assert "theta_opt=45.2 deg" in out
 
+    @pytest.mark.parametrize(
+        "distance, code", [("1e300", 0), ("1.8e307", 0), ("1.9e307", 2), ("1e308", 2)]
+    )
+    def test_speed_overflows_only_where_g_times_r_plus_k_does(self, distance, code):
+        # v*^2 = g*(r + k) with r = hypot(d, h - a), never 0.5*g*d^2
+        got, out, err = run_captured(["optimize", "--distance", distance])
+        assert got == code
+        if code:
+            assert err == "required speed at angle 0.7853981633974483 rad is not finite: inf\n"
+        else:
+            d = float(distance)
+            speed = float(re.fullmatch(r"theta_opt=45\.0 deg, v_opt=(\S+) m/s\n", out)[1])
+            assert speed == pytest.approx(math.sqrt(9.8 * (math.hypot(d, 1.35) + 1.35)), rel=1e-15)
+
 
 class TestVelocity:
     def test_feasible(self, capsys):
