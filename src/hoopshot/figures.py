@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 
 from . import solver
-from .kinematics import LaunchState, ShotParams, height_at_plane, sample_trajectory
+from .kinematics import Infeasible, LaunchState, ShotParams, height_at_plane, sample_trajectory
 from .ladder import ColorRole, LadderSpec, PlotSpace, Stage, StrategyTag
 from .render import (
     Dash,
@@ -33,6 +33,7 @@ DEMO_ANGLE = math.radians(30.0)
 ONE_SHOT_SPEED = 15.0
 TRAJECTORY_SAMPLES = 200
 ANGLE_CURVE_POINTS = 400
+ANGLE_CURVE_MAX_DEG = 89.9
 COUNT_WORDS = "zero one two three four five six seven eight nine".split()
 
 BLACK = Style(color_role=ColorRole.BASELINE)
@@ -91,11 +92,15 @@ def _trajectory_mark(params: ShotParams, angle: float, speed: float, style: Styl
 
 def _angle_curve_polyline(params: ShotParams):
     curve = solver.angle_curve(
-        params, 0.0, math.radians(89.9), ANGLE_CURVE_POINTS
+        params, 0.0, math.radians(ANGLE_CURVE_MAX_DEG), ANGLE_CURVE_POINTS
     )
-    pts = [
-        (math.degrees(p.angle), p.speed) for p in curve.points if p.feasible
-    ]
+    pts = [(math.degrees(a), v) for a, v in curve.points if v is not None]
+    if len(pts) < 2:
+        feasibility = math.degrees(solver.feasibility_angle(params))
+        raise Infeasible(
+            f"no required-speed curve to draw: fewer than 2 of its angles up "
+            f"to {ANGLE_CURVE_MAX_DEG:g} deg lie above the feasibility angle {feasibility:.3f} deg"
+        )
     return polyline(pts, BLUE)
 
 

@@ -155,10 +155,14 @@ def _fmt(v: float) -> str:
 def _clip_segment(p0, p1, box):
     """Liang-Barsky clip of segment p0-p1 to box=(x0,y0,x1,y1).
     Returns the clipped segment, or None if it is fully outside or an
-    end is not finite (a NaN or infinite vertex leaves a gap)."""
+    end is not finite (a NaN or infinite vertex leaves a gap).  An end
+    the clip does not move is the vertex itself."""
     x0, y0 = p0
     x1, y1 = p1
     bx0, by0, bx1, by1 = box
+    # both ends beyond one edge: rounding in t could still leave a point
+    if max(x0, x1) < bx0 or min(x0, x1) > bx1 or max(y0, y1) < by0 or min(y0, y1) > by1:
+        return None
     dx = x1 - x0
     dy = y1 - y0
     t0, t1 = 0.0, 1.0
@@ -181,10 +185,11 @@ def _clip_segment(p0, p1, box):
             if r < t0:
                 return None
             t1 = min(t1, r)
-    clipped = (x0 + t0 * dx, y0 + t0 * dy), (x0 + t1 * dx, y0 + t1 * dy)
-    if not all(map(math.isfinite, clipped[0] + clipped[1])):
+    start = p0 if t0 == 0.0 else (x0 + t0 * dx, y0 + t0 * dy)
+    end = p1 if t1 == 1.0 else (x0 + t1 * dx, y0 + t1 * dy)
+    if not all(map(math.isfinite, start + end)):
         return None
-    return clipped
+    return start, end
 
 
 def _stroke_attrs(style: Style) -> str:
@@ -299,29 +304,19 @@ def _render_mark(out: list[str], mark: Mark, xs, ys, box) -> None:
             if all(map(math.isfinite, box))
             else [False] * len(pixels)
         )
-        # emit clipped segments so no coordinate escapes the viewport
-        # every vertex inside and each in-box end (below) the next vertex:
-        # the segments would all join, so the mark is one polyline of pixels
-        if all(inside) and pixels[1:] == [
-            (x0 + (x1 - x0), y0 + (y1 - y0))
-            for (x0, y0), (x1, y1) in zip(pixels, pixels[1:])
-        ]:
+        if all(inside):
+            # every segment is its own clip (below) and starts where the
+            # last one ends, so the mark is one polyline of its pixels
             segs = [pixels]
         else:
+            # emit clipped segments so no coordinate escapes the viewport; a
+            # segment inside it is its own clip, since rounded subtraction and
+            # division are monotone and so keep Liang-Barsky's t0 = 0, t1 = 1
             segs = []
             for p0, p1, in0, in1 in zip(pixels, pixels[1:], inside, inside[1:]):
-                if in0 and in1:
-                    # Liang-Barsky's t0 = 0 and t1 = 1 are exact here: rounded
-                    # subtraction and division are monotone, so every q/p is
-                    # >= 1 for p > 0 and <= 0 for p < 0.  Its start x0 + 0*dx
-                    # is p0 up to the sign of a zero, which == and _fmt ignore;
-                    # its end x0 + 1*dx need not equal p1, and decides the join.
-                    (x0, y0), (x1, y1) = p0, p1
-                    clipped = (p0, (x0 + (x1 - x0), y0 + (y1 - y0)))
-                else:
-                    clipped = _clip_segment(p0, p1, box)
-                    if clipped is None:
-                        continue
+                clipped = (p0, p1) if in0 and in1 else _clip_segment(p0, p1, box)
+                if clipped is None:
+                    continue
                 if segs and segs[-1][-1] == clipped[0]:
                     segs[-1].append(clipped[1])
                 else:

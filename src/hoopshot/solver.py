@@ -63,26 +63,34 @@ def required_velocity(params: ShotParams, angle: float) -> float:
     the hoop height.  Raises InfeasibleAngle at or below the feasibility
     angle, where the denominator of the closed form is non-positive, and
     ValueError when the speed overflows to a non-finite value."""
-    return _hoop_speed(*params, angle)
-
-
-def _hoop_speed(a: float, d: float, h: float, g: float, angle: float) -> float:
-    """The closed form in the module docstring, with its checks: the
-    speed at a given angle for `required_velocity` and `angle_curve`.
-    The optimum's speed comes from `_optima` instead."""
-    if not angle < _HALF_PI:
-        raise ValueError(f"angle must be below pi/2, got {angle}")
-    c = cos(angle)
-    denom = c * c * (d * tan(angle) + a - h)
-    if denom <= 0:
+    a, d, h, g = params
+    (v,) = _hoop_speeds(a, d, h, g, (angle,))
+    if v is None:
         raise InfeasibleAngle(
             f"angle {degrees(angle):.3f} deg is at or below the "
             f"feasibility angle {degrees(_feasibility(a, d, h)):.3f} deg"
         )
-    v = sqrt(0.5 * g * d * d / denom)
-    if not isfinite(v):
-        raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
     return v
+
+
+def _hoop_speeds(a: float, d: float, h: float, g: float, angles) -> list:
+    """The closed form in the module docstring at each angle, in order:
+    None where its denominator is non-positive (an infeasible angle), and
+    ValueError for an angle not below pi/2 or a speed that is not finite."""
+    speeds = []
+    for angle in angles:
+        if not angle < _HALF_PI:
+            raise ValueError(f"angle must be below pi/2, got {angle}")
+        c = cos(angle)
+        denom = c * c * (d * tan(angle) + a - h)
+        if denom <= 0:
+            speeds.append(None)
+            continue
+        v = sqrt(0.5 * g * d * d / denom)
+        if not isfinite(v):
+            raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
+        speeds.append(v)
+    return speeds
 
 
 def feasibility_angle(params: ShotParams) -> float:
@@ -105,14 +113,9 @@ def angle_curve(
         raise ValueError(f"need angle_lo < angle_hi, got {angle_lo}, {angle_hi}")
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
-    points = []
-    for i in range(n):
-        angle = angle_lo + (angle_hi - angle_lo) * i / (n - 1)
-        try:
-            speed: float | None = _hoop_speed(*params, angle)
-        except InfeasibleAngle:
-            speed = None
-        points.append(VelocityRequirement(angle, speed))
+    angles = [angle_lo + (angle_hi - angle_lo) * i / (n - 1) for i in range(n)]
+    new = tuple.__new__
+    points = [new(VelocityRequirement, p) for p in zip(angles, _hoop_speeds(*params, angles))]
     return AngleCurve(params, tuple(points))
 
 
@@ -150,7 +153,10 @@ def _optima(a: float, h: float, g: float, distances) -> list:
             angle = atan2(s, t)
             v = sqrt(g * (s / t) * d)
         if v == inf:
-            raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
+            if k >= 0:  # r may overflow where g*(r + k) does not
+                v = sqrt(4.0 * g * (hypot(0.25 * d, 0.25 * k) + 0.25 * k))
+            if v == inf:
+                raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
         entries.append((d, new(Optimum, (angle, v))))
     return entries
 

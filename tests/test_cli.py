@@ -11,6 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hoopshot.cli import COMMANDS, _parse, build_parser, run
+from hoopshot.kinematics import ShotParams
+from hoopshot.solver import feasibility_angle
+from oracles import decimal_optimum, ulps
 
 NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
 PARAM_FLAGS = ("--altitude", "--distance", "--hoop-height", "--gravity")
@@ -146,6 +149,15 @@ class TestOptimize:
             speed = float(re.fullmatch(r"theta_opt=45\.0 deg, v_opt=(\S+) m/s\n", out)[1])
             assert speed == pytest.approx(math.sqrt(9.8 * (math.hypot(d, 1.35) + 1.35)), rel=1e-15)
 
+    def test_finite_where_only_r_overflows(self):
+        # r = hypot(d, h - a) overflows, g*(r + k) does not: v* ~ 1.9e153
+        argv = ["optimize", "--altitude", "0", "--hoop-height", "1.5e308",
+                "--distance", "1.5e308", "--gravity", "0.01"]
+        code, out, err = run_captured(argv)
+        assert (code, err) == (0, "")
+        speed = float(re.fullmatch(r"theta_opt=67\.5 deg, v_opt=(\S+) m/s\n", out)[1])
+        assert ulps(speed, decimal_optimum(0.0, 1.5e308, 1.5e308, 0.01)[1]) <= 2.0
+
 
 class TestVelocity:
     def test_feasible(self, capsys):
@@ -271,6 +283,18 @@ class TestFigures:
         capsys.readouterr()
         assert run(["validate-ladder", str(out_dir / "ladder.json")]) == 0
         assert "0 violations" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("distance", ["0.001", "0.004", "0.006"])
+    def test_no_drawable_angle_curve_exits_1(self, tmp_path, distance):
+        # fewer than 2 of the curve's grid angles up to 89.9 deg lie above
+        # the feasibility angle, so there is no required-speed curve to draw
+        out_dir = tmp_path / "figs"
+        code, out, err = run_captured(["figures", "--distance", distance, "--out", str(out_dir)])
+        feasibility = math.degrees(feasibility_angle(ShotParams(distance=float(distance))))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert f"{feasibility:.3f} deg" in err and "89.9 deg" in err
+        assert not out_dir.exists()
 
     def test_one_point_grid_exits_2_naming_d_grid(self, tmp_path):
         one_point = tmp_path / "one_point.json"

@@ -2,7 +2,7 @@ import math
 import re
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hoopshot.ladder import ColorRole, PlotSpace
 from hoopshot.render import (
@@ -149,6 +149,17 @@ class TestRenderSvg:
                 assert MARGIN_LEFT - 1e-6 <= x <= w - MARGIN_RIGHT + 1e-6
                 assert MARGIN_TOP - 1e-6 <= y <= h - MARGIN_BOTTOM + 1e-6
 
+    def test_segment_beyond_one_edge_is_not_drawn(self):
+        # both ends lie above the viewport, yet the clip's rounding alone
+        # made them a zero-length segment at (100, 32), inside it
+        w, h = DEFAULT_SIZE
+        box = (MARGIN_LEFT, MARGIN_TOP, w - MARGIN_RIGHT, h - MARGIN_BOTTOM)
+        assert _clip_segment((100.0, -1e17), (100.0, 27.9), box) is None
+        # these map to the pixels (100, -1e17) and (100, 27.9) up to rounding
+        space = unit_space(x_range=(52.0, 588.0), y_range=(0.0, 384.0))
+        mark = polyline([(100.0, 1e17), (100.0, 384.1)], BLACK)
+        assert polyline_points(render_svg(one_panel_scene([mark], space)).decode()) == []
+
     def test_point_outside_viewport_dropped(self):
         scene = one_panel_scene([point(50.0, 50.0, BLACK)])
         svg = render_svg(scene).decode()
@@ -268,10 +279,10 @@ class TestPolylineMatchesSegmentwiseReference:
         "pts, count",
         [
             ([(0.0, 1.0), (1.0, 2.0), (2.5, 3.0), (6.0, 4.0)], 1),
-            # these x map to pixels 460.5821241974569 and 53.12884459619533;
-            # the in-box end of that segment is 53.128844596195336, so the
-            # mark splits there
-            ([(5.62280082457942, 1.0), (-1.978939466488893, 1.0), (3.0, 2.0)], 2),
+            # these x map to pixels 460.5821241974569 and 53.12884459619533,
+            # where x0 + (x1 - x0) gives 53.128844596195336: the vertex, not
+            # that sum, ends the segment, so the mark does not split there
+            ([(5.62280082457942, 1.0), (-1.978939466488893, 1.0), (3.0, 2.0)], 1),
         ],
         ids=["joined", "end-off-the-next-vertex"],
     )
@@ -281,6 +292,29 @@ class TestPolylineMatchesSegmentwiseReference:
         polylines = re.findall(r"<polyline [^\n]*", svg)
         assert polylines == reference_polylines(mark, DEFAULT_SIZE)
         assert len(polylines) == count
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pts=st.lists(
+            st.tuples(st.floats(*SPACE.x_range), st.floats(*SPACE.y_range)),
+            min_size=2,
+            max_size=40,
+        ),
+        size=st.sampled_from([DEFAULT_SIZE, (150.0, 120.0)]),
+    )
+    @example(
+        pts=[(5.62280082457942, 1.0), (-1.978939466488893, 1.0), (3.0, 2.0)],
+        size=DEFAULT_SIZE,
+    )
+    def test_every_pixel_inside_is_one_polyline_of_the_vertices(self, pts, size):
+        w, h = size
+        vx0, vy0, vx1, vy1 = MARGIN_LEFT, MARGIN_TOP, w - MARGIN_RIGHT, h - MARGIN_BOTTOM
+        xs = LinearScale(domain=SPACE.x_range, range=(vx0, vx1))
+        ys = LinearScale(domain=SPACE.y_range, range=(vy1, vy0))
+        pixels = [(scale_map(xs, x), scale_map(ys, y)) for x, y in pts]
+        assume(all(vx0 <= x <= vx1 and vy0 <= y <= vy1 for x, y in pixels))
+        svg = render_svg(one_panel_scene([polyline(pts, BLACK)], SPACE, size)).decode()
+        assert polyline_points(svg) == [" ".join(f"{x:.3f},{y:.3f}" for x, y in pixels)]
 
 
 def polyline_points(svg):

@@ -269,6 +269,24 @@ class TestOptimumAgainstDecimalOracle:
         assert ulps(opt.angle, theta) <= 3.0
         assert ulps(opt.speed, speed) <= 2.5
 
+    @pytest.mark.parametrize(
+        "a, d, h, g",
+        [
+            (0.0, 1.5e308, 1.5e308, 0.01),  # theta* = 67.5 deg, v* ~ 1.9e153
+            (0.0, 1.2e308, 1.5e308, 0.5),  # v* ~ 1.3e154
+        ],
+    )
+    def test_finite_where_r_overflows_at_or_below_the_hoop(self, a, d, h, g):
+        # r = hypot(d, k) overflows, but g*(r + k) does not
+        opt = optimal_angle(ShotParams(a, d, h, g))
+        theta, speed = decimal_optimum(a, d, h, g)
+        assert ulps(opt.angle, theta) <= 1.5
+        assert ulps(opt.speed, speed) <= 2.0
+
+    def test_overflows_where_g_times_r_plus_k_does(self):
+        with pytest.raises(ValueError, match="is not finite: inf"):
+            optimal_angle(ShotParams(0.0, 1.5e308, 1.5e308, 1.0))
+
 
 class TestSweeps:
     def test_theta_decreases_and_speed_increases_with_distance(self):
@@ -420,7 +438,7 @@ class TestSweepMatchesPerPointOptimum:
 
     def test_one_speed_evaluation_per_point_and_no_distance_check(self, monkeypatch):
         # the optimum's speed is the closed form in _optima: no kernel call
-        counts = dict.fromkeys(["_hoop_speed", "check_distance"], 0)
+        counts = dict.fromkeys(["_hoop_speeds", "check_distance"], 0)
         for name in counts:
             def counted(*args, _name=name, _original=getattr(solver, name)):
                 counts[_name] += 1
@@ -429,13 +447,13 @@ class TestSweepMatchesPerPointOptimum:
             monkeypatch.setattr(solver, name, counted)
         grid = default_d_grid()
         sweep_distance(DEFAULTS, grid)
-        assert counts == {"_hoop_speed": 0, "check_distance": 0}
+        assert counts == {"_hoop_speeds": 0, "check_distance": 0}
         optimal_angle(DEFAULTS)
         optimal_angle(DEFAULTS.replace(release_altitude=5.0))  # k < 0
-        assert counts == {"_hoop_speed": 0, "check_distance": 0}
+        assert counts == {"_hoop_speeds": 0, "check_distance": 0}
         with pytest.raises(ValueError):  # only a bad distance is checked
             sweep_distance(DEFAULTS, [*grid, math.nan])
-        assert counts == {"_hoop_speed": 0, "check_distance": 1}
+        assert counts == {"_hoop_speeds": 0, "check_distance": 1}
 
     def test_sweep_builds_one_shot_params_per_altitude(self, monkeypatch):
         calls = []
