@@ -104,12 +104,12 @@ def _angle_curve_polyline(params: ShotParams):
     return polyline(pts, BLUE)
 
 
-def _optimum_marks(curves, y_of, label_dy: float | None) -> tuple:
-    """One green polyline of y_of(optimum) over distance per curve; with a
+def _optimum_marks(curves, column, label_dy: float | None) -> tuple:
+    """One green polyline of column(curve) over distance per curve; with a
     label_dy, each is labelled with its release altitude near its end."""
     marks = []
     for curve in curves:
-        pts = [(d, y_of(o)) for d, o in curve.entries]
+        pts = list(zip(curve.distances, column(curve)))
         marks.append(polyline(pts, GREEN))
         if label_dy is not None:
             x, y = pts[-1]
@@ -123,12 +123,8 @@ def _range(low: float, high: float, lo: float, hi: float) -> tuple[float, float]
     return min(lo, float(math.floor(low))), max(hi, float(math.ceil(high)))
 
 
-def _theta_deg(optimum: solver.Optimum) -> float:
-    return math.degrees(optimum.angle)
-
-
-def _speed(optimum: solver.Optimum) -> float:
-    return optimum.speed
+def _theta_deg(curve: solver.OptimumCurve):
+    return map(math.degrees, curve.angles)
 
 
 def _count(n: int, noun: str) -> str:
@@ -244,7 +240,8 @@ def build_basketball_ladder(
     # range per space, widened only where an optimum would leave it
     base_curve = solver.sweep_distance(params, d_grid)
     alt_curves = solver.sweep_altitudes(params, altitudes, d_grid)
-    angles, speeds = zip(*[o for c in (base_curve, *alt_curves) for _, o in c.entries])
+    angles = [f(c.angles) for c in (base_curve, *alt_curves) for f in (min, max)]
+    speeds = [f(c.speeds) for c in (base_curve, *alt_curves) for f in (min, max)]
     x_var, x_range = ("distance", "m"), (d_grid[0], d_grid[-1])
     # degrees is monotone: these are the extremes of the plotted angles
     theta_y = _range(math.degrees(min(angles)), math.degrees(max(angles)), 40.0, 80.0)
@@ -270,7 +267,7 @@ def build_basketball_ladder(
         return Scene(
             (
                 Panel(theta_space, _optimum_marks(curves, _theta_deg, theta_dy), title),
-                Panel(speed_space, _optimum_marks(curves, _speed, speed_dy)),
+                Panel(speed_space, _optimum_marks(curves, lambda c: c.speeds, speed_dy)),
             ),
             Layout.STACKED_SHARED_X,
         )

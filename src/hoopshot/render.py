@@ -153,43 +153,61 @@ def _fmt(v: float) -> str:
 
 
 def _clip_segment(p0, p1, box):
-    """Liang-Barsky clip of segment p0-p1 to box=(x0,y0,x1,y1).
-    Returns the clipped segment, or None if it is fully outside or an
-    end is not finite (a NaN or infinite vertex leaves a gap).  An end
-    the clip does not move is the vertex itself."""
+    """Liang-Barsky clip of segment p0-p1 to box=(x0,y0,x1,y1), in exact
+    arithmetic.  Returns the clipped segment, or None if it is fully
+    outside or an end is not finite (a NaN or infinite vertex leaves a
+    gap).  An end the clip does not move is the vertex itself; a moved
+    end lies on the edge that moved it, with the other coordinate of the
+    exact crossing rounded once, so it is in the box and on the segment."""
     x0, y0 = p0
     x1, y1 = p1
     bx0, by0, bx1, by1 = box
-    # both ends beyond one edge: rounding in t could still leave a point
+    # both ends beyond one edge: nothing of the segment is in the box
     if max(x0, x1) < bx0 or min(x0, x1) > bx1 or max(y0, y1) < by0 or min(y0, y1) > by1:
         return None
-    dx = x1 - x0
-    dy = y1 - y0
-    t0, t1 = 0.0, 1.0
-    for p, q in (
-        (-dx, x0 - bx0),
-        (dx, bx1 - x0),
-        (-dy, y0 - by0),
-        (dy, by1 - y0),
-    ):
-        if p == 0.0:
-            if q < 0.0:
-                return None
-            continue
-        r = q / p
-        if p < 0.0:
-            if r > t1:
-                return None
-            t0 = max(t0, r)
-        else:
-            if r < t0:
-                return None
-            t1 = min(t1, r)
-    start = p0 if t0 == 0.0 else (x0 + t0 * dx, y0 + t0 * dy)
-    end = p1 if t1 == 1.0 else (x0 + t1 * dx, y0 + t1 * dy)
-    if not all(map(math.isfinite, start + end)):
+    if not all(map(math.isfinite, p0 + p1)):
         return None
+    # (axis, value, +1 for a lower bound); an edge that is not finite (an
+    # infinite canvas) moves no end, so it is left out
+    edges = ((0, bx0, 1), (0, bx1, -1), (1, by0, 1), (1, by1, -1))
+    edges = [e for e in edges if math.isfinite(e[1])]
+    # every value is exactly an integer over scale
+    ratios = [v.as_integer_ratio() for v in (x0, y0, x1, y1, *[e[1] for e in edges])]
+    scale = max([den for _, den in ratios])
+    ints = [n * (scale // den) for n, den in ratios]
+    a, b = ints[0:2], ints[2:4]
+    # t0 = n0/d0 and t1 = n1/d1, d0 and d1 positive
+    n0, d0, n1, d1 = 0, 1, 1, 1
+    moved0 = moved1 = None
+    for (axis, value, sign), edge in zip(edges, ints[4:]):
+        # inside this edge where t*p <= q, the point at t being a + t*(b - a)
+        p = sign * (a[axis] - b[axis])
+        q = sign * (a[axis] - edge)
+        if p == 0:
+            if q < 0:
+                return None
+        elif p < 0:  # t >= q/p = -q/-p
+            if -q * d1 > n1 * -p:
+                return None
+            if -q * d0 > n0 * -p:
+                n0, d0, moved0 = -q, -p, (axis, value)
+        else:  # t <= q/p
+            if q * d0 < n0 * p:
+                return None
+            if q * d1 < n1 * p:
+                n1, d1, moved1 = q, p, (axis, value)
+    start = p0 if moved0 is None else _crossing(a, b, n0, d0, scale, *moved0)
+    end = p1 if moved1 is None else _crossing(a, b, n1, d1, scale, *moved1)
     return start, end
+
+
+def _crossing(a, b, n, d, scale, axis, value):
+    """The point at t = n/d on the segment a-b (integers over scale), with
+    value, the edge it crosses, on the axis: the other coordinate is the
+    exact one rounded once, as int / int rounds."""
+    other = 1 - axis
+    at = (a[other] * d + n * (b[other] - a[other])) / (d * scale)
+    return (value, at) if axis == 0 else (at, value)
 
 
 def _stroke_attrs(style: Style) -> str:

@@ -17,17 +17,19 @@ against golden-section search, a grid scan and a 50-digit oracle.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from math import atan, atan2, cos, degrees, hypot, inf, isfinite, sqrt, tan
 from operator import le
 
-from .kinematics import MAX_GRID_POINTS, Infeasible, ShotParams, check_distance
+from .kinematics import MAX_GRID_POINTS, Infeasible, ShotParams, VerticalShot, check_distance
 
 DEFAULT_VELOCITIES = (5.0, 10.0, 15.0, 20.0)
 DEFAULT_ALTITUDES = (1.2, 1.7, 2.2)
 _HALF_PI = math.pi / 2
 _QUARTER_PI = math.pi / 4
+_TINY = sys.float_info.min  # the least normal float
 
 
 class InfeasibleAngle(Infeasible):
@@ -54,8 +56,8 @@ class Optimum(namedtuple("Optimum", "angle speed")):
     __slots__ = ()
 
 
-# entries: (distance, Optimum) pairs
-OptimumCurve = namedtuple("OptimumCurve", "release_altitude entries")
+# one tuple per column: the Optimum at distances[i] is (angles[i], speeds[i])
+OptimumCurve = namedtuple("OptimumCurve", "release_altitude distances angles speeds")
 
 
 def required_velocity(params: ShotParams, angle: float) -> float:
@@ -126,17 +128,17 @@ def optimal_angle(params: ShotParams) -> Optimum:
     (k = h - a < 0) the angle is atan2(d, r - k), r = hypot(d, k): the
     same value, without the cancellation in pi/4 + phi/2 as phi -> -pi/2."""
     a, d, h, g = params
-    return _optima(a, h, g, (d,))[0][1]
+    return Optimum(*[column[0] for column in _optima(a, h, g, (d,))])
 
 
-def _optima(a: float, h: float, g: float, distances) -> list:
-    """(d, Optimum) per distance, in order: the one copy of the optimum,
-    from r = hypot(d, k) with k = h - a and no call to the speed kernel.
-    Each distance is checked just before its optimum, so the first bad
-    point raises first."""
-    new = tuple.__new__
+def _optima(a: float, h: float, g: float, distances) -> tuple[list, list]:
+    """The optimum at each distance, in order, as (angles, speeds)
+    columns: the one copy of the optimum, from r = hypot(d, k) with
+    k = h - a and no call to the speed kernel.  Each distance is checked
+    just before its optimum, so the first bad point raises first; an
+    angle that rounds to pi/2 raises VerticalShot, a domain error."""
     k = h - a
-    entries = []
+    angles, speeds = [], []
     for d in distances:
         if not 0 < d < inf:
             check_distance(d)  # raises, with the message of ShotParams
@@ -144,21 +146,24 @@ def _optima(a: float, h: float, g: float, distances) -> list:
         if k >= 0:
             angle = _QUARTER_PI + atan(k / d) / 2  # phi as in _feasibility
             if not angle < _HALF_PI:
-                raise ValueError(f"angle must be below pi/2, got {angle}")
+                raise VerticalShot(f"angle must be below pi/2, got {angle}")
             v = sqrt(g * (r + k))
         else:  # r + k = d*d/(r - k), which does not cancel
-            s, t = d, r - k
+            s, t, root = d, r - k, 1.0
             if t == inf:  # the same ratio s/t at a quarter of the scale
-                s, t = 0.25 * d, hypot(0.25 * d, 0.25 * k) - 0.25 * k
+                s, t, root = 0.25 * d, hypot(0.25 * d, 0.25 * k) - 0.25 * k, 2.0
             angle = atan2(s, t)
-            v = sqrt(g * (s / t) * d)
+            q = s / t
+            # below the normal range q has lost bits; sqrt(r - k) = root*sqrt(t)
+            v = sqrt(g * q * d) if q >= _TINY else d * (sqrt(g) / (root * sqrt(t)))
         if v == inf:
             if k >= 0:  # r may overflow where g*(r + k) does not
                 v = sqrt(4.0 * g * (hypot(0.25 * d, 0.25 * k) + 0.25 * k))
             if v == inf:
                 raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
-        entries.append((d, new(Optimum, (angle, v))))
-    return entries
+        angles.append(angle)
+        speeds.append(v)
+    return angles, speeds
 
 
 def default_d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> list[float]:
@@ -184,11 +189,11 @@ def default_d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> list
 def sweep_distance(params: ShotParams, d_grid: Sequence[float]) -> OptimumCurve:
     """Optimal angle and speed at each distance in d_grid, the other
     parameters taken from params: `optimal_angle` of params at that
-    distance, bit for bit, with no `ShotParams` built per point."""
+    distance, bit for bit, with no `ShotParams` or `Optimum` per point."""
     if any(map(le, d_grid[1:], d_grid)):
         raise ValueError("d_grid must be strictly increasing")
     a, h, g = params.release_altitude, params.hoop_height, params.gravity
-    return OptimumCurve(a, tuple(_optima(a, h, g, d_grid)))
+    return OptimumCurve(a, tuple(d_grid), *map(tuple, _optima(a, h, g, d_grid)))
 
 
 def sweep_altitudes(
@@ -203,14 +208,12 @@ def sweep_altitudes(
 
 def sweep_csv(curves: Sequence[OptimumCurve]) -> str:
     """CSV export: d,theta_opt_deg,v_opt,altitude with 6 decimal places,
-    each curve's rows written by one % over its values in one tuple."""
+    each curve's rows written by one % over its three columns interleaved."""
     rows = ["d,theta_opt_deg,v_opt,altitude\n"]
-    for altitude, entries in curves:
-        if entries:
-            distances, optima = zip(*entries)
-            angles, speeds = zip(*optima)
-            flat = [0.0] * (3 * len(entries))
+    for altitude, distances, angles, speeds in curves:
+        if distances:
+            flat = [0.0] * (3 * len(distances))
             flat[::3], flat[1::3], flat[2::3] = distances, map(degrees, angles), speeds
             row = "%%.6f,%%.6f,%%.6f,%.6f\n" % altitude  # no % in a formatted float
-            rows.append(row * len(entries) % tuple(flat))
+            rows.append(row * len(distances) % tuple(flat))
     return "".join(rows)

@@ -115,9 +115,7 @@ def test_criterion_06_asymptote_and_monotonicity():
     far = optimal_angle(ShotParams(distance=200.0))
     far_deg = math.degrees(far.angle)
     assert far_deg == pytest.approx(45.19, abs=0.05)
-    curve = sweep_distance(DEFAULTS, default_d_grid())
-    angles = [o.angle for _, o in curve.entries]
-    speeds = [o.speed for _, o in curve.entries]
+    _, _, angles, speeds = sweep_distance(DEFAULTS, default_d_grid())
     assert all(b < a for a, b in zip(angles, angles[1:]))
     assert all(b > a for a, b in zip(speeds, speeds[1:]))
     report(
@@ -131,8 +129,8 @@ def test_criterion_07_altitude_ordering():
     grid = default_d_grid()
     curves = sweep_altitudes(DEFAULTS, [1.2, 1.7, 2.2], grid)
     for i in range(len(grid)):
-        angles = [c.entries[i][1].angle for c in curves]
-        speeds = [c.entries[i][1].speed for c in curves]
+        angles = [c.angles[i] for c in curves]
+        speeds = [c.speeds[i] for c in curves]
         assert angles[0] > angles[1] > angles[2]
         assert speeds[0] > speeds[1] > speeds[2]
     report(

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hoopshot import solver
 from hoopshot.cli import COMMANDS, _parse, build_parser, run
 from hoopshot.kinematics import ShotParams
 from hoopshot.solver import feasibility_angle
@@ -158,6 +159,13 @@ class TestOptimize:
         speed = float(re.fullmatch(r"theta_opt=67\.5 deg, v_opt=(\S+) m/s\n", out)[1])
         assert ulps(speed, decimal_optimum(0.0, 1.5e308, 1.5e308, 0.01)[1]) <= 2.0
 
+    @pytest.mark.parametrize("distance", ["4.25e-188", "5e-324"])
+    def test_vertical_optimum_is_a_domain_error(self, distance):
+        # d << h - a: theta* = pi/4 + atan(k/d)/2 rounds to pi/2
+        code, out, err = run_captured(["optimize", "--distance", distance, "--gravity", "1.9"])
+        assert (code, out) == (1, "")
+        assert err == "angle must be below pi/2, got 1.5707963267948966\n"
+
 
 class TestVelocity:
     def test_feasible(self, capsys):
@@ -246,6 +254,44 @@ class TestSweep:
         code, out, err = run_captured(["sweep", "--scenario", str(path), *flags])
         assert (code, err) == (0, "")
         assert {line.split(",")[3] for line in out.splitlines()[1:]} == altitudes
+
+    def test_three_altitudes_match_golden_csv(self):
+        golden = (Path(__file__).parent / "golden" / "sweep_default.csv").read_bytes()
+        code, out, err = run_captured(["sweep", "--altitudes", "1.2", "1.7", "2.2"])
+        assert (code, err) == (0, "")
+        assert out.encode() == golden
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The number of Optimum and OptimumCurve records the solver builds,
+    through the constructor or `_make`, while the fixture is active."""
+    counts = dict.fromkeys(["Optimum", "OptimumCurve"], 0)
+    for name in counts:
+        base = getattr(solver, name)
+
+        def new(cls, *args, _name=name, _base=base, **kwargs):
+            counts[_name] += 1
+            return _base.__new__(cls, *args, **kwargs)
+
+        def make(cls, iterable, _name=name, _base=base):
+            counts[_name] += 1
+            return _base._make.__func__(cls, iterable)
+
+        namespace = {"__slots__": (), "__new__": new, "_make": classmethod(make)}
+        monkeypatch.setattr(solver, name, type(name, (base,), namespace))
+    return counts
+
+
+class TestRecordsBuilt:
+    def test_sweep_builds_one_curve_per_altitude_and_no_optimum(self, built):
+        code, out, _ = run_captured(["sweep", "--altitudes", "1.2", "1.7", "2.2"])
+        assert code == 0 and len(out.splitlines()) == 1 + 3 * 141
+        assert built == {"Optimum": 0, "OptimumCurve": 3}
+
+    def test_optimize_builds_one_optimum(self, built):
+        assert run_captured(["optimize"]) == (0, "theta_opt=48.8 deg, v_opt=10.6 m/s\n", "")
+        assert built == {"Optimum": 1, "OptimumCurve": 0}
 
 
 def _small_scenario(tmp_path):

@@ -78,9 +78,9 @@ RECORDS = [
     ),
     pytest.param(
         lambda: sweep_distance(ShotParams(), [1.0]),
-        "OptimumCurve(release_altitude=1.7, entries=((1.0, "
-        "Optimum(angle=1.2520219277255502, speed=5.449246889624585)),))",
-        "entries",
+        "OptimumCurve(release_altitude=1.7, distances=(1.0,), "
+        "angles=(1.2520219277255502,), speeds=(5.449246889624585,))",
+        "speeds",
         id="OptimumCurve",
     ),
     pytest.param(lambda: Bracket(0.0, 1.0), "Bracket(lo=0.0, hi=1.0)", "lo", id="Bracket"),

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -19,11 +20,13 @@ from hoopshot.render import (
     Scene,
     Style,
     export_figures,
+    hline,
     point,
     polyline,
     render_svg,
     scale_map,
     text,
+    vline,
     _clip_segment,
     _fmt,
     _stroke_attrs,
@@ -396,3 +399,76 @@ class TestExportFigures:
         assert (dir1 / "figure_02.svg").read_bytes() == (
             dir2 / "figure_01.svg"
         ).read_bytes()
+
+
+W, H = DEFAULT_SIZE
+BOX = (MARGIN_LEFT, MARGIN_TOP, W - MARGIN_RIGHT, H - MARGIN_BOTTOM)
+pixels = st.tuples(coordinate(BOX[0], BOX[2]), coordinate(BOX[1], BOX[3]))
+
+
+def squared_distance(point, p0, p1):
+    """The exact squared distance from point to the segment p0-p1."""
+    (x, y), (x0, y0), (x1, y1) = (map(Fraction, p) for p in (point, p0, p1))
+    dx, dy = x1 - x0, y1 - y0
+    length = dx * dx + dy * dy
+    t = min(max(((x - x0) * dx + (y - y0) * dy) / length, 0), 1) if length else 0
+    return (x0 + t * dx - x) ** 2 + (y0 + t * dy - y) ** 2
+
+
+class TestClipSegment:
+    """A clipped end lies in the box; an end the clip moves lies exactly
+    on a box edge and within half a printed unit (0.0005 px) of the
+    exact segment between the two float vertices."""
+
+    @pytest.mark.parametrize(
+        "p0, p1, clipped",
+        [
+            # y0 + t*dy cancelled against the far vertex: the clip began at y = 32
+            ((263.665, -1e17), (263.665, 288.642), ((263.665, 28.0), (263.665, 288.642))),
+            # both vertices far away: the line y = x enters at x = 52, leaves at y = 412
+            ((-1e17, -1e17), (1e17, 1e17), ((52.0, 52.0), (412.0, 412.0))),
+            ((1e300, 1e300), (-1e300, -1e300), ((412.0, 412.0), (52.0, 52.0))),
+        ],
+    )
+    def test_moved_end_on_the_edge_that_moved_it(self, p0, p1, clipped):
+        assert _clip_segment(p0, p1, BOX) == clipped
+
+    @settings(max_examples=1000, deadline=None)
+    @given(p0=pixels, p1=pixels)
+    @example(p0=(263.665, -1e17), p1=(263.665, 288.642))
+    @example(p0=(-1e17, -1e17 + 3.0), p1=(1e17, 1e17))
+    @example(p0=(0.0, 0.0), p1=(600.0, 440.0))  # through the corner (588, 431.2)
+    def test_clipped_ends_in_box_and_on_segment(self, p0, p1):
+        clipped = _clip_segment(p0, p1, BOX)
+        if clipped is None:
+            return
+        assert all(map(math.isfinite, p0 + p1))
+        x0, y0, x1, y1 = BOX
+        for end, vertex in zip(clipped, (p0, p1)):
+            x, y = end
+            assert x0 <= x <= x1 and y0 <= y <= y1, (end, vertex)
+            if end is not vertex:
+                assert x in (x0, x1) or y in (y0, y1)
+                assert squared_distance(end, p0, p1) <= Fraction(1, 2000) ** 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pts=vertices.filter(lambda pts: len(pts) >= 2),
+        dots=st.lists(st.tuples(coordinate(*SPACE.x_range), coordinate(*SPACE.y_range))),
+        rules=st.lists(st.tuples(st.booleans(), coordinate(*SPACE.x_range))),
+        size=st.sampled_from([DEFAULT_SIZE, (150.0, 120.0)]),
+    )
+    def test_every_drawn_coordinate_in_the_viewport(self, pts, dots, rules, size):
+        marks = [polyline(pts, BLACK), *(point(x, y, BLACK) for x, y in dots)]
+        marks += [(vline if v else hline)(at, BLACK) for v, at in rules]
+        svg = render_svg(one_panel_scene(marks, SPACE, size)).decode()
+        w, h = size
+        x0, y0, x1, y1 = MARGIN_LEFT, MARGIN_TOP, w - MARGIN_RIGHT, h - MARGIN_BOTTOM
+        xy = [tuple(pair.split(",")) for pts in polyline_points(svg) for pair in pts.split()]
+        xy += re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg)
+        for line in re.findall(r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"', svg):
+            xy += [line[:2], line[2:]]
+        # a %.3f text is within half a printed unit of its value
+        for x, y in xy:
+            assert x0 - 0.0005 <= float(x) <= x1 + 0.0005, (x, y)
+            assert y0 - 0.0005 <= float(y) <= y1 + 0.0005, (x, y)

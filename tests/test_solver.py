@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hoopshot import solver
-from hoopshot.kinematics import LaunchState, ShotParams, height_at_plane
+from hoopshot.kinematics import LaunchState, ShotParams, VerticalShot, height_at_plane
 from hoopshot.solver import (
     DEFAULT_ALTITUDES,
     MAX_GRID_POINTS,
@@ -283,6 +283,21 @@ class TestOptimumAgainstDecimalOracle:
         assert ulps(opt.angle, theta) <= 1.5
         assert ulps(opt.speed, speed) <= 2.0
 
+    @pytest.mark.parametrize(
+        "a, d, h, g",
+        [
+            (3.78e180, 1.23e-162, 0.0, 4.13e208),  # d/(r - k) ~ 1.6e-343 underflows to 0
+            (1e300, 1e-10, 0.0, 9.8),  # d/(r - k) = 5e-311 keeps 43 of 53 bits
+            (1e308, 1e-300, 0.0, 1e300),  # and r - k overflows too
+        ],
+    )
+    def test_finite_where_d_over_r_minus_k_underflows(self, a, d, h, g):
+        # tan(theta*) = d/(r - k) is not a normal float, but v* is
+        opt = optimal_angle(ShotParams(a, d, h, g))
+        theta, speed = decimal_optimum(a, d, h, g)
+        assert ulps(opt.angle, theta) <= 3.0
+        assert ulps(opt.speed, speed) <= 2.5
+
     def test_overflows_where_g_times_r_plus_k_does(self):
         with pytest.raises(ValueError, match="is not finite: inf"):
             optimal_angle(ShotParams(0.0, 1.5e308, 1.5e308, 1.0))
@@ -291,22 +306,20 @@ class TestOptimumAgainstDecimalOracle:
 class TestSweeps:
     def test_theta_decreases_and_speed_increases_with_distance(self):
         grid = [1.0 + 0.5 * i for i in range(29)]
-        curve = sweep_distance(DEFAULTS, grid)
-        angles = [o.angle for _, o in curve.entries]
-        speeds = [o.speed for _, o in curve.entries]
+        _, _, angles, speeds = sweep_distance(DEFAULTS, grid)
         assert all(b < a for a, b in zip(angles, angles[1:]))
         assert all(b > a for a, b in zip(speeds, speeds[1:]))
 
     def test_single_point_sweep(self):
         curve = sweep_distance(DEFAULTS, [10.0])
-        (d, opt), = curve.entries
+        (d,), (angle,), _ = curve.distances, curve.angles, curve.speeds
         assert d == 10.0
         expected = optimal_angle(DEFAULTS)
-        assert opt.angle == pytest.approx(expected.angle, abs=1e-12)
+        assert angle == pytest.approx(expected.angle, abs=1e-12)
 
     def test_close_range_steep_angle(self):
         curve = sweep_distance(DEFAULTS, [1.0])
-        assert math.degrees(curve.entries[0][1].angle) == pytest.approx(
+        assert math.degrees(curve.angles[0]) == pytest.approx(
             71.7, abs=0.05
         )
 
@@ -314,8 +327,8 @@ class TestSweeps:
         grid = [1.0 + i for i in range(15)]
         curves = sweep_altitudes(DEFAULTS, [1.2, 1.7, 2.2], grid)
         for i in range(len(grid)):
-            angles = [c.entries[i][1].angle for c in curves]
-            speeds = [c.entries[i][1].speed for c in curves]
+            angles = [c.angles[i] for c in curves]
+            speeds = [c.speeds[i] for c in curves]
             assert angles[0] > angles[1] > angles[2]
             assert speeds[0] > speeds[1] > speeds[2]
 
@@ -326,9 +339,9 @@ class TestSweeps:
 
     def test_default_altitude_row_matches_headline(self):
         curves = sweep_altitudes(DEFAULTS, [1.2, 1.7, 2.2], [10.0])
-        opt = curves[1].entries[0][1]
-        assert math.degrees(opt.angle) == pytest.approx(48.8, abs=0.05)
-        assert opt.speed == pytest.approx(10.6, abs=0.05)
+        curve = curves[1]
+        assert math.degrees(curve.angles[0]) == pytest.approx(48.8, abs=0.05)
+        assert curve.speeds[0] == pytest.approx(10.6, abs=0.05)
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -350,8 +363,9 @@ def per_point_sweep(params, grid):
     return [(d, optimal_angle(params.replace(distance=d))) for d in grid]
 
 
-def bits(entries):
-    return [(d, o.angle.hex(), o.speed.hex()) for d, o in entries]
+def bits(rows):
+    """(d, angle, speed) rows with the two floats as hex, bit for bit."""
+    return [(d, angle.hex(), speed.hex()) for d, angle, speed in rows]
 
 
 def swept_params(hoop, offset, gravity, above):
@@ -381,9 +395,10 @@ class TestSweepMatchesPerPointOptimum:
     @example(params=ShotParams(release_altitude=5.0), grid=[0.5, 1.0, 15.0])
     def test_entries_bit_identical(self, params, grid):
         curve = sweep_distance(params, grid)
-        expected = per_point_sweep(params, grid)
+        expected = [(d, *opt) for d, opt in per_point_sweep(params, grid)]
         assert curve.release_altitude == params.release_altitude
-        assert bits(curve.entries) == bits(expected)
+        assert all(type(column) is tuple for column in curve[1:])
+        assert bits(zip(curve.distances, curve.angles, curve.speeds)) == bits(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -403,15 +418,17 @@ class TestSweepMatchesPerPointOptimum:
         assert got == (ValueError, f"distance must be {check}, got {bad}")
 
     @pytest.mark.parametrize(
-        "valid, message",
+        "valid, error",
         [
             # h > a: phi = atan(inf) = pi/2, so theta* = pi/2
             pytest.param(
-                5e-324, "angle must be below pi/2, got 1.5707963267948966", id="vertical"
+                5e-324,
+                (VerticalShot, "angle must be below pi/2, got 1.5707963267948966"),
+                id="vertical",
             ),
             pytest.param(  # g*(r + k) overflows; at 1e300 it does not
                 1e308,
-                "required speed at angle 0.7853981633974483 rad is not finite: inf",
+                (ValueError, "required speed at angle 0.7853981633974483 rad is not finite: inf"),
                 id="speed-overflows",
             ),
         ],
@@ -426,15 +443,15 @@ class TestSweepMatchesPerPointOptimum:
         ],
         ids=["before-nan", "after-nan", "before-inf", "after-minus-inf"],
     )
-    def test_first_failing_point_decides(self, valid, message, grid_of):
+    def test_first_failing_point_decides(self, valid, error, grid_of):
         # a valid distance at which the optimum itself raises, next to a
         # distance the check rejects: whichever comes first must raise
         grid = grid_of(valid)
         got = outcome(lambda: sweep_distance(DEFAULTS, grid))
         assert got == outcome(lambda: per_point_sweep(DEFAULTS, grid))
         bad = grid[1] if grid[0] == valid else grid[0]
-        first = message if grid[0] == valid else f"distance must be finite, got {bad}"
-        assert got == (ValueError, first)
+        first = error if grid[0] == valid else (ValueError, f"distance must be finite, got {bad}")
+        assert got == first
 
     def test_one_speed_evaluation_per_point_and_no_distance_check(self, monkeypatch):
         # the optimum's speed is the closed form in _optima: no kernel call
@@ -465,7 +482,7 @@ class TestSweepMatchesPerPointOptimum:
 
         monkeypatch.setattr(ShotParams, "__init__", counted)
         curves = sweep_altitudes(DEFAULTS, [1.2, 1.7, 2.2], default_d_grid())
-        assert [len(c.entries) for c in curves] == [141] * 3
+        assert [len(c.distances) for c in curves] == [141] * 3
         assert len(calls) <= 3
 
 
