@@ -104,7 +104,7 @@ def _cmd_trajectory(scenario: Scenario, args) -> int:
 def _cmd_velocity(scenario: Scenario, args) -> int:
     try:
         v = solver.required_velocity(scenario.params, math.radians(args.angle))
-    except Infeasible:
+    except solver.InfeasibleAngle:
         feas = math.degrees(solver.feasibility_angle(scenario.params))
         print(f"INFEASIBLE: angle {args.angle:g} deg is at or below {feas:.3f} deg")
         return EXIT_DOMAIN

@@ -312,40 +312,50 @@ def _render_mark(out: list[str], mark: Mark, xs, ys, box) -> None:
         (xd0, xd1), (xr0, xr1) = xs.domain, xs.range
         (yd0, yd1), (yr0, yr1) = ys.domain, ys.range
         xk, xw, yk, yw = xr1 - xr0, xd1 - xd0, yr1 - yr0, yd1 - yd0
-        pixels = [
-            (xr0 + (x - xd0) * xk / xw, yr0 + (y - yd0) * yk / yw)
-            for x, y in mark.points
-        ]
-        # an infinite box (an infinite scene) admits infinite vertices
-        inside = (
-            [vx0 <= x <= vx1 and vy0 <= y <= vy1 for x, y in pixels]
-            if all(map(math.isfinite, box))
-            else [False] * len(pixels)
-        )
-        if all(inside):
-            # every segment is its own clip (below) and starts where the
-            # last one ends, so the mark is one polyline of its pixels
-            segs = [pixels]
-        else:
-            # emit clipped segments so no coordinate escapes the viewport; a
-            # segment inside it is its own clip, since rounded subtraction and
-            # division are monotone and so keep Liang-Barsky's t0 = 0, t1 = 1
-            segs = []
-            for p0, p1, in0, in1 in zip(pixels, pixels[1:], inside, inside[1:]):
-                clipped = (p0, p1) if in0 and in1 else _clip_segment(p0, p1, box)
-                if clipped is None:
-                    continue
-                if segs and segs[-1][-1] == clipped[0]:
-                    segs[-1].append(clipped[1])
+        px = [xr0 + (x - xd0) * xk / xw for x, _ in mark.points]
+        py = [yr0 + (y - yd0) * yk / yw for _, y in mark.points]
+        n = len(px)
+        # a finite sum has no NaN or infinite term, so min and max decide
+        # "every pixel inside a finite box" as the test per vertex does
+        if math.isfinite(sum(px) + sum(py) + sum(box)) and (
+            vx0 <= min(px) and max(px) <= vx1 and vy0 <= min(py) and max(py) <= vy1
+        ):
+            outside = []
+        elif all(map(math.isfinite, box)):
+            outside = [i for i in range(n) if not (vx0 <= px[i] <= vx1 and vy0 <= py[i] <= vy1)]
+        else:  # an infinite box (an infinite scene) admits infinite vertices
+            outside = range(n)
+        # emit clipped segments so no coordinate escapes the viewport; a
+        # segment inside it is its own clip, since rounded subtraction and
+        # division are monotone and so keep Liang-Barsky's t0 = 0, t1 = 1,
+        # so a run of in-box vertices is one piece, sliced from the columns
+        pieces = []  # each an interleaved x, y list
+        start = 0  # the first vertex of the in-box run that ends before j
+        for j in [*outside, n]:
+            parts = []
+            if j - start >= 2:
+                run = [0.0] * (2 * (j - start))
+                run[::2], run[1::2] = px[start:j], py[start:j]
+                parts.append(run)
+            # the segments into j from the run and out of j
+            for i in (j - 1, j):
+                if start <= i < n - 1:
+                    clipped = _clip_segment((px[i], py[i]), (px[i + 1], py[i + 1]), box)
+                    if clipped is not None:
+                        parts.append([*clipped[0], *clipped[1]])
+            for part in parts:  # joined to the last piece where it starts at its end
+                if pieces and pieces[-1][-2:] == part[:2]:
+                    pieces[-1] += part[2:]
                 else:
-                    segs.append([clipped[0], clipped[1]])
+                    pieces.append(part)
+            start = j + 1
         attrs = _stroke_attrs(mark.style)
-        for seg in segs:
-            # every number has 3 decimals and a delimiter on each side, so
-            # replacing "-0.000" applies _fmt's rule to whole numbers only
-            coords = " ".join(["%.3f,%.3f" % xy for xy in seg])
-            coords = coords.replace("-0.000", "0.000")
-            out.append(f'<polyline points="{coords}" {attrs}/>')
+        for flat in pieces:
+            # one % per piece; every number has 3 decimals and a delimiter
+            # on each side, so replacing "-0.000" applies _fmt's rule to
+            # whole numbers only
+            coords = " ".join(["%.3f,%.3f"] * (len(flat) // 2)) % tuple(flat)
+            out.append(f'<polyline points="{coords.replace("-0.000", "0.000")}" {attrs}/>')
     elif mark.kind is MarkKind.POINT:
         x = scale_map(xs, mark.points[0][0])
         y = scale_map(ys, mark.points[0][1])
@@ -355,9 +365,13 @@ def _render_mark(out: list[str], mark: Mark, xs, ys, box) -> None:
                 f'fill="{PALETTE[mark.style.color_role]}" stroke="none"/>'
             )
     elif mark.kind is MarkKind.TEXT:
-        x = min(max(scale_map(xs, mark.points[0][0]), vx0), vx1)
-        y = min(max(scale_map(ys, mark.points[0][1]), vy0), vy1)
-        out.append(_text(x, y, mark.text, 10.0, "start", PALETTE[mark.style.color_role]))
+        x = scale_map(xs, mark.points[0][0])
+        y = scale_map(ys, mark.points[0][1])
+        # a NaN anchor is dropped, as a NaN POINT is; the clamp below would
+        # keep it, and it keeps an infinite one on the edge
+        if not (math.isnan(x) or math.isnan(y)):
+            x, y = min(max(x, vx0), vx1), min(max(y, vy0), vy1)
+            out.append(_text(x, y, mark.text, 10.0, "start", PALETTE[mark.style.color_role]))
     elif mark.kind is MarkKind.VLINE:
         x = scale_map(xs, mark.value)
         if vx0 <= x <= vx1:

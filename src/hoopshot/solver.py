@@ -77,8 +77,9 @@ def required_velocity(params: ShotParams, angle: float) -> float:
 
 def _hoop_speeds(a: float, d: float, h: float, g: float, angles) -> list:
     """The closed form in the module docstring at each angle, in order:
-    None where its denominator is non-positive (an infeasible angle), and
-    ValueError for an angle not below pi/2 or a speed that is not finite."""
+    None where its denominator is non-positive (an infeasible angle),
+    ValueError for an angle not below pi/2 or a speed that is not finite,
+    and Infeasible for a speed that underflows to 0."""
     speeds = []
     for angle in angles:
         if not angle < _HALF_PI:
@@ -88,7 +89,14 @@ def _hoop_speeds(a: float, d: float, h: float, g: float, angles) -> list:
         if denom <= 0:
             speeds.append(None)
             continue
-        v = sqrt(0.5 * g * d * d / denom)
+        num = 0.5 * g * d * d
+        radicand = num / denom
+        if num >= _TINY and radicand >= _TINY:
+            v = sqrt(radicand)
+        else:  # below the normal range num or radicand has lost bits or is 0
+            v = d * (sqrt(0.5 * g) / sqrt(denom))
+            if v == 0:
+                raise Infeasible(f"required speed at angle {angle} rad underflows to 0")
         if not isfinite(v):
             raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
         speeds.append(v)
@@ -154,8 +162,9 @@ def _optima(a: float, h: float, g: float, distances) -> tuple[list, list]:
                 s, t, root = 0.25 * d, hypot(0.25 * d, 0.25 * k) - 0.25 * k, 2.0
             angle = atan2(s, t)
             q = s / t
-            # below the normal range q has lost bits; sqrt(r - k) = root*sqrt(t)
-            v = sqrt(g * q * d) if q >= _TINY else d * (sqrt(g) / (root * sqrt(t)))
+            w = g * q * d
+            # below the normal range q or w has lost bits; sqrt(r - k) = root*sqrt(t)
+            v = sqrt(w) if q >= _TINY and w >= _TINY else d * (sqrt(g) / (root * sqrt(t)))
         if v == inf:
             if k >= 0:  # r may overflow where g*(r + k) does not
                 v = sqrt(4.0 * g * (hypot(0.25 * d, 0.25 * k) + 0.25 * k))

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import math
@@ -37,6 +38,27 @@ FLOAT_FLAG_CALLS = [
     "trajectory --angle=30 --speed={value} --samples=5",
     "sweep --scenario={out}/small.json --altitudes={value}",
 ]
+
+
+# a twelve-speed fan on a quarter-metre grid; the digests are of the
+# files that `figures` wrote for it before the polyline writer took its
+# present form, which must not move them
+FAN_SCENARIO = {
+    "params": {"a": 1.6, "d": 11, "h": 3.05, "g": 9.8},
+    "velocities": [4, 6.5, 8, 9.5, 11, 12.5, 14, 15.5, 17, 18.5, 20, 22],
+    "altitudes": [1.2, 2.0, 2.6],
+    "d_grid": {"lo": 1, "hi": 15, "step": 0.25},
+}
+FAN_SHA256 = {
+    "figure_01.svg": "1b618c802322e172a34e3cb8adcf56ec6cc60f8a94bef80be0eee442d381dca1",
+    "figure_02.svg": "673e599f151fb1652afeff6de4ca40d612a64654947314df700c9a2eaa1173c5",
+    "figure_03.svg": "e800801929a7a7f7e1d88994a2c05925d0414d26b8217bba0e6f7c700394696b",
+    "figure_04.svg": "6c9e2185d7bd61079b2bb9c9fe0ce427543cf9cff47a74429f127b6c8f26f113",
+    "figure_05.svg": "1d0b3b504f135dd2c4daf9bbcf39365287b3dff2f9db623eae56872c62250aa9",
+    "figure_06.svg": "5c25fc34fddaacf2a3aeb3f10a3766f5d5bf6590c0902a8e36dd2394836ebfeb",
+    "figure_07.svg": "57daad033f3e4c773e5e4d7ab7f3ccdd798b46957f72e31d4807ed524e624ef6",
+    "ladder.json": "43f88bab65eab25a09064d239836d10d15fdf7aac98856457eb5c2884366e6b3",
+}
 
 
 # the two JSON inputs in full: a scenario file with every key, and the
@@ -175,6 +197,13 @@ class TestVelocity:
     def test_infeasible_exits_1(self, capsys):
         assert run(["velocity", "--angle", "5"]) == 1
         assert "INFEASIBLE" in capsys.readouterr().out
+
+    def test_speed_that_underflows_to_zero_exits_1(self):
+        argv = ["velocity", "--altitude", "1e300", "--distance", "5e-324",
+                "--gravity", "5e-324", "--angle", "30"]
+        code, out, err = run_captured(argv)
+        assert (code, out) == (1, "")
+        assert err == "required speed at angle 0.5235987755982988 rad underflows to 0\n"
 
 
 class TestTrajectory:
@@ -397,6 +426,26 @@ class TestFigures:
         for p1 in sorted(dir1.glob("*.svg")):
             p2 = dir2 / p1.name
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_twelve_speed_fan_is_byte_pinned(self, tmp_path):
+        # a non-default set: its fan and stage-5 curves are long marks inside
+        # their panels, and its required-speed curve leaves the 0-40 m/s space
+        scenario = tmp_path / "fan.json"
+        scenario.write_text(json.dumps(FAN_SCENARIO))
+        out_dir = tmp_path / "figs"
+        assert run_captured(["figures", "--scenario", str(scenario), "--out", str(out_dir)])[0] == 0
+        digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                   for name in FAN_SHA256}
+        assert digests == FAN_SHA256
+
+    @pytest.mark.parametrize("distance", ["1e-170", "1e-300"])
+    def test_tiny_distance_above_the_hoop_draws(self, tmp_path, distance):
+        # 0.5*g*d*d underflows to 0, yet the speed at 30 deg is a normal float
+        out_dir = tmp_path / "figs"
+        argv = ["figures", "--altitude", "4", "--distance", distance, "--out", str(out_dir)]
+        code, out, err = run_captured(argv + ["--scenario", str(_small_scenario(tmp_path))])
+        assert (code, err) == (0, "")
+        assert len(list(out_dir.glob("figure_*.svg"))) == 7
 
 
 class TestValidateLadder:

@@ -210,12 +210,13 @@ class TestRenderSvg:
 SPACE = unit_space(x_range=(-2.0, 8.0), y_range=(0.0, 5.0))
 
 
-def reference_polylines(mark, size):
-    """The <polyline> elements of one mark in a single-panel scene of this
-    size, built segment by segment from scale_map, _clip_segment and _fmt."""
-    w, h = size
-    vx0, vy0 = MARGIN_LEFT, MARGIN_TOP
-    vx1, vy1 = w - MARGIN_RIGHT, h - MARGIN_BOTTOM
+def reference_polylines(mark, rect):
+    """The <polyline> elements of one mark in a panel of SPACE drawn in
+    rect = (x, y, width, height), built segment by segment from scale_map,
+    _clip_segment and _fmt."""
+    px, py, pw, ph = rect
+    vx0, vy0 = px + MARGIN_LEFT, py + MARGIN_TOP
+    vx1, vy1 = px + pw - MARGIN_RIGHT, py + ph - MARGIN_BOTTOM
     xs = LinearScale(domain=SPACE.x_range, range=(vx0, vx1))
     ys = LinearScale(domain=SPACE.y_range, range=(vy1, vy0))
     pixels = [(scale_map(xs, x), scale_map(ys, y)) for x, y in mark.points]
@@ -255,27 +256,60 @@ vertices = st.lists(
     max_size=12,
 ).map(lambda drawn: [(x, y) for x, y, twice in drawn for _ in range(1 + twice)])
 
+# long marks: runs of up to 50 vertices inside the box (a mapped vertex
+# is inside exactly when its data point is, and a data edge maps onto
+# the pixel edge), vertices exactly on an edge, and the vertices above,
+# so a run starts and ends on an edge, at a crossing or at a gap
+inside = st.tuples(st.floats(*SPACE.x_range), st.floats(*SPACE.y_range))
+on_edge = st.one_of(
+    st.tuples(st.sampled_from(SPACE.x_range), st.floats(*SPACE.y_range)),
+    st.tuples(st.floats(*SPACE.x_range), st.sampled_from(SPACE.y_range)),
+)
+long_marks = st.lists(
+    st.one_of(st.lists(inside, min_size=1, max_size=50), st.lists(on_edge, max_size=2), vertices),
+    min_size=1,
+    max_size=6,
+).map(lambda pieces: [xy for piece in pieces for xy in piece]).filter(lambda pts: len(pts) >= 2)
+
 
 class TestPolylineMatchesSegmentwiseReference:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(
-        pts=vertices.filter(lambda pts: len(pts) >= 2),
+        pts=st.one_of(vertices.filter(lambda pts: len(pts) >= 2), long_marks),
         dash=st.sampled_from(Dash),
         # the default canvas, a small one, one too small for its margins,
         # and an infinite one, whose box admits infinite vertices
         size=st.sampled_from(
             [DEFAULT_SIZE, (150.0, 120.0), (40.0, 30.0), (math.inf, math.inf)]
         ),
+        # the mark in the right-hand one of two panels side by side, whose
+        # viewport starts half the width across
+        right=st.booleans(),
     )
     @example(  # box edges, a repeated vertex, corner to corner, then inside
         pts=[(-2.0, 0.0), (-2.0, 0.0), (8.0, 0.0), (8.0, 5.0), (-2.0, 5.0), (3.0, 2.5)],
         dash=Dash.SOLID,
         size=DEFAULT_SIZE,
+        right=False,
     )
-    def test_points_byte_equal(self, pts, dash, size):
+    @example(  # a run from the left edge to the top edge, out, back in on the right edge
+        pts=[(-2.0, 1.0), *[(0.1 * i, 1.0 + 0.05 * i) for i in range(60)], (5.0, 5.0),
+             (9.0, 6.0), (8.0, 2.0), (3.0, 2.0), (3.0, 0.0)],
+        dash=Dash.SOLID,
+        size=DEFAULT_SIZE,
+        right=True,
+    )
+    def test_points_byte_equal(self, pts, dash, size, right):
+        assume(not (right and math.isinf(size[0])))  # panels split a finite width
         mark = polyline(pts, Style(color_role=ColorRole.CONCRETE, dash=dash))
-        svg = render_svg(one_panel_scene([mark], SPACE, size)).decode()
-        assert re.findall(r"<polyline [^\n]*", svg) == reference_polylines(mark, size)
+        w, h = size
+        if right:
+            panels = (Panel(SPACE, ()), Panel(SPACE, (mark,)))
+            scene, rect = Scene(panels, Layout.SIDE_BY_SIDE, size), (w / 2, 0.0, w / 2, h)
+        else:
+            scene, rect = one_panel_scene([mark], SPACE, size), (0.0, 0.0, w, h)
+        svg = render_svg(scene).decode()
+        assert re.findall(r"<polyline [^\n]*", svg) == reference_polylines(mark, rect)
         assert not NON_FINITE.search(" ".join(polyline_points(svg)))
 
     @pytest.mark.parametrize(
@@ -293,7 +327,7 @@ class TestPolylineMatchesSegmentwiseReference:
         mark = polyline(pts, BLACK)
         svg = render_svg(one_panel_scene([mark], SPACE)).decode()
         polylines = re.findall(r"<polyline [^\n]*", svg)
-        assert polylines == reference_polylines(mark, DEFAULT_SIZE)
+        assert polylines == reference_polylines(mark, (0.0, 0.0, *DEFAULT_SIZE))
         assert len(polylines) == count
 
     @settings(max_examples=300, deadline=None)
@@ -353,6 +387,27 @@ class TestNonFiniteVertices:
     def test_no_finite_segment_draws_nothing(self, pts):
         svg = render_svg(one_panel_scene([polyline(pts, BLACK)])).decode()
         assert polyline_points(svg) == []
+
+    @pytest.mark.parametrize("anchor", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_text_anchor_is_dropped(self, anchor):
+        # as a NaN POINT is; the clamp to the viewport would keep a NaN
+        svg = render_svg(one_panel_scene([text(*anchor, "label", BLACK)])).decode()
+        assert "label" not in svg
+        assert not NON_FINITE.search(svg)
+
+    @pytest.mark.parametrize(
+        "anchor, axis, edge",
+        [
+            ((math.inf, 1.0), 0, 588.0),
+            ((-math.inf, 1.0), 0, 52.0),
+            ((1.0, math.inf), 1, 28.0),
+            ((1.0, -math.inf), 1, 412.0),
+        ],
+    )
+    def test_infinite_text_anchor_is_clamped_to_the_edge(self, anchor, axis, edge):
+        svg = render_svg(one_panel_scene([text(*anchor, "label", BLACK)])).decode()
+        xy = re.search(r'<text x="([^"]*)" y="([^"]*)"[^>]*>label<', svg).groups()
+        assert float(xy[axis]) == edge
 
     @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
     def test_infinite_canvas(self, bad):

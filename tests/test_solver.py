@@ -1,12 +1,19 @@
 import math
 import random
+import sys
 from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hoopshot import solver
-from hoopshot.kinematics import LaunchState, ShotParams, VerticalShot, height_at_plane
+from hoopshot.kinematics import (
+    Infeasible,
+    LaunchState,
+    ShotParams,
+    VerticalShot,
+    height_at_plane,
+)
 from hoopshot.solver import (
     DEFAULT_ALTITUDES,
     MAX_GRID_POINTS,
@@ -86,6 +93,60 @@ class TestRequiredVelocity:
             v = required_velocity(params, angle)
             y = height_at_plane(params, LaunchState(angle, v))
             assert y == pytest.approx(params.hoop_height, rel=1e-9)
+
+
+def decimal_hoop_speed(params, angle):
+    """The closed form at this angle in 50-digit decimal, from the floats
+    cos(angle) and tan(angle) taken as exact."""
+    a, d, h, g = map(Decimal, params)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c, t = Decimal(math.cos(angle)), Decimal(math.tan(angle))
+        return (Decimal("0.5") * g * d * d / (c * c * (d * t + a - h))).sqrt()
+
+
+class TestRequiredVelocityUnderflow:
+    """Where 0.5*g*d*d or the radicand is not a normal float, the speed
+    is d*sqrt(0.5*g/denom): a normal v keeps its bits."""
+
+    @pytest.mark.parametrize(
+        "a, d, g",
+        [
+            (4.0, 1e-170, 9.8),  # 0.5*g*d*d underflows to 0
+            (4.0, 1e-300, 9.8),
+            (4.0, 1e-160, 9.8),  # 0.5*g*d*d is subnormal: bits lost
+            (1e300, 1e-9, 9.8),  # the radicand is subnormal, 0.5*g*d*d is not
+            (3.0500000001, 1e-155, 9.8),  # 0.5*g*d*d is subnormal, the radicand is not
+        ],
+    )
+    def test_speed_within_two_ulps(self, a, d, g):
+        params = ShotParams(release_altitude=a, distance=d, gravity=g)
+        angle = 30.0 * DEG
+        v = required_velocity(params, angle)
+        assert v >= sys.float_info.min
+        assert ulps(v, decimal_hoop_speed(params, angle)) <= 2.0
+
+    def test_angle_curve_has_the_same_speeds(self):
+        params = ShotParams(release_altitude=4.0, distance=1e-170)
+        curve = angle_curve(params, 0.0, 80.0 * DEG, 9)
+        assert all(p.speed > 0 for p in curve.points)
+        assert [p.speed for p in curve.points] == [
+            required_velocity(params, p.angle) for p in curve.points
+        ]
+
+    def test_speed_that_underflows_to_zero_raises(self):
+        params = ShotParams(release_altitude=1e300, distance=5e-324, gravity=5e-324)
+        with pytest.raises(Infeasible, match="underflows to 0") as raised:
+            required_velocity(params, 30.0 * DEG)
+        assert not isinstance(raised.value, InfeasibleAngle)
+
+    @pytest.mark.parametrize("d", [1e-170, 1e-300])
+    def test_optimum_speed_where_g_q_d_underflows(self, d):
+        # k < 0: tan(theta*) = q = d/(r - k) is normal, g*q*d is not
+        opt = optimal_angle(ShotParams(release_altitude=4.0, distance=d))
+        theta, speed = decimal_optimum(4.0, d, 3.05, 9.8)
+        assert ulps(opt.angle, theta) <= 3.0
+        assert ulps(opt.speed, speed) <= 2.5
 
 
 class TestFeasibilityAngle:
