@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 from . import solver
 from .kinematics import Infeasible, LaunchState, ShotParams, VerticalShot, sample_trajectory
-from .kinematics import json_object, json_value
+from .kinematics import TRAJECTORY_SAMPLES, json_object, json_value
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -216,7 +216,7 @@ COMMANDS = {
     "trajectory": Command("print a sampled trajectory as CSV (t, x, y)", _cmd_trajectory, (
         ANGLE,
         Flag("--speed", "launch speed, m/s", float, required=True),
-        Flag("--samples", "number of samples", int, default=200),
+        Flag("--samples", "number of samples", int, default=TRAJECTORY_SAMPLES),
     )),
     "velocity": Command("print the speed required to reach the hoop", _cmd_velocity, (ANGLE,)),
     "optimize": Command("print the optimal angle (degrees) and speed", _cmd_optimize),

@@ -31,7 +31,6 @@ from .render import (
 
 DEMO_ANGLE = math.radians(30.0)
 ONE_SHOT_SPEED = 15.0
-TRAJECTORY_SAMPLES = 200
 ANGLE_CURVE_POINTS = 400
 ANGLE_CURVE_MAX_DEG = 89.9
 COUNT_WORDS = "zero one two three four five six seven eight nine".split()
@@ -84,17 +83,15 @@ def _court_marks(params: ShotParams) -> tuple:
 
 
 def _trajectory_mark(params: ShotParams, angle: float, speed: float, style: Style):
-    traj = sample_trajectory(
-        params, LaunchState(angle=angle, speed=speed), n=TRAJECTORY_SAMPLES
-    )
-    return polyline([(x, y) for _, x, y in traj.samples], style), traj
+    traj = sample_trajectory(params, LaunchState(angle=angle, speed=speed))
+    return polyline([(x, y) for _, x, y in traj.samples], style)
 
 
 def _angle_curve_polyline(params: ShotParams):
     curve = solver.angle_curve(
         params, 0.0, math.radians(ANGLE_CURVE_MAX_DEG), ANGLE_CURVE_POINTS
     )
-    pts = [(math.degrees(a), v) for a, v in curve.points if v is not None]
+    pts = [(math.degrees(a), v) for a, v in zip(curve.angles, curve.speeds) if v is not None]
     if len(pts) < 2:
         feasibility = math.degrees(solver.feasibility_angle(params))
         raise Infeasible(
@@ -209,17 +206,17 @@ def build_basketball_ladder(
     demo_deg = math.degrees(demo)
 
     # stage 2: one concrete shot, then a fan of launch speeds
-    one_shot, _ = _trajectory_mark(params, demo, ONE_SHOT_SPEED, RED)
+    one_shot = _trajectory_mark(params, demo, ONE_SHOT_SPEED, RED)
     fan = []
     for v in velocities:
-        mark, traj = _trajectory_mark(params, demo, v, RED)
-        _, x_end, y_end = traj.samples[-1]
+        mark = _trajectory_mark(params, demo, v, RED)
+        x_end, y_end = mark.points[-1]
         fan += [mark, text(x_end + 0.1, y_end + 0.1, f"{v:g}", RED)]
     fan = tuple(fan)
 
     # stage 3: the speed that exactly reaches the hoop
     v_solution = solver.required_velocity(params, demo)
-    solution_mark, _ = _trajectory_mark(params, demo, v_solution, BLUE)
+    solution_mark = _trajectory_mark(params, demo, v_solution, BLUE)
 
     # stage 4: required speed as a function of angle
     curve_mark = _angle_curve_polyline(params)

@@ -17,6 +17,8 @@ from collections import namedtuple
 COS_EPS = 1e-12
 # the most trajectory samples or distance-grid points one call builds
 MAX_GRID_POINTS = 100_000
+# the samples of a trajectory, drawn or printed, unless a call asks otherwise
+TRAJECTORY_SAMPLES = 200
 
 
 class VerticalShot(ValueError):
@@ -186,7 +188,7 @@ def ground_impact_time(params: ShotParams, launch: LaunchState) -> float:
 
 
 def sample_trajectory(
-    params: ShotParams, launch: LaunchState, n: int = 200
+    params: ShotParams, launch: LaunchState, n: int = TRAJECTORY_SAMPLES
 ) -> Trajectory:
     """Sample the trajectory at n equally spaced times.
 

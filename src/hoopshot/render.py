@@ -9,8 +9,9 @@ Style constants (golden-file contract):
   colors   BASELINE #000000, CONCRETE #CC0000, SOLUTION #0000CC,
            OPTIMUM #00AA00
   dashes   DASHED "6.000,4.000", DOTTED "1.500,3.000"
-  canvas   600x450 per scene by default; side-by-side panels split the
-           width, stacked panels split the height equally
+  canvas   600x450 per scene; side-by-side panels split the width,
+           stacked panels split the height equally
+  strokes  1.5 pixels wide for every mark
   margins  left 52, right 12, top 28, bottom 38 pixels per panel
   text     sans-serif: title 13, axis labels 11, TEXT marks 10 and the
            end-of-axis tick labels 9 pixels, black but for TEXT marks
@@ -34,7 +35,7 @@ PALETTE = {
     ColorRole.OPTIMUM: "#00AA00",
 }
 
-DEFAULT_SIZE = (600.0, 450.0)
+SIZE = (600.0, 450.0)
 MARGIN_LEFT = 52.0
 MARGIN_RIGHT = 12.0
 MARGIN_TOP = 28.0
@@ -74,12 +75,7 @@ DASH_PATTERNS = {
 }
 
 
-class Style(checked_record("Style", "color_role dash width", (Dash.SOLID, 1.5))):
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.width <= 0:
-            raise ValueError(f"stroke width must be positive, got {self.width}")
+Style = namedtuple("Style", "color_role dash", defaults=(Dash.SOLID,))
 
 
 class Mark(checked_record("Mark", "kind style points value text size", ((), 0.0, "", 3.0))):
@@ -127,7 +123,7 @@ class Layout(enum.Enum):
     STACKED_SHARED_X = "stacked_shared_x"
 
 
-Scene = namedtuple("Scene", "panels layout size", defaults=(Layout.SINGLE, DEFAULT_SIZE))
+Scene = namedtuple("Scene", "panels layout", defaults=(Layout.SINGLE,))
 
 
 class LinearScale(checked_record("LinearScale", "domain range")):
@@ -167,12 +163,10 @@ def _clip_segment(p0, p1, box):
         return None
     if not all(map(math.isfinite, p0 + p1)):
         return None
-    # (axis, value, +1 for a lower bound); an edge that is not finite (an
-    # infinite canvas) moves no end, so it is left out
+    # (axis, value, +1 for a lower bound)
     edges = ((0, bx0, 1), (0, bx1, -1), (1, by0, 1), (1, by1, -1))
-    edges = [e for e in edges if math.isfinite(e[1])]
     # every value is exactly an integer over scale
-    ratios = [v.as_integer_ratio() for v in (x0, y0, x1, y1, *[e[1] for e in edges])]
+    ratios = [v.as_integer_ratio() for v in (x0, y0, x1, y1, bx0, bx1, by0, by1)]
     scale = max([den for _, den in ratios])
     ints = [n * (scale // den) for n, den in ratios]
     a, b = ints[0:2], ints[2:4]
@@ -213,7 +207,7 @@ def _crossing(a, b, n, d, scale, axis, value):
 def _stroke_attrs(style: Style) -> str:
     return (
         f'stroke="{PALETTE[style.color_role]}" '
-        f'stroke-width="{_fmt(style.width)}" fill="none"'
+        'stroke-width="1.500" fill="none"'
         f"{DASH_PATTERNS[style.dash]}"
     )
 
@@ -245,11 +239,9 @@ def _line(x1: float, y1: float, x2: float, y2: float, style: Style) -> str:
 
 
 def _panel_rects(scene: Scene) -> list[tuple[float, float, float, float]]:
-    w, h = scene.size
+    w, h = SIZE
     n = len(scene.panels)
-    if n == 0:
-        return []
-    if scene.layout is Layout.SINGLE or n == 1:
+    if scene.layout is Layout.SINGLE or n <= 1:
         return [(0.0, 0.0, w, h)] * n
     if scene.layout is Layout.SIDE_BY_SIDE:
         cw = w / n
@@ -316,15 +308,13 @@ def _render_mark(out: list[str], mark: Mark, xs, ys, box) -> None:
         py = [yr0 + (y - yd0) * yk / yw for _, y in mark.points]
         n = len(px)
         # a finite sum has no NaN or infinite term, so min and max decide
-        # "every pixel inside a finite box" as the test per vertex does
-        if math.isfinite(sum(px) + sum(py) + sum(box)) and (
+        # "every pixel inside the box" as the test per vertex does
+        if math.isfinite(sum(px) + sum(py)) and (
             vx0 <= min(px) and max(px) <= vx1 and vy0 <= min(py) and max(py) <= vy1
         ):
             outside = []
-        elif all(map(math.isfinite, box)):
+        else:
             outside = [i for i in range(n) if not (vx0 <= px[i] <= vx1 and vy0 <= py[i] <= vy1)]
-        else:  # an infinite box (an infinite scene) admits infinite vertices
-            outside = range(n)
         # emit clipped segments so no coordinate escapes the viewport; a
         # segment inside it is its own clip, since rounded subtraction and
         # division are monotone and so keep Liang-Barsky's t0 = 0, t1 = 1,
@@ -386,7 +376,7 @@ def render_svg(scene: Scene) -> bytes:
     """Render a scene to a standalone SVG 1.1 document."""
     if scene.layout is Layout.STACKED_SHARED_X and len(scene.panels) > 1:
         _check_stacked(scene)
-    w, h = scene.size
+    w, h = SIZE
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

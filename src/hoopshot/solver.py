@@ -36,18 +36,9 @@ class InfeasibleAngle(Infeasible):
     """No finite speed reaches the hoop at this angle."""
 
 
-class VelocityRequirement(namedtuple("VelocityRequirement", "angle speed")):
-    """Required speed at one angle; speed is None when infeasible."""
-
-    __slots__ = ()
-
-    @property
-    def feasible(self) -> bool:
-        return self.speed is not None
-
-
-# points: a VelocityRequirement per grid angle
-AngleCurve = namedtuple("AngleCurve", "params points")
+# one tuple per column: speeds[i] is the required speed at angles[i], None
+# where that angle is infeasible
+AngleCurve = namedtuple("AngleCurve", "params angles speeds")
 
 
 class Optimum(namedtuple("Optimum", "angle speed")):
@@ -116,17 +107,15 @@ def _feasibility(a: float, d: float, h: float) -> float:
 def angle_curve(
     params: ShotParams, angle_lo: float, angle_hi: float, n: int
 ) -> AngleCurve:
-    """Required velocity on an even angle grid.  Infeasible grid points
-    are carried as markers, not dropped, so the curve can render the
+    """Required velocity on an even angle grid.  An infeasible grid angle
+    is kept, with None as its speed, so the curve can render the
     infeasible region."""
     if not angle_lo < angle_hi:
         raise ValueError(f"need angle_lo < angle_hi, got {angle_lo}, {angle_hi}")
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
-    angles = [angle_lo + (angle_hi - angle_lo) * i / (n - 1) for i in range(n)]
-    new = tuple.__new__
-    points = [new(VelocityRequirement, p) for p in zip(angles, _hoop_speeds(*params, angles))]
-    return AngleCurve(params, tuple(points))
+    angles = tuple([angle_lo + (angle_hi - angle_lo) * i / (n - 1) for i in range(n)])
+    return AngleCurve(params, angles, tuple(_hoop_speeds(*params, angles)))
 
 
 def optimal_angle(params: ShotParams) -> Optimum:
@@ -144,7 +133,8 @@ def _optima(a: float, h: float, g: float, distances) -> tuple[list, list]:
     columns: the one copy of the optimum, from r = hypot(d, k) with
     k = h - a and no call to the speed kernel.  Each distance is checked
     just before its optimum, so the first bad point raises first; an
-    angle that rounds to pi/2 raises VerticalShot, a domain error."""
+    angle that rounds to pi/2 raises VerticalShot and a speed that
+    underflows to 0 Infeasible, both domain errors."""
     k = h - a
     angles, speeds = [], []
     for d in distances:
@@ -155,7 +145,8 @@ def _optima(a: float, h: float, g: float, distances) -> tuple[list, list]:
             angle = _QUARTER_PI + atan(k / d) / 2  # phi as in _feasibility
             if not angle < _HALF_PI:
                 raise VerticalShot(f"angle must be below pi/2, got {angle}")
-            v = sqrt(g * (r + k))
+            w = g * (r + k)  # below the normal range w has lost bits
+            v = sqrt(w) if w >= _TINY else sqrt(g) * sqrt(r + k)
         else:  # r + k = d*d/(r - k), which does not cancel
             s, t, root = d, r - k, 1.0
             if t == inf:  # the same ratio s/t at a quarter of the scale
@@ -170,6 +161,8 @@ def _optima(a: float, h: float, g: float, distances) -> tuple[list, list]:
                 v = sqrt(4.0 * g * (hypot(0.25 * d, 0.25 * k) + 0.25 * k))
             if v == inf:
                 raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
+        elif v == 0:
+            raise Infeasible(f"required speed at angle {angle} rad underflows to 0")
         angles.append(angle)
         speeds.append(v)
     return angles, speeds

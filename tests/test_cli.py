@@ -188,6 +188,12 @@ class TestOptimize:
         assert (code, out) == (1, "")
         assert err == "angle must be below pi/2, got 1.5707963267948966\n"
 
+    def test_speed_that_underflows_to_zero_exits_1(self):
+        argv = ["optimize", "--altitude", "4", "--distance", "5e-324", "--gravity", "1e-300"]
+        code, out, err = run_captured(argv)
+        assert (code, out) == (1, "")
+        assert err == "required speed at angle 5e-324 rad underflows to 0\n"
+
 
 class TestVelocity:
     def test_feasible(self, capsys):

@@ -18,8 +18,8 @@ from hoopshot.ladder import (
     Violation,
     ViolationKind,
 )
-from hoopshot.render import LinearScale, Mark, MarkKind, Panel, Scene, Style
-from hoopshot.solver import Optimum, VelocityRequirement, angle_curve, sweep_distance
+from hoopshot.render import Dash, LinearScale, Mark, MarkKind, Panel, Scene, Style
+from hoopshot.solver import AngleCurve, Optimum, angle_curve, sweep_distance
 
 from oracles import Bracket, MinResult
 
@@ -28,7 +28,7 @@ SPACE = (
     "PlotSpace(x_var=('x', 'm'), y_var=('y', 'm'), x_range=(0.0, 1.0), "
     "y_range=(0.0, 2.0), aspect=1.0)"
 )
-STYLE = "Style(color_role=<ColorRole.BASELINE: 0>, dash=<Dash.SOLID: 'solid'>, width=1.5)"
+STYLE = "Style(color_role=<ColorRole.BASELINE: 0>, dash=<Dash.SOLID: 'solid'>)"
 
 
 def space():
@@ -60,17 +60,9 @@ RECORDS = [
         id="Trajectory",
     ),
     pytest.param(
-        lambda: VelocityRequirement(0.25, None),
-        "VelocityRequirement(angle=0.25, speed=None)",
-        "speed",
-        id="VelocityRequirement",
-    ),
-    pytest.param(
-        lambda: angle_curve(ShotParams(), 0.5, 1.0, 2),
-        f"AngleCurve(params={SHOT}, points=("
-        "VelocityRequirement(angle=0.5, speed=12.437393810305435), "
-        "VelocityRequirement(angle=1.0, speed=10.862984702177616)))",
-        "points",
+        lambda: angle_curve(ShotParams(), 0.1, 1.0, 2),
+        f"AngleCurve(params={SHOT}, angles=(0.1, 1.0), speeds=(None, 10.862984702177616))",
+        "speeds",
         id="AngleCurve",
     ),
     pytest.param(
@@ -114,8 +106,8 @@ RECORDS = [
     ),
     pytest.param(
         lambda: Style(ColorRole.CONCRETE),
-        "Style(color_role=<ColorRole.CONCRETE: 1>, dash=<Dash.SOLID: 'solid'>, width=1.5)",
-        "width",
+        "Style(color_role=<ColorRole.CONCRETE: 1>, dash=<Dash.SOLID: 'solid'>)",
+        "dash",
         id="Style",
     ),
     pytest.param(
@@ -133,8 +125,8 @@ RECORDS = [
     ),
     pytest.param(
         lambda: Scene(()),
-        "Scene(panels=(), layout=<Layout.SINGLE: 'single'>, size=(600.0, 450.0))",
-        "size",
+        "Scene(panels=(), layout=<Layout.SINGLE: 'single'>)",
+        "layout",
         id="Scene",
     ),
     pytest.param(
@@ -178,9 +170,9 @@ def test_each_record_equals_only_itself():
         (ShotParams(), ShotParams(distance=11.0)),
         (LaunchState(0.5, 10.0), LaunchState(0.5, 10.5)),
         (Bracket(0.0, 1.0), Bracket(0.0, 2.0)),
-        (Style(ColorRole.CONCRETE), Style(ColorRole.CONCRETE, width=2.0)),
+        (Style(ColorRole.CONCRETE), Style(ColorRole.CONCRETE, Dash.DASHED)),
         (Optimum(0.5, 2.0), Optimum(0.5, 2.5)),
-        (VelocityRequirement(0.25, None), VelocityRequirement(0.25, 1.0)),
+        (AngleCurve(ShotParams(), (0.25,), (None,)), AngleCurve(ShotParams(), (0.25,), (1.0,))),
     ],
 )
 def test_one_differing_field_makes_records_unequal(a, b):
@@ -218,7 +210,6 @@ REPLACE_CASES = [
         {"stages": (stage(), stage())},
         r"stage ids must be consecutive from 1, got \[1, 1\]",
     ),
-    (Style(ColorRole.CONCRETE), {"width": 0.0}, "stroke width must be positive"),
     (
         Mark(MarkKind.POINT, Style(ColorRole.BASELINE), ((1.0, 2.0),)),
         {"size": 0.0},
@@ -268,7 +259,8 @@ def test_make_and_replace_raise_the_constructor_message(record, changes, message
         assert str(raised.value) == str(built.value)
 
 
-# each checked record's constructor signature: its fields and defaults
+# the constructor signature of each checked record and of Style: its
+# fields and defaults
 SIGNATURES = {
     ShotParams: "(release_altitude=1.7, distance=10.0, hoop_height=3.05, gravity=9.8)",
     LaunchState: "(angle, speed)",
@@ -276,7 +268,7 @@ SIGNATURES = {
     PlotSpace: "(x_var, y_var, x_range, y_range, aspect=1.0)",
     Stage: "(id, panels, roles_used, tags, caption, parent=None)",
     LadderSpec: "(stages)",
-    Style: "(color_role, dash=<Dash.SOLID: 'solid'>, width=1.5)",
+    Style: "(color_role, dash=<Dash.SOLID: 'solid'>)",
     Mark: "(kind, style, points=(), value=0.0, text='', size=3.0)",
     LinearScale: "(domain, range)",
 }

@@ -7,11 +7,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from hoopshot.ladder import ColorRole, PlotSpace
 from hoopshot.render import (
-    DEFAULT_SIZE,
     MARGIN_BOTTOM,
     MARGIN_LEFT,
     MARGIN_RIGHT,
     MARGIN_TOP,
+    SIZE,
     Dash,
     Layout,
     LayoutError,
@@ -33,6 +33,7 @@ from hoopshot.render import (
 )
 
 BLACK = Style(color_role=ColorRole.BASELINE)
+W, H = SIZE
 
 
 def unit_space(x_range=(0.0, 10.0), y_range=(0.0, 10.0), x_name="x"):
@@ -44,7 +45,7 @@ def unit_space(x_range=(0.0, 10.0), y_range=(0.0, 10.0), x_name="x"):
     )
 
 
-def one_panel_scene(marks, space=None, size=DEFAULT_SIZE):
+def one_panel_scene(marks, space=None):
     return Scene(
         panels=(
             Panel(
@@ -54,8 +55,34 @@ def one_panel_scene(marks, space=None, size=DEFAULT_SIZE):
             ),
         ),
         layout=Layout.SINGLE,
-        size=size,
     )
+
+
+# where a panel is drawn, as (layout, index of the panel, its rectangle
+# (x, y, width, height)): a single panel; the right-hand one of two side
+# by side, whose viewport starts half the width across; and the lower one
+# of two stacked, whose viewport starts half the height down
+PLACES = {
+    "single": (Layout.SINGLE, 0, (0.0, 0.0, W, H)),
+    "right": (Layout.SIDE_BY_SIDE, 1, (W / 2, 0.0, W / 2, H)),
+    "lower": (Layout.STACKED_SHARED_X, 1, (0.0, H / 2, W, H / 2)),
+}
+
+
+def placed_scene(marks, space, place):
+    """A scene with marks in the panel at place, and that panel's rectangle."""
+    layout, index, rect = PLACES[place]
+    panels = [Panel(space, ())] * index + [Panel(space, tuple(marks))]
+    return Scene(tuple(panels), layout), rect
+
+
+def viewport(rect):
+    """The plotting box (x0, y0, x1, y1) of a panel rectangle."""
+    px, py, pw, ph = rect
+    return px + MARGIN_LEFT, py + MARGIN_TOP, px + pw - MARGIN_RIGHT, py + ph - MARGIN_BOTTOM
+
+
+BOX = viewport((0.0, 0.0, W, H))
 
 
 class TestScaleMap:
@@ -95,9 +122,7 @@ class TestRenderSvg:
         scene = one_panel_scene([polyline([(0.0, 0.0), (10.0, 10.0)], BLACK)], space)
         svg = render_svg(scene).decode()
 
-        w, h = scene.size
-        vx0, vx1 = MARGIN_LEFT, w - MARGIN_RIGHT
-        vy0, vy1 = MARGIN_TOP, h - MARGIN_BOTTOM
+        vx0, vy0, vx1, vy1 = BOX
         # (0,0) maps to bottom-left, (10,10) to top-right of the viewport
         expected = (
             f'points="{vx0:.3f},{vy1:.3f} {vx1:.3f},{vy0:.3f}"'
@@ -145,19 +170,16 @@ class TestRenderSvg:
         wild = polyline([(5.0, 5.0), (500.0, 5000.0)], BLACK)
         scene = one_panel_scene([wild])
         svg = render_svg(scene).decode()
-        w, h = scene.size
         for match in re.finditer(r'points="([^"]+)"', svg):
             for pair in match.group(1).split():
                 x, y = map(float, pair.split(","))
-                assert MARGIN_LEFT - 1e-6 <= x <= w - MARGIN_RIGHT + 1e-6
-                assert MARGIN_TOP - 1e-6 <= y <= h - MARGIN_BOTTOM + 1e-6
+                assert BOX[0] - 1e-6 <= x <= BOX[2] + 1e-6
+                assert BOX[1] - 1e-6 <= y <= BOX[3] + 1e-6
 
     def test_segment_beyond_one_edge_is_not_drawn(self):
         # both ends lie above the viewport, yet the clip's rounding alone
         # made them a zero-length segment at (100, 32), inside it
-        w, h = DEFAULT_SIZE
-        box = (MARGIN_LEFT, MARGIN_TOP, w - MARGIN_RIGHT, h - MARGIN_BOTTOM)
-        assert _clip_segment((100.0, -1e17), (100.0, 27.9), box) is None
+        assert _clip_segment((100.0, -1e17), (100.0, 27.9), BOX) is None
         # these map to the pixels (100, -1e17) and (100, 27.9) up to rounding
         space = unit_space(x_range=(52.0, 588.0), y_range=(0.0, 384.0))
         mark = polyline([(100.0, 1e17), (100.0, 384.1)], BLACK)
@@ -203,8 +225,6 @@ class TestRenderSvg:
             polyline([(0.0, 0.0)], BLACK)
         with pytest.raises(ValueError):
             point(0.0, 0.0, BLACK, size=0.0)
-        with pytest.raises(ValueError):
-            Style(color_role=ColorRole.BASELINE, width=0.0)
 
 
 SPACE = unit_space(x_range=(-2.0, 8.0), y_range=(0.0, 5.0))
@@ -214,9 +234,7 @@ def reference_polylines(mark, rect):
     """The <polyline> elements of one mark in a panel of SPACE drawn in
     rect = (x, y, width, height), built segment by segment from scale_map,
     _clip_segment and _fmt."""
-    px, py, pw, ph = rect
-    vx0, vy0 = px + MARGIN_LEFT, py + MARGIN_TOP
-    vx1, vy1 = px + pw - MARGIN_RIGHT, py + ph - MARGIN_BOTTOM
+    vx0, vy0, vx1, vy1 = viewport(rect)
     xs = LinearScale(domain=SPACE.x_range, range=(vx0, vx1))
     ys = LinearScale(domain=SPACE.y_range, range=(vy1, vy0))
     pixels = [(scale_map(xs, x), scale_map(ys, y)) for x, y in mark.points]
@@ -277,37 +295,28 @@ class TestPolylineMatchesSegmentwiseReference:
     @given(
         pts=st.one_of(vertices.filter(lambda pts: len(pts) >= 2), long_marks),
         dash=st.sampled_from(Dash),
-        # the default canvas, a small one, one too small for its margins,
-        # and an infinite one, whose box admits infinite vertices
-        size=st.sampled_from(
-            [DEFAULT_SIZE, (150.0, 120.0), (40.0, 30.0), (math.inf, math.inf)]
-        ),
-        # the mark in the right-hand one of two panels side by side, whose
-        # viewport starts half the width across
-        right=st.booleans(),
+        place=st.sampled_from(list(PLACES)),
     )
     @example(  # box edges, a repeated vertex, corner to corner, then inside
         pts=[(-2.0, 0.0), (-2.0, 0.0), (8.0, 0.0), (8.0, 5.0), (-2.0, 5.0), (3.0, 2.5)],
         dash=Dash.SOLID,
-        size=DEFAULT_SIZE,
-        right=False,
+        place="single",
     )
     @example(  # a run from the left edge to the top edge, out, back in on the right edge
         pts=[(-2.0, 1.0), *[(0.1 * i, 1.0 + 0.05 * i) for i in range(60)], (5.0, 5.0),
              (9.0, 6.0), (8.0, 2.0), (3.0, 2.0), (3.0, 0.0)],
         dash=Dash.SOLID,
-        size=DEFAULT_SIZE,
-        right=True,
+        place="right",
     )
-    def test_points_byte_equal(self, pts, dash, size, right):
-        assume(not (right and math.isinf(size[0])))  # panels split a finite width
+    @example(  # in the lower panel, a run from the top edge out of the bottom one, then in
+        pts=[(3.0, 5.0), *[(0.1 * i, 5.0 - 0.05 * i) for i in range(60)], (4.0, -1.0),
+             (8.0, 0.0), (2.0, 3.0)],
+        dash=Dash.SOLID,
+        place="lower",
+    )
+    def test_points_byte_equal(self, pts, dash, place):
         mark = polyline(pts, Style(color_role=ColorRole.CONCRETE, dash=dash))
-        w, h = size
-        if right:
-            panels = (Panel(SPACE, ()), Panel(SPACE, (mark,)))
-            scene, rect = Scene(panels, Layout.SIDE_BY_SIDE, size), (w / 2, 0.0, w / 2, h)
-        else:
-            scene, rect = one_panel_scene([mark], SPACE, size), (0.0, 0.0, w, h)
+        scene, rect = placed_scene([mark], SPACE, place)
         svg = render_svg(scene).decode()
         assert re.findall(r"<polyline [^\n]*", svg) == reference_polylines(mark, rect)
         assert not NON_FINITE.search(" ".join(polyline_points(svg)))
@@ -327,7 +336,7 @@ class TestPolylineMatchesSegmentwiseReference:
         mark = polyline(pts, BLACK)
         svg = render_svg(one_panel_scene([mark], SPACE)).decode()
         polylines = re.findall(r"<polyline [^\n]*", svg)
-        assert polylines == reference_polylines(mark, (0.0, 0.0, *DEFAULT_SIZE))
+        assert polylines == reference_polylines(mark, (0.0, 0.0, W, H))
         assert len(polylines) == count
 
     @settings(max_examples=300, deadline=None)
@@ -337,20 +346,20 @@ class TestPolylineMatchesSegmentwiseReference:
             min_size=2,
             max_size=40,
         ),
-        size=st.sampled_from([DEFAULT_SIZE, (150.0, 120.0)]),
+        place=st.sampled_from(list(PLACES)),
     )
     @example(
         pts=[(5.62280082457942, 1.0), (-1.978939466488893, 1.0), (3.0, 2.0)],
-        size=DEFAULT_SIZE,
+        place="single",
     )
-    def test_every_pixel_inside_is_one_polyline_of_the_vertices(self, pts, size):
-        w, h = size
-        vx0, vy0, vx1, vy1 = MARGIN_LEFT, MARGIN_TOP, w - MARGIN_RIGHT, h - MARGIN_BOTTOM
+    def test_every_pixel_inside_is_one_polyline_of_the_vertices(self, pts, place):
+        scene, rect = placed_scene([polyline(pts, BLACK)], SPACE, place)
+        vx0, vy0, vx1, vy1 = viewport(rect)
         xs = LinearScale(domain=SPACE.x_range, range=(vx0, vx1))
         ys = LinearScale(domain=SPACE.y_range, range=(vy1, vy0))
         pixels = [(scale_map(xs, x), scale_map(ys, y)) for x, y in pts]
         assume(all(vx0 <= x <= vx1 and vy0 <= y <= vy1 for x, y in pixels))
-        svg = render_svg(one_panel_scene([polyline(pts, BLACK)], SPACE, size)).decode()
+        svg = render_svg(scene).decode()
         assert polyline_points(svg) == [" ".join(f"{x:.3f},{y:.3f}" for x, y in pixels)]
 
 
@@ -409,14 +418,6 @@ class TestNonFiniteVertices:
         xy = re.search(r'<text x="([^"]*)" y="([^"]*)"[^>]*>label<', svg).groups()
         assert float(xy[axis]) == edge
 
-    @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
-    def test_infinite_canvas(self, bad):
-        pts = list(self.FINITE)
-        if bad is not None:
-            pts[2] = (bad, 3.0)
-        scene = one_panel_scene([polyline(pts, BLACK)], size=(math.inf, math.inf))
-        assert not NON_FINITE.search(" ".join(polyline_points(render_svg(scene).decode())))
-
 
 class TestExportFigures:
     def test_naming_and_order(self, tmp_path):
@@ -456,8 +457,6 @@ class TestExportFigures:
         ).read_bytes()
 
 
-W, H = DEFAULT_SIZE
-BOX = (MARGIN_LEFT, MARGIN_TOP, W - MARGIN_RIGHT, H - MARGIN_BOTTOM)
 pixels = st.tuples(coordinate(BOX[0], BOX[2]), coordinate(BOX[1], BOX[3]))
 
 
@@ -511,14 +510,14 @@ class TestClipSegment:
         pts=vertices.filter(lambda pts: len(pts) >= 2),
         dots=st.lists(st.tuples(coordinate(*SPACE.x_range), coordinate(*SPACE.y_range))),
         rules=st.lists(st.tuples(st.booleans(), coordinate(*SPACE.x_range))),
-        size=st.sampled_from([DEFAULT_SIZE, (150.0, 120.0)]),
+        place=st.sampled_from(list(PLACES)),
     )
-    def test_every_drawn_coordinate_in_the_viewport(self, pts, dots, rules, size):
+    def test_every_drawn_coordinate_in_the_viewport(self, pts, dots, rules, place):
         marks = [polyline(pts, BLACK), *(point(x, y, BLACK) for x, y in dots)]
         marks += [(vline if v else hline)(at, BLACK) for v, at in rules]
-        svg = render_svg(one_panel_scene(marks, SPACE, size)).decode()
-        w, h = size
-        x0, y0, x1, y1 = MARGIN_LEFT, MARGIN_TOP, w - MARGIN_RIGHT, h - MARGIN_BOTTOM
+        scene, rect = placed_scene(marks, SPACE, place)
+        svg = render_svg(scene).decode()
+        x0, y0, x1, y1 = viewport(rect)
         xy = [tuple(pair.split(",")) for pts in polyline_points(svg) for pair in pts.split()]
         xy += re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg)
         for line in re.findall(r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"', svg):

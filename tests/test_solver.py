@@ -18,7 +18,6 @@ from hoopshot.solver import (
     DEFAULT_ALTITUDES,
     MAX_GRID_POINTS,
     InfeasibleAngle,
-    VelocityRequirement,
     angle_curve,
     default_d_grid,
     feasibility_angle,
@@ -129,10 +128,8 @@ class TestRequiredVelocityUnderflow:
     def test_angle_curve_has_the_same_speeds(self):
         params = ShotParams(release_altitude=4.0, distance=1e-170)
         curve = angle_curve(params, 0.0, 80.0 * DEG, 9)
-        assert all(p.speed > 0 for p in curve.points)
-        assert [p.speed for p in curve.points] == [
-            required_velocity(params, p.angle) for p in curve.points
-        ]
+        assert all(v > 0 for v in curve.speeds)
+        assert list(curve.speeds) == [required_velocity(params, a) for a in curve.angles]
 
     def test_speed_that_underflows_to_zero_raises(self):
         params = ShotParams(release_altitude=1e300, distance=5e-324, gravity=5e-324)
@@ -140,13 +137,28 @@ class TestRequiredVelocityUnderflow:
             required_velocity(params, 30.0 * DEG)
         assert not isinstance(raised.value, InfeasibleAngle)
 
-    @pytest.mark.parametrize("d", [1e-170, 1e-300])
-    def test_optimum_speed_where_g_q_d_underflows(self, d):
-        # k < 0: tan(theta*) = q = d/(r - k) is normal, g*q*d is not
-        opt = optimal_angle(ShotParams(release_altitude=4.0, distance=d))
-        theta, speed = decimal_optimum(4.0, d, 3.05, 9.8)
+    @pytest.mark.parametrize(
+        "a, d, h, g",
+        [
+            # k < 0: tan(theta*) = q = d/(r - k) is normal, g*q*d is not
+            pytest.param(4.0, 1e-170, 3.05, 9.8, id="1e-170"),
+            pytest.param(4.0, 1e-300, 3.05, 9.8, id="1e-300"),
+            # k = 0: g*q*d = g*(r + k) is subnormal, then 0; v* is not
+            pytest.param(1.0, 3e-15, 1.0, 1e-300, id="k0-subnormal"),
+            pytest.param(1.0, 5e-324, 1.0, 5e-324, id="k0-zero"),
+        ],
+    )
+    def test_optimum_speed_where_g_q_d_underflows(self, a, d, h, g):
+        opt = optimal_angle(ShotParams(a, d, h, g))
+        theta, speed = decimal_optimum(a, d, h, g)
+        assert opt.speed > 0
         assert ulps(opt.angle, theta) <= 3.0
-        assert ulps(opt.speed, speed) <= 2.5
+        assert ulps(opt.speed, speed) <= 2.0
+
+    def test_optimum_speed_that_underflows_to_zero_raises(self):
+        # g*q*d and d*sqrt(g)/sqrt(r - k) are both 0
+        with pytest.raises(Infeasible, match="underflows to 0"):
+            optimal_angle(ShotParams(release_altitude=4.0, distance=5e-324, gravity=1e-300))
 
 
 class TestFeasibilityAngle:
@@ -178,25 +190,23 @@ class TestAngleCurve:
     def test_markers_and_minimum_location(self):
         curve = angle_curve(DEFAULTS, 0.0, 89.0 * DEG, 90)
         feas = feasibility_angle(DEFAULTS)
-        for p in curve.points:
-            assert p.feasible == (p.angle > feas)
-        feasible = [p for p in curve.points if p.feasible]
-        best = min(feasible, key=lambda p: p.speed)
-        assert math.degrees(best.angle) == pytest.approx(48.8, abs=1.0)
+        for a, v in zip(curve.angles, curve.speeds):
+            assert (v is not None) == (a > feas)
+        feasible = [(v, a) for a, v in zip(curve.angles, curve.speeds) if v is not None]
+        assert math.degrees(min(feasible)[1]) == pytest.approx(48.8, abs=1.0)
 
     def test_two_points(self):
         curve = angle_curve(DEFAULTS, 0.2, 1.0, 2)
-        assert len(curve.points) == 2
-        assert curve.points[0].angle == 0.2
-        assert curve.points[1].angle == 1.0
+        assert curve.angles == (0.2, 1.0)
+        assert len(curve.speeds) == 2
 
     def test_infeasible_points_kept(self):
         curve = angle_curve(DEFAULTS, 0.0, 89.0 * DEG, 90)
-        assert any(not p.feasible for p in curve.points)
+        assert None in curve.speeds
 
     def test_grid_strictly_increasing(self):
         curve = angle_curve(DEFAULTS, 0.0, 1.0, 37)
-        angles = [p.angle for p in curve.points]
+        angles = curve.angles
         assert all(b > a for a, b in zip(angles, angles[1:]))
 
 
@@ -276,7 +286,7 @@ class TestOptimalAngle:
         curve = angle_curve(
             DEFAULTS, feasibility_angle(DEFAULTS) + 1e-4, 89.9 * DEG, 2000
         )
-        speeds = [p.speed for p in curve.points if p.feasible]
+        speeds = [v for v in curve.speeds if v is not None]
         best = speeds.index(min(speeds))
         descending = speeds[: best + 1]
         ascending = speeds[best:]
@@ -548,20 +558,21 @@ class TestSweepMatchesPerPointOptimum:
 
 
 def per_point_curve(params, lo, hi, n):
-    """The angle curve as one required_velocity call per angle; the speed
-    is None exactly where that call raises InfeasibleAngle."""
-    points = []
-    for i in range(n):
-        angle = lo + (hi - lo) * i / (n - 1)
+    """The angle curve's (angles, speeds) columns from one required_velocity
+    call per angle; the speed is None exactly where that call raises
+    InfeasibleAngle."""
+    angles = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    speeds = []
+    for angle in angles:
         try:
-            points.append(VelocityRequirement(angle, required_velocity(params, angle)))
+            speeds.append(required_velocity(params, angle))
         except InfeasibleAngle:
-            points.append(VelocityRequirement(angle, None))
-    return points
+            speeds.append(None)
+    return angles, speeds
 
 
-def curve_bits(points):
-    return [(p.angle.hex(), None if p.speed is None else p.speed.hex()) for p in points]
+def curve_bits(angles, speeds):
+    return [(a.hex(), None if v is None else v.hex()) for a, v in zip(angles, speeds)]
 
 
 class TestAngleCurveMatchesRequiredVelocity:
@@ -579,9 +590,9 @@ class TestAngleCurveMatchesRequiredVelocity:
     @example(params=ShotParams(release_altitude=5.0), lo=-0.5, span=1.0, n=41)
     def test_speeds_bit_identical(self, params, lo, span, n):
         hi = min(lo + span, 1.57)
-        got = outcome(lambda: curve_bits(angle_curve(params, lo, hi, n).points))
+        got = outcome(lambda: curve_bits(*angle_curve(params, lo, hi, n)[1:]))
         # an overflowing speed raises from both, with the same message
-        assert got == outcome(lambda: curve_bits(per_point_curve(params, lo, hi, n)))
+        assert got == outcome(lambda: curve_bits(*per_point_curve(params, lo, hi, n)))
 
 
 class TestDistanceGrid:
