@@ -21,8 +21,7 @@ _EXPORTS = {
     "ladder": """ColorRole LadderSpec PlotSpace Stage StrategyTag Violation
         ViolationKind ladder_from_json ladder_to_json validate_ladder""",
     "figures": "build_basketball_ladder",
-    "render": """LayoutError LinearScale Mark Panel Scene Style export_figures
-        render_svg scale_map""",
+    "render": "LayoutError Mark Panel Scene Style export_figures render_svg",
 }
 # exported name -> the submodule that defines it
 _MODULE_OF = {

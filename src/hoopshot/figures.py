@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 
 from . import solver
-from .kinematics import Infeasible, LaunchState, ShotParams, height_at_plane, sample_trajectory
+from .kinematics import Infeasible, LaunchState, ShotParams, sample_trajectory
 from .ladder import ColorRole, LadderSpec, PlotSpace, Stage, StrategyTag
 from .render import (
     Dash,
@@ -130,15 +130,13 @@ def _count(n: int, noun: str) -> str:
     return f"{word} {noun}{'' if n == 1 else 's'}"
 
 
-def _stage_2_caption(
-    params: ShotParams, demo: float, velocities: Sequence[float], v_solution: float
-) -> str:
+def _stage_2_caption(demo: float, velocities: Sequence[float], v_solution: float) -> str:
     """Whether the one shot misses high or falls short, and whether the
-    fan brackets the hoop-reaching speed, from the model itself."""
-    height = height_at_plane(params, LaunchState(angle=demo, speed=ONE_SHOT_SPEED))
-    if height > params.hoop_height:
+    fan brackets the hoop-reaching speed: the height at the hoop plane
+    rises with the launch speed, so each compares a speed with v_solution."""
+    if ONE_SHOT_SPEED > v_solution:
         shot = "misses high"
-    elif height < params.hoop_height:
+    elif ONE_SHOT_SPEED < v_solution:
         shot = "falls short"
     else:
         shot = "reaches the hoop"
@@ -290,7 +288,7 @@ def build_basketball_ladder(
     captions = (
         f"A shooter {params.distance:g} m from the hoop, releasing at "
         f"{params.release_altitude:g} m; the hoop is {params.hoop_height:g} m high.",
-        _stage_2_caption(params, demo, velocities, v_solution),
+        _stage_2_caption(demo, velocities, v_solution),
         f"The shot at {demo_deg:g} deg reaches the hoop at "
         f"{v_solution:.1f} m/s, shown against the other speeds.",
         f"Required speed as a function of launch angle; it is minimized at "

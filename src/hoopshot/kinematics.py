@@ -14,7 +14,6 @@ import math
 import sys
 from collections import namedtuple
 
-COS_EPS = 1e-12
 # the most trajectory samples or distance-grid points one call builds
 MAX_GRID_POINTS = 100_000
 # the samples of a trajectory, drawn or printed, unless a call asks otherwise
@@ -22,8 +21,7 @@ TRAJECTORY_SAMPLES = 200
 
 
 class VerticalShot(ValueError):
-    """The launch angle is (numerically) vertical: the ball never
-    advances toward the hoop plane."""
+    """The optimal launch angle rounds to pi/2: there is no shot to aim."""
 
 
 class Infeasible(ValueError):
@@ -155,12 +153,7 @@ def position_at(
 
 def time_to_plane(launch: LaunchState, distance: float) -> float:
     """Time at which the ball crosses the vertical hoop plane at x = distance."""
-    c = math.cos(launch.angle)
-    if c <= COS_EPS:
-        raise VerticalShot(
-            f"cos(angle)={c:.3e} below threshold; shot never reaches the plane"
-        )
-    vx = launch.speed * c
+    vx = launch.speed * math.cos(launch.angle)
     # vx underflows to 0 for a tiny speed; the time then overflows to inf
     return distance / vx if vx else math.inf
 

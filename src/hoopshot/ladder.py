@@ -4,7 +4,7 @@ abstraction, with machine-checked consistency rules.
 Rules enforced by validate_ladder:
 
 R1  Panels drawn in the same plot space (same x/y variable identities)
-    must agree on axis ranges and aspect ratio.
+    must agree on axis ranges.
 R2  A color role reused by a stage must have been introduced somewhere
     in that stage's parent chain: color continuity flows through
     parentage.
@@ -57,9 +57,8 @@ class ViolationKind(enum.Enum):
     BROKEN_PARENT_ORDER = "broken_parent_order"
 
 
-class PlotSpace(checked_record("PlotSpace", "x_var y_var x_range y_range aspect", (1.0,))):
-    """Axis variables (name, unit), their ranges, and the aspect ratio
-    (y data-units per pixel over x data-units per pixel)."""
+class PlotSpace(checked_record("PlotSpace", "x_var y_var x_range y_range")):
+    """A panel's axes: each variable (name, unit) and its range."""
 
     __slots__ = ()
 
@@ -67,10 +66,6 @@ class PlotSpace(checked_record("PlotSpace", "x_var y_var x_range y_range aspect"
         for name, (lo, hi) in (("x_range", self.x_range), ("y_range", self.y_range)):
             if not -math.inf < lo < hi < math.inf:
                 raise ValueError(f"bad {name} {(lo, hi)}")
-        if not math.isfinite(self.aspect):
-            raise ValueError(f"aspect must be finite, got {self.aspect}")
-        if self.aspect <= 0:
-            raise ValueError(f"aspect must be positive, got {self.aspect}")
 
     @property
     def identity(self) -> tuple[tuple[str, str], tuple[str, str]]:
@@ -139,7 +134,6 @@ def _check_shared_spaces(spec: LadderSpec) -> Iterable[Violation]:
                 or abs(panel.x_range[1] - reference.x_range[1]) > RANGE_TOL
                 or abs(panel.y_range[0] - reference.y_range[0]) > RANGE_TOL
                 or abs(panel.y_range[1] - reference.y_range[1]) > RANGE_TOL
-                or abs(panel.aspect - reference.aspect) > RANGE_TOL
             )
         ]
         if mismatched:
@@ -148,8 +142,8 @@ def _check_shared_spaces(spec: LadderSpec) -> Iterable[Violation]:
                 kind=ViolationKind.SHARED_SPACE_MISMATCH,
                 stages=involved,
                 message=(
-                    f"panels sharing space {identity} disagree on ranges or "
-                    f"aspect across stages {involved}"
+                    f"panels sharing space {identity} disagree on ranges "
+                    f"across stages {involved}"
                 ),
             )
 
@@ -254,7 +248,6 @@ def _space_from_dict(data, what: str) -> PlotSpace:
         y_var=_pair(data["y_var"], str, f"{what}.y_var"),
         x_range=_pair(data["x_range"], float, f"{what}.x_range"),
         y_range=_pair(data["y_range"], float, f"{what}.y_range"),
-        aspect=json_value(data["aspect"], float, f"{what}.aspect"),
     )
 
 

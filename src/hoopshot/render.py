@@ -126,21 +126,10 @@ class Layout(enum.Enum):
 Scene = namedtuple("Scene", "panels layout", defaults=(Layout.SINGLE,))
 
 
-class LinearScale(checked_record("LinearScale", "domain range")):
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if not self.domain[0] < self.domain[1]:
-            raise ValueError(f"bad domain {self.domain}")
-        if self.range[0] == self.range[1]:
-            raise ValueError(f"degenerate range {self.range}")
-
-
-def scale_map(scale: LinearScale, x: float) -> float:
-    """Affine data-to-pixel map; extrapolates outside the domain."""
-    d0, d1 = scale.domain
-    r0, r1 = scale.range
-    return r0 + (x - d0) * (r1 - r0) / (d1 - d0)
+def _pixel(v: float, domain, pixels) -> float:
+    """The affine map of an axis's range onto its pixels; extrapolates."""
+    (d0, d1), (p0, p1) = domain, pixels
+    return p0 + (v - d0) * (p1 - p0) / (d1 - d0)
 
 
 def _fmt(v: float) -> str:
@@ -239,16 +228,19 @@ def _line(x1: float, y1: float, x2: float, y2: float, style: Style) -> str:
 
 
 def _panel_rects(scene: Scene) -> list[tuple[float, float, float, float]]:
+    """Each panel's rectangle (x, y, width, height); LayoutError where
+    its margins leave no viewport."""
     w, h = SIZE
     n = len(scene.panels)
     if scene.layout is Layout.SINGLE or n <= 1:
         return [(0.0, 0.0, w, h)] * n
-    if scene.layout is Layout.SIDE_BY_SIDE:
-        cw = w / n
-        return [(i * cw, 0.0, cw, h) for i in range(n)]
-    # stacked: equal heights, shared x checked by the caller
-    ch = h / n
-    return [(0.0, i * ch, w, ch) for i in range(n)]
+    side = scene.layout is Layout.SIDE_BY_SIDE  # else stacked, shared x checked by the caller
+    cw, ch = (w / n, h) if side else (w, h / n)
+    vw, vh = cw - MARGIN_LEFT - MARGIN_RIGHT, ch - MARGIN_TOP - MARGIN_BOTTOM
+    if not (vw > 0 and vh > 0):
+        size = f"{_fmt(vw)} x {_fmt(vh)}"
+        raise LayoutError(f"{n} {scene.layout.value} panels leave a {size} px viewport")
+    return [(i * cw, 0.0, cw, h) if side else (0.0, i * ch, w, ch) for i in range(n)]
 
 
 def _viewport(rect) -> tuple[float, float, float, float]:
@@ -275,8 +267,8 @@ def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
     px, py = rect[:2]
     box = vx0, vy0, vx1, vy1 = _viewport(rect)
     space = panel.space
-    xs = LinearScale(domain=space.x_range, range=(vx0, vx1))
-    ys = LinearScale(domain=space.y_range, range=(vy1, vy0))
+    # each axis: its range, and the pixels it maps onto (y grows downward)
+    xs, ys = (space.x_range, (vx0, vx1)), (space.y_range, (vy1, vy0))
     mid_x, mid_y = (vx0 + vx1) / 2, (vy0 + vy1) / 2
 
     out.append(_rect(box, ' stroke="#000000" stroke-width="1.000" fill="none"'))
@@ -287,9 +279,9 @@ def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
     out.append(_text(px + 14.0, mid_y, y_label, 11.0, turn=True))
     # end-of-axis tick labels
     for dv, anchor in zip(space.x_range, ("start", "end")):
-        out.append(_text(scale_map(xs, dv), vy1 + 14.0, _fmt(dv), 9.0, anchor))
+        out.append(_text(_pixel(dv, *xs), vy1 + 14.0, _fmt(dv), 9.0, anchor))
     for dv in space.y_range:
-        out.append(_text(vx0 - 4.0, scale_map(ys, dv) + 3.0, _fmt(dv), 9.0, "end"))
+        out.append(_text(vx0 - 4.0, _pixel(dv, *ys) + 3.0, _fmt(dv), 9.0, "end"))
 
     out.append(f'<g clip-path="url(#{clip_id})">')
     for mark in panel.marks:
@@ -300,9 +292,8 @@ def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
 def _render_mark(out: list[str], mark: Mark, xs, ys, box) -> None:
     vx0, vy0, vx1, vy1 = box
     if mark.kind is MarkKind.POLYLINE:
-        # scale_map inlined, with its operand order, so the bits match
-        (xd0, xd1), (xr0, xr1) = xs.domain, xs.range
-        (yd0, yd1), (yr0, yr1) = ys.domain, ys.range
+        # _pixel inlined, with its operand order, so the bits match
+        ((xd0, xd1), (xr0, xr1)), ((yd0, yd1), (yr0, yr1)) = xs, ys
         xk, xw, yk, yw = xr1 - xr0, xd1 - xd0, yr1 - yr0, yd1 - yd0
         px = [xr0 + (x - xd0) * xk / xw for x, _ in mark.points]
         py = [yr0 + (y - yd0) * yk / yw for _, y in mark.points]
@@ -347,27 +338,25 @@ def _render_mark(out: list[str], mark: Mark, xs, ys, box) -> None:
             coords = " ".join(["%.3f,%.3f"] * (len(flat) // 2)) % tuple(flat)
             out.append(f'<polyline points="{coords.replace("-0.000", "0.000")}" {attrs}/>')
     elif mark.kind is MarkKind.POINT:
-        x = scale_map(xs, mark.points[0][0])
-        y = scale_map(ys, mark.points[0][1])
+        x, y = _pixel(mark.points[0][0], *xs), _pixel(mark.points[0][1], *ys)
         if vx0 <= x <= vx1 and vy0 <= y <= vy1:
             out.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(mark.size)}" '
                 f'fill="{PALETTE[mark.style.color_role]}" stroke="none"/>'
             )
     elif mark.kind is MarkKind.TEXT:
-        x = scale_map(xs, mark.points[0][0])
-        y = scale_map(ys, mark.points[0][1])
+        x, y = _pixel(mark.points[0][0], *xs), _pixel(mark.points[0][1], *ys)
         # a NaN anchor is dropped, as a NaN POINT is; the clamp below would
         # keep it, and it keeps an infinite one on the edge
         if not (math.isnan(x) or math.isnan(y)):
             x, y = min(max(x, vx0), vx1), min(max(y, vy0), vy1)
             out.append(_text(x, y, mark.text, 10.0, "start", PALETTE[mark.style.color_role]))
     elif mark.kind is MarkKind.VLINE:
-        x = scale_map(xs, mark.value)
+        x = _pixel(mark.value, *xs)
         if vx0 <= x <= vx1:
             out.append(_line(x, vy0, x, vy1, mark.style))
     elif mark.kind is MarkKind.HLINE:
-        y = scale_map(ys, mark.value)
+        y = _pixel(mark.value, *ys)
         if vy0 <= y <= vy1:
             out.append(_line(vx0, y, vx1, y, mark.style))
 

@@ -69,12 +69,12 @@ def required_velocity(params: ShotParams, angle: float) -> float:
 def _hoop_speeds(a: float, d: float, h: float, g: float, angles) -> list:
     """The closed form in the module docstring at each angle, in order:
     None where its denominator is non-positive (an infeasible angle),
-    ValueError for an angle not below pi/2 or a speed that is not finite,
-    and Infeasible for a speed that underflows to 0."""
+    ValueError for an angle outside [-pi/2, pi/2) or a speed that is not
+    finite, and Infeasible for a speed that underflows to 0."""
     speeds = []
     for angle in angles:
-        if not angle < _HALF_PI:
-            raise ValueError(f"angle must be below pi/2, got {angle}")
+        if not -_HALF_PI <= angle < _HALF_PI:
+            raise ValueError(f"angle must be in [-pi/2, pi/2) rad, got {angle}")
         c = cos(angle)
         denom = c * c * (d * tan(angle) + a - h)
         if denom <= 0:

@@ -6,13 +6,16 @@ bracket edges where the objective blows up, and with a provable
 iteration bound.  `grid_scan` is a brute-force argmin on an even grid,
 kept deliberately independent so it can also check the search.
 `decimal_optimum` is the optimum in 50-digit `decimal` arithmetic, to
-measure the solver's rounding error in ulps (`ulps`).
+measure the solver's rounding error in ulps (`ulps`), and
+`decimal_required_velocity` the hoop-reaching speed at one angle, from
+`decimal_sin_cos` (and `decimal_tan`): Taylor series after reducing the
+angle by the nearest multiple of pi/2.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from typing import Callable, NamedTuple
 
 from hoopshot.kinematics import Infeasible, checked_record
@@ -141,6 +144,74 @@ def decimal_atan(x: Decimal) -> Decimal:
             total += term / n
         total *= 2**halvings
     return +total
+
+
+def decimal_pi() -> Decimal:
+    """pi to the precision of the current decimal context, by Machin's
+    formula pi = 16 atan(1/5) - 4 atan(1/239)."""
+    with localcontext() as ctx:
+        ctx.prec += 10
+        pi = 16 * decimal_atan(Decimal(1) / 5) - 4 * decimal_atan(Decimal(1) / 239)
+    return +pi
+
+
+def decimal_sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
+    """(sin x, cos x) to the precision of the current decimal context:
+    r = x - k pi/2 with k the nearest integer to x/(pi/2), so |r| <= pi/4,
+    with pi taken to as many more digits as the subtraction cancels; then
+    the Taylor series of sin r and cos r, turned by k quarter turns."""
+    prec = getcontext().prec
+    extra = 10 + max(0, x.adjusted())
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec + extra
+            half_pi = decimal_pi() / 2
+            k = int((x / half_pi).to_integral_value())
+            r = x - k * half_pi
+            # digits of k*pi/2 that the subtraction cancels
+            lost = (k * half_pi).adjusted() - r.adjusted() if k and r else 0
+        if lost + 10 <= extra:
+            break
+        extra = lost + 20
+    with localcontext() as ctx:
+        ctx.prec = prec + 10
+        eps = Decimal(10) ** -ctx.prec
+        sums = []
+        # sin r = r - r^3/3! + ..., cos r = 1 - r^2/2! + ...: (first term, its power)
+        for total, n in ((r, 1), (Decimal(1), 0)):
+            term = total
+            while term and abs(term) > eps * abs(total):
+                term *= -r * r / ((n + 1) * (n + 2))
+                n += 2
+                total += term
+            sums.append(total)
+        sin, cos = sums
+        sin, cos = ((sin, cos), (cos, -sin), (-sin, -cos), (-cos, sin))[k % 4]
+    return +sin, +cos
+
+
+def decimal_tan(x: Decimal) -> Decimal:
+    """tan x to the precision of the current decimal context."""
+    with localcontext() as ctx:
+        ctx.prec += 5
+        sin, cos = decimal_sin_cos(x)
+        tan = sin / cos
+    return +tan
+
+
+def decimal_required_velocity(a: float, d: float, h: float, g: float, angle: float, digits=50):
+    """The hoop-reaching speed at the float angle, as a Decimal to `digits`
+    digits from the exact float inputs: v^2 = g d^2 / (2 cos(angle)
+    (d sin(angle) + (a - h) cos(angle))), the closed form of
+    `solver.required_velocity` with cos^2 tan written cos sin."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        a, d, h, g, angle = map(Decimal, (a, d, h, g, angle))
+        sin, cos = decimal_sin_cos(angle)
+        speed = (g * d * d / (2 * cos * (d * sin + (a - h) * cos))).sqrt()
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +speed
 
 
 def decimal_optimum(a: float, d: float, h: float, g: float, digits: int = 50):

@@ -40,9 +40,10 @@ FLOAT_FLAG_CALLS = [
 ]
 
 
-# a twelve-speed fan on a quarter-metre grid; the digests are of the
+# a twelve-speed fan on a quarter-metre grid; the SVG digests are of the
 # files that `figures` wrote for it before the polyline writer took its
-# present form, which must not move them
+# present form, which must not move them; ladder.json's is of the file
+# without the panels' retired "aspect" key
 FAN_SCENARIO = {
     "params": {"a": 1.6, "d": 11, "h": 3.05, "g": 9.8},
     "velocities": [4, 6.5, 8, 9.5, 11, 12.5, 14, 15.5, 17, 18.5, 20, 22],
@@ -57,7 +58,7 @@ FAN_SHA256 = {
     "figure_05.svg": "1d0b3b504f135dd2c4daf9bbcf39365287b3dff2f9db623eae56872c62250aa9",
     "figure_06.svg": "5c25fc34fddaacf2a3aeb3f10a3766f5d5bf6590c0902a8e36dd2394836ebfeb",
     "figure_07.svg": "57daad033f3e4c773e5e4d7ab7f3ccdd798b46957f72e31d4807ed524e624ef6",
-    "ladder.json": "43f88bab65eab25a09064d239836d10d15fdf7aac98856457eb5c2884366e6b3",
+    "ladder.json": "62018b220cdeb0beb524ab38e61df90105d88ecc95cf9eaee1fb2dae8cd86c95",
 }
 
 
@@ -211,6 +212,24 @@ class TestVelocity:
         assert (code, out) == (1, "")
         assert err == "required speed at angle 0.5235987755982988 rad underflows to 0\n"
 
+    @pytest.mark.parametrize("angle", ["-95", "-1e308", "-inf", "nan", "90", "inf"])
+    def test_angle_outside_the_closed_form_domain_exits_2(self, angle):
+        # tan repeats every 180 deg: -95 deg once printed the speed at 85 deg
+        code, out, err = run_captured(["velocity", f"--angle={angle}"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("angle must be in [-pi/2, pi/2) rad, got ")
+
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            ("velocity --angle=-90", 1, "INFEASIBLE: angle -90 deg is at or below 7.688 deg\n"),
+            ("velocity --altitude 5 --angle=-5", 0, "v=21.4 m/s\n"),
+        ],
+    )
+    def test_angles_down_to_minus_90_keep_their_answer(self, argv, code, out):
+        assert run_captured(argv.split()) == (code, out, "")
+
 
 class TestTrajectory:
     def test_csv_output(self, capsys):
@@ -232,6 +251,14 @@ class TestTrajectory:
         code, out, err = run_captured(argv)
         assert (code, err) == (0, "")
         assert out.splitlines()[-1].endswith(",0.000000,0.000000")
+
+    def test_near_vertical_shot_ends_on_the_floor(self):
+        # cos(angle) is 1.7e-13: the ball goes straight up and comes down
+        # on the floor long before it could reach the plane
+        argv = ["trajectory", "--angle", "89.99999999999", "--speed", "10", "--samples", "3"]
+        code, out, err = run_captured(argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "2.198615,0.000000,0.000000"
 
     def test_huge_gravity_and_tiny_speed_end_at_the_ground(self):
         # the ground time sqrt(2a/g) is finite though 2*g*a overflows
@@ -519,6 +546,21 @@ class TestValidateLadder:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_spec_with_the_retired_aspect_exits_2_naming_it(self, tmp_path):
+        # a ladder.json written while PlotSpace had an aspect field
+        doc = copy.deepcopy(LADDER)
+        for stage in doc["stages"]:
+            for panel in stage["panels"]:
+                panel["aspect"] = 1.0
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        code, out, err = run_captured(["validate-ladder", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"cannot load ladder spec {path}: stages[0].panels[0] has unknown key "
+            "'aspect'; known: x_var, y_var, x_range, y_range\n"
+        )
 
     def test_too_deeply_nested_spec_exits_2(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -1,5 +1,6 @@
 """Start-up cost: which modules the CLI and the package pull in."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -77,7 +78,7 @@ def test_cli_and_optimize_skip_the_renderer_stack(tmp_path):
 
 
 def test_every_exported_name_resolves():
-    assert len(hoopshot.__all__) == len(set(hoopshot.__all__)) == 40
+    assert len(hoopshot.__all__) == len(set(hoopshot.__all__)) == 38
     for name in hoopshot.__all__:
         value = getattr(hoopshot, name)
         assert value.__name__ == name
@@ -94,3 +95,11 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         hoopshot.no_such_name  # noqa: B018
     assert not hasattr(hoopshot, "no_such_name")
+
+
+@pytest.mark.parametrize("name", ["LinearScale", "scale_map"])
+def test_removed_axis_records_are_gone(name):
+    # a panel's axes are its PlotSpace's ranges; these restated them
+    with pytest.raises(AttributeError, match=name):
+        getattr(hoopshot, name)
+    assert not hasattr(importlib.import_module("hoopshot.render"), name)

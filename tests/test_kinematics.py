@@ -6,7 +6,6 @@ from hypothesis import example, given, strategies as st
 from hoopshot.kinematics import (
     LaunchState,
     ShotParams,
-    VerticalShot,
     ground_impact_time,
     height_at_plane,
     position_at,
@@ -50,16 +49,25 @@ class TestTimeToPlane:
         t = time_to_plane(LaunchState(DEG30, 12.2), 10.0)
         assert t == pytest.approx(0.9465, abs=1e-4)
 
-    def test_vertical_shot_rejected(self):
-        # LaunchState itself rejects angle >= pi/2, so probe just below
-        # where cos underflows past the threshold
-        near_vertical = LaunchState(math.pi / 2 - 1e-14, 10.0)
-        with pytest.raises(VerticalShot):
-            time_to_plane(near_vertical, 10.0)
+    @pytest.mark.parametrize(
+        "angle",
+        [math.radians(89.99999999999), math.pi / 2 - 1e-14],
+        ids=["89.99999999999deg", "half-pi-less-1e-14"],
+    )
+    def test_near_vertical_shot_ends_on_the_floor(self, angle):
+        # cos(angle) is at most 1.7e-13: the plane is crossed, if ever,
+        # long after the ball is back on the floor at x = 0
+        launch = LaunchState(angle, 10.0)
+        assert math.isfinite(time_to_plane(launch, 10.0))
+        traj = sample_trajectory(DEFAULTS, launch, n=5)
+        t, x, y = traj.samples[-1]
+        assert t == ground_impact_time(DEFAULTS, launch)
+        assert x == pytest.approx(0.0, abs=1e-9)
+        assert y == pytest.approx(0.0, abs=1e-9)
 
     def test_underflowing_horizontal_speed_never_reaches_the_plane(self):
-        # speed * cos(angle) underflows to 0 though cos(angle) is above
-        # the threshold: the crossing time overflows, and inf is its value
+        # speed * cos(angle) underflows to 0 though cos(angle) is 1.7e-10:
+        # the ball never crosses the plane, and inf is the crossing time
         launch = LaunchState(math.radians(89.99999999), 1e-320)
         assert time_to_plane(launch, 10.0) == math.inf
         traj = sample_trajectory(DEFAULTS, launch, n=5)

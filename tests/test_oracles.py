@@ -1,7 +1,8 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import (
     INV_PHI,
@@ -10,8 +11,12 @@ from oracles import (
     Infeasible,
     InvalidBracket,
     NonFiniteObjective,
+    decimal_pi,
+    decimal_sin_cos,
+    decimal_tan,
     grid_scan,
     minimize_scalar,
+    ulps,
 )
 
 
@@ -124,3 +129,46 @@ class TestGridScan:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             grid_scan(quadratic, Bracket(0.0, 1.0), n=1)
+
+
+# pi to 60 digits, as published
+PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+class TestDecimalTrig:
+    def test_pi(self):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            assert decimal_pi() == +PI_60
+
+    @pytest.mark.parametrize("turns, sin, cos", [(0, 0, 1), (1, 1, 0), (2, 0, -1), (3, -1, 0)])
+    def test_quarter_turns_and_a_sixth(self, turns, sin, cos):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            # the angle is rounded to 50 digits, so the values within 1e-48
+            s, c = decimal_sin_cos(turns * PI_60 / 2 + PI_60 / 6)
+            half, root3_half = Decimal("0.5"), Decimal(3).sqrt() / 2
+            assert abs(s - (half * cos + root3_half * sin)) < Decimal("1e-48")
+            assert abs(c - (root3_half * cos - half * sin)) < Decimal("1e-48")
+
+    def test_float_nearest_a_multiple_of_half_pi(self):
+        # 6381956970095103 * 2**797 is within 2**-61 of a multiple of pi/2,
+        # so the reduction cancels 19 digits; the cosine as published
+        with localcontext() as ctx:
+            ctx.prec = 40
+            _, c = decimal_sin_cos(Decimal(6381956970095103 * 2**797))
+        assert c == Decimal("-4.687165924254627611122582801963884398778E-19")
+
+    @given(x=st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False))
+    @example(x=math.pi / 2)  # cos is 6.1e-17: the reduction cancels 17 digits
+    @example(x=5e-324)
+    def test_identities_and_the_float_library(self, x):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            s, c = decimal_sin_cos(Decimal(x))
+            tan = decimal_tan(Decimal(x))
+            assert abs(s * s + c * c - 1) < Decimal("1e-48")
+            assert abs(tan * c - s) <= Decimal("1e-48") * abs(s)
+        if abs(x) <= 10.0:  # where libm's sin and cos are within an ulp
+            assert ulps(math.sin(x), s) <= 1.0
+            assert ulps(math.cos(x), c) <= 1.0

@@ -18,7 +18,7 @@ from hoopshot.ladder import (
     Violation,
     ViolationKind,
 )
-from hoopshot.render import Dash, LinearScale, Mark, MarkKind, Panel, Scene, Style
+from hoopshot.render import Dash, Mark, MarkKind, Panel, Scene, Style
 from hoopshot.solver import AngleCurve, Optimum, angle_curve, sweep_distance
 
 from oracles import Bracket, MinResult
@@ -26,7 +26,7 @@ from oracles import Bracket, MinResult
 SHOT = "ShotParams(release_altitude=1.7, distance=10.0, hoop_height=3.05, gravity=9.8)"
 SPACE = (
     "PlotSpace(x_var=('x', 'm'), y_var=('y', 'm'), x_range=(0.0, 1.0), "
-    "y_range=(0.0, 2.0), aspect=1.0)"
+    "y_range=(0.0, 2.0))"
 )
 STYLE = "Style(color_role=<ColorRole.BASELINE: 0>, dash=<Dash.SOLID: 'solid'>)"
 
@@ -82,7 +82,7 @@ RECORDS = [
         "x",
         id="MinResult",
     ),
-    pytest.param(space, SPACE, "aspect", id="PlotSpace"),
+    pytest.param(space, SPACE, "y_range", id="PlotSpace"),
     pytest.param(
         stage,
         f"Stage(id=1, panels=({SPACE},), roles_used=frozenset({{<ColorRole.BASELINE: 0>}}), "
@@ -128,12 +128,6 @@ RECORDS = [
         "Scene(panels=(), layout=<Layout.SINGLE: 'single'>)",
         "layout",
         id="Scene",
-    ),
-    pytest.param(
-        lambda: LinearScale((0.0, 1.0), (10.0, 0.0)),
-        "LinearScale(domain=(0.0, 1.0), range=(10.0, 0.0))",
-        "range",
-        id="LinearScale",
     ),
 ]
 
@@ -201,8 +195,7 @@ REPLACE_CASES = [
     (ShotParams(), {"gravity": 0.0}, "gravity must be positive, got 0.0"),
     (LaunchState(0.5, 10.0), {"speed": -1.0}, "speed must be positive and finite"),
     (Bracket(0.0, 1.0), {"hi": 0.0}, r"need lo < hi, got \[0.0, 0.0\]"),
-    (space(), {"aspect": 0.0}, "aspect must be positive, got 0.0"),
-    (space(), {"aspect": math.nan}, "aspect must be finite, got nan"),
+    (space(), {"x_range": (3.0, 3.0)}, r"bad x_range \(3.0, 3.0\)"),
     (space(), {"y_range": (-math.inf, 0.0)}, r"bad y_range \(-inf, 0.0\)"),
     (stage(), {"caption": ""}, "stage 1 has no caption"),
     (
@@ -215,7 +208,6 @@ REPLACE_CASES = [
         {"size": 0.0},
         "point size must be positive, got 0.0",
     ),
-    (LinearScale((0.0, 1.0), (10.0, 0.0)), {"range": (1.0, 1.0)}, "degenerate range"),
 ]
 # each case's record type, and after the first case of a type the changed fields too
 _TYPES = [type(record).__name__ for record, _, _ in REPLACE_CASES]
@@ -265,12 +257,11 @@ SIGNATURES = {
     ShotParams: "(release_altitude=1.7, distance=10.0, hoop_height=3.05, gravity=9.8)",
     LaunchState: "(angle, speed)",
     Bracket: "(lo, hi)",
-    PlotSpace: "(x_var, y_var, x_range, y_range, aspect=1.0)",
+    PlotSpace: "(x_var, y_var, x_range, y_range)",
     Stage: "(id, panels, roles_used, tags, caption, parent=None)",
     LadderSpec: "(stages)",
     Style: "(color_role, dash=<Dash.SOLID: 'solid'>)",
     Mark: "(kind, style, points=(), value=0.0, text='', size=3.0)",
-    LinearScale: "(domain, range)",
 }
 
 

@@ -15,7 +15,6 @@ from hoopshot.render import (
     Dash,
     Layout,
     LayoutError,
-    LinearScale,
     Panel,
     Scene,
     Style,
@@ -24,11 +23,11 @@ from hoopshot.render import (
     point,
     polyline,
     render_svg,
-    scale_map,
     text,
     vline,
     _clip_segment,
     _fmt,
+    _pixel,
     _stroke_attrs,
 )
 
@@ -86,28 +85,30 @@ BOX = viewport((0.0, 0.0, W, H))
 
 
 class TestScaleMap:
+    """`_pixel(v, domain, pixels)`: the affine map of an axis's range onto
+    its pixels, extrapolated outside the range."""
+
     def test_midpoint(self):
-        assert scale_map(LinearScale((0.0, 1.0), (0.0, 100.0)), 0.5) == 50.0
+        assert _pixel(0.5, (0.0, 1.0), (0.0, 100.0)) == 50.0
 
     def test_identity_when_domain_equals_range(self):
-        scale = LinearScale((2.0, 7.0), (2.0, 7.0))
-        assert scale_map(scale, 4.25) == 4.25
+        assert _pixel(4.25, (2.0, 7.0), (2.0, 7.0)) == 4.25
 
     def test_affine_evaluation(self):
-        assert scale_map(LinearScale((0.0, 15.0), (40.0, 760.0)), 10.0) == 520.0
+        assert _pixel(10.0, (0.0, 15.0), (40.0, 760.0)) == 520.0
 
     @given(x=st.floats(-1e6, 1e6))
     def test_invertible(self, x):
-        forward = LinearScale((0.0, 15.0), (40.0, 760.0))
-        backward = LinearScale((40.0, 760.0), (0.0, 15.0))
-        round_tripped = scale_map(backward, scale_map(forward, x))
+        round_tripped = _pixel(_pixel(x, (0.0, 15.0), (40.0, 760.0)), (40.0, 760.0), (0.0, 15.0))
         assert round_tripped == pytest.approx(x, rel=1e-9, abs=1e-9)
 
     def test_degenerate_inputs_rejected(self):
+        # an axis is mapped only from a range lo < hi, which PlotSpace
+        # checks, onto a viewport of positive size, which the layout checks
         with pytest.raises(ValueError):
-            LinearScale((1.0, 1.0), (0.0, 10.0))
-        with pytest.raises(ValueError):
-            LinearScale((0.0, 1.0), (5.0, 5.0))
+            unit_space(x_range=(1.0, 1.0))
+        with pytest.raises(LayoutError):
+            render_svg(Scene((Panel(unit_space(), ()),) * 10, Layout.SIDE_BY_SIDE))
 
 
 class TestRenderSvg:
@@ -197,6 +198,24 @@ class TestRenderSvg:
         with pytest.raises(LayoutError):
             render_svg(scene)
 
+    @pytest.mark.parametrize(
+        "layout, n, size",
+        [(Layout.SIDE_BY_SIDE, 10, "-4.000 x 384.000"), (Layout.STACKED_SHARED_X, 7, "536.000 x -1.714")],
+    )
+    def test_too_many_panels_raise(self, layout, n, size):
+        # the margins of each panel would leave a viewport of negative size
+        scene = Scene((Panel(unit_space(), ()),) * n, layout)
+        with pytest.raises(LayoutError) as raised:
+            render_svg(scene)
+        assert str(raised.value) == f"{n} {layout.value} panels leave a {size} px viewport"
+
+    @pytest.mark.parametrize("layout, n", [(Layout.SIDE_BY_SIDE, 9), (Layout.STACKED_SHARED_X, 6)])
+    def test_most_panels_that_fit_render(self, layout, n):
+        mark = polyline([(1.0, 1.0), (9.0, 9.0)], BLACK)
+        svg = render_svg(Scene((Panel(unit_space(), (mark,)),) * n, layout)).decode()
+        assert len(polyline_points(svg)) == n
+        assert not re.search(r'(?:width|height)="-', svg)
+
     def test_stacked_requires_same_x_var(self):
         top = Panel(space=unit_space(), marks=())
         bottom = Panel(space=unit_space(x_name="other"), marks=())
@@ -230,14 +249,17 @@ class TestRenderSvg:
 SPACE = unit_space(x_range=(-2.0, 8.0), y_range=(0.0, 5.0))
 
 
+def _pixels(x, y, vx0, vy0, vx1, vy1):
+    """The pixel of the data point (x, y) of SPACE in the viewport."""
+    return _pixel(x, SPACE.x_range, (vx0, vx1)), _pixel(y, SPACE.y_range, (vy1, vy0))
+
+
 def reference_polylines(mark, rect):
     """The <polyline> elements of one mark in a panel of SPACE drawn in
-    rect = (x, y, width, height), built segment by segment from scale_map,
+    rect = (x, y, width, height), built segment by segment from _pixel,
     _clip_segment and _fmt."""
     vx0, vy0, vx1, vy1 = viewport(rect)
-    xs = LinearScale(domain=SPACE.x_range, range=(vx0, vx1))
-    ys = LinearScale(domain=SPACE.y_range, range=(vy1, vy0))
-    pixels = [(scale_map(xs, x), scale_map(ys, y)) for x, y in mark.points]
+    pixels = [_pixels(x, y, vx0, vy0, vx1, vy1) for x, y in mark.points]
     segs = []
     for p0, p1 in zip(pixels, pixels[1:]):
         clipped = _clip_segment(p0, p1, (vx0, vy0, vx1, vy1))
@@ -355,9 +377,7 @@ class TestPolylineMatchesSegmentwiseReference:
     def test_every_pixel_inside_is_one_polyline_of_the_vertices(self, pts, place):
         scene, rect = placed_scene([polyline(pts, BLACK)], SPACE, place)
         vx0, vy0, vx1, vy1 = viewport(rect)
-        xs = LinearScale(domain=SPACE.x_range, range=(vx0, vx1))
-        ys = LinearScale(domain=SPACE.y_range, range=(vy1, vy0))
-        pixels = [(scale_map(xs, x), scale_map(ys, y)) for x, y in pts]
+        pixels = [_pixels(x, y, vx0, vy0, vx1, vy1) for x, y in pts]
         assume(all(vx0 <= x <= vx1 and vy0 <= y <= vy1 for x, y in pixels))
         svg = render_svg(scene).decode()
         assert polyline_points(svg) == [" ".join(f"{x:.3f},{y:.3f}" for x, y in pixels)]
