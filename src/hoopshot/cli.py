@@ -265,7 +265,9 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     """`build_parser().parse_args(argv)` for a plain argv: a command, then
     each of its flags at most once, in full, with its value(s) in the next
     token(s), every required flag and the positional given, and no value
-    starting with "-" or failing the flag's type.  Else None: argparse
+    failing the flag's type.  A value may start with "-" where the flag
+    has a type, which no flag name passes, so "-1e1" and "-inf" read as
+    argparse reads "--angle=-1e1", not as options.  Else None: argparse
     parses it, or prints the help or the usage error."""
     command = COMMANDS.get(argv[0]) if argv else None
     if command is None:
@@ -275,12 +277,13 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     given: dict[Flag, list[str]] = {}
     flag = None
     for token in argv[1:]:
+        waiting = flag is not None and (not given[flag] or flag.nargs)
         if token in options:
             flag = options.pop(token)
             given[flag] = []
-        elif token.startswith("-"):
+        elif token.startswith("-") and not (waiting and flag.type):
             return None
-        elif flag is not None and (not given[flag] or flag.nargs):
+        elif waiting:
             given[flag].append(token)
         elif positionals:
             flag = positionals.pop(0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import compress
 
 from . import solver
 from .kinematics import Infeasible, LaunchState, ShotParams, sample_trajectory
@@ -71,11 +72,11 @@ def _court_marks(params: ShotParams) -> tuple:
     a, d, h = params.release_altitude, params.distance, params.hoop_height
     x_max = d * 1.1
     return (
-        polyline([(0.0, 0.0), (x_max, 0.0)], BLACK),
-        polyline([(0.0, 0.0), (0.0, a)], BLACK),
+        polyline((0.0, x_max), (0.0, 0.0), BLACK),
+        polyline((0.0, 0.0), (0.0, a), BLACK),
         point(0.0, a, BLACK, size=3.0),
-        polyline([(d, 0.0), (d, h)], BLACK),
-        polyline([(d - 0.45, h), (d, h)], BLACK),
+        polyline((d, d), (0.0, h), BLACK),
+        polyline((d - 0.45, d), (h, h), BLACK),
         text(0.15, a + 0.35, f"a = {a:g} m", BLACK),
         text(d - 2.4, h + 0.35, f"h = {h:g} m", BLACK),
         text(d / 2 - 1.0, 0.45, f"d = {d:g} m", BLACK),
@@ -84,21 +85,23 @@ def _court_marks(params: ShotParams) -> tuple:
 
 def _trajectory_mark(params: ShotParams, angle: float, speed: float, style: Style):
     traj = sample_trajectory(params, LaunchState(angle=angle, speed=speed))
-    return polyline([(x, y) for _, x, y in traj.samples], style)
+    _, xs, ys = zip(*traj.samples)
+    return polyline(xs, ys, style)
 
 
 def _angle_curve_polyline(params: ShotParams):
     curve = solver.angle_curve(
         params, 0.0, math.radians(ANGLE_CURVE_MAX_DEG), ANGLE_CURVE_POINTS
     )
-    pts = [(math.degrees(a), v) for a, v in zip(curve.angles, curve.speeds) if v is not None]
-    if len(pts) < 2:
+    feasible = [v is not None for v in curve.speeds]
+    speeds = tuple(compress(curve.speeds, feasible))
+    if len(speeds) < 2:
         feasibility = math.degrees(solver.feasibility_angle(params))
         raise Infeasible(
             f"no required-speed curve to draw: fewer than 2 of its angles up "
             f"to {ANGLE_CURVE_MAX_DEG:g} deg lie above the feasibility angle {feasibility:.3f} deg"
         )
-    return polyline(pts, BLUE)
+    return polyline(map(math.degrees, compress(curve.angles, feasible)), speeds, BLUE)
 
 
 def _optimum_marks(curves, column, label_dy: float | None) -> tuple:
@@ -106,12 +109,11 @@ def _optimum_marks(curves, column, label_dy: float | None) -> tuple:
     label_dy, each is labelled with its release altitude near its end."""
     marks = []
     for curve in curves:
-        pts = list(zip(curve.distances, column(curve)))
-        marks.append(polyline(pts, GREEN))
+        mark = polyline(curve.distances, column(curve), GREEN)
+        marks.append(mark)
         if label_dy is not None:
-            x, y = pts[-1]
             label = f"a = {curve.release_altitude:g}"
-            marks.append(text(x - 1.6, y + label_dy, label, GREEN))
+            marks.append(text(mark.xs[-1] - 1.6, mark.ys[-1] + label_dy, label, GREEN))
     return tuple(marks)
 
 
@@ -208,8 +210,7 @@ def build_basketball_ladder(
     fan = []
     for v in velocities:
         mark = _trajectory_mark(params, demo, v, RED)
-        x_end, y_end = mark.points[-1]
-        fan += [mark, text(x_end + 0.1, y_end + 0.1, f"{v:g}", RED)]
+        fan += [mark, text(mark.xs[-1] + 0.1, mark.ys[-1] + 0.1, f"{v:g}", RED)]
     fan = tuple(fan)
 
     # stage 3: the speed that exactly reaches the hoop

@@ -78,32 +78,40 @@ DASH_PATTERNS = {
 Style = namedtuple("Style", "color_role dash", defaults=(Dash.SOLID,))
 
 
-class Mark(checked_record("Mark", "kind style points value text size", ((), 0.0, "", 3.0))):
-    """One drawable element, in the panel's data coordinates.  value is
-    the x position of a VLINE and the y position of an HLINE; size is the
-    radius of a POINT in pixels."""
+class Mark(checked_record("Mark", "kind style xs ys value text size", ((), (), 0.0, "", 3.0))):
+    """One drawable element, in the panel's data coordinates.  xs and ys
+    are the columns of its vertices, or of the one anchor of a POINT or
+    TEXT; value is the x position of a VLINE and the y position of an
+    HLINE; size is the radius of a POINT in pixels."""
 
     __slots__ = ()
 
     def _check(self) -> None:
-        if self.kind is MarkKind.POLYLINE and len(self.points) < 2:
+        if len(self.xs) != len(self.ys):
+            raise ValueError(f"{len(self.xs)} x values but {len(self.ys)} y values")
+        if self.kind is MarkKind.POLYLINE and len(self.xs) < 2:
             raise ValueError("polyline needs at least 2 vertices")
-        if self.kind in (MarkKind.POINT, MarkKind.TEXT) and len(self.points) != 1:
+        if self.kind in (MarkKind.POINT, MarkKind.TEXT) and len(self.xs) != 1:
             raise ValueError(f"{self.kind.value} needs exactly 1 anchor point")
         if self.kind is MarkKind.POINT and self.size <= 0:
             raise ValueError(f"point size must be positive, got {self.size}")
 
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """The (x, y) pairs of the columns."""
+        return tuple(zip(self.xs, self.ys))
 
-def polyline(pts, style: Style) -> Mark:
-    return Mark(kind=MarkKind.POLYLINE, points=tuple(pts), style=style)
+
+def polyline(xs, ys, style: Style) -> Mark:
+    return Mark(kind=MarkKind.POLYLINE, xs=tuple(xs), ys=tuple(ys), style=style)
 
 
 def point(x: float, y: float, style: Style, size: float = 3.0) -> Mark:
-    return Mark(kind=MarkKind.POINT, points=((x, y),), style=style, size=size)
+    return Mark(kind=MarkKind.POINT, xs=(x,), ys=(y,), style=style, size=size)
 
 
 def text(x: float, y: float, label: str, style: Style) -> Mark:
-    return Mark(kind=MarkKind.TEXT, points=((x, y),), text=label, style=style)
+    return Mark(kind=MarkKind.TEXT, xs=(x,), ys=(y,), text=label, style=style)
 
 
 def vline(x: float, style: Style) -> Mark:
@@ -268,7 +276,7 @@ def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
     box = vx0, vy0, vx1, vy1 = _viewport(rect)
     space = panel.space
     # each axis: its range, and the pixels it maps onto (y grows downward)
-    xs, ys = (space.x_range, (vx0, vx1)), (space.y_range, (vy1, vy0))
+    x_axis, y_axis = (space.x_range, (vx0, vx1)), (space.y_range, (vy1, vy0))
     mid_x, mid_y = (vx0 + vx1) / 2, (vy0 + vy1) / 2
 
     out.append(_rect(box, ' stroke="#000000" stroke-width="1.000" fill="none"'))
@@ -279,24 +287,24 @@ def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
     out.append(_text(px + 14.0, mid_y, y_label, 11.0, turn=True))
     # end-of-axis tick labels
     for dv, anchor in zip(space.x_range, ("start", "end")):
-        out.append(_text(_pixel(dv, *xs), vy1 + 14.0, _fmt(dv), 9.0, anchor))
+        out.append(_text(_pixel(dv, *x_axis), vy1 + 14.0, _fmt(dv), 9.0, anchor))
     for dv in space.y_range:
-        out.append(_text(vx0 - 4.0, _pixel(dv, *ys) + 3.0, _fmt(dv), 9.0, "end"))
+        out.append(_text(vx0 - 4.0, _pixel(dv, *y_axis) + 3.0, _fmt(dv), 9.0, "end"))
 
     out.append(f'<g clip-path="url(#{clip_id})">')
     for mark in panel.marks:
-        _render_mark(out, mark, xs, ys, box)
+        _render_mark(out, mark, x_axis, y_axis, box)
     out.append("</g>")
 
 
-def _render_mark(out: list[str], mark: Mark, xs, ys, box) -> None:
+def _render_mark(out: list[str], mark: Mark, x_axis, y_axis, box) -> None:
     vx0, vy0, vx1, vy1 = box
     if mark.kind is MarkKind.POLYLINE:
         # _pixel inlined, with its operand order, so the bits match
-        ((xd0, xd1), (xr0, xr1)), ((yd0, yd1), (yr0, yr1)) = xs, ys
+        ((xd0, xd1), (xr0, xr1)), ((yd0, yd1), (yr0, yr1)) = x_axis, y_axis
         xk, xw, yk, yw = xr1 - xr0, xd1 - xd0, yr1 - yr0, yd1 - yd0
-        px = [xr0 + (x - xd0) * xk / xw for x, _ in mark.points]
-        py = [yr0 + (y - yd0) * yk / yw for _, y in mark.points]
+        px = [xr0 + (x - xd0) * xk / xw for x in mark.xs]
+        py = [yr0 + (y - yd0) * yk / yw for y in mark.ys]
         n = len(px)
         # a finite sum has no NaN or infinite term, so min and max decide
         # "every pixel inside the box" as the test per vertex does
@@ -332,31 +340,30 @@ def _render_mark(out: list[str], mark: Mark, xs, ys, box) -> None:
             start = j + 1
         attrs = _stroke_attrs(mark.style)
         for flat in pieces:
-            # one % per piece; every number has 3 decimals and a delimiter
-            # on each side, so replacing "-0.000" applies _fmt's rule to
-            # whole numbers only
-            coords = " ".join(["%.3f,%.3f"] * (len(flat) // 2)) % tuple(flat)
-            out.append(f'<polyline points="{coords.replace("-0.000", "0.000")}" {attrs}/>')
+            # one % per piece; every coordinate lies in the viewport, so
+            # none is negative and none needs _fmt's "-0.000" rule
+            coords = ("%.3f,%.3f " * (len(flat) // 2))[:-1] % tuple(flat)
+            out.append(f'<polyline points="{coords}" {attrs}/>')
     elif mark.kind is MarkKind.POINT:
-        x, y = _pixel(mark.points[0][0], *xs), _pixel(mark.points[0][1], *ys)
+        x, y = _pixel(mark.xs[0], *x_axis), _pixel(mark.ys[0], *y_axis)
         if vx0 <= x <= vx1 and vy0 <= y <= vy1:
             out.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(mark.size)}" '
                 f'fill="{PALETTE[mark.style.color_role]}" stroke="none"/>'
             )
     elif mark.kind is MarkKind.TEXT:
-        x, y = _pixel(mark.points[0][0], *xs), _pixel(mark.points[0][1], *ys)
+        x, y = _pixel(mark.xs[0], *x_axis), _pixel(mark.ys[0], *y_axis)
         # a NaN anchor is dropped, as a NaN POINT is; the clamp below would
         # keep it, and it keeps an infinite one on the edge
         if not (math.isnan(x) or math.isnan(y)):
             x, y = min(max(x, vx0), vx1), min(max(y, vy0), vy1)
             out.append(_text(x, y, mark.text, 10.0, "start", PALETTE[mark.style.color_role]))
     elif mark.kind is MarkKind.VLINE:
-        x = _pixel(mark.value, *xs)
+        x = _pixel(mark.value, *x_axis)
         if vx0 <= x <= vx1:
             out.append(_line(x, vy0, x, vy1, mark.style))
     elif mark.kind is MarkKind.HLINE:
-        y = _pixel(mark.value, *ys)
+        y = _pixel(mark.value, *y_axis)
         if vy0 <= y <= vy1:
             out.append(_line(vx0, y, vx1, y, mark.style))
 

@@ -898,6 +898,7 @@ class TestQuickParse:
             "optimize",
             "optimize --scenario s.json --altitude 2 --distance 7 --hoop-height 3 --gravity 9",
             "velocity --angle 30 --distance nan",
+            "optimize --distance -5",
             "trajectory --speed 15 --angle 30 --samples 5",
             "sweep --scenario s.json --altitudes 1.2 1_0 inf --out o.csv",
             "figures --out figs",
@@ -916,7 +917,6 @@ class TestQuickParse:
             "optimize -h",
             "optimize --dist 5",
             "optimize --distance=5",
-            "optimize --distance -5",
             "optimize --distance 5 --distance 6",
             "figures --out -x",
             "optimize -- --distance 5",
@@ -933,3 +933,21 @@ class TestQuickParse:
     )
     def test_argv_outside_the_plain_shape_is_left_to_argparse(self, argv):
         assert _parse(argv.split()) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "velocity --angle -1e1",
+            "velocity --angle -10",
+            "velocity --angle -inf",
+            "optimize --altitude -1e-3",
+            "trajectory --angle 30 --speed -1e1",
+        ],
+    )
+    def test_a_negative_value_in_any_float_form_reads_as_its_equals_form(self, argv):
+        # argparse takes "-1e1" and "-inf" for options, but not "-10" or "--angle=-1e1"
+        equals = "=-".join(argv.rsplit(" -", 1)).split()
+        assert _fields(_parse(argv.split())) == _fields(_FULL_PARSER.parse_args(equals))
+        code, out, err = run_captured(argv.split())
+        assert (code, out, err) == run_captured(equals)
+        assert code in (1, 2) and len((out + err).splitlines()) == 1

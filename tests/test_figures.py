@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from hoopshot.figures import STAGES, build_basketball_ladder
 from hoopshot.kinematics import ShotParams
-from hoopshot.ladder import ColorRole, StrategyTag, validate_ladder
-from hoopshot.render import Layout, MarkKind
+from hoopshot.ladder import ColorRole, StrategyTag, ladder_to_json, validate_ladder
+from hoopshot.render import Layout, MarkKind, render_svg
 from hoopshot.solver import default_d_grid, required_velocity
 
 
@@ -230,3 +231,67 @@ class TestStage5PanelsHoldTheirData:
     def test_default_ranges_kept(self, built):
         spec, _ = built
         assert [s.y_range for s in spec.stage(5).panels] == [(40.0, 80.0), (0.0, 14.0)]
+
+
+# three non-default figure sets, each file pinned by its SHA-256
+PINNED_SETS = {
+    # its two fastest shots rise above the 7 m court and are clipped
+    "fan-leaves-the-court": (
+        dict(
+            params=ShotParams(release_altitude=2.5, distance=16.0),
+            velocities=[5.0, 6.5, 8.0, 9.5, 11.0, 12.5, 14.0, 15.5, 17.0, 18.5, 20.0, 22.0],
+            d_grid=default_d_grid(1.0, 15.0, 0.5),
+        ),
+        {
+            "figure_01.svg": "2103d3b79315953158a85f111c5324a77cac1360ef6c3ee104cc88f7722704cd",
+            "figure_02.svg": "ee04321e182b40af526d12522493e7208ba8765dbdc378d33a9300b126bd17ca",
+            "figure_03.svg": "602c77a767b1bd4f790bbe8eb9195f1f445e1d93ddc5c10002043e04b85c329f",
+            "figure_04.svg": "319dc4965875c9cbc767b1e20a487f37e72383b2ac854fa5ade622b5d3175737",
+            "figure_05.svg": "bc02d22561f7d0bf00ed576151cdac7839a74a5f86041827f22f624d66d950ff",
+            "figure_06.svg": "895d01678bba374cbd1b5fbc0ee6ee89c797bb149740e2362852efa845819f9c",
+            "figure_07.svg": "3bd2e6b4eeae34ac44f8670d28559f6c3cff7c6aef1da7561e379c51145e783d",
+            "ladder.json": "41f733840a76684c530ba13d1eb234db47fb880836186d3e7d8e5eadc813f8ab",
+        },
+    ),
+    "release-above-the-hoop": (
+        dict(params=ShotParams(release_altitude=3.5)),
+        {
+            "figure_01.svg": "e3698099efdca1837dba1639d8f1fb292b7da48260e2457e9dd578ad5d18ba1d",
+            "figure_02.svg": "7d34c48b40d946e4d3d538fe428d94f58213a18c315fd45ac6f0994de9ff61bd",
+            "figure_03.svg": "0d460a235710a84897b8049ae5f4fb6ca8081538af26f3fa6b7e987024866c48",
+            "figure_04.svg": "c60c2d1a7d78f5e54892fb405be22e4fed37cca427cc0a5b2e90da59ad6f88d1",
+            "figure_05.svg": "bd58715338e70d542786bd21764ccf54be48bb201841073b44f5909a2f5eeaa3",
+            "figure_06.svg": "1adf46ebb57c1b929f53077ceefd8e782e0b0a2f09196bb3c4104c89a4760480",
+            "figure_07.svg": "14380d20386af2b00c7953e4ebab9330e80f381e4c29b5e7b1c135714a8a57db",
+            "ladder.json": "b5e7593fc0c33f3dc1bbc4d05f9ef3f08d8b17124cb41284fece7b0a544dcc15",
+        },
+    ),
+    "three-altitudes-on-a-1-m-grid": (
+        dict(altitudes=[1.0, 2.0, 3.0], d_grid=default_d_grid(1.0, 15.0, 1.0)),
+        {
+            "figure_01.svg": "abb315bef136173e48e545cb0ed27f3036232af90596222878689288a88dc948",
+            "figure_02.svg": "080f2b10acde10708c2f0d7e9a81aac7beceb6fc41697bbfcbb052df181a7837",
+            "figure_03.svg": "a289d87d956562a4e920a4088b1915d2abfe23b3b9af622b709f85188f50643c",
+            "figure_04.svg": "1eb34eeb06b23baec9916338a7ecf9979e04a2d00967d428b0dc0efd93f5ab14",
+            "figure_05.svg": "91efa528c2de96b0b69c936e5ff9b869ec1d519d00e5bcb02e41d106363a4e75",
+            "figure_06.svg": "764fb47978f92ecf3255be632022b396c3512e8bfdbaeb583245afef3c44e312",
+            "figure_07.svg": "d7f27fe3bc3d6d25dfd4a39a26f26294eb33f1ce1e126859f4ff9c0f6bca707d",
+            "ladder.json": "304cc19ee62e151669032427045eda73de3959353228df17b2f2ac233ffdca51",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kwargs, digests", PINNED_SETS.values(), ids=PINNED_SETS)
+def test_non_default_figure_sets_are_byte_pinned(kwargs, digests):
+    spec, scenes = build_basketball_ladder(**kwargs)
+    files = {f"figure_{i:02d}.svg": render_svg(s) for i, s in enumerate(scenes, 1)}
+    files["ladder.json"] = ladder_to_json(spec).encode()
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == digests
+
+
+def test_the_pinned_fan_is_clipped():
+    kwargs, _ = PINNED_SETS["fan-leaves-the-court"]
+    fan_panel = build_basketball_ladder(**kwargs)[1][1].panels[1]
+    top = fan_panel.space.y_range[1]
+    assert any(y > top for mark in fan_panel.marks for _, y in mark.points)

@@ -111,10 +111,10 @@ RECORDS = [
         id="Style",
     ),
     pytest.param(
-        lambda: Mark(MarkKind.POINT, Style(ColorRole.BASELINE), ((1.0, 2.0),)),
-        f"Mark(kind=<MarkKind.POINT: 'point'>, style={STYLE}, points=((1.0, 2.0),), "
+        lambda: Mark(MarkKind.POINT, Style(ColorRole.BASELINE), (1.0,), (2.0,)),
+        f"Mark(kind=<MarkKind.POINT: 'point'>, style={STYLE}, xs=(1.0,), ys=(2.0,), "
         "value=0.0, text='', size=3.0)",
-        "points",
+        "xs",
         id="Mark",
     ),
     pytest.param(
@@ -204,9 +204,14 @@ REPLACE_CASES = [
         r"stage ids must be consecutive from 1, got \[1, 1\]",
     ),
     (
-        Mark(MarkKind.POINT, Style(ColorRole.BASELINE), ((1.0, 2.0),)),
+        Mark(MarkKind.POINT, Style(ColorRole.BASELINE), (1.0,), (2.0,)),
         {"size": 0.0},
         "point size must be positive, got 0.0",
+    ),
+    (
+        Mark(MarkKind.POINT, Style(ColorRole.BASELINE), (1.0,), (2.0,)),
+        {"ys": ()},
+        "1 x values but 0 y values",
     ),
 ]
 # each case's record type, and after the first case of a type the changed fields too
@@ -261,7 +266,7 @@ SIGNATURES = {
     Stage: "(id, panels, roles_used, tags, caption, parent=None)",
     LadderSpec: "(stages)",
     Style: "(color_role, dash=<Dash.SOLID: 'solid'>)",
-    Mark: "(kind, style, points=(), value=0.0, text='', size=3.0)",
+    Mark: "(kind, style, xs=(), ys=(), value=0.0, text='', size=3.0)",
 }
 
 

@@ -120,7 +120,7 @@ class TestRenderSvg:
 
     def test_polyline_coordinates_hand_computed(self):
         space = unit_space()
-        scene = one_panel_scene([polyline([(0.0, 0.0), (10.0, 10.0)], BLACK)], space)
+        scene = one_panel_scene([polyline((0.0, 10.0), (0.0, 10.0), BLACK)], space)
         svg = render_svg(scene).decode()
 
         vx0, vy0, vx1, vy1 = BOX
@@ -132,7 +132,7 @@ class TestRenderSvg:
 
     def test_byte_identical_across_runs(self):
         scene = one_panel_scene(
-            [polyline([(1.0, 2.0), (3.0, 4.0), (5.0, 1.0)], BLACK)]
+            [polyline((1.0, 3.0, 5.0), (2.0, 4.0, 1.0), BLACK)]
         )
         assert render_svg(scene) == render_svg(scene)
 
@@ -144,7 +144,7 @@ class TestRenderSvg:
 
     def test_color_palette(self):
         marks = [
-            polyline([(0.0, 0.0), (1.0, 1.0)], Style(color_role=role))
+            polyline((0.0, 1.0), (0.0, 1.0), Style(color_role=role))
             for role in ColorRole
         ]
         svg = render_svg(one_panel_scene(marks)).decode()
@@ -155,11 +155,13 @@ class TestRenderSvg:
         from hoopshot.render import Dash
 
         dashed = polyline(
-            [(0.0, 0.0), (1.0, 1.0)],
+            (0.0, 1.0),
+            (0.0, 1.0),
             Style(color_role=ColorRole.BASELINE, dash=Dash.DASHED),
         )
         dotted = polyline(
-            [(0.0, 0.0), (1.0, 2.0)],
+            (0.0, 1.0),
+            (0.0, 2.0),
             Style(color_role=ColorRole.BASELINE, dash=Dash.DOTTED),
         )
         svg = render_svg(one_panel_scene([dashed, dotted])).decode()
@@ -168,7 +170,7 @@ class TestRenderSvg:
 
     def test_marks_clipped_to_viewport(self):
         # a line shooting far outside the domain must be clipped
-        wild = polyline([(5.0, 5.0), (500.0, 5000.0)], BLACK)
+        wild = polyline((5.0, 500.0), (5.0, 5000.0), BLACK)
         scene = one_panel_scene([wild])
         svg = render_svg(scene).decode()
         for match in re.finditer(r'points="([^"]+)"', svg):
@@ -183,7 +185,7 @@ class TestRenderSvg:
         assert _clip_segment((100.0, -1e17), (100.0, 27.9), BOX) is None
         # these map to the pixels (100, -1e17) and (100, 27.9) up to rounding
         space = unit_space(x_range=(52.0, 588.0), y_range=(0.0, 384.0))
-        mark = polyline([(100.0, 1e17), (100.0, 384.1)], BLACK)
+        mark = polyline((100.0, 100.0), (1e17, 384.1), BLACK)
         assert polyline_points(render_svg(one_panel_scene([mark], space)).decode()) == []
 
     def test_point_outside_viewport_dropped(self):
@@ -211,7 +213,7 @@ class TestRenderSvg:
 
     @pytest.mark.parametrize("layout, n", [(Layout.SIDE_BY_SIDE, 9), (Layout.STACKED_SHARED_X, 6)])
     def test_most_panels_that_fit_render(self, layout, n):
-        mark = polyline([(1.0, 1.0), (9.0, 9.0)], BLACK)
+        mark = polyline((1.0, 9.0), (1.0, 9.0), BLACK)
         svg = render_svg(Scene((Panel(unit_space(), (mark,)),) * n, layout)).decode()
         assert len(polyline_points(svg)) == n
         assert not re.search(r'(?:width|height)="-', svg)
@@ -241,9 +243,14 @@ class TestRenderSvg:
 
     def test_mark_invariants(self):
         with pytest.raises(ValueError):
-            polyline([(0.0, 0.0)], BLACK)
+            polyline((0.0,), (0.0,), BLACK)
         with pytest.raises(ValueError):
             point(0.0, 0.0, BLACK, size=0.0)
+
+    def test_points_pairs_the_columns(self):
+        mark = polyline((0.0, 1.0, 2.0), (3.0, 4.0, 5.0), BLACK)
+        assert mark.points == tuple(zip(mark.xs, mark.ys)) == ((0.0, 3.0), (1.0, 4.0), (2.0, 5.0))
+        assert point(1.0, 2.0, BLACK).points == text(1.0, 2.0, "t", BLACK).points == ((1.0, 2.0),)
 
 
 SPACE = unit_space(x_range=(-2.0, 8.0), y_range=(0.0, 5.0))
@@ -337,7 +344,7 @@ class TestPolylineMatchesSegmentwiseReference:
         place="lower",
     )
     def test_points_byte_equal(self, pts, dash, place):
-        mark = polyline(pts, Style(color_role=ColorRole.CONCRETE, dash=dash))
+        mark = polyline(*zip(*pts), Style(color_role=ColorRole.CONCRETE, dash=dash))
         scene, rect = placed_scene([mark], SPACE, place)
         svg = render_svg(scene).decode()
         assert re.findall(r"<polyline [^\n]*", svg) == reference_polylines(mark, rect)
@@ -355,7 +362,7 @@ class TestPolylineMatchesSegmentwiseReference:
         ids=["joined", "end-off-the-next-vertex"],
     )
     def test_all_inside(self, pts, count):
-        mark = polyline(pts, BLACK)
+        mark = polyline(*zip(*pts), BLACK)
         svg = render_svg(one_panel_scene([mark], SPACE)).decode()
         polylines = re.findall(r"<polyline [^\n]*", svg)
         assert polylines == reference_polylines(mark, (0.0, 0.0, W, H))
@@ -375,7 +382,7 @@ class TestPolylineMatchesSegmentwiseReference:
         place="single",
     )
     def test_every_pixel_inside_is_one_polyline_of_the_vertices(self, pts, place):
-        scene, rect = placed_scene([polyline(pts, BLACK)], SPACE, place)
+        scene, rect = placed_scene([polyline(*zip(*pts), BLACK)], SPACE, place)
         vx0, vy0, vx1, vy1 = viewport(rect)
         pixels = [_pixels(x, y, vx0, vy0, vx1, vy1) for x, y in pts]
         assume(all(vx0 <= x <= vx1 and vy0 <= y <= vy1 for x, y in pixels))
@@ -401,10 +408,10 @@ class TestNonFiniteVertices:
     def test_gap_instead_of_non_finite_points(self, bad, axis):
         pts = list(self.FINITE)
         pts[2] = (bad, 3.0) if axis == "x" else (3.0, bad)
-        svg = render_svg(one_panel_scene([polyline(pts, BLACK)])).decode()
+        svg = render_svg(one_panel_scene([polyline(*zip(*pts), BLACK)])).decode()
         assert not NON_FINITE.search(" ".join(polyline_points(svg)))
         expected = [
-            polyline_points(render_svg(one_panel_scene([polyline(part, BLACK)])).decode())[0]
+            polyline_points(render_svg(one_panel_scene([polyline(*zip(*part), BLACK)])).decode())[0]
             for part in (self.FINITE[:2], self.FINITE[3:])
         ]
         assert polyline_points(svg) == expected
@@ -414,7 +421,7 @@ class TestNonFiniteVertices:
         [[(1.0, 1.0), (math.nan, 2.0), (3.0, 3.0)], [(1.0, 1.0), (3.0, math.inf)]],
     )
     def test_no_finite_segment_draws_nothing(self, pts):
-        svg = render_svg(one_panel_scene([polyline(pts, BLACK)])).decode()
+        svg = render_svg(one_panel_scene([polyline(*zip(*pts), BLACK)])).decode()
         assert polyline_points(svg) == []
 
     @pytest.mark.parametrize("anchor", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
@@ -533,7 +540,7 @@ class TestClipSegment:
         place=st.sampled_from(list(PLACES)),
     )
     def test_every_drawn_coordinate_in_the_viewport(self, pts, dots, rules, place):
-        marks = [polyline(pts, BLACK), *(point(x, y, BLACK) for x, y in dots)]
+        marks = [polyline(*zip(*pts), BLACK), *(point(x, y, BLACK) for x, y in dots)]
         marks += [(vline if v else hline)(at, BLACK) for v, at in rules]
         scene, rect = placed_scene(marks, SPACE, place)
         svg = render_svg(scene).decode()
@@ -546,3 +553,23 @@ class TestClipSegment:
         for x, y in xy:
             assert x0 - 0.0005 <= float(x) <= x1 + 0.0005, (x, y)
             assert y0 - 0.0005 <= float(y) <= y1 + 0.0005, (x, y)
+
+
+class TestPolylineCoordinates:
+    """No <polyline> coordinate is negative, so the writer needs no
+    "-0.000" rule: each vertex it writes lies in a viewport, and every
+    viewport lies in [52, 588] x [28, 412]."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pts=st.one_of(vertices.filter(lambda pts: len(pts) >= 2), long_marks),
+        place=st.sampled_from(list(PLACES)),
+    )
+    @example(  # a gap at each non-finite vertex, then a segment clipped at two edges
+        pts=[(-2.0, 0.0), (math.nan, 1.0), (3.0, 2.0), (math.inf, 4.0), (-1e300, -1e300), (8.0, 5.0)],
+        place="lower",
+    )
+    def test_no_coordinate_starts_with_a_minus(self, pts, place):
+        scene, _ = placed_scene([polyline(*zip(*pts), BLACK)], SPACE, place)
+        coords = re.split("[ ,]", " ".join(polyline_points(render_svg(scene).decode())))
+        assert [c for c in coords if c.startswith("-")] == []

@@ -13,6 +13,7 @@ from hoopshot.kinematics import (
     ShotParams,
     VerticalShot,
     height_at_plane,
+    time_to_plane,
 )
 from hoopshot.solver import (
     DEFAULT_ALTITUDES,
@@ -142,6 +143,41 @@ class TestRequiredVelocityAgainstDecimalOracle:
         ],
     )
     def test_largest_errors_found(self, a, d, angle):
+        self.assert_within_bound(a, d, angle)
+
+
+class TestHoopPlaneResidual:
+    """|height_at_plane - h| at the required speed, over the domain of the
+    speed bound with the angle at least 0, in ulps of the largest term of
+    y = a + v*sin(angle)*t - 0.5*g*t*t at the plane.  The terms cancel to
+    h, so the residual grows with them: at 89 deg and d = 14.4 m it was
+    870 ulp(h) = 3.9e-13 m, 3.4 ulps of the largest term.  The largest in
+    1,200,000 random cases, 400,000 of them near a = h, was 9.0 ulps."""
+
+    BOUND = 16.0
+
+    def assert_within_bound(self, a, d, angle):
+        params = ShotParams(release_altitude=a, distance=d)
+        launch = LaunchState(angle, required_velocity(params, angle))
+        t = time_to_plane(launch, d)
+        largest = max(a, launch.speed * math.sin(angle) * t, 0.5 * 9.8 * t * t)
+        assert abs(height_at_plane(params, launch) - 3.05) <= self.BOUND * math.ulp(largest)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(0.0, 6.0), d=st.floats(1.0, 15.0), u=st.floats(0.0, 1.0))
+    def test_ulp_bound(self, a, d, u):
+        lo = max(0.0, feasibility_angle(ShotParams(release_altitude=a, distance=d)) + DEG)
+        self.assert_within_bound(a, d, lo + (89.0 * DEG - lo) * u)
+
+    @pytest.mark.parametrize(
+        "a, d, angle",
+        [  # the largest found: 9.0 and 8.6 ulps, and the 870 ulp(h) case
+            (3.2601636090627046, 14.50515396120599, 0.25151676106065807),
+            (5.371778966493032, 14.683406673777444, 1.3285237068917028),
+            (2.112685702397859, 14.405052701566973, 1.553054715899426),
+        ],
+    )
+    def test_largest_residuals_found(self, a, d, angle):
         self.assert_within_bound(a, d, angle)
 
 
