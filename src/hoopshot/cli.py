@@ -15,13 +15,11 @@ values.  The defaults live where they are used: params in
 (with its validation) in `solver`, so a key the file leaves out takes
 that default.
 
-Each flag is one `Flag` row of `COMMANDS`.  `run` parses an argv of the
-plain shape (see `_parse`) from those rows, and builds an argparse
-parser from them only for help, usage errors and other argv: with the
-invoked command only, or with every command for top-level help or a
-missing or unknown command.  Only `figures` and `validate-ladder` import
-the ladder and renderer modules and `pathlib`, and only a scenario file
-imports `json`, so the other commands start without them.
+Each flag is one `Flag` row of `COMMANDS`.  `run` parses a plain argv
+(see `_parse`) from those rows, and builds an argparse parser from them
+only for help, usage errors and other argv.  Only `figures` and
+`validate-ladder` import the ladder and renderer modules and `pathlib`,
+and only a scenario file imports `json`, so the others start without them.
 """
 
 from __future__ import annotations
@@ -235,9 +233,8 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None):
-    """The CLI parser with every subcommand, or with only `command`; the
-    usage line names all of them either way."""
+def build_parser():
+    """The CLI parser, one subparser per command."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -248,12 +245,10 @@ def build_parser(command: str | None = None):
             "Angles are degrees at the CLI, distances meters, speeds m/s."
         ),
     )
-    # one subparser: spell out the metavar argparse derives from all of them
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else [command]:
-        p = sub.add_parser(name, help=COMMANDS[name].help)
-        for flag in COMMANDS[name].flags:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
             keywords = zip(Flag._fields[1:], flag[1:])
             p.add_argument(
                 flag.name, **{k: v for k, v in keywords if v != Flag._field_defaults.get(k)}
@@ -307,9 +302,8 @@ def run(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse(argv)
     if args is None:
-        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

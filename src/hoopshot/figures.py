@@ -19,7 +19,6 @@ from .kinematics import Infeasible, LaunchState, ShotParams, sample_trajectory
 from .ladder import ColorRole, LadderSpec, PlotSpace, Stage, StrategyTag
 from .render import (
     Dash,
-    Layout,
     Panel,
     Scene,
     Style,
@@ -264,8 +263,7 @@ def build_basketball_ladder(
             (
                 Panel(theta_space, _optimum_marks(curves, _theta_deg, theta_dy), title),
                 Panel(speed_space, _optimum_marks(curves, lambda c: c.speeds, speed_dy)),
-            ),
-            Layout.STACKED_SHARED_X,
+            )
         )
 
     scenes = [
@@ -274,15 +272,11 @@ def build_basketball_ladder(
             (
                 Panel(court_space, court + (one_shot,), "One shot"),
                 Panel(court_space, court + fan, "Several launch speeds"),
-            ),
-            Layout.SIDE_BY_SIDE,
+            )
         ),
         Scene((Panel(court_space, court + fan + (solution_mark,), "The hoop-reaching shot"),)),
         Scene((curve_panel,)),
-        Scene(
-            (curve_panel, Panel(angle_space, optimum_panel_marks, "The softest shot")),
-            Layout.SIDE_BY_SIDE,
-        ),
+        Scene((curve_panel, Panel(angle_space, optimum_panel_marks, "The softest shot"))),
         distance_scene([base_curve], None, None, "Optimum vs distance"),
         distance_scene(alt_curves, 1.5, -0.5, "Optimum vs distance and release altitude"),
     ]

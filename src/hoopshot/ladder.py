@@ -4,7 +4,8 @@ abstraction, with machine-checked consistency rules.
 Rules enforced by validate_ladder:
 
 R1  Panels drawn in the same plot space (same x/y variable identities)
-    must agree on axis ranges.
+    must agree on axis ranges, each end within RANGE_TOL of the range's
+    width.
 R2  A color role reused by a stage must have been introduced somewhere
     in that stage's parent chain: color continuity flows through
     parentage.
@@ -116,6 +117,14 @@ def _parent_chain(spec: LadderSpec, stage: Stage) -> list[Stage]:
     return chain
 
 
+def _differ(r, reference) -> bool:
+    """Whether an end of range r is off the reference's by more than
+    RANGE_TOL of its width, scaled first so that it cannot overflow."""
+    lo, hi = reference
+    tol = RANGE_TOL * hi - RANGE_TOL * lo
+    return abs(r[0] - lo) > tol or abs(r[1] - hi) > tol
+
+
 def _check_shared_spaces(spec: LadderSpec) -> Iterable[Violation]:
     # One violation per inconsistent space group, so a single mutated
     # range yields exactly one violation no matter how many panels share
@@ -129,12 +138,8 @@ def _check_shared_spaces(spec: LadderSpec) -> Iterable[Violation]:
         mismatched = [
             sid
             for sid, panel in members[1:]
-            if (
-                abs(panel.x_range[0] - reference.x_range[0]) > RANGE_TOL
-                or abs(panel.x_range[1] - reference.x_range[1]) > RANGE_TOL
-                or abs(panel.y_range[0] - reference.y_range[0]) > RANGE_TOL
-                or abs(panel.y_range[1] - reference.y_range[1]) > RANGE_TOL
-            )
+            if _differ(panel.x_range, reference.x_range)
+            or _differ(panel.y_range, reference.y_range)
         ]
         if mismatched:
             involved = tuple(sorted({members[0][0], *mismatched}))

@@ -10,7 +10,7 @@ Style constants (golden-file contract):
            OPTIMUM #00AA00
   dashes   DASHED "6.000,4.000", DOTTED "1.500,3.000"
   canvas   600x450 per scene; side-by-side panels split the width,
-           stacked panels split the height equally
+           stacked panels (see _panel_rects) split the height equally
   strokes  1.5 pixels wide for every mark
   margins  left 52, right 12, top 28, bottom 38 pixels per panel
   text     sans-serif: title 13, axis labels 11, TEXT marks 10 and the
@@ -26,7 +26,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from .kinematics import checked_record
-from .ladder import RANGE_TOL, ColorRole, PlotSpace
+from .ladder import ColorRole, PlotSpace
 
 PALETTE = {
     ColorRole.BASELINE: "#000000",
@@ -125,13 +125,7 @@ def hline(y: float, style: Style) -> Mark:
 Panel = namedtuple("Panel", "space marks title", defaults=("",))
 
 
-class Layout(enum.Enum):
-    SINGLE = "single"
-    SIDE_BY_SIDE = "side_by_side"
-    STACKED_SHARED_X = "stacked_shared_x"
-
-
-Scene = namedtuple("Scene", "panels layout", defaults=(Layout.SINGLE,))
+Scene = namedtuple("Scene", "panels")
 
 
 def _pixel(v: float, domain, pixels) -> float:
@@ -236,39 +230,32 @@ def _line(x1: float, y1: float, x2: float, y2: float, style: Style) -> str:
 
 
 def _panel_rects(scene: Scene) -> list[tuple[float, float, float, float]]:
-    """Each panel's rectangle (x, y, width, height); LayoutError where
-    its margins leave no viewport."""
+    """Each panel's rectangle (x, y, width, height).  One panel fills the
+    canvas.  Panels that share the x axis (its variable and range) but
+    not all the y variable are stacked in equal heights, so their x axes
+    line up; any others sit side by side in equal widths, so panels in
+    one space can be compared.  LayoutError where the margins leave no
+    viewport."""
     w, h = SIZE
     n = len(scene.panels)
-    if scene.layout is Layout.SINGLE or n <= 1:
+    if n <= 1:
         return [(0.0, 0.0, w, h)] * n
-    side = scene.layout is Layout.SIDE_BY_SIDE  # else stacked, shared x checked by the caller
-    cw, ch = (w / n, h) if side else (w, h / n)
+    first, *rest = (p.space for p in scene.panels)
+    shared_x = all((s.x_var, s.x_range) == (first.x_var, first.x_range) for s in rest)
+    stacked = shared_x and any(s.y_var != first.y_var for s in rest)
+    cw, ch = (w, h / n) if stacked else (w / n, h)
     vw, vh = cw - MARGIN_LEFT - MARGIN_RIGHT, ch - MARGIN_TOP - MARGIN_BOTTOM
     if not (vw > 0 and vh > 0):
         size = f"{_fmt(vw)} x {_fmt(vh)}"
-        raise LayoutError(f"{n} {scene.layout.value} panels leave a {size} px viewport")
-    return [(i * cw, 0.0, cw, h) if side else (0.0, i * ch, w, ch) for i in range(n)]
+        layout = "stacked_shared_x" if stacked else "side_by_side"
+        raise LayoutError(f"{n} {layout} panels leave a {size} px viewport")
+    return [(0.0, i * ch, w, ch) if stacked else (i * cw, 0.0, cw, h) for i in range(n)]
 
 
 def _viewport(rect) -> tuple[float, float, float, float]:
     """The plotting box (x0, y0, x1, y1): panel rectangle less margins."""
     px, py, pw, ph = rect
     return px + MARGIN_LEFT, py + MARGIN_TOP, px + pw - MARGIN_RIGHT, py + ph - MARGIN_BOTTOM
-
-
-def _check_stacked(scene: Scene) -> None:
-    first = scene.panels[0].space
-    for panel in scene.panels[1:]:
-        s = panel.space
-        if s.x_var != first.x_var:
-            raise LayoutError(
-                f"stacked panels must share the x variable: {s.x_var} vs {first.x_var}"
-            )
-        if any(abs(a - b) > RANGE_TOL for a, b in zip(s.x_range, first.x_range)):
-            raise LayoutError(
-                f"stacked panels must share the x range: {s.x_range} vs {first.x_range}"
-            )
 
 
 def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
@@ -370,8 +357,6 @@ def _render_mark(out: list[str], mark: Mark, x_axis, y_axis, box) -> None:
 
 def render_svg(scene: Scene) -> bytes:
     """Render a scene to a standalone SVG 1.1 document."""
-    if scene.layout is Layout.STACKED_SHARED_X and len(scene.panels) > 1:
-        _check_stacked(scene)
     w, h = SIZE
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(

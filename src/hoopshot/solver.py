@@ -76,7 +76,8 @@ def _hoop_speeds(a: float, d: float, h: float, g: float, angles) -> list:
         if not -_HALF_PI <= angle < _HALF_PI:
             raise ValueError(f"angle must be in [-pi/2, pi/2) rad, got {angle}")
         c = cos(angle)
-        denom = c * c * (d * tan(angle) + a - h)
+        # a - h first: exact where a is near h, so only the sum rounds
+        denom = c * c * (d * tan(angle) + (a - h))
         if denom <= 0:
             speeds.append(None)
             continue

@@ -6,16 +6,17 @@ import math
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hoopshot import solver
 from hoopshot.cli import COMMANDS, _parse, build_parser, run
 from hoopshot.kinematics import ShotParams
 from hoopshot.solver import feasibility_angle
-from oracles import decimal_optimum, ulps
+from oracles import decimal_optimum, decimal_pi, decimal_required_velocity, ulps
 
 NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
 PARAM_FLAGS = ("--altitude", "--distance", "--hoop-height", "--gravity")
@@ -763,6 +764,83 @@ class TestScenarioHandling:
         assert not NON_FINITE.search(out)
 
 
+# the one-line reasons of the README's exit table, by exit code
+EXIT_REASONS = {
+    1: re.compile(
+        r"INFEASIBLE: angle \S+ deg is at or below \S+ deg"
+        r"|angle must be below pi/2, got \S+"
+        r"|required speed at angle \S+ rad underflows to 0"
+    ),
+    2: re.compile(
+        r"(release_altitude|distance|hoop_height|gravity) must be finite, got \S+"
+        r"|(distance|gravity) must be positive, got \S+"
+        r"|(release_altitude|hoop_height) must be non-negative, got \S+"
+        r"|angle must be in \[-pi/2, pi/2\) rad, got \S+"
+        r"|angle must be in \[0, pi/2\), got \S+"
+        r"|speed must be positive and finite, got \S+"
+        r"|required speed at angle \S+ rad is not finite: \S+"
+        r"|trajectory sample is not finite: \(\S+, \S+, \S+\)"
+    ),
+}
+# any float, or one in the range of a real shot
+ANY_VALUE = st.floats() | st.floats(0.0, 30.0)
+
+
+def within_print(text: str, exact: Decimal, bound: float) -> bool:
+    """Whether text, a value printed to one decimal, is within half a
+    printed unit of exact, plus bound ulps of the value it printed."""
+    return abs(Decimal(text) - exact) <= Decimal("0.05") + Decimal(bound * math.ulp(float(exact)))
+
+
+class TestExitContract:
+    @settings(deadline=None, max_examples=400)
+    @given(
+        command=st.sampled_from(["optimize", "velocity", "trajectory"]),
+        values=st.dictionaries(st.sampled_from(PARAM_FLAGS), ANY_VALUE, min_size=2),
+        angle=st.floats(-89.0, 89.0) | st.floats(),
+        speed=ANY_VALUE,
+    )
+    @example(  # the sum d*tan(angle) + a, taken first, rounded at the scale of a
+        command="velocity",
+        values={"--altitude": 8796093022207.0, "--hoop-height": 8796093022207.0},
+        angle=9.27734375,
+        speed=15.0,
+    )
+    @example(  # a sample overflows; the reason prints the sample's (t, x, y) tuple
+        command="trajectory",
+        values={"--altitude": 8.98846567431158e307, "--distance": 6.057030212669417e153},
+        angle=0.0,
+        speed=1.0,
+    )
+    def test_answer_or_one_documented_line(self, command, values, angle, speed):
+        # exit 0 prints the oracle's answer at printed precision, within
+        # the float bounds the README states (theta* 3 ulp and 1 more for
+        # degrees, v* 2.5, the required speed 64); exit 1 or 2 prints one
+        # line, a reason the README's exit table lists
+        argv = [command, *(f"{flag}={v!r}" for flag, v in values.items())]
+        argv += [] if command == "optimize" else [f"--angle={angle!r}"]
+        argv += [f"--speed={speed!r}", "--samples=3"] if command == "trajectory" else []
+        code, out, err = run_captured(argv)
+        lines = (out + err).splitlines()
+        if code != 0:
+            assert len(lines) == 1 and EXIT_REASONS[code].fullmatch(lines[0]), (code, lines)
+            return
+        # each flag's value, else ShotParams's default (PARAM_FLAGS is in its field order)
+        a, d, h, g = (values.get(flag, default) for flag, default in zip(PARAM_FLAGS, ShotParams()))
+        if command == "optimize":
+            theta, v = re.fullmatch(r"theta_opt=(\S+) deg, v_opt=(\S+) m/s", out.strip()).groups()
+            exact_theta, exact_v = decimal_optimum(a, d, h, g)
+            assert within_print(theta, exact_theta * 180 / decimal_pi(), 4.0)
+            assert within_print(v, exact_v, 2.5)
+        elif command == "velocity":
+            v = re.fullmatch(r"v=(\S+) m/s", out.strip()).group(1)
+            assert within_print(v, decimal_required_velocity(a, d, h, g, math.radians(angle)), 64.0)
+        else:
+            rows = [list(map(float, row.split(","))) for row in lines[1:]]
+            assert lines[0] == "t,x,y" and len(rows) == 3
+            assert all(map(math.isfinite, sum(rows, [])))
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -799,8 +877,8 @@ def full_parser_captured(argv):
 
 
 class TestOneSubparser:
-    """run() builds only the invoked command's subparser; what it prints
-    for help and usage errors is what the full parser prints."""
+    """For help and usage errors run() prints what build_parser()'s parser
+    prints, and returns its exit code."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -824,12 +902,6 @@ class TestOneSubparser:
         code, out, err = full_parser_captured(argv)
         assert code in (0, 2)
         assert run_captured(argv) == (code, out, err)
-
-    def test_named_command_builds_one_subparser(self):
-        parser = build_parser("sweep")
-        [sub] = [a for a in parser._actions if a.dest == "command"]
-        assert list(sub.choices) == ["sweep"]
-        assert parser.format_usage() == build_parser().format_usage()
 
 
 # argv drawn from tokens: a command (or none, or an unknown one), then

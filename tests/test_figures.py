@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from hoopshot.figures import STAGES, build_basketball_ladder
 from hoopshot.kinematics import ShotParams
 from hoopshot.ladder import ColorRole, StrategyTag, ladder_to_json, validate_ladder
-from hoopshot.render import Layout, MarkKind, render_svg
+from hoopshot.render import MarkKind, render_svg
 from hoopshot.solver import default_d_grid, required_velocity
+from test_render import SIDE_BY_SIDE, STACKED, clip_rects
 
 
 @pytest.fixture(scope="module")
@@ -97,16 +98,11 @@ class TestStagesFromFigures:
 
 class TestSceneContent:
     def test_layouts(self, built):
+        # each panel's viewport (x, y, width, height), read from its <clipPath>
         _, scenes = built
-        assert [s.layout for s in scenes] == [
-            Layout.SINGLE,
-            Layout.SIDE_BY_SIDE,
-            Layout.SINGLE,
-            Layout.SINGLE,
-            Layout.SIDE_BY_SIDE,
-            Layout.STACKED_SHARED_X,
-            Layout.STACKED_SHARED_X,
-        ]
+        whole = [(52.0, 28.0, 536.0, 384.0)]
+        rects = [clip_rects(render_svg(s).decode()) for s in scenes]
+        assert rects == [whole, SIDE_BY_SIDE, whole, whole, SIDE_BY_SIDE, STACKED, STACKED]
 
     def test_velocity_fan_labels_at_path_ends(self, built):
         _, scenes = built

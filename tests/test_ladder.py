@@ -4,6 +4,7 @@ import math
 import pytest
 
 from hoopshot.figures import build_basketball_ladder
+from hoopshot.kinematics import ShotParams
 from hoopshot.ladder import (
     ColorRole,
     LadderSpec,
@@ -71,6 +72,31 @@ class TestValidateLadder:
         nudged = stage2.panels[1].replace(y_range=(lo, hi + 1e-12))
         mutated = replace_stage(spec, 2, panels=(stage2.panels[0], nudged))
         assert validate_ladder(mutated) == []
+
+    def test_range_mismatch_at_small_scale(self):
+        # a court 1.1e-10 m wide: one panel twice as wide is off by 1.1e-10
+        params = ShotParams(release_altitude=4.0, distance=1e-10)
+        spec, _ = build_basketball_ladder(params, d_grid=[1e-10, 2e-10])
+        stage2 = spec.stage(2)
+        lo, hi = stage2.panels[1].x_range
+        doubled = stage2.panels[1].replace(x_range=(lo, 2 * hi))
+        mutated = replace_stage(spec, 2, panels=(stage2.panels[0], doubled))
+        violations = validate_ladder(mutated)
+        assert [v.kind for v in violations] == [ViolationKind.SHARED_SPACE_MISMATCH]
+        assert violations[0].stages == (1, 2)
+
+    def test_range_mismatch_wider_than_a_float(self):
+        # the width 2e308 overflows, yet 5e307 off is no rounding error
+        wide = space(x_range=(-1e308, 1e308))
+        off = space(x_range=(-1e308, 1.5e308))
+        spec = LadderSpec(
+            stages=(
+                simple_stage(1, {ColorRole.BASELINE}, panels=(wide,)),
+                simple_stage(2, {ColorRole.BASELINE}, parent=1, panels=(off,)),
+            )
+        )
+        violations = validate_ladder(spec)
+        assert [v.kind for v in violations] == [ViolationKind.SHARED_SPACE_MISMATCH]
 
     def test_role_rank_regression(self):
         # green introduced before blue: 0, 1, 3, then 2

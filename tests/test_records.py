@@ -125,8 +125,8 @@ RECORDS = [
     ),
     pytest.param(
         lambda: Scene(()),
-        "Scene(panels=(), layout=<Layout.SINGLE: 'single'>)",
-        "layout",
+        "Scene(panels=())",
+        "panels",
         id="Scene",
     ),
 ]

@@ -13,7 +13,6 @@ from hoopshot.render import (
     MARGIN_TOP,
     SIZE,
     Dash,
-    Layout,
     LayoutError,
     Panel,
     Scene,
@@ -53,26 +52,43 @@ def one_panel_scene(marks, space=None):
                 title="test",
             ),
         ),
-        layout=Layout.SINGLE,
     )
 
 
-# where a panel is drawn, as (layout, index of the panel, its rectangle
-# (x, y, width, height)): a single panel; the right-hand one of two side
-# by side, whose viewport starts half the width across; and the lower one
-# of two stacked, whose viewport starts half the height down
+def other_y(space):
+    """space with another y variable: the same x axis, another quantity."""
+    return space.replace(y_var=("z", "m"))
+
+
+# where a panel is drawn, as (the space of the panel before it, or None
+# where it is the only one, and its rectangle (x, y, width, height)): a
+# single panel; the right-hand one of two in one space, side by side,
+# whose viewport starts half the width across; and the lower one of two
+# on one x axis with different y variables, stacked, whose viewport
+# starts half the height down
 PLACES = {
-    "single": (Layout.SINGLE, 0, (0.0, 0.0, W, H)),
-    "right": (Layout.SIDE_BY_SIDE, 1, (W / 2, 0.0, W / 2, H)),
-    "lower": (Layout.STACKED_SHARED_X, 1, (0.0, H / 2, W, H / 2)),
+    "single": (None, (0.0, 0.0, W, H)),
+    "right": (lambda space: space, (W / 2, 0.0, W / 2, H)),
+    "lower": (other_y, (0.0, H / 2, W, H / 2)),
 }
 
 
 def placed_scene(marks, space, place):
     """A scene with marks in the panel at place, and that panel's rectangle."""
-    layout, index, rect = PLACES[place]
-    panels = [Panel(space, ())] * index + [Panel(space, tuple(marks))]
-    return Scene(tuple(panels), layout), rect
+    before, rect = PLACES[place]
+    panels = [Panel(before(space), ())] if before else []
+    return Scene((*panels, Panel(space, tuple(marks)))), rect
+
+
+# the viewports of two panels side by side, and of two stacked
+SIDE_BY_SIDE = [(52.0, 28.0, 236.0, 384.0), (352.0, 28.0, 236.0, 384.0)]
+STACKED = [(52.0, 28.0, 536.0, 159.0), (52.0, 253.0, 536.0, 159.0)]
+
+
+def clip_rects(svg: str) -> list[tuple[float, float, float, float]]:
+    """Each panel's viewport (x, y, width, height), from its <clipPath>."""
+    rect = r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" height="([^"]+)"/>'
+    return [tuple(map(float, m)) for m in re.findall(r'<clipPath id="panel-\d+">' + rect, svg)]
 
 
 def viewport(rect):
@@ -82,6 +98,12 @@ def viewport(rect):
 
 
 BOX = viewport((0.0, 0.0, W, H))
+
+
+def row(n, stacked, marks=()):
+    """n panels in one space, or, stacked, on one x axis with two y variables."""
+    second = other_y(unit_space()) if stacked else unit_space()
+    return Scene((Panel(unit_space(), marks),) + (Panel(second, marks),) * (n - 1))
 
 
 class TestScaleMap:
@@ -108,12 +130,12 @@ class TestScaleMap:
         with pytest.raises(ValueError):
             unit_space(x_range=(1.0, 1.0))
         with pytest.raises(LayoutError):
-            render_svg(Scene((Panel(unit_space(), ()),) * 10, Layout.SIDE_BY_SIDE))
+            render_svg(Scene((Panel(unit_space(), ()),) * 10))
 
 
 class TestRenderSvg:
     def test_empty_scene(self):
-        svg = render_svg(Scene(panels=(), layout=Layout.SINGLE)).decode()
+        svg = render_svg(Scene(panels=())).decode()
         assert svg.startswith('<?xml version="1.0"')
         assert "<svg" in svg and "</svg>" in svg
         assert 'fill="#FFFFFF"' in svg
@@ -193,37 +215,50 @@ class TestRenderSvg:
         svg = render_svg(scene).decode()
         assert "<circle" not in svg
 
+    @pytest.mark.parametrize(
+        "second, stacked",
+        [
+            # one space: side by side, so the panels can be compared
+            (unit_space(), False),
+            # one x axis, another y variable: stacked, so the x axes line up
+            (other_y(unit_space()), True),
+            # another x range, by far less than 1e-9: side by side
+            (other_y(unit_space(x_range=(0.0, 10.0 + 1e-12))), False),
+        ],
+        ids=["one space", "shared x", "other x range"],
+    )
+    def test_placement_rule(self, second, stacked):
+        svg = render_svg(Scene((Panel(unit_space(), ()), Panel(second, ())))).decode()
+        assert clip_rects(svg) == (STACKED if stacked else SIDE_BY_SIDE)
+
     def test_stacked_requires_shared_x(self):
-        top = Panel(space=unit_space(x_range=(0.0, 10.0)), marks=())
-        bottom = Panel(space=unit_space(x_range=(0.0, 12.0)), marks=())
-        scene = Scene(panels=(top, bottom), layout=Layout.STACKED_SHARED_X)
-        with pytest.raises(LayoutError):
-            render_svg(scene)
+        # x ranges 2e-10 apart at one end: not one axis, however small the gap
+        top = unit_space(x_range=(1e-10, 2e-10))
+        bottom = other_y(unit_space(x_range=(1e-10, 4e-10)))
+        svg = render_svg(Scene((Panel(top, ()), Panel(bottom, ())))).decode()
+        assert clip_rects(svg) == SIDE_BY_SIDE
+
+    def test_stacked_requires_same_x_var(self):
+        bottom = other_y(unit_space(x_name="other"))
+        svg = render_svg(Scene((Panel(unit_space(), ()), Panel(bottom, ())))).decode()
+        assert clip_rects(svg) == SIDE_BY_SIDE
 
     @pytest.mark.parametrize(
         "layout, n, size",
-        [(Layout.SIDE_BY_SIDE, 10, "-4.000 x 384.000"), (Layout.STACKED_SHARED_X, 7, "536.000 x -1.714")],
+        [("side_by_side", 10, "-4.000 x 384.000"), ("stacked_shared_x", 7, "536.000 x -1.714")],
     )
     def test_too_many_panels_raise(self, layout, n, size):
         # the margins of each panel would leave a viewport of negative size
-        scene = Scene((Panel(unit_space(), ()),) * n, layout)
         with pytest.raises(LayoutError) as raised:
-            render_svg(scene)
-        assert str(raised.value) == f"{n} {layout.value} panels leave a {size} px viewport"
+            render_svg(row(n, stacked=layout == "stacked_shared_x"))
+        assert str(raised.value) == f"{n} {layout} panels leave a {size} px viewport"
 
-    @pytest.mark.parametrize("layout, n", [(Layout.SIDE_BY_SIDE, 9), (Layout.STACKED_SHARED_X, 6)])
+    @pytest.mark.parametrize("layout, n", [("side_by_side", 9), ("stacked_shared_x", 6)])
     def test_most_panels_that_fit_render(self, layout, n):
         mark = polyline((1.0, 9.0), (1.0, 9.0), BLACK)
-        svg = render_svg(Scene((Panel(unit_space(), (mark,)),) * n, layout)).decode()
+        svg = render_svg(row(n, stacked=layout == "stacked_shared_x", marks=(mark,))).decode()
         assert len(polyline_points(svg)) == n
         assert not re.search(r'(?:width|height)="-', svg)
-
-    def test_stacked_requires_same_x_var(self):
-        top = Panel(space=unit_space(), marks=())
-        bottom = Panel(space=unit_space(x_name="other"), marks=())
-        scene = Scene(panels=(top, bottom), layout=Layout.STACKED_SHARED_X)
-        with pytest.raises(LayoutError):
-            render_svg(scene)
 
     def test_axis_labels_from_the_space(self):
         space = PlotSpace(

@@ -4,7 +4,7 @@ import sys
 from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hoopshot import solver
 from hoopshot.kinematics import (
@@ -115,18 +115,20 @@ def decimal_hoop_speed(params, angle):
 
 class TestRequiredVelocityAgainstDecimalOracle:
     """required_velocity in ulps of the 50-digit oracle, which takes the
-    decimal sine and cosine of the float angle, over a in [0, 6] m,
-    d in [1, 15] m, h = 3.05 m, g = 9.8 m/s^2 and the angle from 1 deg
-    above the feasibility angle to 89 deg.  The error grows where
-    d*tan(angle) + a - h cancels, most near a = h, d = 1 m and the lowest
-    angle: the largest in 280,000 random cases, 160,000 of them near that
-    corner, was 53.3 ulp."""
+    decimal sine and cosine of the float angle, with the angle from 1 deg
+    above the feasibility angle to 89 deg: over a in [0, 6] m, d in
+    [1, 15] m, h = 3.05 m, g = 9.8 m/s^2, and over a and h in [0, 1e4] m,
+    d in [1e-4, 1e4] m and g in [0.1, 100] m/s^2.  The error grows where
+    d*tan(angle) and a - h cancel, most where the feasibility angle is
+    near +-45 deg and the angle is lowest: the largest in 284,000 random
+    cases, some with a, d, h and g out to 1e-100 and 1e100, was 22.1 ulp."""
 
     BOUND = 64.0
 
-    def assert_within_bound(self, a, d, angle):
-        v = required_velocity(ShotParams(release_altitude=a, distance=d), angle)
-        assert ulps(v, decimal_required_velocity(a, d, 3.05, 9.8, angle)) <= self.BOUND
+    def assert_within_bound(self, a, d, angle, h=3.05, g=9.8):
+        params = ShotParams(release_altitude=a, distance=d, hoop_height=h, gravity=g)
+        v = required_velocity(params, angle)
+        assert ulps(v, decimal_required_velocity(a, d, h, g, angle)) <= self.BOUND
 
     @settings(max_examples=300, deadline=None)
     @given(a=st.floats(0.0, 6.0), d=st.floats(1.0, 15.0), u=st.floats(0.0, 1.0))
@@ -134,9 +136,24 @@ class TestRequiredVelocityAgainstDecimalOracle:
         lo = feasibility_angle(ShotParams(release_altitude=a, distance=d)) + DEG
         self.assert_within_bound(a, d, lo + (89.0 * DEG - lo) * u)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(0.0, 1e4),
+        d=st.floats(1e-4, 1e4),
+        h=st.floats(0.0, 1e4),
+        g=st.floats(0.1, 100.0),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_ulp_bound_over_wide_inputs(self, a, d, h, g, u):
+        params = ShotParams(release_altitude=a, distance=d, hoop_height=h, gravity=g)
+        lo = feasibility_angle(params) + DEG
+        assume(lo < 89.0 * DEG)
+        self.assert_within_bound(a, d, lo + (89.0 * DEG - lo) * u, h, g)
+
     @pytest.mark.parametrize(
         "a, d, angle",
-        [  # the largest errors found: 53.26, 53.21 and 42.61 ulp
+        [  # the largest errors found while d*tan(angle) + a was summed
+            # first (53.26, 53.21 and 42.61 ulp; now 5.26, 3.21 and 2.61)
             (3.2669983448650854, 1.0006153885587066, -0.19391427205498038),
             (3.249956638924203, 1.0045588301687671, -0.17729832124772896),
             (2.70068755626753, 1.0692051262275606, 0.33678145943586163),
@@ -145,6 +162,16 @@ class TestRequiredVelocityAgainstDecimalOracle:
     def test_largest_errors_found(self, a, d, angle):
         self.assert_within_bound(a, d, angle)
 
+    @pytest.mark.parametrize(
+        "a, d, h, angle",
+        [  # d*tan(angle) + a rounded to a multiple of ulp(a) before h was taken off
+            (8796093022207.0, 10.0, 8796093022207.0, 9.27734375 * DEG),
+            (3.049287939770129, 0.007779719154665224, 3.05, 0.19889183061272764),
+        ],
+    )
+    def test_release_near_the_hoop_height(self, a, d, h, angle):
+        self.assert_within_bound(a, d, angle, h)
+
 
 class TestHoopPlaneResidual:
     """|height_at_plane - h| at the required speed, over the domain of the
@@ -152,7 +179,9 @@ class TestHoopPlaneResidual:
     y = a + v*sin(angle)*t - 0.5*g*t*t at the plane.  The terms cancel to
     h, so the residual grows with them: at 89 deg and d = 14.4 m it was
     870 ulp(h) = 3.9e-13 m, 3.4 ulps of the largest term.  The largest in
-    1,200,000 random cases, 400,000 of them near a = h, was 9.0 ulps."""
+    1,200,000 random cases, 400,000 of them near a = h, was 9.0 ulps while
+    d*tan(angle) + a was summed first; in 284,000 cases since, over the
+    wider inputs of the speed bound too, it was 6.6 ulps."""
 
     BOUND = 16.0
 
@@ -171,7 +200,8 @@ class TestHoopPlaneResidual:
 
     @pytest.mark.parametrize(
         "a, d, angle",
-        [  # the largest found: 9.0 and 8.6 ulps, and the 870 ulp(h) case
+        [  # the largest found while d*tan(angle) + a was summed first, 9.0
+            # and 8.6 ulps (now 3.0 and 3.6), and the 870 ulp(h) case
             (3.2601636090627046, 14.50515396120599, 0.25151676106065807),
             (5.371778966493032, 14.683406673777444, 1.3285237068917028),
             (2.112685702397859, 14.405052701566973, 1.553054715899426),
