@@ -157,18 +157,15 @@ def _ladder(scenes: Sequence[Scene], captions: Sequence[str]) -> LadderSpec:
     """The STAGES as their figures draw them.  A stage's last figure
     draws it in full, so that figure's panels give the stage's panels;
     its roles are BASELINE (every frame, axis label and tick is black)
-    plus the color of every mark in its figures; its parent is the stage
-    before it."""
+    plus the color of every mark in its figures."""
     stages = []
-    for n, ((figures, tags), caption) in enumerate(zip(STAGES, captions, strict=True), 1):
+    for (figures, tags), caption in zip(STAGES, captions, strict=True):
         drawn = [scenes[f - 1] for f in figures]
         roles = {ColorRole.BASELINE}.union(
             m.style.color_role for s in drawn for p in s.panels for m in p.marks
         )
         panels = tuple(p.space for p in drawn[-1].panels)
-        stages.append(
-            Stage(n, panels, frozenset(roles), frozenset(tags), caption, n - 1 or None)
-        )
+        stages.append(Stage(panels, frozenset(roles), frozenset(tags), caption))
     return LadderSpec(tuple(stages))
 
 

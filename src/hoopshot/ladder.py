@@ -1,21 +1,22 @@
 """Declarative model of a figure sequence as rungs on a ladder of
 abstraction, with machine-checked consistency rules.
 
+A ladder is its list of stages: stage n is `stages[n - 1]`, and it
+climbs from stage n - 1.
+
 Rules enforced by validate_ladder:
 
-R1  Panels drawn in the same plot space (same x/y variable identities)
-    must agree on axis ranges, each end within RANGE_TOL of the range's
-    width.
-R2  A color role reused by a stage must have been introduced somewhere
-    in that stage's parent chain: color continuity flows through
-    parentage.
-R3  The ranks of newly introduced color roles are non-decreasing along
+R1  Every panel that draws an axis variable (the same name and unit)
+    draws it over the same range, each end within RANGE_TOL of the
+    range's width.
+R2  The ranks of newly introduced color roles are non-decreasing along
     the stage order: colors climb, they never fall back.
-R4  A stage's parent must come before it.
 
-`ladder_from_json` reads a spec with the readers of scenario files,
-`kinematics.json_value` and `json_object`: a stage or panel key missing,
-an unknown key or a bad value raises ValueError naming its key path.
+The JSON form labels each stage with its number, `id`, for a reader of
+the file; `ladder_from_json` checks it against the stage's place.  It
+reads a spec with the readers of scenario files, `kinematics.json_value`
+and `json_object`: a stage or panel key missing, an unknown key or a bad
+value raises ValueError naming its key path.
 """
 
 from __future__ import annotations
@@ -53,9 +54,7 @@ class StrategyTag(enum.Enum):
 
 class ViolationKind(enum.Enum):
     SHARED_SPACE_MISMATCH = "shared_space_mismatch"
-    COLOR_CONTINUITY_BREAK = "color_continuity_break"
     ROLE_RANK_REGRESSION = "role_rank_regression"
-    BROKEN_PARENT_ORDER = "broken_parent_order"
 
 
 class PlotSpace(checked_record("PlotSpace", "x_var y_var x_range y_range")):
@@ -68,53 +67,26 @@ class PlotSpace(checked_record("PlotSpace", "x_var y_var x_range y_range")):
             if not -math.inf < lo < hi < math.inf:
                 raise ValueError(f"bad {name} {(lo, hi)}")
 
-    @property
-    def identity(self) -> tuple[tuple[str, str], tuple[str, str]]:
-        return (self.x_var, self.y_var)
 
-
-class Stage(checked_record("Stage", "id panels roles_used tags caption parent", (None,))):
+class Stage(checked_record("Stage", "panels roles_used tags caption")):
     __slots__ = ()
 
     def _check(self) -> None:
         if not self.panels:
-            raise ValueError(f"stage {self.id} has no panels")
+            raise ValueError("stage has no panels")
         if not self.caption:
-            raise ValueError(f"stage {self.id} has no caption")
+            raise ValueError("stage has no caption")
 
 
 class LadderSpec(checked_record("LadderSpec", "stages")):
     __slots__ = ()
 
     def _check(self) -> None:
-        ids = [s.id for s in self.stages]
-        if ids != list(range(1, len(ids) + 1)):
-            raise ValueError(f"stage ids must be consecutive from 1, got {ids}")
-        for s in self.stages:
-            if s.parent is not None and s.parent not in ids:
-                raise ValueError(
-                    f"stage {s.id} references unknown parent {s.parent}"
-                )
-
-    def stage(self, stage_id: int) -> Stage:
-        return self.stages[stage_id - 1]
+        if not self.stages:
+            raise ValueError("stages must be a non-empty list, got []")
 
 
 Violation = namedtuple("Violation", "kind stages message")
-
-
-def _parent_chain(spec: LadderSpec, stage: Stage) -> list[Stage]:
-    """Ancestors of stage, nearest first.  Guards against cycles that a
-    broken parent order could create."""
-    chain = []
-    seen = {stage.id}
-    current = stage.parent
-    while current is not None and current not in seen:
-        seen.add(current)
-        ancestor = spec.stage(current)
-        chain.append(ancestor)
-        current = ancestor.parent
-    return chain
 
 
 def _differ(r, reference) -> bool:
@@ -125,108 +97,53 @@ def _differ(r, reference) -> bool:
     return abs(r[0] - lo) > tol or abs(r[1] - hi) > tol
 
 
-def _check_shared_spaces(spec: LadderSpec) -> Iterable[Violation]:
-    # One violation per inconsistent space group, so a single mutated
-    # range yields exactly one violation no matter how many panels share
-    # the space.
-    groups: dict[tuple, list[tuple[int, PlotSpace]]] = {}
-    for stage in spec.stages:
+def _check_axis_ranges(spec: LadderSpec) -> Iterable[Violation]:
+    # One violation per axis variable drawn over two ranges, so a single
+    # mutated range yields exactly one violation no matter how many
+    # panels draw the variable.
+    groups: dict[tuple, list[tuple[int, tuple]]] = {}
+    for n, stage in enumerate(spec.stages, 1):
         for panel in stage.panels:
-            groups.setdefault(panel.identity, []).append((stage.id, panel))
-    for identity, members in groups.items():
-        _, reference = members[0]
-        mismatched = [
-            sid
-            for sid, panel in members[1:]
-            if _differ(panel.x_range, reference.x_range)
-            or _differ(panel.y_range, reference.y_range)
-        ]
+            groups.setdefault(panel.x_var, []).append((n, panel.x_range))
+            groups.setdefault(panel.y_var, []).append((n, panel.y_range))
+    for (name, unit), members in groups.items():
+        first, reference = members[0]
+        mismatched = [n for n, r in members[1:] if _differ(r, reference)]
         if mismatched:
-            involved = tuple(sorted({members[0][0], *mismatched}))
             yield Violation(
                 kind=ViolationKind.SHARED_SPACE_MISMATCH,
-                stages=involved,
-                message=(
-                    f"panels sharing space {identity} disagree on ranges "
-                    f"across stages {involved}"
-                ),
+                stages=tuple(sorted({first, *mismatched})),
+                message=f"the panels that draw {name} ({unit}) disagree on its range",
             )
 
 
-def _first_introductions(spec: LadderSpec) -> dict[ColorRole, int]:
-    intro: dict[ColorRole, int] = {}
-    for stage in spec.stages:
-        for role in stage.roles_used:
-            intro.setdefault(role, stage.id)
-    return intro
-
-
-def _check_color_continuity(spec: LadderSpec) -> Iterable[Violation]:
-    intro = _first_introductions(spec)
-    for stage in spec.stages:
-        if stage.parent is not None and stage.parent >= stage.id:
-            # parentage is broken (reported by R4); a continuity check
-            # against a meaningless chain would only cascade noise
-            continue
-        chain_roles: set[ColorRole] = set()
-        for ancestor in _parent_chain(spec, stage):
-            chain_roles |= ancestor.roles_used
-        for role in sorted(stage.roles_used, key=lambda r: r.rank):
-            if intro[role] != stage.id and role not in chain_roles:
-                yield Violation(
-                    kind=ViolationKind.COLOR_CONTINUITY_BREAK,
-                    stages=(intro[role], stage.id),
-                    message=(
-                        f"stage {stage.id} reuses {role.name} introduced in "
-                        f"stage {intro[role]}, which is not in its parent chain"
-                    ),
-                )
-
-
 def _check_role_ranks(spec: LadderSpec) -> Iterable[Violation]:
-    intro = _first_introductions(spec)
+    seen: set[ColorRole] = set()
     last_rank = -1
     last_stage = None
-    for stage in spec.stages:
-        new_ranks = [r.rank for r in stage.roles_used if intro[r] == stage.id]
+    for n, stage in enumerate(spec.stages, 1):
+        new_ranks = [r.rank for r in stage.roles_used - seen]
+        seen |= stage.roles_used
         if not new_ranks:
             continue
         rank = min(new_ranks)
         if rank < last_rank:
             yield Violation(
                 kind=ViolationKind.ROLE_RANK_REGRESSION,
-                stages=(last_stage, stage.id),
+                stages=(last_stage, n),
                 message=(
-                    f"stage {stage.id} introduces a role of rank {rank} after "
+                    f"stage {n} introduces a role of rank {rank} after "
                     f"stage {last_stage} introduced rank {last_rank}"
                 ),
             )
         last_rank = max(last_rank, rank)
-        last_stage = stage.id
-
-
-def _check_parent_order(spec: LadderSpec) -> Iterable[Violation]:
-    for stage in spec.stages:
-        if stage.parent is not None and stage.parent >= stage.id:
-            yield Violation(
-                kind=ViolationKind.BROKEN_PARENT_ORDER,
-                stages=(stage.id,),
-                message=(
-                    f"stage {stage.id} has parent {stage.parent}, which does "
-                    f"not precede it"
-                ),
-            )
+        last_stage = n
 
 
 def validate_ladder(spec: LadderSpec) -> list[Violation]:
-    """All rule violations, in a deterministic order (R1, R2, R3, R4,
-    each in stage order).  An empty list means the ladder is valid."""
-    violations: list[Violation] = []
-    violations.extend(_check_shared_spaces(spec))
-    violations.extend(_check_color_continuity(spec))
-    violations.extend(_check_role_ranks(spec))
-    violations.extend(_check_parent_order(spec))
-    return violations
+    """All rule violations, in a deterministic order (R1, then R2, each
+    in stage order).  An empty list means the ladder is valid."""
+    return [*_check_axis_ranges(spec), *_check_role_ranks(spec)]
 
 
 # --- JSON serialization ------------------------------------------------
@@ -246,9 +163,20 @@ def _members(enum_type, names, what: str) -> frozenset:
     return frozenset(enum_type[name] for name in names)
 
 
+def _checked(record_type, what: str, **fields):
+    """record_type(**fields), the ValueError of its check prefixed by
+    what, the key path of the fields."""
+    try:
+        return record_type(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _space_from_dict(data, what: str) -> PlotSpace:
     data = json_object(data, what, PlotSpace._fields, PlotSpace._fields)
-    return PlotSpace(
+    return _checked(
+        PlotSpace,
+        what,
         x_var=_pair(data["x_var"], str, f"{what}.x_var"),
         y_var=_pair(data["y_var"], str, f"{what}.y_var"),
         x_range=_pair(data["x_range"], float, f"{what}.x_range"),
@@ -256,11 +184,15 @@ def _space_from_dict(data, what: str) -> PlotSpace:
     )
 
 
-def _stage_from_dict(item, what: str) -> Stage:
-    item = json_object(item, what, Stage._fields, Stage._fields)
-    parent = item["parent"]
-    return Stage(
-        id=json_value(item["id"], int, f"{what}.id"),
+def _stage_from_dict(item, n: int) -> Stage:
+    """Stage n (numbered from 1) of the JSON form."""
+    what, keys = f"stages[{n - 1}]", ("id", *Stage._fields)
+    item = json_object(item, what, keys, keys)
+    if json_value(item["id"], int, f"{what}.id") != n:
+        raise ValueError(f"{what}.id must be {n}, its place in the ladder, got {item['id']}")
+    return _checked(
+        Stage,
+        what,
         panels=tuple(
             _space_from_dict(p, f"{what}.panels[{i}]")
             for i, p in enumerate(json_value(item["panels"], list, f"{what}.panels"))
@@ -268,7 +200,6 @@ def _stage_from_dict(item, what: str) -> Stage:
         roles_used=_members(ColorRole, item["roles_used"], f"{what}.roles_used"),
         tags=_members(StrategyTag, item["tags"], f"{what}.tags"),
         caption=json_value(item["caption"], str, f"{what}.caption"),
-        parent=None if parent is None else json_value(parent, int, f"{what}.parent"),
     )
 
 
@@ -278,14 +209,13 @@ def ladder_to_json(spec: LadderSpec) -> str:
     doc = {
         "stages": [
             {
-                "id": stage.id,
+                "id": n,
                 "panels": [p._asdict() for p in stage.panels],
                 "roles_used": sorted(r.name for r in stage.roles_used),
                 "tags": sorted(t.name for t in stage.tags),
                 "caption": stage.caption,
-                "parent": stage.parent,
             }
-            for stage in spec.stages
+            for n, stage in enumerate(spec.stages, 1)
         ]
     }
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -296,4 +226,4 @@ def ladder_from_json(text: str) -> LadderSpec:
     not of that form raises ValueError with one line naming the key path."""
     doc = json_object(json.loads(text), "ladder spec", ("stages",), ("stages",))
     items = json_value(doc["stages"], list, "stages")
-    return LadderSpec(tuple(_stage_from_dict(item, f"stages[{i}]") for i, item in enumerate(items)))
+    return LadderSpec(tuple(_stage_from_dict(item, n) for n, item in enumerate(items, 1)))

@@ -150,16 +150,22 @@ def test_criterion_09_ladder_validation():
     spec, _ = build_basketball_ladder(d_grid=[2.0, 3.0, 4.0])
     assert validate_ladder(spec) == []
 
-    def mutate(stage_id, **changes):
+    def mutate(n, **changes):
         stages = list(spec.stages)
-        stages[stage_id - 1] = stages[stage_id - 1].replace(**changes)
+        stages[n - 1] = stages[n - 1].replace(**changes)
         return LadderSpec(stages=tuple(stages))
 
     # range mismatch on stage 2's second panel
-    stage2 = spec.stage(2)
+    stage2 = spec.stages[1]
     bad_panel = stage2.panels[1].replace(y_range=(0.0, 9.0))
     v1 = validate_ladder(mutate(2, panels=(stage2.panels[0], bad_panel)))
     assert [v.kind for v in v1] == [ViolationKind.SHARED_SPACE_MISMATCH]
+
+    # range mismatch between stage 5's two stacked panels on their distance axis
+    top, bottom = spec.stages[4].panels
+    lo, hi = top.x_range
+    v2 = validate_ladder(mutate(5, panels=(top.replace(x_range=(lo, 2 * hi)), bottom)))
+    assert [(v.kind, v.stages) for v in v2] == [(ViolationKind.SHARED_SPACE_MISMATCH, (5,))]
 
     # role-rank regression: green appears at stage 3, blue only at stage 4
     from hoopshot.ladder import ColorRole
@@ -167,18 +173,12 @@ def test_criterion_09_ladder_validation():
     s3_roles = frozenset(
         {ColorRole.BASELINE, ColorRole.CONCRETE, ColorRole.OPTIMUM}
     )
-    stages = list(spec.stages)
-    stages[2] = stages[2].replace(roles_used=s3_roles)
-    v2 = validate_ladder(LadderSpec(stages=tuple(stages)))
-    assert [v.kind for v in v2] == [ViolationKind.ROLE_RANK_REGRESSION]
-
-    # broken parent order on stage 3
-    v3 = validate_ladder(mutate(3, parent=3))
-    assert [v.kind for v in v3] == [ViolationKind.BROKEN_PARENT_ORDER]
+    v3 = validate_ladder(mutate(3, roles_used=s3_roles))
+    assert [v.kind for v in v3] == [ViolationKind.ROLE_RANK_REGRESSION]
 
     report(
         9,
-        "built-in ladder clean; range, role-rank, and parent-order "
+        "built-in ladder clean; court-range, distance-axis and role-rank "
         "mutations each flagged with the expected violation kind",
     )
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import shutil
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
@@ -17,6 +18,7 @@ from hoopshot.cli import COMMANDS, _parse, build_parser, run
 from hoopshot.kinematics import ShotParams
 from hoopshot.solver import feasibility_angle
 from oracles import decimal_optimum, decimal_pi, decimal_required_velocity, ulps
+from test_solver import assert_correctly_rounded
 
 NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
 PARAM_FLAGS = ("--altitude", "--distance", "--hoop-height", "--gravity")
@@ -44,7 +46,8 @@ FLOAT_FLAG_CALLS = [
 # a twelve-speed fan on a quarter-metre grid; the SVG digests are of the
 # files that `figures` wrote for it before the polyline writer took its
 # present form, which must not move them; ladder.json's is of the file
-# without the panels' retired "aspect" key
+# without the panels' retired "aspect" key and the stages' retired
+# "parent" key
 FAN_SCENARIO = {
     "params": {"a": 1.6, "d": 11, "h": 3.05, "g": 9.8},
     "velocities": [4, 6.5, 8, 9.5, 11, 12.5, 14, 15.5, 17, 18.5, 20, 22],
@@ -59,7 +62,7 @@ FAN_SHA256 = {
     "figure_05.svg": "1d0b3b504f135dd2c4daf9bbcf39365287b3dff2f9db623eae56872c62250aa9",
     "figure_06.svg": "5c25fc34fddaacf2a3aeb3f10a3766f5d5bf6590c0902a8e36dd2394836ebfeb",
     "figure_07.svg": "57daad033f3e4c773e5e4d7ab7f3ccdd798b46957f72e31d4807ed524e624ef6",
-    "ladder.json": "62018b220cdeb0beb524ab38e61df90105d88ecc95cf9eaee1fb2dae8cd86c95",
+    "ladder.json": "582f1fb115d7d48011f7a92466b3c2c59d83706550d8a35a05670500551e959b",
 }
 
 
@@ -97,20 +100,17 @@ def _at(doc, path):
     return doc
 
 
-def _conforms(new, old, key=None) -> bool:
-    """new, put where the valid value old sits under key, passes the
-    reader's policy: a number that is finite and fits a float where old
-    is a number, a stage's parent null or a number, else old's JSON
-    kind, item by item in a list and with none but old's keys in an
-    object."""
-    if key == "parent":
-        return new is None or _conforms(new, 0)
+def _conforms(new, old) -> bool:
+    """new, put where the valid value old sits, passes the reader's
+    policy: a number that is finite and fits a float where old is a
+    number, else old's JSON kind, item by item in a list and with none
+    but old's keys in an object."""
     if type(old) in (int, float):
         return type(new) in (int, float) and abs(new) <= sys.float_info.max
     if type(old) is list:
         return type(new) is list and all(_conforms(v, old[0]) for v in new)
     if type(old) is dict:
-        return type(new) is dict and all(k in old and _conforms(v, old[k], k) for k, v in new.items())
+        return type(new) is dict and all(k in old and _conforms(v, old[k]) for k, v in new.items())
     return type(new) is type(old)
 
 
@@ -487,19 +487,31 @@ class TestValidateLadder:
         assert run(["validate-ladder", str(tmp_path / "nope.json")]) == 2
 
     def test_violations_reported(self, capsys, tmp_path):
-        from hoopshot.figures import build_basketball_ladder
-        from hoopshot.ladder import LadderSpec, ladder_to_json
-
-        spec, _ = build_basketball_ladder(d_grid=[2.0, 3.0])
-        stages = list(spec.stages)
-        stages[2] = stages[2].replace(parent=3)
-        broken = LadderSpec(stages=tuple(stages))
+        # blue introduced at stage 2, before red
+        doc = copy.deepcopy(LADDER)
+        doc["stages"][1]["roles_used"] = ["BASELINE", "SOLUTION"]
         path = tmp_path / "broken.json"
-        path.write_text(ladder_to_json(broken))
+        path.write_text(json.dumps(doc))
         assert run(["validate-ladder", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "1 violations" in out
-        assert "BROKEN_PARENT_ORDER" in out
+        assert capsys.readouterr().out == (
+            "1 violations\nROLE_RANK_REGRESSION (stages 2, 3): stage 3 introduces "
+            "a role of rank 1 after stage 2 introduced rank 2\n"
+        )
+
+    def test_one_stretched_range_is_one_violation(self, tmp_path):
+        # the one-range mutation the benchmark's validate-ladder op checks:
+        # stage 2's first court panel 1 m wider
+        out_dir = tmp_path / "figs"
+        argv = ["figures", "--out", str(out_dir), "--scenario", str(_small_scenario(tmp_path))]
+        assert run_captured(argv)[0] == 0
+        doc = json.loads((out_dir / "ladder.json").read_text())
+        doc["stages"][1]["panels"][0]["x_range"][1] += 1.0
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        code, out, err = run_captured(["validate-ladder", str(path)])
+        assert (code, err) == (1, "")
+        assert out.splitlines()[0] == "1 violations"
+        assert out.splitlines()[1].startswith("SHARED_SPACE_MISMATCH (stages 1, 2): ")
 
 
     @pytest.mark.parametrize(
@@ -509,7 +521,7 @@ class TestValidateLadder:
             pytest.param({}, id="no-stages"),
             pytest.param({"stages": 5}, id="stages-not-list"),
             pytest.param({"stages": [5]}, id="stage-not-object"),
-            pytest.param({"stages": [{"id": 1}]}, id="stage-missing-keys"),
+            pytest.param({"stages": [{"caption": "c"}]}, id="stage-missing-keys"),
             pytest.param("roles_used", id="unknown-color-role"),
             pytest.param("tags", id="unknown-strategy-tag"),
             pytest.param(("tags", "EXPAND_YEARS"), id="retired-strategy-tag"),
@@ -562,6 +574,27 @@ class TestValidateLadder:
             f"cannot load ladder spec {path}: stages[0].panels[0] has unknown key "
             "'aspect'; known: x_var, y_var, x_range, y_range\n"
         )
+
+    def test_spec_with_the_retired_parent_exits_2_naming_it(self, tmp_path):
+        # a ladder.json written while a Stage had a parent
+        doc = copy.deepcopy(LADDER)
+        for n, stage in enumerate(doc["stages"], 1):
+            stage["parent"] = n - 1 or None
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        code, out, err = run_captured(["validate-ladder", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"cannot load ladder spec {path}: stages[0] has unknown key "
+            "'parent'; known: id, panels, roles_used, tags, caption\n"
+        )
+
+    def test_ladder_without_stages_exits_2_naming_stages(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"stages": []}')
+        code, out, err = run_captured(["validate-ladder", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"cannot load ladder spec {path}: stages must be a non-empty list, got []\n"
 
     def test_too_deeply_nested_spec_exits_2(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -738,7 +771,7 @@ class TestScenarioHandling:
             conforms = False
         elif path:
             target = _at(doc, path[:-1])
-            conforms = _conforms(value, target[path[-1]], path[-1])
+            conforms = _conforms(value, target[path[-1]])
             target[path[-1]] = value
         else:
             conforms, doc = _conforms(value, doc), value
@@ -770,6 +803,8 @@ EXIT_REASONS = {
         r"INFEASIBLE: angle \S+ deg is at or below \S+ deg"
         r"|angle must be below pi/2, got \S+"
         r"|required speed at angle \S+ rad underflows to 0"
+        r"|no required-speed curve to draw: fewer than 2 of its angles up to 89.9 deg"
+        r" lie above the feasibility angle \S+ deg"
     ),
     2: re.compile(
         r"(release_altitude|distance|hoop_height|gravity) must be finite, got \S+"
@@ -839,6 +874,45 @@ class TestExitContract:
             rows = [list(map(float, row.split(","))) for row in lines[1:]]
             assert lines[0] == "t,x,y" and len(rows) == 3
             assert all(map(math.isfinite, sum(rows, [])))
+
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        command=st.sampled_from(["sweep", "figures"]),
+        values=st.dictionaries(st.sampled_from(PARAM_FLAGS), ANY_VALUE, min_size=2),
+    )
+    @example(  # speeds near 1e22 m/s, which %.6f writes with 28 digits
+        command="sweep",
+        values={"--altitude": 0.0, "--hoop-height": 0.0, "--gravity": 2.5e43},
+    )
+    @example(  # no angle of the required-speed curve's grid lies above the feasibility angle
+        command="figures",
+        values={"--altitude": 1.7, "--distance": 0.001},
+    )
+    def test_sweep_and_figures_answer_or_one_documented_line(self, contract_dir, command, values):
+        # on small.json's 3-point grid: exit 0 writes each sweep row
+        # correctly rounded from the oracle's optimum, or the 7 figures
+        # and a ladder.json with no violations; exit 1 or 2 prints one
+        # line, a reason the README's exit table lists
+        out_dir = contract_dir / "figs"
+        shutil.rmtree(out_dir, ignore_errors=True)
+        argv = [command, f"--scenario={contract_dir / 'small.json'}"]
+        argv += [f"{flag}={v!r}" for flag, v in values.items()]
+        argv += [f"--out={out_dir}"] if command == "figures" else []
+        code, out, err = run_captured(argv)
+        lines = (out + err).splitlines()
+        if code != 0:
+            assert len(lines) == 1 and EXIT_REASONS[code].fullmatch(lines[0]), (code, lines)
+            return
+        if command == "sweep":
+            # each flag's value, else ShotParams's default (PARAM_FLAGS is in its field order)
+            params = ShotParams(*(values.get(f, v) for f, v in zip(PARAM_FLAGS, ShotParams())))
+            assert_correctly_rounded(out, params, [2.0, 3.0, 4.0])
+            return
+        names = [f"figure_{i:02d}.svg" for i in range(1, 8)] + ["ladder.json"]
+        assert lines == [str(out_dir / name) for name in names]
+        assert sorted(p.name for p in out_dir.iterdir()) == names
+        assert run_captured(["validate-ladder", lines[-1]]) == (0, "0 violations\n", "")
 
 
 class TestUsage:

@@ -31,10 +31,6 @@ class TestLadderStructure:
         spec, _ = built
         assert validate_ladder(spec) == []
 
-    def test_linear_parent_chain(self, built):
-        spec, _ = built
-        assert [s.parent for s in spec.stages] == [None, 1, 2, 3, 4]
-
     def test_every_stage_tagged(self, built):
         spec, _ = built
         for stage in spec.stages:
@@ -42,8 +38,8 @@ class TestLadderStructure:
 
     def test_expansion_and_unfixing_tags(self, built):
         spec, _ = built
-        assert StrategyTag.EXPAND_SAMPLING in spec.stage(2).tags
-        assert StrategyTag.UNFIX_PARAMETER in spec.stage(5).tags
+        assert StrategyTag.EXPAND_SAMPLING in spec.stages[1].tags
+        assert StrategyTag.UNFIX_PARAMETER in spec.stages[4].tags
 
     def test_role_introduction_ranks_climb(self, built):
         spec, _ = built
@@ -63,7 +59,7 @@ class TestLadderStructure:
     def test_stage_2_caption_when_the_fan_is_too_fast(self):
         # 12.2 m/s reaches the hoop at 30 deg, below the whole fan
         spec, _ = build_basketball_ladder(velocities=[15.0, 20.0], d_grid=[2.0, 3.0])
-        assert spec.stage(2).caption.endswith(
+        assert spec.stages[1].caption.endswith(
             "a fan of launch speeds stays above the hoop-reaching speed."
         )
 
@@ -159,7 +155,7 @@ class TestSceneContent:
 class TestCustomInputs:
     def test_custom_grid_sets_distance_range(self):
         spec, _ = build_basketball_ladder(d_grid=[2.0, 3.0, 4.0])
-        top_space = spec.stage(5).panels[0]
+        top_space = spec.stages[4].panels[0]
         assert top_space.x_range == (2.0, 4.0)
 
     @pytest.mark.parametrize(
@@ -172,7 +168,7 @@ class TestCustomInputs:
     )
     def test_stage_5_caption_counts_the_altitudes(self, altitudes, count):
         spec, _ = build_basketball_ladder(altitudes=altitudes, d_grid=[2.0, 3.0])
-        assert spec.stage(5).caption == (
+        assert spec.stages[4].caption == (
             f"Optimal angle and speed as the distance varies, then for {count}."
         )
 
@@ -226,7 +222,7 @@ class TestStage5PanelsHoldTheirData:
 
     def test_default_ranges_kept(self, built):
         spec, _ = built
-        assert [s.y_range for s in spec.stage(5).panels] == [(40.0, 80.0), (0.0, 14.0)]
+        assert [s.y_range for s in spec.stages[4].panels] == [(40.0, 80.0), (0.0, 14.0)]
 
 
 # three non-default figure sets, each file pinned by its SHA-256
@@ -246,7 +242,7 @@ PINNED_SETS = {
             "figure_05.svg": "bc02d22561f7d0bf00ed576151cdac7839a74a5f86041827f22f624d66d950ff",
             "figure_06.svg": "895d01678bba374cbd1b5fbc0ee6ee89c797bb149740e2362852efa845819f9c",
             "figure_07.svg": "3bd2e6b4eeae34ac44f8670d28559f6c3cff7c6aef1da7561e379c51145e783d",
-            "ladder.json": "41f733840a76684c530ba13d1eb234db47fb880836186d3e7d8e5eadc813f8ab",
+            "ladder.json": "dcc5ee8b796adadb3d267efbe4662e8c83e0cac45c0dea48651f15c09b66c60a",
         },
     ),
     "release-above-the-hoop": (
@@ -259,7 +255,7 @@ PINNED_SETS = {
             "figure_05.svg": "bd58715338e70d542786bd21764ccf54be48bb201841073b44f5909a2f5eeaa3",
             "figure_06.svg": "1adf46ebb57c1b929f53077ceefd8e782e0b0a2f09196bb3c4104c89a4760480",
             "figure_07.svg": "14380d20386af2b00c7953e4ebab9330e80f381e4c29b5e7b1c135714a8a57db",
-            "ladder.json": "b5e7593fc0c33f3dc1bbc4d05f9ef3f08d8b17124cb41284fece7b0a544dcc15",
+            "ladder.json": "ffc2860ad2e5bec56df6b811edc6a71d970f8fc36bbc04ed637cc38423566fc3",
         },
     ),
     "three-altitudes-on-a-1-m-grid": (
@@ -272,7 +268,7 @@ PINNED_SETS = {
             "figure_05.svg": "91efa528c2de96b0b69c936e5ff9b869ec1d519d00e5bcb02e41d106363a4e75",
             "figure_06.svg": "764fb47978f92ecf3255be632022b396c3512e8bfdbaeb583245afef3c44e312",
             "figure_07.svg": "d7f27fe3bc3d6d25dfd4a39a26f26294eb33f1ce1e126859f4ff9c0f6bca707d",
-            "ladder.json": "304cc19ee62e151669032427045eda73de3959353228df17b2f2ac233ffdca51",
+            "ladder.json": "d169c8572ca01e7379b0d141a019ba3c8b407c0c8c58a729059c98f681d2fb72",
         },
     ),
 }

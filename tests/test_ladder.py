@@ -27,14 +27,12 @@ def space(name="x", unit="m", x_range=(0.0, 10.0), y_range=(0.0, 5.0)):
     )
 
 
-def simple_stage(stage_id, roles, parent=None, panels=None):
+def simple_stage(roles, panels=None):
     return Stage(
-        id=stage_id,
         panels=panels or (space(),),
         roles_used=frozenset(roles),
         tags=frozenset({StrategyTag.EXPAND_SAMPLING}),
-        caption=f"stage {stage_id}",
-        parent=parent,
+        caption="a stage",
     )
 
 
@@ -43,10 +41,17 @@ def basketball():
     return build_basketball_ladder()
 
 
-def replace_stage(spec, stage_id, **changes):
+def replace_stage(spec, n, **changes):
+    """spec with stage n (numbered from 1) changed."""
     stages = list(spec.stages)
-    stages[stage_id - 1] = stages[stage_id - 1].replace(**changes)
+    stages[n - 1] = stages[n - 1].replace(**changes)
     return LadderSpec(stages=tuple(stages))
+
+
+def rank_regression(spec):
+    """spec with green introduced at stage 3, before blue."""
+    roles = frozenset({ColorRole.BASELINE, ColorRole.CONCRETE, ColorRole.OPTIMUM})
+    return replace_stage(spec, 3, roles_used=roles)
 
 
 class TestValidateLadder:
@@ -56,7 +61,7 @@ class TestValidateLadder:
 
     def test_shared_space_mismatch(self, basketball):
         spec, _ = basketball
-        stage2 = spec.stage(2)
+        stage2 = spec.stages[1]
         mutated_panel = stage2.panels[1].replace(y_range=(0.0, 8.0))
         mutated = replace_stage(
             spec, 2, panels=(stage2.panels[0], mutated_panel)
@@ -67,7 +72,7 @@ class TestValidateLadder:
 
     def test_range_tolerance(self, basketball):
         spec, _ = basketball
-        stage2 = spec.stage(2)
+        stage2 = spec.stages[1]
         lo, hi = stage2.panels[1].y_range
         nudged = stage2.panels[1].replace(y_range=(lo, hi + 1e-12))
         mutated = replace_stage(spec, 2, panels=(stage2.panels[0], nudged))
@@ -77,7 +82,7 @@ class TestValidateLadder:
         # a court 1.1e-10 m wide: one panel twice as wide is off by 1.1e-10
         params = ShotParams(release_altitude=4.0, distance=1e-10)
         spec, _ = build_basketball_ladder(params, d_grid=[1e-10, 2e-10])
-        stage2 = spec.stage(2)
+        stage2 = spec.stages[1]
         lo, hi = stage2.panels[1].x_range
         doubled = stage2.panels[1].replace(x_range=(lo, 2 * hi))
         mutated = replace_stage(spec, 2, panels=(stage2.panels[0], doubled))
@@ -85,14 +90,27 @@ class TestValidateLadder:
         assert [v.kind for v in violations] == [ViolationKind.SHARED_SPACE_MISMATCH]
         assert violations[0].stages == (1, 2)
 
+    def test_range_mismatch_on_a_shared_x_axis(self, basketball):
+        # stage 5 stacks its two panels on one distance axis, each panel
+        # in a space of its own; doubling one of their x ranges in the
+        # file is one mismatch of that axis variable
+        doc = json.loads(ladder_to_json(basketball[0]))
+        x_range = doc["stages"][4]["panels"][0]["x_range"]
+        x_range[1] *= 2
+        violations = validate_ladder(ladder_from_json(json.dumps(doc)))
+        assert [(v.kind, v.stages) for v in violations] == [
+            (ViolationKind.SHARED_SPACE_MISMATCH, (5,))
+        ]
+        assert violations[0].message == "the panels that draw distance (m) disagree on its range"
+
     def test_range_mismatch_wider_than_a_float(self):
         # the width 2e308 overflows, yet 5e307 off is no rounding error
         wide = space(x_range=(-1e308, 1e308))
         off = space(x_range=(-1e308, 1.5e308))
         spec = LadderSpec(
             stages=(
-                simple_stage(1, {ColorRole.BASELINE}, panels=(wide,)),
-                simple_stage(2, {ColorRole.BASELINE}, parent=1, panels=(off,)),
+                simple_stage({ColorRole.BASELINE}, panels=(wide,)),
+                simple_stage({ColorRole.BASELINE}, panels=(off,)),
             )
         )
         violations = validate_ladder(spec)
@@ -102,14 +120,10 @@ class TestValidateLadder:
         # green introduced before blue: 0, 1, 3, then 2
         spec = LadderSpec(
             stages=(
-                simple_stage(1, {ColorRole.BASELINE}),
-                simple_stage(2, {ColorRole.BASELINE, ColorRole.CONCRETE}, parent=1),
-                simple_stage(3, {ColorRole.BASELINE, ColorRole.OPTIMUM}, parent=2),
-                simple_stage(
-                    4,
-                    {ColorRole.BASELINE, ColorRole.SOLUTION, ColorRole.OPTIMUM},
-                    parent=3,
-                ),
+                simple_stage({ColorRole.BASELINE}),
+                simple_stage({ColorRole.BASELINE, ColorRole.CONCRETE}),
+                simple_stage({ColorRole.BASELINE, ColorRole.OPTIMUM}),
+                simple_stage({ColorRole.BASELINE, ColorRole.SOLUTION, ColorRole.OPTIMUM}),
             )
         )
         violations = validate_ladder(spec)
@@ -117,67 +131,38 @@ class TestValidateLadder:
         assert violations[0].kind is ViolationKind.ROLE_RANK_REGRESSION
         assert violations[0].stages == (3, 4)
 
-    def test_color_continuity_break(self):
-        # stage 3's parent chain skips stage 2, where red was introduced
-        spec = LadderSpec(
-            stages=(
-                simple_stage(1, {ColorRole.BASELINE}),
-                simple_stage(2, {ColorRole.BASELINE, ColorRole.CONCRETE}, parent=1),
-                simple_stage(3, {ColorRole.BASELINE, ColorRole.CONCRETE}, parent=1),
-            )
-        )
-        violations = validate_ladder(spec)
-        assert len(violations) == 1
-        assert violations[0].kind is ViolationKind.COLOR_CONTINUITY_BREAK
-        assert violations[0].stages == (2, 3)
-
-    def test_broken_parent_order(self, basketball):
-        spec, _ = basketball
-        mutated = replace_stage(spec, 3, parent=3)
-        violations = validate_ladder(mutated)
-        assert len(violations) == 1
-        assert violations[0].kind is ViolationKind.BROKEN_PARENT_ORDER
-
     def test_idempotent_and_order_stable(self, basketball):
         spec, _ = basketball
-        mutated = replace_stage(spec, 3, parent=3)
+        mutated = rank_regression(spec)
         assert validate_ladder(mutated) == validate_ladder(mutated)
 
     def test_violations_carry_messages(self, basketball):
         spec, _ = basketball
-        mutated = replace_stage(spec, 3, parent=3)
-        for v in validate_ladder(mutated):
-            assert v.message
+        violations = validate_ladder(rank_regression(spec))
+        assert [v.message for v in violations] == [
+            "stage 4 introduces a role of rank 2 after stage 3 introduced rank 3"
+        ]
 
 
 class TestStructuralInvariants:
-    def test_ids_must_be_consecutive(self):
-        with pytest.raises(ValueError):
-            LadderSpec(stages=(simple_stage(2, {ColorRole.BASELINE}),))
+    def test_ids_must_be_consecutive(self, basketball):
+        # a Stage has no id; the JSON form numbers the stages from 1 by place
+        doc = json.loads(ladder_to_json(basketball[0]))
+        assert [stage["id"] for stage in doc["stages"]] == [1, 2, 3, 4, 5]
+        doc["stages"][1]["id"] = 3
+        with pytest.raises(ValueError) as raised:
+            ladder_from_json(json.dumps(doc))
+        assert str(raised.value) == "stages[1].id must be 2, its place in the ladder, got 3"
 
-    def test_parent_must_resolve(self):
-        with pytest.raises(ValueError):
-            LadderSpec(
-                stages=(simple_stage(1, {ColorRole.BASELINE}, parent=9),)
-            )
+    def test_a_ladder_needs_a_first_stage(self):
+        with pytest.raises(ValueError, match=r"stages must be a non-empty list, got \[\]"):
+            LadderSpec(stages=())
 
     def test_stage_needs_panels_and_caption(self):
-        with pytest.raises(ValueError):
-            Stage(
-                id=1,
-                panels=(),
-                roles_used=frozenset(),
-                tags=frozenset(),
-                caption="x",
-            )
-        with pytest.raises(ValueError):
-            Stage(
-                id=1,
-                panels=(space(),),
-                roles_used=frozenset(),
-                tags=frozenset(),
-                caption="",
-            )
+        with pytest.raises(ValueError, match="stage has no panels"):
+            Stage(panels=(), roles_used=frozenset(), tags=frozenset(), caption="x")
+        with pytest.raises(ValueError, match="stage has no caption"):
+            Stage(panels=(space(),), roles_used=frozenset(), tags=frozenset(), caption="")
 
     def test_plot_space_invariants(self):
         with pytest.raises(ValueError):
@@ -233,6 +218,26 @@ class TestJsonRoundTrip:
                 lambda stage: stage.update(id=True),
                 "stages[1].id must be a JSON integer",
                 id="id-bool",
+            ),
+            pytest.param(  # the key of a file written while a Stage had a parent
+                lambda stage: stage.update(parent=1),
+                "stages[1] has unknown key 'parent'; known: id, panels, roles_used, tags, caption",
+                id="retired-parent",
+            ),
+            pytest.param(
+                lambda stage: stage.update(panels=[]),
+                "stages[1]: stage has no panels",
+                id="no-panels",
+            ),
+            pytest.param(
+                lambda stage: stage.update(caption=""),
+                "stages[1]: stage has no caption",
+                id="empty-caption",
+            ),
+            pytest.param(
+                lambda stage: stage["panels"][0].update(y_range=[7, 7]),
+                "stages[1].panels[0]: bad y_range (7.0, 7.0)",
+                id="empty-range",
             ),
         ],
     )

@@ -37,7 +37,6 @@ def space():
 
 def stage():
     return Stage(
-        1,
         (space(),),
         frozenset({ColorRole.BASELINE}),
         frozenset({StrategyTag.UNFIX_PARAMETER}),
@@ -85,9 +84,9 @@ RECORDS = [
     pytest.param(space, SPACE, "y_range", id="PlotSpace"),
     pytest.param(
         stage,
-        f"Stage(id=1, panels=({SPACE},), roles_used=frozenset({{<ColorRole.BASELINE: 0>}}), "
+        f"Stage(panels=({SPACE},), roles_used=frozenset({{<ColorRole.BASELINE: 0>}}), "
         "tags=frozenset({<StrategyTag.UNFIX_PARAMETER: 'unfix_parameter'>}), "
-        "caption='c', parent=None)",
+        "caption='c')",
         "caption",
         id="Stage",
     ),
@@ -98,8 +97,8 @@ RECORDS = [
         id="LadderSpec",
     ),
     pytest.param(
-        lambda: Violation(ViolationKind.BROKEN_PARENT_ORDER, (2,), "m"),
-        "Violation(kind=<ViolationKind.BROKEN_PARENT_ORDER: 'broken_parent_order'>, "
+        lambda: Violation(ViolationKind.ROLE_RANK_REGRESSION, (2,), "m"),
+        "Violation(kind=<ViolationKind.ROLE_RANK_REGRESSION: 'role_rank_regression'>, "
         "stages=(2,), message='m')",
         "message",
         id="Violation",
@@ -197,12 +196,8 @@ REPLACE_CASES = [
     (Bracket(0.0, 1.0), {"hi": 0.0}, r"need lo < hi, got \[0.0, 0.0\]"),
     (space(), {"x_range": (3.0, 3.0)}, r"bad x_range \(3.0, 3.0\)"),
     (space(), {"y_range": (-math.inf, 0.0)}, r"bad y_range \(-inf, 0.0\)"),
-    (stage(), {"caption": ""}, "stage 1 has no caption"),
-    (
-        LadderSpec((stage(),)),
-        {"stages": (stage(), stage())},
-        r"stage ids must be consecutive from 1, got \[1, 1\]",
-    ),
+    (stage(), {"caption": ""}, "stage has no caption"),
+    (LadderSpec((stage(),)), {"stages": ()}, r"stages must be a non-empty list, got \[\]"),
     (
         Mark(MarkKind.POINT, Style(ColorRole.BASELINE), (1.0,), (2.0,)),
         {"size": 0.0},
@@ -263,7 +258,7 @@ SIGNATURES = {
     LaunchState: "(angle, speed)",
     Bracket: "(lo, hi)",
     PlotSpace: "(x_var, y_var, x_range, y_range)",
-    Stage: "(id, panels, roles_used, tags, caption, parent=None)",
+    Stage: "(panels, roles_used, tags, caption)",
     LadderSpec: "(stages)",
     Style: "(color_role, dash=<Dash.SOLID: 'solid'>)",
     Mark: "(kind, style, xs=(), ys=(), value=0.0, text='', size=3.0)",

@@ -760,6 +760,8 @@ def six_places(exact):
     where exact lies within 8 ulps of a tie, so that a float within the
     solver's error bounds (and one rounding to degrees) may round the
     other way."""
+    if 8 * math.ulp(float(exact)) >= 5e-7:  # every value lies that near a tie
+        return None
     tie = exact.quantize(Decimal("1e-6"), rounding=ROUND_FLOOR) + Decimal("5e-7")
     if abs(exact - tie) <= 8 * Decimal(math.ulp(float(exact))):
         return None
