@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from itertools import compress
 
 from . import solver
-from .kinematics import Infeasible, LaunchState, ShotParams, sample_trajectory
+from .kinematics import Infeasible, LaunchState, ShotParams, trajectory_bezier
 from .ladder import ColorRole, LadderSpec, PlotSpace, Stage, StrategyTag
 from .render import (
     Dash,
@@ -25,6 +25,7 @@ from .render import (
     hline,
     point,
     polyline,
+    quadratic,
     text,
     vline,
 )
@@ -83,9 +84,7 @@ def _court_marks(params: ShotParams) -> tuple:
 
 
 def _trajectory_mark(params: ShotParams, angle: float, speed: float, style: Style):
-    traj = sample_trajectory(params, LaunchState(angle=angle, speed=speed))
-    _, xs, ys = zip(*traj.samples)
-    return polyline(xs, ys, style)
+    return quadratic(*trajectory_bezier(params, LaunchState(angle=angle, speed=speed)), style)
 
 
 def _angle_curve_polyline(params: ShotParams):

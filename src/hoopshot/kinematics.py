@@ -16,7 +16,8 @@ from collections import namedtuple
 
 # the most trajectory samples or distance-grid points one call builds
 MAX_GRID_POINTS = 100_000
-# the samples of a trajectory, drawn or printed, unless a call asks otherwise
+# the samples the `trajectory` command prints unless asked otherwise; the
+# figures draw each trajectory as one Bezier curve (`trajectory_bezier`)
 TRAJECTORY_SAMPLES = 200
 
 
@@ -180,23 +181,31 @@ def ground_impact_time(params: ShotParams, launch: LaunchState) -> float:
     return t
 
 
+def _flight(params: ShotParams, launch: LaunchState):
+    """(t_end, vx, vy, a, g/2) of a shot: it flies from t=0 to t_end, the
+    earlier of the hoop-plane crossing and ground impact, so the path
+    stops at the plane or the floor."""
+    t_end = min(time_to_plane(launch, params.distance), ground_impact_time(params, launch))
+    vx = launch.speed * math.cos(launch.angle)
+    vy = launch.speed * math.sin(launch.angle)
+    return t_end, vx, vy, params.release_altitude, 0.5 * params.gravity
+
+
 def sample_trajectory(
     params: ShotParams, launch: LaunchState, n: int = TRAJECTORY_SAMPLES
 ) -> Trajectory:
-    """Sample the trajectory at n equally spaced times.
+    """Sample the trajectory at n equally spaced times, for the
+    `trajectory` command's CSV (the figures draw `trajectory_bezier`).
 
     Runs from t=0 to the earlier of the hoop-plane crossing and ground
-    impact, so the drawn path stops at the plane or the floor.  Each
+    impact, so the path stops at the plane or the floor.  Each
     sample is the tuple (t, *position_at(params, launch, t)), bit for bit.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     if n > MAX_GRID_POINTS:
         raise ValueError(f"need at most {MAX_GRID_POINTS} samples, got {n}")
-    t_end = min(time_to_plane(launch, params.distance), ground_impact_time(params, launch))
-    vx = launch.speed * math.cos(launch.angle)
-    vy = launch.speed * math.sin(launch.angle)
-    a, hg = params.release_altitude, 0.5 * params.gravity
+    t_end, vx, vy, a, hg = _flight(params, launch)
     m = n - 1
     samples = tuple(
         [(t, vx * t, a + vy * t - hg * t * t) for i in range(n) for t in [t_end * i / m]]
@@ -206,3 +215,20 @@ def sample_trajectory(
     if not all(map(math.isfinite, samples[-1])):
         raise ValueError(f"trajectory sample is not finite: {samples[-1]}")
     return Trajectory(params, launch, samples)
+
+
+def trajectory_bezier(params: ShotParams, launch: LaunchState):
+    """The path of `sample_trajectory`, t=0 to t_end, as the control
+    points of one quadratic Bezier curve, in columns (xs, ys): the release
+    point P0 = (0, a), C = P0 + t_end/2 * (vx, vy), and the end point P1,
+    computed as a sample at t_end is.  x is linear and y quadratic in t,
+    so this curve is the drag-free parabola exactly.  ValueError, with
+    `sample_trajectory`'s message, where the end point is not finite;
+    every term of C is at most the matching term of P1, so C is then
+    finite too."""
+    t_end, vx, vy, a, hg = _flight(params, launch)
+    end = (t_end, vx * t_end, a + vy * t_end - hg * t_end * t_end)
+    if not all(map(math.isfinite, end)):
+        raise ValueError(f"trajectory sample is not finite: {end}")
+    half = 0.5 * t_end
+    return (0.0, vx * half, end[1]), (a, a + vy * half, end[2])

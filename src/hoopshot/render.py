@@ -16,6 +16,10 @@ Style constants (golden-file contract):
   text     sans-serif: title 13, axis labels 11, TEXT marks 10 and the
            end-of-axis tick labels 9 pixels, black but for TEXT marks
   labels   "name (unit)" of each axis variable of the panel's PlotSpace
+  curves   a QUADRATIC mark is one <path d="Mx0,y0 Qcx,cy x1,y1"/> per
+           in-viewport piece of its Bezier curve: each end on the curve
+           and in the viewport, the control point the blossom of the
+           piece's parameter interval (see _clip_quadratic)
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ class LayoutError(ValueError):
 
 class MarkKind(enum.Enum):
     POLYLINE = "polyline"
+    QUADRATIC = "quadratic"
     POINT = "point"
     TEXT = "text"
     VLINE = "vline"
@@ -80,8 +85,9 @@ Style = namedtuple("Style", "color_role dash", defaults=(Dash.SOLID,))
 
 class Mark(checked_record("Mark", "kind style xs ys value text size", ((), (), 0.0, "", 3.0))):
     """One drawable element, in the panel's data coordinates.  xs and ys
-    are the columns of its vertices, or of the one anchor of a POINT or
-    TEXT; value is the x position of a VLINE and the y position of an
+    are the columns of its vertices, of the three control points of a
+    QUADRATIC (a quadratic Bezier curve), or of the one anchor of a POINT
+    or TEXT; value is the x position of a VLINE and the y position of an
     HLINE; size is the radius of a POINT in pixels."""
 
     __slots__ = ()
@@ -91,6 +97,8 @@ class Mark(checked_record("Mark", "kind style xs ys value text size", ((), (), 0
             raise ValueError(f"{len(self.xs)} x values but {len(self.ys)} y values")
         if self.kind is MarkKind.POLYLINE and len(self.xs) < 2:
             raise ValueError("polyline needs at least 2 vertices")
+        if self.kind is MarkKind.QUADRATIC and len(self.xs) != 3:
+            raise ValueError("quadratic needs exactly 3 control points")
         if self.kind in (MarkKind.POINT, MarkKind.TEXT) and len(self.xs) != 1:
             raise ValueError(f"{self.kind.value} needs exactly 1 anchor point")
         if self.kind is MarkKind.POINT and self.size <= 0:
@@ -104,6 +112,11 @@ class Mark(checked_record("Mark", "kind style xs ys value text size", ((), (), 0
 
 def polyline(xs, ys, style: Style) -> Mark:
     return Mark(kind=MarkKind.POLYLINE, xs=tuple(xs), ys=tuple(ys), style=style)
+
+
+def quadratic(xs, ys, style: Style) -> Mark:
+    """The quadratic Bezier curve with control points (xs[i], ys[i])."""
+    return Mark(kind=MarkKind.QUADRATIC, xs=tuple(xs), ys=tuple(ys), style=style)
 
 
 def point(x: float, y: float, style: Style, size: float = 3.0) -> Mark:
@@ -193,6 +206,91 @@ def _crossing(a, b, n, d, scale, axis, value):
     other = 1 - axis
     at = (a[other] * d + n * (b[other] - a[other])) / (d * scale)
     return (value, at) if axis == 0 else (at, value)
+
+
+def _blossom(u, t0, t1) -> float:
+    """The blossom at (s0, s1) of one coordinate u = (u0, uc, u1) of a
+    quadratic Bezier curve: its point at s where s0 = s1 = s, and the
+    control point of its piece from s0 to s1.  Each parameter is a pair
+    t = (s, 1 - s), so that the one of the two that is small is exact."""
+    (s0, r0), (s1, r1) = t0, t1
+    return r0 * r1 * u[0] + (r0 * s1 + s0 * r1) * u[1] + s0 * s1 * u[2]
+
+
+def _roots(a: float, b: float, c: float) -> list[float]:
+    """The real roots of a*s^2 + b*s + c = 0 in the stable form, q/a and
+    c/q with q = -(b + sign(b) sqrt(b^2 - 4ac))/2: no root is taken as a
+    difference of nearly equal terms."""
+    if a == 0.0:
+        return [-c / b] if b else []
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q else [0.0]
+
+
+def _clip_quadratic(p0, c, p1, box):
+    """The pieces of the quadratic Bezier curve p0-c-p1 (pixels) inside
+    box = (x0, y0, x1, y1), as (t0, t1, start, control, end), each t the
+    pair (s, 1 - s): the curve B(s) = (1-s)^2 p0 + 2s(1-s) c + s^2 p1 on
+    [s0, s1], 0 <= s0 < s1 <= 1, is the Bezier curve start-control-end,
+    whose control point is the blossom at (s0, s1).  Nothing for a NaN or
+    infinite control point.  A coordinate crosses an edge only at a root
+    of a quadratic in s (or in 1 - s), so each in-box interval between
+    those roots is one piece.  An end at s = 0 or 1 is p0 or p1; an end
+    the clip moves lies exactly on the edge that moved it, its other
+    coordinate clamped into the box, so every end is in the box."""
+    pts = (*p0, *c, *p1)
+    if not all(map(math.isfinite, pts)):
+        return []
+    bx0, by0, bx1, by1 = box
+    xs, ys = pts[0::2], pts[1::2]
+    if bx0 <= min(xs) and max(xs) <= bx1 and by0 <= min(ys) and max(ys) <= by1:
+        # a curve lies in the convex hull of its control points
+        return [((0.0, 1.0), (1.0, 0.0), p0, c, p1)]
+    # scaled by a power of two, so that no square below overflows
+    scale = 2.0 ** -max(0, math.frexp(max(map(abs, pts)))[1] - 500)
+    axes = [([v * scale for v in col], lo, hi) for col, lo, hi in ((xs, bx0, bx1), (ys, by0, by1))]
+    # (t, axis, edge) of the two ends and of each crossing; each root is
+    # taken in s and again in 1 - s: near s = 1 only the second resolves
+    # it, and the sliver between two copies of one root lies on one side
+    cuts = [((0.0, 1.0), 0, None), ((1.0, 0.0), 0, None)]
+    for axis, (u, lo, hi) in enumerate(axes):
+        a = u[0] - 2.0 * u[1] + u[2]
+        for edge in (lo, hi):
+            e = edge * scale
+            forward = _roots(a, 2.0 * (u[1] - u[0]), u[0] - e)
+            backward = _roots(a, 2.0 * (u[1] - u[2]), u[2] - e)
+            cuts += [((s, 1.0 - s), axis, edge) for s in forward if 0.0 < s < 1.0]
+            cuts += [((1.0 - r, r), axis, edge) for r in backward if 0.0 < r < 1.0]
+    cuts.sort(key=lambda cut: (cut[0][0], -cut[0][1]))
+    runs = []  # the first and last cut of each in-box run of intervals
+    for first, last in zip(cuts, cuts[1:]):
+        (s0, r0), (s1, r1) = first[0], last[0]
+        mid = (0.5 * (s0 + s1), 0.5 * (r0 + r1))
+        inside = all(lo * scale <= _blossom(u, mid, mid) <= hi * scale for u, lo, hi in axes)
+        if (s0, -r0) < (s1, -r1) and inside:
+            if runs and runs[-1][1][0] == first[0]:
+                runs[-1][1] = last
+            else:
+                runs.append([first, last])
+    pieces = []
+    for first, last in runs:
+        ends = []
+        for t, axis, edge in (first, last):
+            if edge is None:
+                point = p0 if t[0] == 0.0 else p1
+            else:
+                point = [_blossom(u, t, t) / scale for u, _, _ in axes]
+            end = [min(max(v, lo), hi) for v, (_, lo, hi) in zip(point, axes)]
+            if edge is not None:
+                end[axis] = edge
+            ends.append(tuple(end))
+        control = tuple([_blossom(u, first[0], last[0]) / scale for u, _, _ in axes])
+        if all(map(math.isfinite, control)):  # infinite only within ulps of the float range
+            pieces.append((first[0], last[0], ends[0], control, ends[1]))
+    return pieces
 
 
 def _stroke_attrs(style: Style) -> str:
@@ -331,6 +429,14 @@ def _render_mark(out: list[str], mark: Mark, x_axis, y_axis, box) -> None:
             # none is negative and none needs _fmt's "-0.000" rule
             coords = ("%.3f,%.3f " * (len(flat) // 2))[:-1] % tuple(flat)
             out.append(f'<polyline points="{coords}" {attrs}/>')
+    elif mark.kind is MarkKind.QUADRATIC:
+        controls = [(_pixel(x, *x_axis), _pixel(y, *y_axis)) for x, y in zip(mark.xs, mark.ys)]
+        attrs = _stroke_attrs(mark.style)
+        # every end lies in the viewport, so only a control point may be negative
+        for *_, (x0, y0), (cx, cy), (x1, y1) in _clip_quadratic(*controls, box):
+            out.append(
+                f'<path d="M{x0:.3f},{y0:.3f} Q{_fmt(cx)},{_fmt(cy)} {x1:.3f},{y1:.3f}" {attrs}/>'
+            )
     elif mark.kind is MarkKind.POINT:
         x, y = _pixel(mark.xs[0], *x_axis), _pixel(mark.ys[0], *y_axis)
         if vx0 <= x <= vx1 and vy0 <= y <= vy1:

@@ -30,6 +30,13 @@ DEFAULT_ALTITUDES = (1.2, 1.7, 2.2)
 _HALF_PI = math.pi / 2
 _QUARTER_PI = math.pi / 4
 _TINY = sys.float_info.min  # the least normal float
+_EPS = sys.float_info.epsilon
+# the most that the rounding of d*tan(theta) + (a - h) may move a required
+# speed: half the printed unit of `velocity` and the stage-3 caption (%.1f),
+# or, for a speed whose ulp is larger, the 64 ulp that bounds the speed
+# from 1 deg above the feasibility angle (README)
+SPEED_TOLERANCE = 0.05
+_SPEED_ULPS = 64.0
 
 
 class InfeasibleAngle(Infeasible):
@@ -54,7 +61,9 @@ OptimumCurve = namedtuple("OptimumCurve", "release_altitude distances angles spe
 def required_velocity(params: ShotParams, angle: float) -> float:
     """Initial speed for which the ball's height at the hoop plane equals
     the hoop height.  Raises InfeasibleAngle at or below the feasibility
-    angle, where the denominator of the closed form is non-positive, and
+    angle, where the denominator of the closed form is non-positive,
+    Infeasible just above it, where the rounding of d*tan(angle) + (a - h)
+    may move the speed by more than SPEED_TOLERANCE and 64 ulp, and
     ValueError when the speed overflows to a non-finite value."""
     a, d, h, g = params
     (v,) = _hoop_speeds(a, d, h, g, (angle,))
@@ -62,6 +71,18 @@ def required_velocity(params: ShotParams, angle: float) -> float:
         raise InfeasibleAngle(
             f"angle {degrees(angle):.3f} deg is at or below the "
             f"feasibility angle {degrees(_feasibility(a, d, h)):.3f} deg"
+        )
+    # tan is within an ulp and d*tan, a - h and their sum each round once,
+    # so the float sum s is within 2*eps*(|d tan| + |a - h|) of the exact
+    # one (bounded here at twice that); v ~ s^-1/2 then moves by at most
+    # v*bound/(2(s - bound))
+    t, k = d * tan(angle), a - h
+    s, bound = t + k, 4.0 * _EPS * (abs(t) + abs(k))
+    allowed = max(SPEED_TOLERANCE, _SPEED_ULPS * math.ulp(v))
+    if not (s > bound and bound / (s - bound) <= 2.0 * allowed / v):
+        raise Infeasible(
+            f"required speed at angle {angle!r} rad is not certain to {SPEED_TOLERANCE:g} m/s "
+            f"so near the feasibility angle {_feasibility(a, d, h)!r} rad"
         )
     return v
 

@@ -45,9 +45,10 @@ FLOAT_FLAG_CALLS = [
 
 # a twelve-speed fan on a quarter-metre grid; the SVG digests are of the
 # files that `figures` wrote for it before the polyline writer took its
-# present form, which must not move them; ladder.json's is of the file
-# without the panels' retired "aspect" key and the stages' retired
-# "parent" key
+# present form, which must not move them, but for figures 2 and 3, whose
+# trajectories are each one quadratic Bezier <path>; ladder.json's is of
+# the file without the panels' retired "aspect" key and the stages'
+# retired "parent" key
 FAN_SCENARIO = {
     "params": {"a": 1.6, "d": 11, "h": 3.05, "g": 9.8},
     "velocities": [4, 6.5, 8, 9.5, 11, 12.5, 14, 15.5, 17, 18.5, 20, 22],
@@ -56,8 +57,8 @@ FAN_SCENARIO = {
 }
 FAN_SHA256 = {
     "figure_01.svg": "1b618c802322e172a34e3cb8adcf56ec6cc60f8a94bef80be0eee442d381dca1",
-    "figure_02.svg": "673e599f151fb1652afeff6de4ca40d612a64654947314df700c9a2eaa1173c5",
-    "figure_03.svg": "e800801929a7a7f7e1d88994a2c05925d0414d26b8217bba0e6f7c700394696b",
+    "figure_02.svg": "fd316f004d63303f14234fbca6e0907ec8ab1b0d28a905821780293cbb5da240",
+    "figure_03.svg": "21dd6ab5e84a845862100ee93eaf345ed045f4e083eeb2fb89221ce70f2bd61f",
     "figure_04.svg": "6c9e2185d7bd61079b2bb9c9fe0ce427543cf9cff47a74429f127b6c8f26f113",
     "figure_05.svg": "1d0b3b504f135dd2c4daf9bbcf39365287b3dff2f9db623eae56872c62250aa9",
     "figure_06.svg": "5c25fc34fddaacf2a3aeb3f10a3766f5d5bf6590c0902a8e36dd2394836ebfeb",
@@ -212,6 +213,16 @@ class TestVelocity:
         code, out, err = run_captured(argv)
         assert (code, out) == (1, "")
         assert err == "required speed at angle 0.5235987755982988 rad underflows to 0\n"
+
+    def test_one_ulp_above_the_feasibility_angle_exits_1(self):
+        # it printed v=10506405688.7 m/s, the exact speed being 11021710316.8
+        argv = ["velocity", "--altitude", "1", "--distance", "100", "--angle", "1.1743989847261913"]
+        code, out, err = run_captured(argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "required speed at angle 0.020497129015550637 rad is not certain to 0.05 m/s"
+            " so near the feasibility angle 0.020497129015550633 rad\n"
+        )
 
     @pytest.mark.parametrize("angle", ["-95", "-1e308", "-inf", "nan", "90", "inf"])
     def test_angle_outside_the_closed_form_domain_exits_2(self, angle):
@@ -803,6 +814,8 @@ EXIT_REASONS = {
         r"INFEASIBLE: angle \S+ deg is at or below \S+ deg"
         r"|angle must be below pi/2, got \S+"
         r"|required speed at angle \S+ rad underflows to 0"
+        r"|required speed at angle \S+ rad is not certain to 0.05 m/s"
+        r" so near the feasibility angle \S+ rad"
         r"|no required-speed curve to draw: fewer than 2 of its angles up to 89.9 deg"
         r" lie above the feasibility angle \S+ deg"
     ),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -236,8 +237,8 @@ PINNED_SETS = {
         ),
         {
             "figure_01.svg": "2103d3b79315953158a85f111c5324a77cac1360ef6c3ee104cc88f7722704cd",
-            "figure_02.svg": "ee04321e182b40af526d12522493e7208ba8765dbdc378d33a9300b126bd17ca",
-            "figure_03.svg": "602c77a767b1bd4f790bbe8eb9195f1f445e1d93ddc5c10002043e04b85c329f",
+            "figure_02.svg": "c2761575967ede73fac59b52562e0952969bb40d0dd6bc0851f8aa8d207d8e95",
+            "figure_03.svg": "2070026ac7e7c8f7f261194c0532705cb0d5af022ffccd714f61bc5d1ccac644",
             "figure_04.svg": "319dc4965875c9cbc767b1e20a487f37e72383b2ac854fa5ade622b5d3175737",
             "figure_05.svg": "bc02d22561f7d0bf00ed576151cdac7839a74a5f86041827f22f624d66d950ff",
             "figure_06.svg": "895d01678bba374cbd1b5fbc0ee6ee89c797bb149740e2362852efa845819f9c",
@@ -249,8 +250,8 @@ PINNED_SETS = {
         dict(params=ShotParams(release_altitude=3.5)),
         {
             "figure_01.svg": "e3698099efdca1837dba1639d8f1fb292b7da48260e2457e9dd578ad5d18ba1d",
-            "figure_02.svg": "7d34c48b40d946e4d3d538fe428d94f58213a18c315fd45ac6f0994de9ff61bd",
-            "figure_03.svg": "0d460a235710a84897b8049ae5f4fb6ca8081538af26f3fa6b7e987024866c48",
+            "figure_02.svg": "c29ea5d8050dbf8af321efb0838984656596c24808c421ef85a6c973cb50b988",
+            "figure_03.svg": "66a068da030f884bbf3e853bcb90649ad6c5e35f4dcaf3dc1f536320471b2ad9",
             "figure_04.svg": "c60c2d1a7d78f5e54892fb405be22e4fed37cca427cc0a5b2e90da59ad6f88d1",
             "figure_05.svg": "bd58715338e70d542786bd21764ccf54be48bb201841073b44f5909a2f5eeaa3",
             "figure_06.svg": "1adf46ebb57c1b929f53077ceefd8e782e0b0a2f09196bb3c4104c89a4760480",
@@ -262,8 +263,8 @@ PINNED_SETS = {
         dict(altitudes=[1.0, 2.0, 3.0], d_grid=default_d_grid(1.0, 15.0, 1.0)),
         {
             "figure_01.svg": "abb315bef136173e48e545cb0ed27f3036232af90596222878689288a88dc948",
-            "figure_02.svg": "080f2b10acde10708c2f0d7e9a81aac7beceb6fc41697bbfcbb052df181a7837",
-            "figure_03.svg": "a289d87d956562a4e920a4088b1915d2abfe23b3b9af622b709f85188f50643c",
+            "figure_02.svg": "c2122e3b3a7b51afa811117036917ab47aa495f11c77b4c3091d4d469807d9ad",
+            "figure_03.svg": "e66883812ec4ac3582d4d393bcf05c18dc5a5dacf3428aa31be02ec7d9e48181",
             "figure_04.svg": "1eb34eeb06b23baec9916338a7ecf9979e04a2d00967d428b0dc0efd93f5ab14",
             "figure_05.svg": "91efa528c2de96b0b69c936e5ff9b869ec1d519d00e5bcb02e41d106363a4e75",
             "figure_06.svg": "764fb47978f92ecf3255be632022b396c3512e8bfdbaeb583245afef3c44e312",
@@ -282,8 +283,53 @@ def test_non_default_figure_sets_are_byte_pinned(kwargs, digests):
     assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == digests
 
 
+# the start, control point and end of each <path> piece, by panel
+PATH = r'<path d="M(\S+),(\S+) Q(\S+),(\S+) (\S+),(\S+)"'
+
+
+def panel_paths(scene, index: int) -> list[tuple[str, ...]]:
+    """The six written numbers of each <path> in panel index of scene."""
+    group = render_svg(scene).decode().split(f'<g clip-path="url(#panel-{index})">')[1]
+    return re.findall(PATH, group.split("</g>")[0])
+
+
 def test_the_pinned_fan_is_clipped():
+    # the two fastest of its twelve shots end above the 7 m court; each is
+    # drawn as one piece from the release point to the top edge
     kwargs, _ = PINNED_SETS["fan-leaves-the-court"]
-    fan_panel = build_basketball_ladder(**kwargs)[1][1].panels[1]
-    top = fan_panel.space.y_range[1]
-    assert any(y > top for mark in fan_panel.marks for _, y in mark.points)
+    scene = build_basketball_ladder(**kwargs)[1][1]
+    top = scene.panels[1].space.y_range[1]
+    curves = [m for m in scene.panels[1].marks if m.kind is MarkKind.QUADRATIC]
+    assert [m.ys[-1] > top for m in curves] == [False] * 10 + [True] * 2
+    ends = [piece[5] for piece in panel_paths(scene, 1)]
+    assert len(ends) == 12 and ends[10:] == ["28.000", "28.000"] and "28.000" not in ends[:10]
+
+
+class TestTrajectoryPieces:
+    """How many <path> pieces a trajectory is drawn as: one where it
+    stays in the court, two where it leaves the top and comes back, none
+    where it never enters."""
+
+    def test_a_shot_that_leaves_the_top_and_comes_back_is_two_pieces(self):
+        # 22 m/s at 30 deg from 1.7 m peaks at 7.87 m, 21 m out, and is
+        # back below 7 m at the 30 m hoop plane
+        scene = build_basketball_ladder(params=ShotParams(distance=30.0), velocities=[22.0])[1][1]
+        (rise, fall) = panel_paths(scene, 1)
+        assert rise[5] == fall[1] == "28.000"
+        assert float(rise[4]) < float(fall[0])
+
+    def test_a_release_above_the_court(self):
+        # from 9 m the 15 m/s shot stays above the 7 m court up to the hoop
+        # plane, so the one-shot panel draws no <path>; the 5 m/s shot of
+        # the fan falls into the court by its top edge and ends on the floor
+        scene = build_basketball_ladder(params=ShotParams(release_altitude=9.0))[1][1]
+        assert panel_paths(scene, 0) == []
+        pieces = panel_paths(scene, 1)
+        assert len(pieces) == 1 and (pieces[0][1], pieces[0][5]) == ("28.000", "412.000")
+
+    def test_a_shot_that_ends_on_the_floor(self):
+        # the default 5 m/s shot lands 3.9 m out: its end is on the floor
+        _, scenes = build_basketball_ladder()
+        curve = next(m for m in scenes[1].panels[1].marks if m.kind is MarkKind.QUADRATIC)
+        assert curve.ys[-1] == pytest.approx(0.0, abs=1e-12)
+        assert panel_paths(scenes[1], 1)[0][4:] == ("435.331", "412.000")

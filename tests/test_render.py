@@ -21,9 +21,11 @@ from hoopshot.render import (
     hline,
     point,
     polyline,
+    quadratic,
     render_svg,
     text,
     vline,
+    _clip_quadratic,
     _clip_segment,
     _fmt,
     _pixel,
@@ -608,3 +610,126 @@ class TestPolylineCoordinates:
         scene, _ = placed_scene([polyline(*zip(*pts), BLACK)], SPACE, place)
         coords = re.split("[ ,]", " ".join(polyline_points(render_svg(scene).decode())))
         assert [c for c in coords if c.startswith("-")] == []
+
+
+# each <path>: the start, control point and end of one quadratic Bezier piece
+PATH = re.compile(r'<path d="M(\S+),(\S+) Q(\S+),(\S+) (\S+),(\S+)"')
+
+
+def exact_blossom(u, s0, s1):
+    """The blossom at (s0, s1) of the float coordinates u, exactly."""
+    u0, uc, u1 = map(Fraction, u)
+    return (1 - s0) * (1 - s1) * u0 + ((1 - s0) * s1 + s0 * (1 - s1)) * uc + s0 * s1 * u1
+
+
+def parameter(t):
+    """The s of a clip parameter t = (s, 1 - s), from the smaller of the two."""
+    s, r = t
+    return Fraction(s) if s <= 0.5 else 1 - Fraction(r)
+
+
+# a box (x0, y0, x1, y1), and a point as fractions of its width and height,
+# exactly on an edge, near it, or anywhere from 3 widths before to 3 after
+boxes = st.tuples(
+    st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-2, 1e3), st.floats(1e-2, 1e3)
+).map(lambda b: (b[0], b[1], b[0] + b[2], b[1] + b[3]))
+fraction = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(-0.01, 0.01), st.floats(0.99, 1.01), st.floats(-3.0, 4.0)
+)
+
+
+class TestClipQuadratic:
+    """The pieces of a quadratic Bezier curve in a box: each end is in the
+    box; an end at s = 0 or 1 is the first or last control point, or lies
+    on an edge, as every end the clip moves does, on the exact curve at
+    its parameter; each control point is the exact blossom at the piece's
+    (s0, s1); the pieces cover every part of the curve inside the box.  A
+    trajectory (x linear in s) is cut into at most two pieces.  Tolerances
+    are 2^-40 of the largest coordinate."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(box=boxes, fractions=st.lists(fraction, min_size=6, max_size=6), trajectory=st.booleans())
+    @example(  # leaves the top edge (y = 1) and comes back in: two pieces
+        box=(0.0, 0.0, 1.0, 1.0), fractions=[0.0, 0.5, 0.5, 2.0, 1.0, 0.5], trajectory=True
+    )
+    @example(  # touches the top edge at its apex, s = 1/2: one piece
+        box=(0.0, 0.0, 1.0, 1.0), fractions=[0.0, 0.0, 0.5, 2.0, 1.0, 0.0], trajectory=True
+    )
+    @example(  # enters by the top edge at s = 1/2, taken as 0.5000000000000001 in s and 0.5 in 1 - s
+        box=(0.0, 32.63986627461668, 1.0, 1032.2292492596594),
+        fractions=[0.0, 4.0, 1.0, 0.0, 0.0, 0.0],
+        trajectory=False,
+    )
+    def test_pieces(self, box, fractions, trajectory):
+        x0, y0, x1, y1 = box
+        xs = [x0 + f * (x1 - x0) for f in fractions[0::2]]
+        ys = [y0 + f * (y1 - y0) for f in fractions[1::2]]
+        if trajectory:
+            xs[1] = 0.5 * (xs[0] + xs[2])
+        p0, c, p1 = zip(xs, ys)
+        pieces = _clip_quadratic(p0, c, p1, box)
+        tol = Fraction(max(map(abs, xs + ys + list(box)))) / 2**40
+        last = -1
+        for t0, t1, start, control, end in pieces:
+            s0, s1 = parameter(t0), parameter(t1)
+            assert last < s0 < s1 <= 1 or last < s0 == 0 < s1 <= 1
+            last = s1
+            for s, point, first in ((s0, start, p0), (s1, end, p1)):
+                x, y = point
+                assert x0 <= x <= x1 and y0 <= y <= y1, (point, box)
+                if point != first or s not in (0.0, 1.0):
+                    assert x in (x0, x1) or y in (y0, y1), (point, box)
+                    assert abs(x - exact_blossom(xs, s, s)) <= tol
+                    assert abs(y - exact_blossom(ys, s, s)) <= tol
+            assert abs(control[0] - exact_blossom(xs, s0, s1)) <= tol
+            assert abs(control[1] - exact_blossom(ys, s0, s1)) <= tol
+        if trajectory:
+            assert len(pieces) <= 2
+        # every parameter whose point lies inside the box, by more than tol,
+        # is drawn; every one drawn lies inside, within tol
+        for i in range(33):
+            s = Fraction(i, 32)
+            x, y = exact_blossom(xs, s, s), exact_blossom(ys, s, s)
+            drawn = any(parameter(t0) <= s <= parameter(t1) for t0, t1, *_ in pieces)
+            if x0 + tol < x < x1 - tol and y0 + tol < y < y1 - tol:
+                assert drawn, (s, pieces)
+            if drawn:
+                assert x0 - tol <= x <= x1 + tol and y0 - tol <= y <= y1 + tol
+
+    def test_a_curve_in_the_box_is_its_control_points(self):
+        assert _clip_quadratic((60.0, 400.0), (300.0, 30.0), (580.0, 200.0), BOX) == [
+            ((0.0, 1.0), (1.0, 0.0), (60.0, 400.0), (300.0, 30.0), (580.0, 200.0))
+        ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(6))
+    def test_a_non_finite_control_point_writes_nothing(self, bad, index):
+        values = [1.0, 1.0, 5.0, 9.0, 9.0, 1.0]
+        values[index] = bad
+        mark = quadratic(values[0::2], values[1::2], BLACK)
+        svg = render_svg(one_panel_scene([mark])).decode()
+        assert "<path" not in svg and not NON_FINITE.search(svg)
+
+    def test_a_huge_curve_is_cut_where_it_leaves_and_comes_back(self):
+        # the squares of these pixels overflow, so the roots are taken at a
+        # power-of-two scale; the curve leaves the box within about 1e-300
+        # of s = 0 and comes back as near s = 1, which only 1 - s resolves:
+        # two straight pieces, each with its control point halfway
+        mark = quadratic((1.0, 5.0, 9.0), (5.0, 1e300, 2.0), BLACK)
+        rise, fall = PATH.findall(render_svg(one_panel_scene([mark])).decode())
+        x0, x1 = (_pixel(x, (0.0, 10.0), BOX[0::2]) for x in (1.0, 9.0))
+        y0, y1 = (_pixel(y, (0.0, 10.0), BOX[3:0:-2]) for y in (5.0, 2.0))
+        top = BOX[1]
+        assert rise == tuple(f"{v:.3f}" for v in (x0, y0, x0, (y0 + top) / 2, x0, top))
+        assert fall == tuple(f"{v:.3f}" for v in (x1, top, x1, (y1 + top) / 2, x1, y1))
+
+    def test_the_path_writes_each_piece(self):
+        # the parabola y = 4s(1 - s) * 20 over x = 10 s rises out of the
+        # 0-10 box at y = 10 and falls back in: two pieces, ends on the top edge
+        mark = quadratic((0.0, 5.0, 10.0), (0.0, 40.0, 0.0), BLACK)
+        pieces = PATH.findall(render_svg(one_panel_scene([mark])).decode())
+        assert len(pieces) == 2
+        (sx, sy, _, _, ex, ey), (sx2, sy2, *_), = pieces
+        top, bottom = f"{BOX[1]:.3f}", f"{BOX[3]:.3f}"
+        assert (sx, sy, ey, sy2) == (f"{BOX[0]:.3f}", bottom, top, top)
+        assert float(ex) < float(sx2)

@@ -113,6 +113,61 @@ def decimal_hoop_speed(params, angle):
         return (Decimal("0.5") * g * d * d / (c * c * (d * t + a - h))).sqrt()
 
 
+class TestNearTheFeasibilityAngle:
+    """Near the feasibility angle d*tan(angle) + (a - h) cancels, and the
+    rounding of tan(angle) and of the sum dominates it.  required_velocity
+    raises Infeasible where that rounding could move the speed by more than
+    SPEED_TOLERANCE (0.05 m/s, half the printed unit) and by more than 64
+    ulp; where it answers, the speed is within the larger of the two of
+    the exact one at the float angle."""
+
+    def test_one_ulp_above_the_angle(self):
+        # the float sum is 4.4e-16, the exact one 4.0e-16: the speed came
+        # out as 10,506,405,688.7 m/s for an exact 11,021,710,316.8
+        params = ShotParams(release_altitude=1.0, distance=100.0)
+        angle = math.nextafter(feasibility_angle(params), 1.0)
+        assert math.degrees(angle) == 1.1743989847261913
+        with pytest.raises(Infeasible, match=r"is not certain to 0\.05 m/s so near the feasibility angle"):
+            required_velocity(params, angle)
+
+    def test_the_default_angle_is_answered(self):
+        assert required_velocity(DEFAULTS, 30 * DEG) == pytest.approx(12.2, abs=0.05)
+
+    def test_a_speed_whose_ulp_exceeds_the_tolerance_is_answered(self):
+        # a = h: the feasibility angle is 0 and nothing cancels, yet at 7e15
+        # m/s the speed's ulp is 1 m/s; 64 ulp, not 0.05 m/s, bounds it there
+        params = ShotParams(release_altitude=3.05, distance=10.0)
+        v = required_velocity(params, 1e-30)
+        assert math.ulp(v) == 1.0
+        assert ulps(v, decimal_required_velocity(3.05, 10.0, 3.05, 9.8, 1e-30)) <= 64
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(0.0, 6.0),
+        d=st.floats(0.5, 200.0),
+        # the angle, 1 to 2^49 ulps above the feasibility angle (up to 0.1-1 deg here)
+        steps=st.integers(0, 48).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1))),
+    )
+    @example(a=1.0, d=100.0, steps=1)
+    @example(a=3.05, d=1.0, steps=1)  # a = h: 1 ulp above 0 rad the speed overflows
+    def test_answered_within_the_tolerance(self, a, d, steps):
+        params = ShotParams(release_altitude=a, distance=d)
+        angle = feasibility_angle(params)
+        for _ in range(min(steps, 64)):  # nextafter for the first ulps, then a step
+            angle = math.nextafter(angle, 1.0)
+        angle += math.ulp(angle) * max(0, steps - 64)
+        try:
+            v = required_velocity(params, angle)
+        except Infeasible as exc:  # InfeasibleAngle where the float sum is not positive
+            assert isinstance(exc, InfeasibleAngle) or "0.05 m/s" in str(exc)
+            return
+        except ValueError as exc:
+            assert "is not finite" in str(exc)
+            return
+        exact = decimal_required_velocity(a, d, 3.05, 9.8, angle)
+        assert abs(Decimal(v) - exact) <= Decimal(max(solver.SPEED_TOLERANCE, 64 * math.ulp(v)))
+
+
 class TestRequiredVelocityAgainstDecimalOracle:
     """required_velocity in ulps of the 50-digit oracle, which takes the
     decimal sine and cosine of the float angle, with the angle from 1 deg
