@@ -416,6 +416,18 @@ class TestFigures:
         assert f"{feasibility:.3f} deg" in err and "89.9 deg" in err
         assert not out_dir.exists()
 
+    def test_30_deg_in_the_rounding_band_exits_1(self, tmp_path):
+        # the feasibility angle lies 1 ulp below 30 deg, where the stage-3
+        # caption's speed cannot be known to 0.05 m/s
+        out_dir = tmp_path / "figs"
+        argv = ["figures", "--altitude", "0", "--distance", "1",
+                "--hoop-height", "0.5773502691896255", "--out", str(out_dir)]
+        assert run_captured(argv) == (1, "", (
+            "required speed at angle 0.5235987755982988 rad is not certain to 0.05 m/s"
+            " so near the feasibility angle 0.5235987755982987 rad\n"
+        ))
+        assert not out_dir.exists()
+
     def test_one_point_grid_exits_2_naming_d_grid(self, tmp_path):
         one_point = tmp_path / "one_point.json"
         one_point.write_text(json.dumps({"d_grid": {"lo": 2, "hi": 2, "step": 1}}))
