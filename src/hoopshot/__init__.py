@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "kinematics": """Infeasible LaunchState ShotParams Trajectory VerticalShot
         height_at_plane position_at sample_trajectory time_to_plane""",
-    "solver": """AngleCurve InfeasibleAngle Optimum OptimumCurve angle_curve
-        feasibility_angle optimal_angle required_velocity sweep_altitudes
-        sweep_csv sweep_distance""",
+    "solver": """InfeasibleAngle Optimum OptimumCurve feasibility_angle
+        optimal_angle required_velocity sweep_altitudes sweep_csv
+        sweep_distance""",
     "ladder": """ColorRole LadderSpec PlotSpace Stage StrategyTag Violation
         ViolationKind ladder_from_json ladder_to_json validate_ladder""",
     "figures": "build_basketball_ladder",

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import compress
 
-from . import solver
-from .kinematics import Infeasible, LaunchState, ShotParams, trajectory_bezier
+from . import render, solver
+from .kinematics import LaunchState, ShotParams, trajectory_bezier
 from .ladder import ColorRole, LadderSpec, PlotSpace, Stage, StrategyTag
 from .render import (
     Dash,
@@ -32,8 +31,8 @@ from .render import (
 
 DEMO_ANGLE = math.radians(30.0)
 ONE_SHOT_SPEED = 15.0
-ANGLE_CURVE_POINTS = 400
-ANGLE_CURVE_MAX_DEG = 89.9
+# how far the drawn required-speed curve may stray: cairo's default flattening tolerance
+CURVE_TOLERANCE_PX = 0.1
 COUNT_WORDS = "zero one two three four five six seven eight nine".split()
 
 BLACK = Style(color_role=ColorRole.BASELINE)
@@ -87,19 +86,49 @@ def _trajectory_mark(params: ShotParams, angle: float, speed: float, style: Styl
     return quadratic(*trajectory_bezier(params, LaunchState(angle=angle, speed=speed)), style)
 
 
-def _angle_curve_polyline(params: ShotParams):
-    curve = solver.angle_curve(
-        params, 0.0, math.radians(ANGLE_CURVE_MAX_DEG), ANGLE_CURVE_POINTS
-    )
-    feasible = [v is not None for v in curve.speeds]
-    speeds = tuple(compress(curve.speeds, feasible))
-    if len(speeds) < 2:
-        feasibility = math.degrees(solver.feasibility_angle(params))
-        raise Infeasible(
-            f"no required-speed curve to draw: fewer than 2 of its angles up "
-            f"to {ANGLE_CURVE_MAX_DEG:g} deg lie above the feasibility angle {feasibility:.3f} deg"
-        )
-    return polyline(map(math.degrees, compress(curve.angles, feasible)), speeds, BLUE)
+def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
+    """v(theta) inside space, from the crossings of its top speed clamped
+    to its angles: one polyline within CURVE_TOLERANCE_PX of the exact
+    curve in the widest viewport, so in any narrower one; none where the
+    softest shot is above the space.  Intervals are halved until the
+    triangle of chord and end tangents lies that near the chord.  A convex
+    arc lies in it, no farther from the chord than its apex, and v is
+    strictly convex: with k = a - h, R = hypot(d, k) > |k|, phi = 2 theta +
+    atan2(k, d) and w = R sin(phi) + k > 0, v ~ w^(-1/2) gives
+    v'' ~ w^(-5/2) R (R (2 + cos^2 phi) + 2k sin phi) > 0.  An end with no
+    speed, within rounding of the feasibility angle, is closed in on by
+    halving until the speed beside it is above the space, then dropped."""
+    (x0, x1), (y0, y1), (width, height) = space.x_range, space.y_range, render.SIZE
+    # no angle where the softest shot is above the space
+    crossings = solver.speed_crossings(params, y1) or (math.inf, -math.inf)
+    lo, hi = max(math.radians(x0), crossings[0]), min(math.radians(x1), crossings[1])
+    if not lo < hi:
+        return ()
+    # pixels per radian and per m/s in the widest viewport
+    sx = (width - render.MARGIN_LEFT - render.MARGIN_RIGHT) / math.radians(x1 - x0)
+    sy = (height - render.MARGIN_TOP - render.MARGIN_BOTTOM) / (y1 - y0)
+
+    def vertex(angle):  # (angle, speed or None, slope in pixels per pixel)
+        v = solver._hoop_speed(*params, angle)
+        return angle, v, None if v is None else sy * solver.speed_slope(params, angle, v) / sx
+
+    kept, stack = [vertex(lo)], [vertex(hi)]
+    while stack:
+        (t0, v0, m0), (t1, v1, m1) = kept[-1], stack[-1]
+        # toward an end with no speed while the other end is in the space
+        split = (v0 is None) != (v1 is None) and (v0 or v1) <= y1
+        if v0 is not None and v1 is not None and m0 < m1:  # as convexity has it, bar rounding
+            w, rise = sx * (t1 - t0), sy * (v1 - v0)
+            n = math.hypot(w, rise)  # the chord's length, as (w, rise) may under- or overflow
+            u = w * (m1 - rise / w) / (m1 - m0)  # the apex is (u, m0 u) from the left end
+            along, across = u * (w / n) + m0 * u * (rise / n), m0 * u * (w / n) - u * (rise / n)
+            split = math.hypot(across, max(-along, along - n, 0.0)) > CURVE_TOLERANCE_PX
+        if split and t0 < (mid := 0.5 * (t0 + t1)) < t1:
+            stack.append(vertex(mid))
+        else:
+            kept.append(stack.pop())
+    kept = [(math.degrees(t), v) for t, v, _ in kept if v is not None]
+    return (polyline(*zip(*kept), BLUE),) if len(kept) > 1 else ()
 
 
 def _optimum_marks(curves, column, label_dy: float | None) -> tuple:
@@ -213,11 +242,13 @@ def build_basketball_ladder(
     solution_mark = _trajectory_mark(params, demo, v_solution, BLUE)
 
     # stage 4: required speed as a function of angle
-    curve_mark = _angle_curve_polyline(params)
+    angle_space = PlotSpace(
+        ("launch angle", "deg"), ("required speed", "m/s"), (0.0, 90.0), (0.0, 40.0)
+    )
     feas_deg = math.degrees(feasibility)
     opt_deg = math.degrees(optimum.angle)
     curve_panel_marks = (
-        curve_mark,
+        *_speed_curve(params, angle_space),
         vline(feas_deg, BLACK_DASHED),
         point(demo_deg, v_solution, BLUE, size=4.0),
     )
@@ -245,12 +276,6 @@ def build_basketball_ladder(
         y_var=("height", "m"),
         x_range=(0.0, params.distance * 1.1),
         y_range=(0.0, 7.0),
-    )
-    angle_space = PlotSpace(
-        x_var=("launch angle", "deg"),
-        y_var=("required speed", "m/s"),
-        x_range=(0.0, 90.0),
-        y_range=(0.0, 40.0),
     )
     curve_panel = Panel(angle_space, curve_panel_marks, "Required speed vs angle")
 

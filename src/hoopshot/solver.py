@@ -20,7 +20,7 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from math import atan, atan2, cos, degrees, hypot, inf, isfinite, sqrt, tan
+from math import atan, atan2, cos, degrees, hypot, inf, isfinite, sin, sqrt, tan
 from operator import le
 
 from .kinematics import MAX_GRID_POINTS, Infeasible, ShotParams, VerticalShot, check_distance
@@ -43,11 +43,6 @@ class InfeasibleAngle(Infeasible):
     """No finite speed reaches the hoop at this angle."""
 
 
-# one tuple per column: speeds[i] is the required speed at angles[i], None
-# where that angle is infeasible
-AngleCurve = namedtuple("AngleCurve", "params angles speeds")
-
-
 class Optimum(namedtuple("Optimum", "angle speed")):
     """Angle minimizing the required speed, and that minimal speed."""
 
@@ -66,11 +61,11 @@ def required_velocity(params: ShotParams, angle: float) -> float:
     may move the speed by more than SPEED_TOLERANCE and 64 ulp, and
     ValueError when the speed overflows to a non-finite value."""
     a, d, h, g = params
-    (v,) = _hoop_speeds(a, d, h, g, (angle,))
+    v = _hoop_speed(a, d, h, g, angle)
     if v is None:
         raise InfeasibleAngle(
             f"angle {degrees(angle):.3f} deg is at or below the "
-            f"feasibility angle {degrees(_feasibility(a, d, h)):.3f} deg"
+            f"feasibility angle {degrees(feasibility_angle(params)):.3f} deg"
         )
     # tan is within an ulp and d*tan, a - h and their sum each round once,
     # so the float sum s is within 2*eps*(|d tan| + |a - h|) of the exact
@@ -82,62 +77,67 @@ def required_velocity(params: ShotParams, angle: float) -> float:
     if not (s > bound and bound / (s - bound) <= 2.0 * allowed / v):
         raise Infeasible(
             f"required speed at angle {angle!r} rad is not certain to {SPEED_TOLERANCE:g} m/s "
-            f"so near the feasibility angle {_feasibility(a, d, h)!r} rad"
+            f"so near the feasibility angle {feasibility_angle(params)!r} rad"
         )
     return v
 
 
-def _hoop_speeds(a: float, d: float, h: float, g: float, angles) -> list:
-    """The closed form in the module docstring at each angle, in order:
-    None where its denominator is non-positive (an infeasible angle),
-    ValueError for an angle outside [-pi/2, pi/2) or a speed that is not
-    finite, and Infeasible for a speed that underflows to 0."""
-    speeds = []
-    for angle in angles:
-        if not -_HALF_PI <= angle < _HALF_PI:
-            raise ValueError(f"angle must be in [-pi/2, pi/2) rad, got {angle}")
-        c = cos(angle)
-        # a - h first: exact where a is near h, so only the sum rounds
-        denom = c * c * (d * tan(angle) + (a - h))
-        if denom <= 0:
-            speeds.append(None)
-            continue
-        num = 0.5 * g * d * d
-        radicand = num / denom
-        if num >= _TINY and radicand >= _TINY:
-            v = sqrt(radicand)
-        else:  # below the normal range num or radicand has lost bits or is 0
-            v = d * (sqrt(0.5 * g) / sqrt(denom))
-            if v == 0:
-                raise Infeasible(f"required speed at angle {angle} rad underflows to 0")
-        if not isfinite(v):
-            raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
-        speeds.append(v)
-    return speeds
+def _hoop_speed(a: float, d: float, h: float, g: float, angle: float) -> float | None:
+    """The closed form in the module docstring at angle: None where its
+    denominator is non-positive (an infeasible angle), ValueError for an
+    angle outside [-pi/2, pi/2) or a speed that is not finite, and
+    Infeasible for a speed that underflows to 0."""
+    if not -_HALF_PI <= angle < _HALF_PI:
+        raise ValueError(f"angle must be in [-pi/2, pi/2) rad, got {angle}")
+    c = cos(angle)
+    # a - h first: exact where a is near h, so only the sum rounds
+    denom = c * c * (d * tan(angle) + (a - h))
+    if denom <= 0:
+        return None
+    num = 0.5 * g * d * d
+    radicand = num / denom
+    if num >= _TINY and radicand >= _TINY:
+        v = sqrt(radicand)
+    else:  # below the normal range num or radicand has lost bits or is 0
+        v = d * (sqrt(0.5 * g) / sqrt(denom))
+        if v == 0:
+            raise Infeasible(f"required speed at angle {angle} rad underflows to 0")
+    if not isfinite(v):
+        raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
+    return v
+
+
+def speed_crossings(params: ShotParams, speed: float) -> tuple[float, float] | None:
+    """The angles theta* -/+ b where the required speed is speed, the
+    second kept below pi/2, or None where even the softest shot needs
+    more.  With k = a - h, R = hypot(d, k) and q = g d^2/speed^2, the speed
+    is v^2 = g d^2/(R sin(2 theta + atan2(k, d)) + k), so
+    tan(b)^2 = (R + k - q)/(R - k + q); of R + k and R - k, the one that
+    cancels is taken as d^2 over the other."""
+    a, d, h, g = params
+    k, r = a - h, hypot(d, a - h)
+    big, small = r + abs(k), d * (d / (r + abs(k)))  # R + |k| and R - |k|
+    rise, fall = (big, small) if k >= 0 else (small, big)  # R + k and R - k
+    q = g * d / speed * (d / speed)
+    if not rise >= q:  # NaN too, where r or q overflows
+        return None
+    b, center = atan2(sqrt(rise - q), sqrt(fall + q)), _QUARTER_PI - atan2(k, d) / 2
+    return center - b, min(center + b, math.nextafter(_HALF_PI, 0.0))
+
+
+def speed_slope(params: ShotParams, angle: float, speed: float) -> float:
+    """dv/dtheta where the required speed is speed: -v (d cos 2theta -
+    k sin 2theta)/(2u), with u = cos^2 theta (d tan theta + k), k = a - h."""
+    a, d, h, _ = params
+    k, c = a - h, cos(angle)
+    u = c * c * (d * tan(angle) + k)  # as in _hoop_speed, so positive where it gives a speed
+    return -speed * (d * cos(2.0 * angle) - k * sin(2.0 * angle)) / (2.0 * u)
 
 
 def feasibility_angle(params: ShotParams) -> float:
     """atan((h-a)/d); negative when releasing above the hoop."""
     a, d, h, _ = params
-    return _feasibility(a, d, h)
-
-
-def _feasibility(a: float, d: float, h: float) -> float:
-    return math.atan((h - a) / d)
-
-
-def angle_curve(
-    params: ShotParams, angle_lo: float, angle_hi: float, n: int
-) -> AngleCurve:
-    """Required velocity on an even angle grid.  An infeasible grid angle
-    is kept, with None as its speed, so the curve can render the
-    infeasible region."""
-    if not angle_lo < angle_hi:
-        raise ValueError(f"need angle_lo < angle_hi, got {angle_lo}, {angle_hi}")
-    if n < 2:
-        raise ValueError(f"need at least 2 grid points, got {n}")
-    angles = tuple([angle_lo + (angle_hi - angle_lo) * i / (n - 1) for i in range(n)])
-    return AngleCurve(params, angles, tuple(_hoop_speeds(*params, angles)))
+    return atan((h - a) / d)
 
 
 def optimal_angle(params: ShotParams) -> Optimum:
@@ -164,7 +164,7 @@ def _optima(a: float, h: float, g: float, distances) -> tuple[list, list]:
             check_distance(d)  # raises, with the message of ShotParams
         r = hypot(d, k)
         if k >= 0:
-            angle = _QUARTER_PI + atan(k / d) / 2  # phi as in _feasibility
+            angle = _QUARTER_PI + atan(k / d) / 2  # phi as in feasibility_angle
             if not angle < _HALF_PI:
                 raise VerticalShot(f"angle must be below pi/2, got {angle}")
             w = g * (r + k)  # below the normal range w has lost bits

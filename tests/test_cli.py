@@ -46,7 +46,8 @@ FLOAT_FLAG_CALLS = [
 # a twelve-speed fan on a quarter-metre grid; the SVG digests are of the
 # files that `figures` wrote for it before the polyline writer took its
 # present form, which must not move them, but for figures 2 and 3, whose
-# trajectories are each one quadratic Bezier <path>; ladder.json's is of
+# trajectories are each one quadratic Bezier <path>, and figures 4 and 5,
+# whose required-speed curve is sampled to 0.1 px; ladder.json's is of
 # the file without the panels' retired "aspect" key and the stages'
 # retired "parent" key
 FAN_SCENARIO = {
@@ -59,8 +60,8 @@ FAN_SHA256 = {
     "figure_01.svg": "1b618c802322e172a34e3cb8adcf56ec6cc60f8a94bef80be0eee442d381dca1",
     "figure_02.svg": "fd316f004d63303f14234fbca6e0907ec8ab1b0d28a905821780293cbb5da240",
     "figure_03.svg": "21dd6ab5e84a845862100ee93eaf345ed045f4e083eeb2fb89221ce70f2bd61f",
-    "figure_04.svg": "6c9e2185d7bd61079b2bb9c9fe0ce427543cf9cff47a74429f127b6c8f26f113",
-    "figure_05.svg": "1d0b3b504f135dd2c4daf9bbcf39365287b3dff2f9db623eae56872c62250aa9",
+    "figure_04.svg": "886656090ca1c2270df53abc9a9d35b7463bc84e0840ed098301650e92199685",
+    "figure_05.svg": "bf99f543edb232762cd86d30f00c5a8de88603547ee3403ec142308518bf414b",
     "figure_06.svg": "5c25fc34fddaacf2a3aeb3f10a3766f5d5bf6590c0902a8e36dd2394836ebfeb",
     "figure_07.svg": "57daad033f3e4c773e5e4d7ab7f3ccdd798b46957f72e31d4807ed524e624ef6",
     "ladder.json": "582f1fb115d7d48011f7a92466b3c2c59d83706550d8a35a05670500551e959b",
@@ -405,16 +406,22 @@ class TestFigures:
         assert "0 violations" in capsys.readouterr().out
 
     @pytest.mark.parametrize("distance", ["0.001", "0.004", "0.006"])
-    def test_no_drawable_angle_curve_exits_1(self, tmp_path, distance):
-        # fewer than 2 of the curve's grid angles up to 89.9 deg lie above
-        # the feasibility angle, so there is no required-speed curve to draw
+    def test_tiny_distance_draws_the_required_speed_curve(self, tmp_path, distance):
+        # the curve lies within 0.3 deg below 90 deg, above the feasibility
+        # angle: it is drawn, and its lowest point is within 0.1 px of v*
         out_dir = tmp_path / "figs"
         code, out, err = run_captured(["figures", "--distance", distance, "--out", str(out_dir)])
-        feasibility = math.degrees(feasibility_angle(ShotParams(distance=float(distance))))
-        assert (code, out) == (1, "")
-        assert err.count("\n") == 1 and err.endswith("\n")
-        assert f"{feasibility:.3f} deg" in err and "89.9 deg" in err
-        assert not out_dir.exists()
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 8 and len(list(out_dir.iterdir())) == 8
+        assert run_captured(["validate-ladder", str(out_dir / "ladder.json")]) == (
+            0, "0 violations\n", "")
+        svg = (out_dir / "figure_04.svg").read_text()
+        (points,) = re.findall(r'<polyline points="([^"]+)" stroke="#0000CC"', svg)
+        lowest = max(float(p.split(",")[1]) for p in points.split())  # y grows downward
+        # the viewport's 384 px map 0 to 40 m/s up from its bottom edge, y = 412
+        _, v_star = decimal_optimum(1.7, float(distance), 3.05, 9.8)
+        assert round(v_star, 3) == Decimal("5.144")
+        assert abs(Decimal(lowest) - (412 - v_star * 384 / 40)) <= Decimal("0.1005")
 
     def test_30_deg_in_the_rounding_band_exits_1(self, tmp_path):
         # the feasibility angle lies 1 ulp below 30 deg, where the stage-3
@@ -828,8 +835,6 @@ EXIT_REASONS = {
         r"|required speed at angle \S+ rad underflows to 0"
         r"|required speed at angle \S+ rad is not certain to 0.05 m/s"
         r" so near the feasibility angle \S+ rad"
-        r"|no required-speed curve to draw: fewer than 2 of its angles up to 89.9 deg"
-        r" lie above the feasibility angle \S+ deg"
     ),
     2: re.compile(
         r"(release_altitude|distance|hoop_height|gravity) must be finite, got \S+"
@@ -910,7 +915,7 @@ class TestExitContract:
         command="sweep",
         values={"--altitude": 0.0, "--hoop-height": 0.0, "--gravity": 2.5e43},
     )
-    @example(  # no angle of the required-speed curve's grid lies above the feasibility angle
+    @example(  # the required-speed curve lies within 0.05 deg below 90 deg: drawn, exit 0
         command="figures",
         values={"--altitude": 1.7, "--distance": 0.001},
     )

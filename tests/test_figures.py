@@ -226,7 +226,7 @@ class TestStage5PanelsHoldTheirData:
         assert [s.y_range for s in spec.stages[4].panels] == [(40.0, 80.0), (0.0, 14.0)]
 
 
-# three non-default figure sets, each file pinned by its SHA-256
+# four non-default figure sets, each file pinned by its SHA-256
 PINNED_SETS = {
     # its two fastest shots rise above the 7 m court and are clipped
     "fan-leaves-the-court": (
@@ -239,8 +239,8 @@ PINNED_SETS = {
             "figure_01.svg": "2103d3b79315953158a85f111c5324a77cac1360ef6c3ee104cc88f7722704cd",
             "figure_02.svg": "c2761575967ede73fac59b52562e0952969bb40d0dd6bc0851f8aa8d207d8e95",
             "figure_03.svg": "2070026ac7e7c8f7f261194c0532705cb0d5af022ffccd714f61bc5d1ccac644",
-            "figure_04.svg": "319dc4965875c9cbc767b1e20a487f37e72383b2ac854fa5ade622b5d3175737",
-            "figure_05.svg": "bc02d22561f7d0bf00ed576151cdac7839a74a5f86041827f22f624d66d950ff",
+            "figure_04.svg": "ccefe62b7011468b87f72eb716bcc02bafee350ab45d290224a18acef5ec6cd6",
+            "figure_05.svg": "f45961a66192b378d8d7111f5890843fb9d30f4fa698e26f6d16c350e85a5771",
             "figure_06.svg": "895d01678bba374cbd1b5fbc0ee6ee89c797bb149740e2362852efa845819f9c",
             "figure_07.svg": "3bd2e6b4eeae34ac44f8670d28559f6c3cff7c6aef1da7561e379c51145e783d",
             "ladder.json": "dcc5ee8b796adadb3d267efbe4662e8c83e0cac45c0dea48651f15c09b66c60a",
@@ -252,8 +252,8 @@ PINNED_SETS = {
             "figure_01.svg": "e3698099efdca1837dba1639d8f1fb292b7da48260e2457e9dd578ad5d18ba1d",
             "figure_02.svg": "c29ea5d8050dbf8af321efb0838984656596c24808c421ef85a6c973cb50b988",
             "figure_03.svg": "66a068da030f884bbf3e853bcb90649ad6c5e35f4dcaf3dc1f536320471b2ad9",
-            "figure_04.svg": "c60c2d1a7d78f5e54892fb405be22e4fed37cca427cc0a5b2e90da59ad6f88d1",
-            "figure_05.svg": "bd58715338e70d542786bd21764ccf54be48bb201841073b44f5909a2f5eeaa3",
+            "figure_04.svg": "dcb37271d399e5b82837b431e58dd1dba2b32b2271785546f28a37a08a3003dc",
+            "figure_05.svg": "51fb5dcfd93b26ea0dc0aeeb97b5ed783c00100b6ea762a4bba39c09c0edbebd",
             "figure_06.svg": "1adf46ebb57c1b929f53077ceefd8e782e0b0a2f09196bb3c4104c89a4760480",
             "figure_07.svg": "14380d20386af2b00c7953e4ebab9330e80f381e4c29b5e7b1c135714a8a57db",
             "ladder.json": "ffc2860ad2e5bec56df6b811edc6a71d970f8fc36bbc04ed637cc38423566fc3",
@@ -265,11 +265,25 @@ PINNED_SETS = {
             "figure_01.svg": "abb315bef136173e48e545cb0ed27f3036232af90596222878689288a88dc948",
             "figure_02.svg": "c2122e3b3a7b51afa811117036917ab47aa495f11c77b4c3091d4d469807d9ad",
             "figure_03.svg": "e66883812ec4ac3582d4d393bcf05c18dc5a5dacf3428aa31be02ec7d9e48181",
-            "figure_04.svg": "1eb34eeb06b23baec9916338a7ecf9979e04a2d00967d428b0dc0efd93f5ab14",
-            "figure_05.svg": "91efa528c2de96b0b69c936e5ff9b869ec1d519d00e5bcb02e41d106363a4e75",
+            "figure_04.svg": "06089b004c1b9c545be6ec10c1e5d947f8fbe81de328872af3f3e091e56caaa1",
+            "figure_05.svg": "e121b8259fd52c85122d038a0d1439323c4295c2f5bd18ed6afe4a9d4cc1bb75",
             "figure_06.svg": "764fb47978f92ecf3255be632022b396c3512e8bfdbaeb583245afef3c44e312",
             "figure_07.svg": "d7f27fe3bc3d6d25dfd4a39a26f26294eb33f1ce1e126859f4ff9c0f6bca707d",
             "ladder.json": "d169c8572ca01e7379b0d141a019ba3c8b407c0c8c58a729059c98f681d2fb72",
+        },
+    ),
+    # its required-speed curve is 0.04 deg wide, within 0.05 deg below 90 deg
+    "the-curve-at-a-millimetre": (
+        dict(params=ShotParams(distance=0.001)),
+        {
+            "figure_01.svg": "6cb20c486fd9d808ce908d17f89249101588b6a6f4cfd3aa5e46a6ecb80f4050",
+            "figure_02.svg": "7898d53cf8f6d8eb8db288e54e0eef7bbdc83b804a922d52724cccbae53274b4",
+            "figure_03.svg": "c919bf0a5b972c4ab56ac1c8269bf499feac66c57f52d82333d768845836f3e2",
+            "figure_04.svg": "b02dc8f8499f0bd331c7bb11bfa66fcd8ac7ea02bffb10398120433b6922833b",
+            "figure_05.svg": "9c28b5728937fecf17ef2c6e43cd778fc2759834cf1830a3df58550b9376bf1d",
+            "figure_06.svg": "1330e499170197b4f33930d84599d40019d1e3b194d6992d3789ebed5db333e9",
+            "figure_07.svg": "92a5f55e3e643a7254e66609482e69bf56f35942568d6261ce8a78268aa51d28",
+            "ladder.json": "e3d6f732ed9aefd59b80aed42e254191a18e441f2169874b04d2b2cc2506a62d",
         },
     ),
 }

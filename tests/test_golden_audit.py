@@ -1,5 +1,6 @@
-"""Golden audit of the drawn trajectories: every <path> of figures 2 and 3
-recomputed from the model in 50-digit `decimal`.
+"""Golden audit of the drawn model: every <path> of figures 2 and 3, and
+every polyline, circle and line of figures 4 and 5, recomputed from the
+model in 50-digit `decimal`.
 
 Each trajectory is the parabola x = vx t, y = a + vy t - g t^2 / 2 from
 t = 0 to t_end, the earlier of the hoop plane and the floor, with
@@ -13,20 +14,41 @@ each in-box s-interval [s0, s1] is one drawn piece, its ends on the curve
 and its control point the blossom at (s0, s1).  Every `%.3f` written
 must be that exact value, correctly rounded, except within TIE of a tie,
 where the float computation may round the other way.
+
+Figures 4 and 5 draw the required speed v(theta) as one blue polyline
+per panel.  Each vertex, at its float angle, must be written as the
+exact speed there, correctly rounded; between two vertices, GRID exact
+points of the curve must lie within CURVE_SLACK of the written segment:
+the 0.1 px the sampler promises, plus the rounding of the segment's ends.
+The blue dot (the stage-3 shot), the green dot (the optimum), the dashed
+feasibility line and the dotted optimum lines must be the correctly
+rounded pixels of their exact values.
+
+Run as `PYTHONPATH=src python tests/test_golden_audit.py DIR [FLAGS]`, it
+audits a directory that `figures --out DIR [FLAGS]` wrote, FLAGS being
+the same --scenario and parameter flags, and exits 1 on any failure.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
+import subprocess
+import sys
 from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from pathlib import Path
 
+import pytest
 
 from hoopshot import solver
+from hoopshot.cli import PARAM_FIELDS, build_parser, load_scenario, run
 from hoopshot.figures import DEMO_ANGLE, ONE_SHOT_SPEED, build_basketball_ladder
-from hoopshot.render import render_svg
+from hoopshot.kinematics import ShotParams
+from hoopshot.render import PALETTE, MarkKind, render_svg
+from oracles import decimal_atan, decimal_optimum, decimal_pi, decimal_required_velocity
 from oracles import decimal_sin_cos
+from test_cli import FAN_SCENARIO
 from test_figures import PINNED_SETS
 from test_render import clip_rects
 
@@ -40,6 +62,11 @@ RED, BLUE = "#CC0000", "#0000CC"
 # each value came within 3.7 such ulps of the exact one
 TIE = 16 * Decimal(math.ulp(600.0))
 DIGITS = 50
+# exact points of the required-speed curve audited inside each segment
+GRID = 8
+# how far those may lie from the written segment: the sampler's 0.1 px,
+# and the rounding of each end of the segment by up to 0.0005 px per axis
+CURVE_SLACK = Decimal("0.1") + Decimal("0.0005") * Decimal(2).sqrt()
 
 
 def drawn_pieces(svg: str) -> list[list[tuple]]:
@@ -60,6 +87,17 @@ def launch_speeds(kwargs: dict) -> tuple:
     return angle, [[(ONE_SHOT_SPEED, RED)], fan], [fan + [(v_solution, BLUE)]]
 
 
+def pixel_map(space, box):
+    """The exact affine maps of the panel's data x and y onto its viewport:
+    y grows downward, so the data range maps onto the pixels bottom to top."""
+    bx0, by0, bx1, by1 = map(Decimal, box)
+    (xd0, xd1), (yd0, yd1) = (map(Decimal, r) for r in (space.x_range, space.y_range))
+    return (
+        lambda x: bx0 + (x - xd0) * (bx1 - bx0) / (xd1 - xd0),
+        lambda y: by1 + (y - yd0) * (by0 - by1) / (yd1 - yd0),
+    )
+
+
 def exact_controls(params, angle: float, speed: float, space, box) -> list[tuple[Decimal, Decimal]]:
     """The trajectory's three control points in pixels, exactly."""
     a, d, _, g = map(Decimal, params)
@@ -71,13 +109,8 @@ def exact_controls(params, angle: float, speed: float, space, box) -> list[tuple
         (vx * t_end / 2, a + vy * t_end / 2),
         (vx * t_end, a + vy * t_end - g * t_end * t_end / 2),
     ]
-    bx0, by0, bx1, by1 = map(Decimal, box)
-    (xd0, xd1), (yd0, yd1) = (map(Decimal, r) for r in (space.x_range, space.y_range))
-    # y grows downward: the data range maps onto the pixels from bottom to top
-    return [
-        (bx0 + (x - xd0) * (bx1 - bx0) / (xd1 - xd0), by1 + (y - yd0) * (by0 - by1) / (yd1 - yd0))
-        for x, y in points
-    ]
+    px, py = pixel_map(space, box)
+    return [(px(x), py(y)) for x, y in points]
 
 
 def blossom(u, s0, s1):
@@ -168,6 +201,152 @@ def audit(svgs: dict[int, str], kwargs: dict) -> int:
     return checked
 
 
+# each <polyline>, <circle> and <line> a panel draws: its tag and attributes
+ELEMENT = re.compile(r"<(polyline|circle|line) ([^>]*)/>")
+ATTRIBUTE = re.compile(r'([\w-]+)="([^"]*)"')
+
+
+def drawn_elements(svg: str) -> list[list[tuple[str, dict]]]:
+    """Per panel, the (tag, attributes) of each polyline, circle and line."""
+    groups = svg.split('<g clip-path="url(#panel-')[1:]
+    return [
+        [(m[1], dict(ATTRIBUTE.findall(m[2]))) for m in ELEMENT.finditer(group.split("</g>")[0])]
+        for group in groups
+    ]
+
+
+def exact_marks(params, angle: float) -> dict:
+    """The exact value of each mark of figures 4 and 5 but the curve, by
+    kind and colour: the dots' (angle in degrees, speed), the vertical
+    lines' angle and the horizontal line's speed."""
+    a, d, h, g = params
+    degree = 180 / decimal_pi()
+    theta, v_star = decimal_optimum(a, d, h, g)
+    v_solution = decimal_required_velocity(*params, angle)
+    return {
+        (MarkKind.POINT, "#0000CC"): (Decimal(angle) * degree, v_solution),
+        (MarkKind.POINT, "#00AA00"): (theta * degree, v_star),
+        (MarkKind.VLINE, "#000000"): decimal_atan((Decimal(h) - Decimal(a)) / Decimal(d)) * degree,
+        (MarkKind.VLINE, "#00AA00"): theta * degree,
+        (MarkKind.HLINE, "#00AA00"): v_star,
+    }
+
+
+def exact_curve(params, xs) -> tuple[list, list]:
+    """At each vertex of the drawn curve, its float angle in degrees and the
+    exact speed there; and GRID exact (angle, speed) points of the curve
+    evenly between each vertex and the next."""
+    radian = decimal_pi() / 180
+    xs = [Decimal(x) for x in xs]
+    on_curve = lambda x: (x, decimal_required_velocity(*params, x * radian))
+    between = [
+        [on_curve(x0 + (x1 - x0) * i / (GRID + 1)) for i in range(1, GRID + 1)]
+        for x0, x1 in zip(xs, xs[1:])
+    ]
+    return [on_curve(x) for x in xs], between
+
+
+def segment_distance(p, a, b) -> Decimal:
+    """The distance from point p to the segment a-b."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy) if dx or dy else 0
+    t = min(max(t, Decimal(0)), Decimal(1))
+    return ((p[0] - a[0] - t * dx) ** 2 + (p[1] - a[1] - t * dy) ** 2).sqrt()
+
+
+def assert_written(texts, values, where) -> int:
+    """Each written number the exact value correctly rounded; their count."""
+    assert len(texts) == len(values), (where, texts)
+    for text, value in zip(texts, values):
+        assert three_places(value) in (text, None), (where, text, value)
+    return len(texts)
+
+
+def audit_curve(svgs: dict[int, str], kwargs: dict) -> tuple[int, Decimal]:
+    """Assert every polyline, circle and line of figures 4 and 5 against
+    the model; the number of values checked, and the farthest an audited
+    point of the exact curve lies from its written segment, in pixels."""
+    params = kwargs.get("params") or ShotParams()
+    _, scenes = build_basketball_ladder(**kwargs)
+    angle = launch_speeds(kwargs)[0]
+    checked, worst, curve = 0, Decimal(0), None
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        exact = exact_marks(params, angle)
+        for number in (4, 5):
+            svg = svgs[number]
+            for panel, rect, drawn in zip(
+                scenes[number - 1].panels, clip_rects(svg), drawn_elements(svg), strict=True
+            ):
+                x, y, width, height = rect
+                bx0, by0, bx1, by1 = box = tuple(map(Decimal, (x, y, x + width, y + height)))
+                px, py = pixel_map(panel.space, box)
+                inside = lambda X, Y: bx0 <= X <= bx1 and by0 <= Y <= by1
+                want = []  # (tag, colour, exact numbers) of each element drawn
+                for mark in panel.marks:
+                    key = (mark.kind, PALETTE[mark.style.color_role])
+                    if mark.kind is MarkKind.POLYLINE:
+                        # one curve, drawn in every panel of the two figures
+                        vertices, between = curve = curve or exact_curve(params, mark.xs)
+                        want.append(("polyline", key[1], [(px(x), py(v)) for x, v in vertices]))
+                    elif mark.kind is MarkKind.POINT:
+                        X, Y = px(exact[key][0]), py(exact[key][1])
+                        want += [("circle", key[1], [X, Y])] if inside(X, Y) else []
+                    elif mark.kind is MarkKind.VLINE:
+                        X = px(exact[key])
+                        want += [("line", key[1], [X, by0, X, by1])] if inside(X, by0) else []
+                    elif mark.kind is MarkKind.HLINE:
+                        Y = py(exact[key])
+                        want += [("line", key[1], [bx0, Y, bx1, Y])] if inside(bx0, Y) else []
+                assert [(t, c) for t, c, _ in want] == [
+                    (t, a["fill"] if t == "circle" else a["stroke"]) for t, a in drawn
+                ], (number, drawn)
+                for (tag, _, values), (_, attrs) in zip(want, drawn):
+                    if tag == "circle":
+                        checked += assert_written([attrs["cx"], attrs["cy"]], values, number)
+                    elif tag == "line":
+                        texts = [attrs[k] for k in ("x1", "y1", "x2", "y2")]
+                        checked += assert_written(texts, values, number)
+                    else:
+                        points = [p.split(",") for p in attrs["points"].split()]
+                        flat = [v for point in values for v in point]
+                        checked += assert_written(sum(points, []), flat, number)
+                        ends = [tuple(map(Decimal, p)) for p in points]
+                        for a, b, inner in zip(ends, ends[1:], between):
+                            for x, v in inner:
+                                gap = segment_distance((px(x), py(v)), a, b)
+                                assert gap <= CURVE_SLACK, (number, a, b, x, v, gap)
+                                worst = max(worst, gap)
+    return checked, worst
+
+
+def figures_kwargs(flags: list[str]) -> dict:
+    """The build_basketball_ladder arguments of `figures FLAGS`."""
+    args = build_parser().parse_args(["figures", *flags])
+    scenario = load_scenario(args.scenario)
+    given = {k: v for k in PARAM_FIELDS.values() if (v := getattr(args, k)) is not None}
+    kwargs = dict(
+        params=scenario.params.replace(**given),
+        velocities=scenario.velocities,
+        altitudes=scenario.altitudes,
+        d_grid=scenario.d_grid,
+    )
+    return {name: value for name, value in kwargs.items() if value is not None}
+
+
+def audit_directory(directory: Path, flags: list[str]) -> str:
+    """Audit figures 2-5 in a directory that `figures --out` wrote with
+    these flags; one line of what was checked."""
+    kwargs = figures_kwargs(flags)
+    svgs = {n: (directory / f"figure_{n:02d}.svg").read_text() for n in range(2, 6)}
+    paths = audit(svgs, kwargs)
+    values, worst = audit_curve(svgs, kwargs)
+    return (
+        f"{directory}: {paths + values} values exact; the exact required-speed "
+        f"curve within {worst:.4f} px of its drawn segments"
+    )
+
+
 def test_the_golden_trajectories_are_exact():
     svgs = {n: (GOLDEN / f"figure_{n:02d}.svg").read_text() for n in (2, 3)}
     # 5 + 5 curves, unclipped: 6 values each
@@ -180,3 +359,59 @@ def test_the_pinned_fan_trajectories_are_exact():
     svgs = {n: render_svg(scenes[n - 1]).decode() for n in (2, 3)}
     # 13 + 13 curves, the two fastest of each fan cut at the top edge
     assert audit(svgs, kwargs) == 156
+
+
+def test_the_golden_required_speed_curve_is_exact():
+    _, scenes = build_basketball_ladder()
+    (curve,) = [m for m in scenes[3].panels[0].marks if m.kind is MarkKind.POLYLINE]
+    assert len(curve.xs) <= 120
+    # 113 vertices in each of 3 panels, 4 dots and 5 lines
+    svgs = {n: (GOLDEN / f"figure_{n:02d}.svg").read_text() for n in (4, 5)}
+    checked, worst = audit_curve(svgs, {})
+    assert checked == 3 * 2 * 113 + 4 * 2 + 5 * 4
+    assert worst <= Decimal("0.1")
+
+
+@pytest.mark.parametrize("kwargs", [kw for kw, _ in PINNED_SETS.values()], ids=PINNED_SETS)
+def test_the_pinned_required_speed_curves_are_exact(kwargs):
+    _, scenes = build_basketball_ladder(**kwargs)
+    svgs = {n: render_svg(scenes[n - 1]).decode() for n in (4, 5)}
+    checked, worst = audit_curve(svgs, kwargs)
+    assert checked > 0 and worst <= Decimal("0.1")
+
+
+def run_audit(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {"PYTHONPATH": src, "PATH": "/usr/bin:/bin"}
+    return subprocess.run(
+        [sys.executable, __file__, *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_the_audit_runs_on_a_figures_directory(tmp_path):
+    # the goldens, and the twelve-speed fan scenario as `figures` writes it
+    result = run_audit(str(GOLDEN))
+    assert result.returncode == 0 and "within 0.0" in result.stdout, result.stderr
+    scenario = tmp_path / "fan.json"
+    scenario.write_text(json.dumps(FAN_SCENARIO))
+    out_dir = tmp_path / "fan"
+    assert run(["figures", "--scenario", str(scenario), "--out", str(out_dir)]) == 0
+    result = run_audit(str(out_dir), "--scenario", str(scenario))
+    assert result.returncode == 0, result.stderr
+    # one curve vertex a thousandth of a pixel off fails it
+    figure = out_dir / "figure_04.svg"
+    text = figure.read_text()
+    first = re.search(r'<polyline points="(\d+\.\d+),', text)
+    moved = f"{Decimal(first[1]) + Decimal('0.001'):f}"
+    figure.write_text(text[: first.start(1)] + moved + text[first.end(1):])
+    result = run_audit(str(out_dir), "--scenario", str(scenario))
+    assert result.returncode == 1 and "audit failed" in result.stderr
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit("usage: test_golden_audit.py DIR [FIGURES FLAGS]")
+    try:
+        print(audit_directory(Path(sys.argv[1]), sys.argv[2:]))
+    except AssertionError as exc:
+        sys.exit(f"audit failed: {exc!r}")

@@ -78,7 +78,7 @@ def test_cli_and_optimize_skip_the_renderer_stack(tmp_path):
 
 
 def test_every_exported_name_resolves():
-    assert len(hoopshot.__all__) == len(set(hoopshot.__all__)) == 38
+    assert len(hoopshot.__all__) == len(set(hoopshot.__all__)) == 36
     for name in hoopshot.__all__:
         value = getattr(hoopshot, name)
         assert value.__name__ == name

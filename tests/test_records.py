@@ -19,7 +19,7 @@ from hoopshot.ladder import (
     ViolationKind,
 )
 from hoopshot.render import Dash, Mark, MarkKind, Panel, Scene, Style
-from hoopshot.solver import AngleCurve, Optimum, angle_curve, sweep_distance
+from hoopshot.solver import Optimum, sweep_distance
 
 from oracles import Bracket, MinResult
 
@@ -57,12 +57,6 @@ RECORDS = [
         "samples=((0.0, 0.0, 1.7), (1.139493927324549, 10.0, 0.8006374874312341)))",
         "samples",
         id="Trajectory",
-    ),
-    pytest.param(
-        lambda: angle_curve(ShotParams(), 0.1, 1.0, 2),
-        f"AngleCurve(params={SHOT}, angles=(0.1, 1.0), speeds=(None, 10.862984702177616))",
-        "speeds",
-        id="AngleCurve",
     ),
     pytest.param(
         lambda: Optimum(0.5, 2.0), "Optimum(angle=0.5, speed=2.0)", "speed", id="Optimum"
@@ -165,7 +159,6 @@ def test_each_record_equals_only_itself():
         (Bracket(0.0, 1.0), Bracket(0.0, 2.0)),
         (Style(ColorRole.CONCRETE), Style(ColorRole.CONCRETE, Dash.DASHED)),
         (Optimum(0.5, 2.0), Optimum(0.5, 2.5)),
-        (AngleCurve(ShotParams(), (0.25,), (None,)), AngleCurve(ShotParams(), (0.25,), (1.0,))),
     ],
 )
 def test_one_differing_field_makes_records_unequal(a, b):

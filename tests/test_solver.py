@@ -19,15 +19,18 @@ from hoopshot.solver import (
     DEFAULT_ALTITUDES,
     MAX_GRID_POINTS,
     InfeasibleAngle,
-    angle_curve,
     default_d_grid,
     feasibility_angle,
     optimal_angle,
     required_velocity,
+    speed_crossings,
+    speed_slope,
     sweep_altitudes,
     sweep_csv,
     sweep_distance,
 )
+from hoopshot.figures import _speed_curve
+from hoopshot.ladder import PlotSpace
 
 from oracles import (
     Bracket,
@@ -41,6 +44,32 @@ from oracles import (
 
 DEFAULTS = ShotParams()
 DEG = math.pi / 180.0
+# the space of figures 4 and 5
+ANGLE_SPACE = PlotSpace(
+    ("launch angle", "deg"), ("required speed", "m/s"), (0.0, 90.0), (0.0, 40.0)
+)
+
+
+def drawn_curve(params):
+    """The (angles in degrees, speeds) columns of the required-speed curve
+    that figures 4 and 5 draw."""
+    (mark,) = _speed_curve(params, ANGLE_SPACE)
+    return mark.xs, mark.ys
+
+
+def kernel_calls(params) -> list:
+    """Each (angle, speed) at which drawing the required-speed curve
+    evaluates the speed kernel, in order."""
+    calls = []
+
+    def recorded(*args, _kernel=solver._hoop_speed):
+        calls.append((args[-1], _kernel(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_hoop_speed", recorded)
+        _speed_curve(params, ANGLE_SPACE)
+    return calls
 
 
 def bisect_hoop_speed(params, angle, lo=1e-3, hi=1e4, iterations=200):
@@ -288,10 +317,11 @@ class TestRequiredVelocityUnderflow:
         assert ulps(v, decimal_hoop_speed(params, angle)) <= 2.0
 
     def test_angle_curve_has_the_same_speeds(self):
+        # the drawn curve's speeds are required_velocity's, bit for bit
         params = ShotParams(release_altitude=4.0, distance=1e-170)
-        curve = angle_curve(params, 0.0, 80.0 * DEG, 9)
-        assert all(v > 0 for v in curve.speeds)
-        assert list(curve.speeds) == [required_velocity(params, a) for a in curve.angles]
+        calls = kernel_calls(params)
+        assert len(calls) >= 2 and all(v > 0 for _, v in calls)
+        assert [v for _, v in calls] == [required_velocity(params, a) for a, _ in calls]
 
     def test_speed_that_underflows_to_zero_raises(self):
         params = ShotParams(release_altitude=1e300, distance=5e-324, gravity=5e-324)
@@ -349,27 +379,129 @@ class TestFeasibilityAngle:
 
 
 class TestAngleCurve:
+    """The required-speed curve as figures 4 and 5 draw it: the speed at
+    angles from the crossing of 40 m/s on either side of the optimum."""
+
     def test_markers_and_minimum_location(self):
-        curve = angle_curve(DEFAULTS, 0.0, 89.0 * DEG, 90)
-        feas = feasibility_angle(DEFAULTS)
-        for a, v in zip(curve.angles, curve.speeds):
-            assert (v is not None) == (a > feas)
-        feasible = [(v, a) for a, v in zip(curve.angles, curve.speeds) if v is not None]
-        assert math.degrees(min(feasible)[1]) == pytest.approx(48.8, abs=1.0)
+        angles, speeds = drawn_curve(DEFAULTS)
+        feas = math.degrees(feasibility_angle(DEFAULTS))
+        assert all(a > feas for a in angles) and None not in speeds
+        assert min(zip(speeds, angles))[1] == pytest.approx(48.8, abs=1.0)
+        assert len(angles) <= 120
 
     def test_two_points(self):
-        curve = angle_curve(DEFAULTS, 0.2, 1.0, 2)
-        assert curve.angles == (0.2, 1.0)
-        assert len(curve.speeds) == 2
-
-    def test_infeasible_points_kept(self):
-        curve = angle_curve(DEFAULTS, 0.0, 89.0 * DEG, 90)
-        assert None in curve.speeds
+        # at d = 1 mm the curve is 0.04 deg wide: still at least two points,
+        # from 40 m/s down to v* and back up
+        angles, speeds = drawn_curve(DEFAULTS.replace(distance=0.001))
+        assert len(angles) >= 2
+        assert speeds[0] == pytest.approx(40.0) and speeds[-1] == pytest.approx(40.0)
+        assert min(speeds) == pytest.approx(optimal_angle(DEFAULTS.replace(distance=0.001)).speed)
 
     def test_grid_strictly_increasing(self):
-        curve = angle_curve(DEFAULTS, 0.0, 1.0, 37)
-        angles = curve.angles
-        assert all(b > a for a, b in zip(angles, angles[1:]))
+        for params in (DEFAULTS, ShotParams(release_altitude=3.5), ShotParams(distance=0.001)):
+            angles, _ = drawn_curve(params)
+            assert all(b > a for a, b in zip(angles, angles[1:]))
+
+    def test_nothing_drawn_where_the_softest_shot_is_above_the_space(self):
+        # v* = 44.5 m/s at d = 200 m, above the 40 m/s top of the space
+        assert _speed_curve(ShotParams(distance=200.0), ANGLE_SPACE) == ()
+
+
+class TestSpeedCrossings:
+    """The two angles at which the required speed equals a given speed,
+    checked against the 50-digit speed at those float angles: that speed
+    is off by at most 4 units of the speed's change over an ulp of the
+    angle (of 1 rad, if less) plus an ulp of the speed; 6,000 random
+    crossings of this domain came within 1.6 units."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(0.0, 10.0),
+        d=st.floats(0.1, 100.0),
+        h=st.floats(0.0, 10.0),
+        g=st.floats(1.0, 30.0),
+        ratio=st.floats(1.001, 100.0),
+    )
+    @example(a=1.7, d=10.0, h=3.05, g=9.8, ratio=40.0 / 10.588625633913797)
+    def test_the_exact_speed_at_each_crossing(self, a, d, h, g, ratio):
+        params = ShotParams(a, d, h, g)
+        optimum = optimal_angle(params)
+        speed = ratio * optimum.speed
+        lo, hi = speed_crossings(params, speed)
+        assert feasibility_angle(params) < lo < optimum.angle < hi < math.pi / 2
+        for angle in (lo, hi):
+            slope = abs(speed_slope(params, angle, speed))
+            bound = 4 * (slope * math.ulp(max(abs(angle), 1.0)) + math.ulp(speed))
+            exact = decimal_required_velocity(*params, Decimal(angle))
+            assert abs(exact - Decimal(speed)) <= Decimal(bound), (angle, exact, speed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.floats(0.0, 10.0),
+        d=st.floats(0.1, 100.0),
+        h=st.floats(0.0, 10.0),
+        ratio=st.floats(0.01, 0.999),
+    )
+    def test_none_below_the_softest_shot(self, a, d, h, ratio):
+        params = ShotParams(a, d, h)
+        assert speed_crossings(params, ratio * optimal_angle(params).speed) is None
+
+    def test_defaults_at_40(self):
+        lo, hi = speed_crossings(DEFAULTS, 40.0)
+        assert math.degrees(lo) == pytest.approx(9.4516, abs=1e-4)
+        assert math.degrees(hi) == pytest.approx(88.2369, abs=1e-4)
+
+    @pytest.mark.parametrize("distance", [1e-3, 1e-6])
+    def test_close_in_on_the_optimum_without_cancelling(self, distance):
+        # R + k cancels for a release below the hoop at a tiny distance
+        params = DEFAULTS.replace(distance=distance)
+        lo, hi = speed_crossings(params, 40.0)
+        assert feasibility_angle(params) < lo < hi < math.pi / 2
+        for angle in (lo, hi):
+            assert float(decimal_required_velocity(*params, Decimal(angle))) == pytest.approx(40.0, rel=1e-6)
+
+    def test_second_kept_below_a_right_angle(self):
+        # a release above the hoop at 1e-170 m: the curve reaches 40 m/s
+        # within 1e-170 rad of 90 deg
+        lo, hi = speed_crossings(ShotParams(release_altitude=4.0, distance=1e-170), 40.0)
+        assert lo < 0 and hi == math.nextafter(math.pi / 2, 0.0)
+
+    @pytest.mark.parametrize("params", [ShotParams(distance=1e300), ShotParams(gravity=1e300)])
+    def test_none_where_the_terms_overflow(self, params):
+        assert speed_crossings(params, 40.0) is None
+
+
+class TestSpeedSlope:
+    """dv/dtheta against a central difference of the 50-digit speed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(0.0, 10.0),
+        d=st.floats(0.1, 100.0),
+        h=st.floats(0.0, 10.0),
+        g=st.floats(1.0, 30.0),
+        where=st.floats(0.001, 0.999),
+    )
+    def test_matches_the_decimal_derivative(self, a, d, h, g, where):
+        params = ShotParams(a, d, h, g)
+        feas = feasibility_angle(params)
+        angle = feas + where * (math.pi / 2 - feas)
+        assume(feas < angle < math.pi / 2)
+        speed = required_velocity(params, angle)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            step = Decimal("1e-18")
+            rise = decimal_required_velocity(*params, Decimal(angle) + step)
+            fall = decimal_required_velocity(*params, Decimal(angle) - step)
+            exact = float((rise - fall) / (2 * step))
+        assert speed_slope(params, angle, speed) == pytest.approx(exact, rel=1e-9, abs=1e-9 * speed)
+
+    def test_zero_at_the_optimum_and_signed_either_side(self):
+        opt = optimal_angle(DEFAULTS)
+        for angle, sign in ((opt.angle - 0.1, -1), (opt.angle + 0.1, 1)):
+            slope = speed_slope(DEFAULTS, angle, required_velocity(DEFAULTS, angle))
+            assert math.copysign(1, slope) == sign
+        assert abs(speed_slope(DEFAULTS, opt.angle, opt.speed)) < 1e-12
 
 
 def closed_form_optimum_angle(params):
@@ -445,10 +577,9 @@ class TestOptimalAngle:
             )
 
     def test_unimodality_on_grid(self):
-        curve = angle_curve(
-            DEFAULTS, feasibility_angle(DEFAULTS) + 1e-4, 89.9 * DEG, 2000
-        )
-        speeds = [v for v in curve.speeds if v is not None]
+        lo, hi = feasibility_angle(DEFAULTS) + 1e-4, 89.9 * DEG
+        grid = [lo + (hi - lo) * i / 1999 for i in range(2000)]
+        speeds = [required_velocity(DEFAULTS, a) for a in grid]
         best = speeds.index(min(speeds))
         descending = speeds[: best + 1]
         ascending = speeds[best:]
@@ -688,7 +819,7 @@ class TestSweepMatchesPerPointOptimum:
 
     def test_one_speed_evaluation_per_point_and_no_distance_check(self, monkeypatch):
         # the optimum's speed is the closed form in _optima: no kernel call
-        counts = dict.fromkeys(["_hoop_speeds", "check_distance"], 0)
+        counts = dict.fromkeys(["_hoop_speed", "check_distance"], 0)
         for name in counts:
             def counted(*args, _name=name, _original=getattr(solver, name)):
                 counts[_name] += 1
@@ -697,13 +828,13 @@ class TestSweepMatchesPerPointOptimum:
             monkeypatch.setattr(solver, name, counted)
         grid = default_d_grid()
         sweep_distance(DEFAULTS, grid)
-        assert counts == {"_hoop_speeds": 0, "check_distance": 0}
+        assert counts == {"_hoop_speed": 0, "check_distance": 0}
         optimal_angle(DEFAULTS)
         optimal_angle(DEFAULTS.replace(release_altitude=5.0))  # k < 0
-        assert counts == {"_hoop_speeds": 0, "check_distance": 0}
+        assert counts == {"_hoop_speed": 0, "check_distance": 0}
         with pytest.raises(ValueError):  # only a bad distance is checked
             sweep_distance(DEFAULTS, [*grid, math.nan])
-        assert counts == {"_hoop_speeds": 0, "check_distance": 1}
+        assert counts == {"_hoop_speed": 0, "check_distance": 1}
 
     def test_sweep_builds_one_shot_params_per_altitude(self, monkeypatch):
         calls = []
@@ -719,24 +850,6 @@ class TestSweepMatchesPerPointOptimum:
         assert len(calls) <= 3
 
 
-def per_point_curve(params, lo, hi, n):
-    """The angle curve's (angles, speeds) columns from one required_velocity
-    call per angle; the speed is None exactly where that call raises
-    InfeasibleAngle."""
-    angles = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    speeds = []
-    for angle in angles:
-        try:
-            speeds.append(required_velocity(params, angle))
-        except InfeasibleAngle:
-            speeds.append(None)
-    return angles, speeds
-
-
-def curve_bits(angles, speeds):
-    return [(a.hex(), None if v is None else v.hex()) for a, v in zip(angles, speeds)]
-
-
 class TestAngleCurveMatchesRequiredVelocity:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -744,17 +857,20 @@ class TestAngleCurveMatchesRequiredVelocity:
         params=st.builds(
             lambda p, d: p.replace(distance=d), params_strategy, st.floats(0.1, 40.0)
         ),
-        lo=st.floats(-0.5, 1.5),
-        span=st.floats(1e-3, 2.0),
-        n=st.integers(2, 60),
     )
-    @example(params=DEFAULTS, lo=0.0, span=math.radians(89.9), n=400)
-    @example(params=ShotParams(release_altitude=5.0), lo=-0.5, span=1.0, n=41)
-    def test_speeds_bit_identical(self, params, lo, span, n):
-        hi = min(lo + span, 1.57)
-        got = outcome(lambda: curve_bits(*angle_curve(params, lo, hi, n)[1:]))
-        # an overflowing speed raises from both, with the same message
-        assert got == outcome(lambda: curve_bits(*per_point_curve(params, lo, hi, n)))
+    @example(params=DEFAULTS)
+    @example(params=ShotParams(release_altitude=5.0))
+    @example(params=DEFAULTS.replace(distance=0.001))
+    def test_speeds_bit_identical(self, params):
+        # each speed the drawn curve evaluates is required_velocity's, bit
+        # for bit, or None where that raises InfeasibleAngle; within rounding
+        # of the feasibility angle required_velocity may decline to answer
+        for angle, v in kernel_calls(params):
+            got = outcome(lambda: required_velocity(params, angle))
+            if v is None:
+                assert got[0] is InfeasibleAngle
+            elif not (isinstance(got, tuple) and got[0] is Infeasible):
+                assert got.hex() == v.hex()
 
 
 class TestDistanceGrid:
