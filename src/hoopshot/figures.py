@@ -95,9 +95,12 @@ def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
     arc lies in it, no farther from the chord than its apex, and v is
     strictly convex: with k = a - h, R = hypot(d, k) > |k|, phi = 2 theta +
     atan2(k, d) and w = R sin(phi) + k > 0, v ~ w^(-1/2) gives
-    v'' ~ w^(-5/2) R (R (2 + cos^2 phi) + 2k sin phi) > 0.  An end with no
-    speed, within rounding of the feasibility angle, is closed in on by
-    halving until the speed beside it is above the space, then dropped."""
+    v'' ~ w^(-5/2) R (R (2 + cos^2 phi) + 2k sin phi) > 0.  An interval at
+    most that wide whose end slopes share a sign is not halved: v' rises,
+    so the arc is monotone, inside the box of its ends and no farther from
+    the chord than the box's width.  A low end with no speed, within
+    rounding of the feasibility angle, is closed in on by halving until
+    the speed beside it is above the space, and that speed takes its place."""
     (x0, x1), (y0, y1), (width, height) = space.x_range, space.y_range, render.SIZE
     # no angle where the softest shot is above the space
     crossings = solver.speed_crossings(params, y1) or (math.inf, -math.inf)
@@ -107,22 +110,39 @@ def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
     # pixels per radian and per m/s in the widest viewport
     sx = (width - render.MARGIN_LEFT - render.MARGIN_RIGHT) / math.radians(x1 - x0)
     sy = (height - render.MARGIN_TOP - render.MARGIN_BOTTOM) / (y1 - y0)
+    a, d, h, g = params
 
     def vertex(angle):  # (angle, speed or None, slope in pixels per pixel)
-        v = solver._hoop_speed(*params, angle)
-        return angle, v, None if v is None else sy * solver.speed_slope(params, angle, v) / sx
+        found = solver._hoop_speed(a, d, h, g, angle)
+        return (angle, None, None) if found is None else (angle, found[0], sy * found[1] / sx)
 
-    kept, stack = [vertex(lo)], [vertex(hi)]
+    first, last = vertex(lo), vertex(hi)
+    # d tan(theta) + k, the sign of the kernel's denominator, rises with
+    # theta, so only the low end can lack a speed
+    if first[1] is None and last[1] is not None and last[1] <= y1:
+        none, t = lo, hi
+        while none < (mid := 0.5 * (none + t)) < t:
+            if (beside := vertex(mid))[1] is None:
+                none = mid
+            else:
+                first, t = beside, mid
+                if beside[1] > y1:
+                    break
+    kept, stack = [first], [last]
     while stack:
         (t0, v0, m0), (t1, v1, m1) = kept[-1], stack[-1]
-        # toward an end with no speed while the other end is in the space
-        split = (v0 is None) != (v1 is None) and (v0 or v1) <= y1
+        split = False
         if v0 is not None and v1 is not None and m0 < m1:  # as convexity has it, bar rounding
             w, rise = sx * (t1 - t0), sy * (v1 - v0)
             n = math.hypot(w, rise)  # the chord's length, as (w, rise) may under- or overflow
             u = w * (m1 - rise / w) / (m1 - m0)  # the apex is (u, m0 u) from the left end
-            along, across = u * (w / n) + m0 * u * (rise / n), m0 * u * (w / n) - u * (rise / n)
-            split = math.hypot(across, max(-along, along - n, 0.0)) > CURVE_TOLERANCE_PX
+            cw, cr, mu = w / n, rise / n, m0 * u  # the chord's direction, unit ratios
+            along, across = u * cw + mu * cr, mu * cw - u * cr
+            # a monotone arc that narrow is within w of its chord; NaN, where
+            # an end is near vertical and its slope infinite, splits
+            narrow = w <= CURVE_TOLERANCE_PX and m0 * m1 >= 0.0
+            apart = math.hypot(across, max(-along, along - n, 0.0))
+            split = not (narrow or apart <= CURVE_TOLERANCE_PX)
         if split and t0 < (mid := 0.5 * (t0 + t1)) < t1:
             stack.append(vertex(mid))
         else:
@@ -229,12 +249,22 @@ def build_basketball_ladder(
     demo = DEMO_ANGLE if DEMO_ANGLE > feasibility else optimum.angle
     demo_deg = math.degrees(demo)
 
-    # stage 2: one concrete shot, then a fan of launch speeds
+    court_space = PlotSpace(
+        x_var=("horizontal position", "m"),
+        y_var=("height", "m"),
+        x_range=(0.0, params.distance * 1.1),
+        y_range=(0.0, 7.0),
+    )
+
+    # stage 2: one concrete shot, then a fan of launch speeds, each labelled
+    # where it is drawn: a concave parabola with both ends above the court stays above it
     one_shot = _trajectory_mark(params, demo, ONE_SHOT_SPEED, RED)
     fan = []
     for v in velocities:
         mark = _trajectory_mark(params, demo, v, RED)
-        fan += [mark, text(mark.xs[-1] + 0.1, mark.ys[-1] + 0.1, f"{v:g}", RED)]
+        fan.append(mark)
+        if min(mark.ys[0], mark.ys[-1]) <= court_space.y_range[1]:
+            fan.append(text(mark.xs[-1] + 0.1, mark.ys[-1] + 0.1, f"{v:g}", RED))
     fan = tuple(fan)
 
     # stage 3: the speed that exactly reaches the hoop
@@ -271,12 +301,6 @@ def build_basketball_ladder(
     speed_y = _range(min(speeds), max(speeds), 0.0, 14.0)
     speed_space = PlotSpace(x_var, ("optimal speed", "m/s"), x_range, speed_y)
 
-    court_space = PlotSpace(
-        x_var=("horizontal position", "m"),
-        y_var=("height", "m"),
-        x_range=(0.0, params.distance * 1.1),
-        y_range=(0.0, 7.0),
-    )
     curve_panel = Panel(angle_space, curve_panel_marks, "Required speed vs angle")
 
     def distance_scene(curves, theta_dy, speed_dy, title: str) -> Scene:

@@ -203,22 +203,43 @@ def _stage_from_dict(item, n: int) -> Stage:
     )
 
 
+# the JSON form as json.dumps(doc, indent=2, sort_keys=True) writes it:
+# one % per stage and per panel, whose pairs are lists of two, a range's
+# ends written by %r and a variable's strings given quoted
+_PAIR = "[\n            %s,\n            %s\n          ]"
+_PANEL = (
+    '        {\n          "x_range": %s,\n          "x_var": %s,\n'
+    '          "y_range": %s,\n          "y_var": %s\n        }'
+) % (_PAIR.replace("%s", "%r"), _PAIR, _PAIR.replace("%s", "%r"), _PAIR)
+_STAGE = (
+    '    {\n      "caption": %s,\n      "id": %d,\n      "panels": [\n%s\n      ],\n'
+    '      "roles_used": %s,\n      "tags": %s\n    }'
+)
+
+
+def _names(members) -> str:
+    """The sorted names of members as a JSON list at a stage's depth."""
+    names = sorted(m.name for m in members)
+    return '[\n        "' + '",\n        "'.join(names) + '"\n      ]' if names else "[]"
+
+
 def ladder_to_json(spec: LadderSpec) -> str:
-    """Lossless JSON form of a LadderSpec; a panel is an object of its
-    PlotSpace fields, each pair a list."""
-    doc = {
-        "stages": [
-            {
-                "id": n,
-                "panels": [p._asdict() for p in stage.panels],
-                "roles_used": sorted(r.name for r in stage.roles_used),
-                "tags": sorted(t.name for t in stage.tags),
-                "caption": stage.caption,
-            }
-            for n, stage in enumerate(spec.stages, 1)
-        ]
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """Lossless JSON form of a LadderSpec, written from its fixed schema:
+    each stage with its number `id`, a panel an object of its PlotSpace
+    fields.  Strings go through json's ASCII encoder and each range end is
+    written as the float it equals, as json.dumps(indent=2, sort_keys=True)
+    writes that document."""
+    quote = json.encoder.encode_basestring_ascii
+    stages = []
+    for n, stage in enumerate(spec.stages, 1):
+        panels = ",\n".join(
+            _PANEL % (float(x0), float(x1), quote(xn), quote(xu),
+                      float(y0), float(y1), quote(yn), quote(yu))
+            for (xn, xu), (yn, yu), (x0, x1), (y0, y1) in stage.panels
+        )
+        roles, tags = _names(stage.roles_used), _names(stage.tags)
+        stages.append(_STAGE % (quote(stage.caption), n, panels, roles, tags))
+    return '{\n  "stages": [\n' + ",\n".join(stages) + "\n  ]\n}"
 
 
 def ladder_from_json(text: str) -> LadderSpec:

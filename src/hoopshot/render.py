@@ -72,15 +72,23 @@ class Dash(enum.Enum):
     DOTTED = "dotted"
 
 
-# the stroke-dasharray attribute of each dash, "" for a solid stroke
-DASH_PATTERNS = {
-    Dash.SOLID: "",
-    Dash.DASHED: ' stroke-dasharray="6.000,4.000"',
-    Dash.DOTTED: ' stroke-dasharray="1.500,3.000"',
-}
-
-
 Style = namedtuple("Style", "color_role dash", defaults=(Dash.SOLID,))
+
+# the stroke attributes of every style, formatted once: a dashed or
+# dotted stroke adds its stroke-dasharray
+_STROKES = {
+    Style(role, dash): f'stroke="{color}" stroke-width="1.500" fill="none"{pattern}'
+    for role, color in PALETTE.items()
+    for dash, pattern in (
+        (Dash.SOLID, ""),
+        (Dash.DASHED, ' stroke-dasharray="6.000,4.000"'),
+        (Dash.DOTTED, ' stroke-dasharray="1.500,3.000"'),
+    )
+}
+# the font attributes of each text size, formatted once
+_FONTS = {
+    size: f'font-family="{FONT_FAMILY}" font-size="{size:.3f}"' for size in (13.0, 11.0, 10.0, 9.0)
+}
 
 
 class Mark(checked_record("Mark", "kind style xs ys value text size", ((), (), 0.0, "", 3.0))):
@@ -293,37 +301,27 @@ def _clip_quadratic(p0, c, p1, box):
     return pieces
 
 
-def _stroke_attrs(style: Style) -> str:
-    return (
-        f'stroke="{PALETTE[style.color_role]}" '
-        'stroke-width="1.500" fill="none"'
-        f"{DASH_PATTERNS[style.dash]}"
-    )
-
-
-# one writer per element kind written in more than one place
+# one writer per element kind written in more than one place; each is
+# given points of the canvas, none negative, so none needs _fmt's
+# "-0.000" rule
 def _text(x, y, content: str, size: float, anchor="middle", fill="#000000", turn=False):
     """A <text> element; with turn, rotated -90 degrees about (x, y)."""
-    rotate = f' transform="rotate(-90.000 {_fmt(x)} {_fmt(y)})"' if turn else ""
-    return (
-        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="{FONT_FAMILY}" '
-        f'font-size="{_fmt(size)}" text-anchor="{anchor}"{rotate} '
-        f'fill="{fill}">{_escape(content)}</text>'
+    rotate = ' transform="rotate(-90.000 %.3f %.3f)"' % (x, y) if turn else ""
+    return '<text x="%.3f" y="%.3f" %s text-anchor="%s"%s fill="%s">%s</text>' % (
+        x, y, _FONTS[size], anchor, rotate, fill, _escape(content)
     )
 
 
 def _rect(box, attrs: str = "") -> str:
     x0, y0, x1, y1 = box
-    return (
-        f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
-        f'height="{_fmt(y1 - y0)}"{attrs}/>'
+    return '<rect x="%.3f" y="%.3f" width="%.3f" height="%.3f"%s/>' % (
+        x0, y0, x1 - x0, y1 - y0, attrs
     )
 
 
 def _line(x1: float, y1: float, x2: float, y2: float, style: Style) -> str:
-    return (
-        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-        f'y2="{_fmt(y2)}" {_stroke_attrs(style)}/>'
+    return '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" %s/>' % (
+        x1, y1, x2, y2, _STROKES[style]
     )
 
 
@@ -390,40 +388,38 @@ def _render_mark(out: list[str], mark: Mark, x_axis, y_axis, box) -> None:
         xk, xw, yk, yw = xr1 - xr0, xd1 - xd0, yr1 - yr0, yd1 - yd0
         px = [xr0 + (x - xd0) * xk / xw for x in mark.xs]
         py = [yr0 + (y - yd0) * yk / yw for y in mark.ys]
-        n = len(px)
+        flat = [0.0] * (2 * len(px))  # the pixels interleaved, x then y
+        flat[::2], flat[1::2] = px, py
         # a finite sum has no NaN or infinite term, so min and max decide
         # "every pixel inside the box" as the test per vertex does
-        if math.isfinite(sum(px) + sum(py)) and (
+        if math.isfinite(sum(flat)) and (
             vx0 <= min(px) and max(px) <= vx1 and vy0 <= min(py) and max(py) <= vy1
         ):
-            outside = []
+            pieces = [flat]
         else:
+            # emit clipped segments so no coordinate escapes the viewport; a
+            # segment inside it is its own clip, since rounded subtraction and
+            # division are monotone and so keep Liang-Barsky's t0 = 0, t1 = 1,
+            # so a run of in-box vertices is one piece, sliced from flat
+            n = len(px)
             outside = [i for i in range(n) if not (vx0 <= px[i] <= vx1 and vy0 <= py[i] <= vy1)]
-        # emit clipped segments so no coordinate escapes the viewport; a
-        # segment inside it is its own clip, since rounded subtraction and
-        # division are monotone and so keep Liang-Barsky's t0 = 0, t1 = 1,
-        # so a run of in-box vertices is one piece, sliced from the columns
-        pieces = []  # each an interleaved x, y list
-        start = 0  # the first vertex of the in-box run that ends before j
-        for j in [*outside, n]:
-            parts = []
-            if j - start >= 2:
-                run = [0.0] * (2 * (j - start))
-                run[::2], run[1::2] = px[start:j], py[start:j]
-                parts.append(run)
-            # the segments into j from the run and out of j
-            for i in (j - 1, j):
-                if start <= i < n - 1:
-                    clipped = _clip_segment((px[i], py[i]), (px[i + 1], py[i + 1]), box)
-                    if clipped is not None:
-                        parts.append([*clipped[0], *clipped[1]])
-            for part in parts:  # joined to the last piece where it starts at its end
-                if pieces and pieces[-1][-2:] == part[:2]:
-                    pieces[-1] += part[2:]
-                else:
-                    pieces.append(part)
-            start = j + 1
-        attrs = _stroke_attrs(mark.style)
+            pieces = []  # each an interleaved x, y list
+            start = 0  # the first vertex of the in-box run that ends before j
+            for j in [*outside, n]:
+                parts = [flat[2 * start : 2 * j]] if j - start >= 2 else []
+                # the segments into j from the run and out of j
+                for i in (j - 1, j):
+                    if start <= i < n - 1:
+                        clipped = _clip_segment((px[i], py[i]), (px[i + 1], py[i + 1]), box)
+                        if clipped is not None:
+                            parts.append([*clipped[0], *clipped[1]])
+                for part in parts:  # joined to the last piece where it starts at its end
+                    if pieces and pieces[-1][-2:] == part[:2]:
+                        pieces[-1] += part[2:]
+                    else:
+                        pieces.append(part)
+                start = j + 1
+        attrs = _STROKES[mark.style]
         for flat in pieces:
             # one % per piece; every coordinate lies in the viewport, so
             # none is negative and none needs _fmt's "-0.000" rule
@@ -431,7 +427,7 @@ def _render_mark(out: list[str], mark: Mark, x_axis, y_axis, box) -> None:
             out.append(f'<polyline points="{coords}" {attrs}/>')
     elif mark.kind is MarkKind.QUADRATIC:
         controls = [(_pixel(x, *x_axis), _pixel(y, *y_axis)) for x, y in zip(mark.xs, mark.ys)]
-        attrs = _stroke_attrs(mark.style)
+        attrs = _STROKES[mark.style]
         # every end lies in the viewport, so only a control point may be negative
         for *_, (x0, y0), (cx, cy), (x1, y1) in _clip_quadratic(*controls, box):
             out.append(
@@ -441,8 +437,8 @@ def _render_mark(out: list[str], mark: Mark, x_axis, y_axis, box) -> None:
         x, y = _pixel(mark.xs[0], *x_axis), _pixel(mark.ys[0], *y_axis)
         if vx0 <= x <= vx1 and vy0 <= y <= vy1:
             out.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(mark.size)}" '
-                f'fill="{PALETTE[mark.style.color_role]}" stroke="none"/>'
+                '<circle cx="%.3f" cy="%.3f" r="%.3f" fill="%s" stroke="none"/>'
+                % (x, y, mark.size, PALETTE[mark.style.color_role])
             )
     elif mark.kind is MarkKind.TEXT:
         x, y = _pixel(mark.xs[0], *x_axis), _pixel(mark.ys[0], *y_axis)

@@ -61,8 +61,8 @@ def required_velocity(params: ShotParams, angle: float) -> float:
     may move the speed by more than SPEED_TOLERANCE and 64 ulp, and
     ValueError when the speed overflows to a non-finite value."""
     a, d, h, g = params
-    v = _hoop_speed(a, d, h, g, angle)
-    if v is None:
+    result = _hoop_speed(a, d, h, g, angle)
+    if result is None:
         raise InfeasibleAngle(
             f"angle {degrees(angle):.3f} deg is at or below the "
             f"feasibility angle {degrees(feasibility_angle(params)):.3f} deg"
@@ -71,7 +71,7 @@ def required_velocity(params: ShotParams, angle: float) -> float:
     # so the float sum s is within 2*eps*(|d tan| + |a - h|) of the exact
     # one (bounded here at twice that); v ~ s^-1/2 then moves by at most
     # v*bound/(2(s - bound))
-    t, k = d * tan(angle), a - h
+    v, t, k = result[0], d * tan(angle), a - h
     s, bound = t + k, 4.0 * _EPS * (abs(t) + abs(k))
     allowed = max(SPEED_TOLERANCE, _SPEED_ULPS * math.ulp(v))
     if not (s > bound and bound / (s - bound) <= 2.0 * allowed / v):
@@ -82,29 +82,31 @@ def required_velocity(params: ShotParams, angle: float) -> float:
     return v
 
 
-def _hoop_speed(a: float, d: float, h: float, g: float, angle: float) -> float | None:
-    """The closed form in the module docstring at angle: None where its
-    denominator is non-positive (an infeasible angle), ValueError for an
-    angle outside [-pi/2, pi/2) or a speed that is not finite, and
-    Infeasible for a speed that underflows to 0."""
+def _hoop_speed(a: float, d: float, h: float, g: float, angle: float) -> tuple | None:
+    """The closed form in the module docstring at angle and its slope
+    dv/dtheta = -v (d cos 2theta - k sin 2theta)/(2u), with
+    u = cos^2 theta (d tan theta + k) its denominator and k = a - h, as
+    (v, slope): None where u is non-positive (an infeasible angle),
+    ValueError for an angle outside [-pi/2, pi/2) or a speed that is not
+    finite, and Infeasible for a speed that underflows to 0."""
     if not -_HALF_PI <= angle < _HALF_PI:
         raise ValueError(f"angle must be in [-pi/2, pi/2) rad, got {angle}")
-    c = cos(angle)
+    c, k = cos(angle), a - h
     # a - h first: exact where a is near h, so only the sum rounds
-    denom = c * c * (d * tan(angle) + (a - h))
-    if denom <= 0:
+    u = c * c * (d * tan(angle) + k)
+    if u <= 0:
         return None
     num = 0.5 * g * d * d
-    radicand = num / denom
+    radicand = num / u
     if num >= _TINY and radicand >= _TINY:
         v = sqrt(radicand)
     else:  # below the normal range num or radicand has lost bits or is 0
-        v = d * (sqrt(0.5 * g) / sqrt(denom))
+        v = d * (sqrt(0.5 * g) / sqrt(u))
         if v == 0:
             raise Infeasible(f"required speed at angle {angle} rad underflows to 0")
     if not isfinite(v):
         raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
-    return v
+    return v, -v * (d * cos(2.0 * angle) - k * sin(2.0 * angle)) / (2.0 * u)
 
 
 def speed_crossings(params: ShotParams, speed: float) -> tuple[float, float] | None:
@@ -123,15 +125,6 @@ def speed_crossings(params: ShotParams, speed: float) -> tuple[float, float] | N
         return None
     b, center = atan2(sqrt(rise - q), sqrt(fall + q)), _QUARTER_PI - atan2(k, d) / 2
     return center - b, min(center + b, math.nextafter(_HALF_PI, 0.0))
-
-
-def speed_slope(params: ShotParams, angle: float, speed: float) -> float:
-    """dv/dtheta where the required speed is speed: -v (d cos 2theta -
-    k sin 2theta)/(2u), with u = cos^2 theta (d tan theta + k), k = a - h."""
-    a, d, h, _ = params
-    k, c = a - h, cos(angle)
-    u = c * c * (d * tan(angle) + k)  # as in _hoop_speed, so positive where it gives a speed
-    return -speed * (d * cos(2.0 * angle) - k * sin(2.0 * angle)) / (2.0 * u)
 
 
 def feasibility_angle(params: ShotParams) -> float:

@@ -146,13 +146,20 @@ def decimal_atan(x: Decimal) -> Decimal:
     return +total
 
 
+_PI: dict[tuple, Decimal] = {}  # pi by the precision and rounding it was taken to
+
+
 def decimal_pi() -> Decimal:
     """pi to the precision of the current decimal context, by Machin's
-    formula pi = 16 atan(1/5) - 4 atan(1/239)."""
-    with localcontext() as ctx:
-        ctx.prec += 10
-        pi = 16 * decimal_atan(Decimal(1) / 5) - 4 * decimal_atan(Decimal(1) / 239)
-    return +pi
+    formula pi = 16 atan(1/5) - 4 atan(1/239), computed once for each
+    precision and rounding."""
+    key = (getcontext().prec, getcontext().rounding)
+    if key not in _PI:
+        with localcontext() as ctx:
+            ctx.prec += 10
+            pi = 16 * decimal_atan(Decimal(1) / 5) - 4 * decimal_atan(Decimal(1) / 239)
+        _PI[key] = +pi
+    return _PI[key]
 
 
 def decimal_sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -510,6 +511,22 @@ class TestFigures:
         code, out, err = run_captured(argv + ["--scenario", str(_small_scenario(tmp_path))])
         assert (code, err) == (0, "")
         assert len(list(out_dir.glob("figure_*.svg"))) == 7
+
+
+class TestNoCyclicGarbage:
+    def test_a_figure_set_leaves_nothing_for_the_collector(self, tmp_path):
+        # json's indenting encoder left 33 unreachable objects per
+        # ladder.json, so a program that allocated less was collected less
+        # often and held them longer
+        argv = ["figures", "--out", str(tmp_path)]
+        assert run_captured(argv)[0] == 0  # imports and caches first
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_captured(argv)[0] == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestValidateLadder:

@@ -180,6 +180,42 @@ class TestCustomInputs:
         assert {"6", "9"} <= labels
 
 
+# the points of each piece of the blue required-speed curve, as written
+BLUE_POLYLINE = r'<polyline points="([^"]*)" stroke="#0000CC"'
+
+
+class TestRequiredSpeedCurveVertices:
+    """Figures 4 and 5 write no two consecutive vertices of the required-
+    speed curve as the same point, and draw it from at most 200 vertices;
+    at subnormal scales halving once left about a thousand vertices on
+    one pixel."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ShotParams(),
+            ShotParams(release_altitude=3.5),
+            # a = h: the crossing of 40 m/s lies near 1e-323 rad
+            ShotParams(1.155166468069634e-11, 1.0, 1.155166468069634e-11, 4.752e-320),
+            ShotParams(9.1e16, 1.0, 9.1e16, 3.8e-314),
+            ShotParams(3.05, 10.0, 3.05, 1e-310),
+            ShotParams(1e-300, 1e-300, 1e-300, 1e-300),
+        ],
+        ids=["defaults", "release-above-the-hoop", "g-4.752e-320", "a-h-9.1e16", "g-1e-310", "1e-300"],
+    )
+    def test_no_vertex_written_twice_in_a_row(self, params):
+        # one altitude, the scenario's: an optimum at another may be vertical
+        _, scenes = build_basketball_ladder(params, altitudes=[params.release_altitude])
+        (curve,) = [m for m in scenes[3].panels[0].marks if m.kind is MarkKind.POLYLINE]
+        assert len(curve.xs) <= 200
+        for scene in scenes[3:5]:
+            pieces = re.findall(BLUE_POLYLINE, render_svg(scene).decode())
+            assert pieces
+            for points in pieces:
+                points = points.split()
+                assert all(p != q for p, q in zip(points, points[1:])), points
+
+
 def stage_5_vertices(scenes):
     """(x, y, space) of every polyline vertex of figures 6 and 7."""
     for scene in scenes[5:]:
@@ -340,6 +376,25 @@ class TestTrajectoryPieces:
         assert panel_paths(scene, 0) == []
         pieces = panel_paths(scene, 1)
         assert len(pieces) == 1 and (pieces[0][1], pieces[0][5]) == ("28.000", "412.000")
+
+    def test_only_drawn_fan_shots_are_labelled(self):
+        # from 9 m the 10, 15 and 20 m/s shots stay above the court and are
+        # not drawn, so their labels are not written either: once they
+        # piled up where the viewport's edge clamps their end points
+        scene = build_basketball_ladder(params=ShotParams(release_altitude=9.0))[1][1]
+        labels = [m.text for m in scene.panels[1].marks if m.kind is MarkKind.TEXT]
+        assert labels == ["a = 9 m", "h = 3.05 m", "d = 10 m", "5"]
+        assert len(re.findall(r'fill="#CC0000">', render_svg(scene).decode())) == 1
+
+    def test_the_pinned_fan_keeps_its_clamped_labels(self):
+        # the two shots that leave the top are drawn, so they are labelled,
+        # each at its end point clamped onto the top edge
+        kwargs, _ = PINNED_SETS["fan-leaves-the-court"]
+        scene = build_basketball_ladder(**kwargs)[1][1]
+        svg = render_svg(scene).decode().split('<g clip-path="url(#panel-1)">')[1]
+        clamped = re.findall(r'y="28.000" [^>]*fill="#CC0000">([^<]*)<', svg)
+        assert clamped == ["20", "22"]
+        assert len(re.findall(r'fill="#CC0000">', svg)) == 12
 
     def test_a_shot_that_ends_on_the_floor(self):
         # the default 5 m/s shot lands 3.9 m out: its end is on the floor

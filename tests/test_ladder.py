@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hoopshot.figures import build_basketball_ladder
 from hoopshot.kinematics import ShotParams
@@ -16,6 +17,7 @@ from hoopshot.ladder import (
     ladder_to_json,
     validate_ladder,
 )
+from test_figures import PINNED_SETS
 
 
 def space(name="x", unit="m", x_range=(0.0, 10.0), y_range=(0.0, 5.0)):
@@ -247,3 +249,81 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError) as raised:
             ladder_from_json(json.dumps(doc))
         assert str(raised.value).startswith(message)
+
+
+def json_dumps_form(spec) -> str:
+    """The oracle of ladder_to_json: its document, each pair a list,
+    through json.dumps(indent=2, sort_keys=True)."""
+    doc = {
+        "stages": [
+            {
+                "id": n,
+                "panels": [p._asdict() for p in stage.panels],
+                "roles_used": sorted(r.name for r in stage.roles_used),
+                "tags": sorted(t.name for t in stage.tags),
+                "caption": stage.caption,
+            }
+            for n, stage in enumerate(spec.stages, 1)
+        ]
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+# quotes, backslashes, control characters, non-ASCII text (a lone
+# surrogate too) and brackets, besides any text
+names = st.one_of(
+    st.text(st.characters(exclude_categories=()), min_size=1, max_size=12),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t", "é – ✓ 😀", "\ud800", "[]{}", '"],["']),
+)
+range_ends = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e16, 0.1]),
+)
+ranges = st.tuples(range_ends, range_ends).filter(lambda r: r[0] < r[1])
+plot_spaces = st.builds(
+    PlotSpace, st.tuples(names, names), st.tuples(names, names), ranges, ranges
+)
+stages = st.builds(
+    Stage,
+    st.lists(plot_spaces, min_size=1, max_size=3).map(tuple),
+    st.frozensets(st.sampled_from(ColorRole)),
+    st.frozensets(st.sampled_from(StrategyTag)),
+    names,
+)
+specs = st.lists(stages, min_size=1, max_size=5).map(lambda s: LadderSpec(tuple(s)))
+
+
+class TestSchemaWriter:
+    """ladder_to_json writes its fixed schema itself; json.dumps of the
+    document is its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=specs)
+    @example(spec=LadderSpec((simple_stage(()),)))  # no roles: an empty list
+    def test_the_text_of_json_dumps(self, spec):
+        text = ladder_to_json(spec)
+        assert text == json_dumps_form(spec)
+        assert ladder_from_json(text) == spec
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, *(kw for kw, _ in PINNED_SETS.values())], ids=["defaults", *PINNED_SETS]
+    )
+    def test_every_built_and_read_spec(self, kwargs):
+        spec, _ = build_basketball_ladder(**kwargs)
+        read = ladder_from_json(ladder_to_json(spec))
+        assert ladder_to_json(spec) == json_dumps_form(spec) == ladder_to_json(read)
+
+    def test_int_and_bool_range_ends_are_written_as_floats(self):
+        # each range end is written as the float it equals, which reads
+        # back equal; json.dumps would write 0, 10, false and true
+        def one_panel(x_range, y_range):
+            panel = space(x_range=x_range, y_range=y_range)
+            return LadderSpec((simple_stage({ColorRole.BASELINE}, panels=(panel,)),))
+
+        spec = one_panel((0, 10), (False, True))
+        text = ladder_to_json(spec)
+        assert text == json_dumps_form(one_panel((0.0, 10.0), (0.0, 1.0))) != json_dumps_form(spec)
+        assert ladder_from_json(text) == spec
+        # a library caller's int grid gives an int distance range
+        spec, _ = build_basketball_ladder(d_grid=[1, 2, 3])
+        assert '"x_range": [\n            1.0,\n            3.0\n' in ladder_to_json(spec)

@@ -28,8 +28,8 @@ from hoopshot.render import (
     _clip_quadratic,
     _clip_segment,
     _fmt,
+    _STROKES,
     _pixel,
-    _stroke_attrs,
 )
 
 BLACK = Style(color_role=ColorRole.BASELINE)
@@ -315,7 +315,7 @@ def reference_polylines(mark, rect):
             segs.append(list(clipped))
     return [
         f'<polyline points="{" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in seg)}" '
-        f"{_stroke_attrs(mark.style)}/>"
+        f"{_STROKES[mark.style]}/>"
         for seg in segs
     ]
 

@@ -24,7 +24,6 @@ from hoopshot.solver import (
     optimal_angle,
     required_velocity,
     speed_crossings,
-    speed_slope,
     sweep_altitudes,
     sweep_csv,
     sweep_distance,
@@ -59,17 +58,24 @@ def drawn_curve(params):
 
 def kernel_calls(params) -> list:
     """Each (angle, speed) at which drawing the required-speed curve
-    evaluates the speed kernel, in order."""
+    evaluates the speed kernel, in order; the speed None where the kernel
+    gives none."""
     calls = []
 
     def recorded(*args, _kernel=solver._hoop_speed):
-        calls.append((args[-1], _kernel(*args)))
-        return calls[-1][1]
+        result = _kernel(*args)
+        calls.append((args[-1], None if result is None else result[0]))
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_hoop_speed", recorded)
         _speed_curve(params, ANGLE_SPACE)
     return calls
+
+
+def speed_slope(params, angle):
+    """dv/dtheta at angle, as the speed kernel gives it with the speed."""
+    return solver._hoop_speed(*params, angle)[1]
 
 
 def bisect_hoop_speed(params, angle, lo=1e-3, hi=1e4, iterations=200):
@@ -397,6 +403,25 @@ class TestAngleCurve:
         assert speeds[0] == pytest.approx(40.0) and speeds[-1] == pytest.approx(40.0)
         assert min(speeds) == pytest.approx(optimal_angle(DEFAULTS.replace(distance=0.001)).speed)
 
+    def test_an_infinite_slope_is_halved_toward(self):
+        # the speed falls from 1e131 m/s at 0 deg to the panel's floor
+        # within a sub-pixel angle, where its slope overflows to -inf; the
+        # apex test is NaN there and halves, so the curve reaches the floor
+        # within 0.1 px of the left edge, not by a chord across the panel
+        params = ShotParams(
+            5.554679153750614e-149, 1.3337177681997354e135, 4.784828043708341e-245, 6.882963232680403e-157
+        )
+        angles, speeds = drawn_curve(params)
+        assert angles[1] <= 0.1 * 90.0 / 536.0 and speeds[1] <= 0.1 * 40.0 / 384.0
+
+    def test_one_kernel_call_per_vertex(self):
+        # each vertex's speed and slope come from one call, and halving
+        # evaluates no angle it does not keep
+        for params in (DEFAULTS, ShotParams(release_altitude=3.5), ShotParams(distance=0.001)):
+            angles, speeds = drawn_curve(params)
+            calls = kernel_calls(params)
+            assert [(math.degrees(a), v) for a, v in sorted(calls)] == list(zip(angles, speeds))
+
     def test_grid_strictly_increasing(self):
         for params in (DEFAULTS, ShotParams(release_altitude=3.5), ShotParams(distance=0.001)):
             angles, _ = drawn_curve(params)
@@ -430,7 +455,7 @@ class TestSpeedCrossings:
         lo, hi = speed_crossings(params, speed)
         assert feasibility_angle(params) < lo < optimum.angle < hi < math.pi / 2
         for angle in (lo, hi):
-            slope = abs(speed_slope(params, angle, speed))
+            slope = abs(speed_slope(params, angle))
             bound = 4 * (slope * math.ulp(max(abs(angle), 1.0)) + math.ulp(speed))
             exact = decimal_required_velocity(*params, Decimal(angle))
             assert abs(exact - Decimal(speed)) <= Decimal(bound), (angle, exact, speed)
@@ -494,14 +519,14 @@ class TestSpeedSlope:
             rise = decimal_required_velocity(*params, Decimal(angle) + step)
             fall = decimal_required_velocity(*params, Decimal(angle) - step)
             exact = float((rise - fall) / (2 * step))
-        assert speed_slope(params, angle, speed) == pytest.approx(exact, rel=1e-9, abs=1e-9 * speed)
+        assert speed_slope(params, angle) == pytest.approx(exact, rel=1e-9, abs=1e-9 * speed)
 
     def test_zero_at_the_optimum_and_signed_either_side(self):
         opt = optimal_angle(DEFAULTS)
         for angle, sign in ((opt.angle - 0.1, -1), (opt.angle + 0.1, 1)):
-            slope = speed_slope(DEFAULTS, angle, required_velocity(DEFAULTS, angle))
+            slope = speed_slope(DEFAULTS, angle)
             assert math.copysign(1, slope) == sign
-        assert abs(speed_slope(DEFAULTS, opt.angle, opt.speed)) < 1e-12
+        assert abs(speed_slope(DEFAULTS, opt.angle)) < 1e-12
 
 
 def closed_form_optimum_angle(params):
