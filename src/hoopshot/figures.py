@@ -100,7 +100,12 @@ def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
     so the arc is monotone, inside the box of its ends and no farther from
     the chord than the box's width.  A low end with no speed, within
     rounding of the feasibility angle, is closed in on by halving until
-    the speed beside it is above the space, and that speed takes its place."""
+    the speed beside it is above the space, and that speed takes its place.
+    An end within 1e-6 px of the top is written on it.  v is even about
+    theta* = pi/4 - atan2(k, d)/2 and the pixels affine in theta, so where
+    the ends are the crossings, only theta* up is sampled, reflected to
+    2 theta* - theta: the bound holds but for that rounding.  No curve
+    spanning under 0.0005 px both ways is drawn."""
     (x0, x1), (y0, y1), (width, height) = space.x_range, space.y_range, render.SIZE
     # no angle where the softest shot is above the space
     crossings = solver.speed_crossings(params, y1) or (math.inf, -math.inf)
@@ -117,9 +122,12 @@ def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
         return (angle, None, None) if found is None else (angle, found[0], sy * found[1] / sx)
 
     first, last = vertex(lo), vertex(hi)
+    on_top = [v is not None and abs(sy * (v - y1)) <= 1e-6 for _, v, _ in (first, last)]
+    if mirror := all(on_top) and (lo, hi) == crossings and hi < math.nextafter(math.pi / 2, 0.0):
+        first = vertex(0.5 * (lo + hi))
     # d tan(theta) + k, the sign of the kernel's denominator, rises with
     # theta, so only the low end can lack a speed
-    if first[1] is None and last[1] is not None and last[1] <= y1:
+    elif first[1] is None and last[1] is not None and last[1] <= y1:
         none, t = lo, hi
         while none < (mid := 0.5 * (none + t)) < t:
             if (beside := vertex(mid))[1] is None:
@@ -147,8 +155,13 @@ def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
             stack.append(vertex(mid))
         else:
             kept.append(stack.pop())
-    kept = [(math.degrees(t), v) for t, v, _ in kept if v is not None]
-    return (polyline(*zip(*kept), BLUE),) if len(kept) > 1 else ()
+    if mirror:
+        kept[:0] = [(lo + hi - t, v, m) for t, v, m in kept[:0:-1]]  # 2 theta* - theta
+    for i in (0, -1):
+        kept[i] = (kept[i][0], y1, None) if on_top[i] else kept[i]
+    ts, vs, _ = zip(*kept)
+    drawn = vs[0] is not None and max(sx * (ts[-1] - ts[0]), sy * (max(vs) - min(vs))) >= 0.0005
+    return (polyline(map(math.degrees, ts), vs, BLUE),) if drawn else ()
 
 
 def _optimum_marks(curves, column, label_dy: float | None) -> tuple:

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from hoopshot.figures import STAGES, build_basketball_ladder
 from hoopshot.kinematics import ShotParams
 from hoopshot.ladder import ColorRole, StrategyTag, ladder_to_json, validate_ladder
-from hoopshot.render import MarkKind, render_svg
-from hoopshot.solver import default_d_grid, required_velocity
+from hoopshot.render import MarkKind, _pixel, render_svg
+from hoopshot.solver import default_d_grid, optimal_angle, required_velocity, speed_crossings
 from test_render import SIDE_BY_SIDE, STACKED, clip_rects
 
 
@@ -214,6 +214,53 @@ class TestRequiredSpeedCurveVertices:
             for points in pieces:
                 points = points.split()
                 assert all(p != q for p, q in zip(points, points[1:])), points
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ShotParams(1.03e-39, 4.98e-23, 6.67e-16, 1.34e-283),
+            ShotParams(0.0, 5.823613571281543e-14, 3.816141263429737e-06, 2.8250650007359308e-12),
+        ],
+        ids=["two-points", "three-points"],
+    )
+    def test_no_curve_written_as_one_point(self, params):
+        # the whole curve lies within 1e-5 deg below 90 deg and 1e-3 m/s
+        # above 0, under 0.0005 px either way: it was written as 2 or 3
+        # copies of 588.000,412.000 (288.000 in figure 5's first half)
+        _, scenes = build_basketball_ladder(params, altitudes=[params.release_altitude])
+        for scene in scenes[3:5]:
+            for points in re.findall(BLUE_POLYLINE, render_svg(scene).decode()):
+                assert len(set(points.split())) > 1, points
+
+
+class TestRequiredSpeedCurveInItsPanel:
+    """Figure 4's curve at court scale: no vertex above the panel's top,
+    and, where it spans the two crossings of 40 m/s, its vertices pair up
+    about the optimum's pixel column, each pair written at one height."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.0, 4.0), d=st.floats(0.5, 20.0), h=st.floats(0.0, 4.0))
+    @example(a=1.9, d=9.3, h=3.05)  # the first vertex was 4e-13 px above the top
+    @example(a=1.7, d=10.0, h=3.05)
+    @example(a=4.0, d=0.5, h=0.0)  # the low crossing is below 0 deg
+    def test_inside_the_top_and_mirrored_about_the_optimum(self, a, d, h):
+        params = ShotParams(a, d, h)
+        _, scenes = build_basketball_ladder(params, [5.0], [a], [1.0, 2.0])
+        panel = scenes[3].panels[0]
+        (curve,) = [m for m in panel.marks if m.kind is MarkKind.POLYLINE]
+        space = panel.space
+        left, top, width, height = clip_rects(render_svg(scenes[3]).decode())[0]
+        px = [_pixel(v, space.x_range, (left, left + width)) for v in curve.xs]
+        py = [_pixel(v, space.y_range, (top + height, top)) for v in curve.ys]
+        assert min(py) >= top
+        if speed_crossings(params, space.y_range[1])[0] > 0:
+            theta = math.degrees(optimal_angle(params).angle)
+            center = _pixel(theta, space.x_range, (left, left + width))
+            assert len(px) % 2 == 1
+            for i in range(len(px) // 2 + 1):
+                j = len(px) - 1 - i
+                assert abs(px[i] + px[j] - 2.0 * center) <= 0.001, (i, px[i], px[j], center)
+                assert f"{py[i]:.3f}" == f"{py[j]:.3f}"
 
 
 def stage_5_vertices(scenes):

@@ -28,7 +28,7 @@ from hoopshot.solver import (
     sweep_csv,
     sweep_distance,
 )
-from hoopshot.figures import _speed_curve
+from hoopshot.figures import _speed_curve, build_basketball_ladder
 from hoopshot.ladder import PlotSpace
 
 from oracles import (
@@ -56,10 +56,10 @@ def drawn_curve(params):
     return mark.xs, mark.ys
 
 
-def kernel_calls(params) -> list:
-    """Each (angle, speed) at which drawing the required-speed curve
-    evaluates the speed kernel, in order; the speed None where the kernel
-    gives none."""
+def kernel_calls(params, draw=lambda params: _speed_curve(params, ANGLE_SPACE)) -> list:
+    """Each (angle, speed) at which draw(params), by default drawing the
+    required-speed curve, evaluates the speed kernel, in order; the speed
+    None where the kernel gives none."""
     calls = []
 
     def recorded(*args, _kernel=solver._hoop_speed):
@@ -69,7 +69,7 @@ def kernel_calls(params) -> list:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_hoop_speed", recorded)
-        _speed_curve(params, ANGLE_SPACE)
+        draw(params)
     return calls
 
 
@@ -416,11 +416,29 @@ class TestAngleCurve:
 
     def test_one_kernel_call_per_vertex(self):
         # each vertex's speed and slope come from one call, and halving
-        # evaluates no angle it does not keep
+        # evaluates no angle it does not keep; an end on a crossing of
+        # 40 m/s is written on 40 m/s.  Where both ends are crossings (the
+        # low one above 0 deg), only the vertices from the optimum up are
+        # evaluated, and the low end once more to check it: the lower half
+        # is their reflection.  At a release above the hoop the low crossing
+        # is below 0 deg, so the curve is clamped and every vertex evaluated.
         for params in (DEFAULTS, ShotParams(release_altitude=3.5), ShotParams(distance=0.001)):
             angles, speeds = drawn_curve(params)
-            calls = kernel_calls(params)
-            assert [(math.degrees(a), v) for a, v in sorted(calls)] == list(zip(angles, speeds))
+            calls = [(math.degrees(a), v) for a, v in sorted(kernel_calls(params))]
+            lo, hi = speed_crossings(params, 40.0)
+            assert calls[-1][0] == angles[-1] == math.degrees(hi) and speeds[-1] == 40.0
+            if lo > 0:
+                half = len(angles) // 2
+                assert calls[0][0] == math.degrees(lo) and speeds[0] == 40.0
+                assert calls[1:-1] == list(zip(angles, speeds))[half:-1]
+                assert speeds[:half + 1] == speeds[half:][::-1]
+            else:
+                assert calls[:-1] == list(zip(angles, speeds))[:-1]
+
+    def test_a_default_figure_set_makes_at_most_60_kernel_calls(self):
+        # 59: the 57 of the curve's 113 vertices from the optimum up, its
+        # low end and the stage-3 speed; 114 where every vertex was evaluated
+        assert len(kernel_calls(DEFAULTS, build_basketball_ladder)) <= 60
 
     def test_grid_strictly_increasing(self):
         for params in (DEFAULTS, ShotParams(release_altitude=3.5), ShotParams(distance=0.001)):
