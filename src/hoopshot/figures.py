@@ -89,7 +89,8 @@ def _trajectory_mark(params: ShotParams, angle: float, speed: float, style: Styl
 def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
     """v(theta) inside space, from the crossings of its top speed clamped
     to its angles: one polyline within CURVE_TOLERANCE_PX of the exact
-    curve in the widest viewport, so in any narrower one; none where the
+    curve in render.VIEWPORT, the widest viewport, so in any narrower one,
+    where the renderer drops it if it spans under 0.0005 px; none where the
     softest shot is above the space.  Intervals are halved until the
     triangle of chord and end tangents lies that near the chord.  A convex
     arc lies in it, no farther from the chord than its apex, and v is
@@ -104,17 +105,15 @@ def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
     An end within 1e-6 px of the top is written on it.  v is even about
     theta* = pi/4 - atan2(k, d)/2 and the pixels affine in theta, so where
     the ends are the crossings, only theta* up is sampled, reflected to
-    2 theta* - theta: the bound holds but for that rounding.  No curve
-    spanning under 0.0005 px both ways is drawn."""
-    (x0, x1), (y0, y1), (width, height) = space.x_range, space.y_range, render.SIZE
+    2 theta* - theta: the bound holds but for that rounding."""
+    (x0, x1), (y0, y1), (width, height) = space.x_range, space.y_range, render.VIEWPORT
     # no angle where the softest shot is above the space
     crossings = solver.speed_crossings(params, y1) or (math.inf, -math.inf)
     lo, hi = max(math.radians(x0), crossings[0]), min(math.radians(x1), crossings[1])
     if not lo < hi:
         return ()
     # pixels per radian and per m/s in the widest viewport
-    sx = (width - render.MARGIN_LEFT - render.MARGIN_RIGHT) / math.radians(x1 - x0)
-    sy = (height - render.MARGIN_TOP - render.MARGIN_BOTTOM) / (y1 - y0)
+    sx, sy = width / math.radians(x1 - x0), height / (y1 - y0)
     a, d, h, g = params
 
     def vertex(angle):  # (angle, speed or None, slope in pixels per pixel)
@@ -160,8 +159,7 @@ def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
     for i in (0, -1):
         kept[i] = (kept[i][0], y1, None) if on_top[i] else kept[i]
     ts, vs, _ = zip(*kept)
-    drawn = vs[0] is not None and max(sx * (ts[-1] - ts[0]), sy * (max(vs) - min(vs))) >= 0.0005
-    return (polyline(map(math.degrees, ts), vs, BLUE),) if drawn else ()
+    return () if vs[0] is None else (polyline(map(math.degrees, ts), vs, BLUE),)
 
 
 def _optimum_marks(curves, column, label_dy: float | None) -> tuple:

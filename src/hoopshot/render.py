@@ -20,6 +20,8 @@ Style constants (golden-file contract):
            in-viewport piece of its Bezier curve: each end on the curve
            and in the viewport, the control point the blossom of the
            piece's parameter interval (see _clip_quadratic)
+  pieces   a POLYLINE is clipped one segment at a time; no POLYLINE or
+           QUADRATIC piece spanning under 0.0005 px both ways is written
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ MARGIN_LEFT = 52.0
 MARGIN_RIGHT = 12.0
 MARGIN_TOP = 28.0
 MARGIN_BOTTOM = 38.0
+# (width, height) of a one-panel scene's viewport, the widest a panel has
+VIEWPORT = (SIZE[0] - MARGIN_LEFT - MARGIN_RIGHT, SIZE[1] - MARGIN_TOP - MARGIN_BOTTOM)
 FONT_FAMILY = "sans-serif"
 
 
@@ -191,15 +195,12 @@ def _clip_segment(p0, p1, box):
         # inside this edge where t*p <= q, the point at t being a + t*(b - a)
         p = sign * (a[axis] - b[axis])
         q = sign * (a[axis] - edge)
-        if p == 0:
-            if q < 0:
-                return None
-        elif p < 0:  # t >= q/p = -q/-p
+        if p < 0:  # t >= q/p = -q/-p
             if -q * d1 > n1 * -p:
                 return None
             if -q * d0 > n0 * -p:
                 n0, d0, moved0 = -q, -p, (axis, value)
-        else:  # t <= q/p
+        else:  # t <= q/p; where p = 0, q >= 0 by the test above, so neither holds
             if q * d0 < n0 * p:
                 return None
             if q * d1 < n1 * p:
@@ -382,6 +383,12 @@ def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
     out.append("</g>")
 
 
+def _shown(xs, ys) -> bool:
+    """Whether a piece with the written points xs, ys (pixels) is written:
+    not where they span under 0.0005 px, half a printed unit, both ways."""
+    return max(xs) - min(xs) >= 0.0005 or max(ys) - min(ys) >= 0.0005
+
+
 def _render_mark(out: list[str], mark: Mark, x_axis, y_axis, box) -> None:
     vx0, vy0, vx1, vy1 = box
     if (kind := mark.kind) is POLYLINE:
@@ -392,35 +399,28 @@ def _render_mark(out: list[str], mark: Mark, x_axis, y_axis, box) -> None:
         py = [yr0 + (y - yd0) * yk / yw for y in mark.ys]
         flat = [0.0] * (2 * len(px))  # the pixels interleaved, x then y
         flat[::2], flat[1::2] = px, py
+        x_lo, x_hi, y_lo, y_hi = min(px), max(px), min(py), max(py)
         # a finite sum has no NaN or infinite term, so min and max decide
         # "every pixel inside the box" as the test per vertex does
-        if math.isfinite(sum(flat)) and (
-            vx0 <= min(px) and max(px) <= vx1 and vy0 <= min(py) and max(py) <= vy1
-        ):
-            pieces = [flat]
+        if math.isfinite(sum(flat)) and vx0 <= x_lo and x_hi <= vx1 and vy0 <= y_lo and y_hi <= vy1:
+            pieces = [flat] if _shown((x_lo, x_hi), (y_lo, y_hi)) else []
         else:
-            # emit clipped segments so no coordinate escapes the viewport; a
-            # segment inside it is its own clip, since rounded subtraction and
-            # division are monotone and so keep Liang-Barsky's t0 = 0, t1 = 1,
-            # so a run of in-box vertices is one piece, sliced from flat
-            n = len(px)
-            outside = [i for i in range(n) if not (vx0 <= px[i] <= vx1 and vy0 <= py[i] <= vy1)]
-            pieces = []  # each an interleaved x, y list
-            start = 0  # the first vertex of the in-box run that ends before j
-            for j in [*outside, n]:
-                parts = [flat[2 * start : 2 * j]] if j - start >= 2 else []
-                # the segments into j from the run and out of j
-                for i in (j - 1, j):
-                    if start <= i < n - 1:
-                        clipped = _clip_segment((px[i], py[i]), (px[i + 1], py[i + 1]), box)
-                        if clipped is not None:
-                            parts.append([*clipped[0], *clipped[1]])
-                for part in parts:  # joined to the last piece where it starts at its end
-                    if pieces and pieces[-1][-2:] == part[:2]:
-                        pieces[-1] += part[2:]
-                    else:
-                        pieces.append(part)
-                start = j + 1
+            # clipped segment by segment so no coordinate escapes the viewport; a
+            # segment with both ends inside is its own clip, as rounded subtraction
+            # and division are monotone and keep Liang-Barsky's t0 = 0, t1 = 1
+            inside = [vx0 <= x <= vx1 and vy0 <= y <= vy1 for x, y in zip(px, py)]
+            pieces = []  # interleaved x, y lists; a part joins the last where it starts at its end
+            for i in range(len(px) - 1):
+                part = flat[2 * i : 2 * i + 4]
+                if not (inside[i] and inside[i + 1]):
+                    if (clipped := _clip_segment(part[:2], part[2:], box)) is None:
+                        continue
+                    part = [*clipped[0], *clipped[1]]
+                if pieces and pieces[-1][-2:] == part[:2]:
+                    pieces[-1] += part[2:]
+                else:
+                    pieces.append(part)
+            pieces = [p for p in pieces if _shown(p[0::2], p[1::2])]
         attrs = _STROKES[mark.style]
         for flat in pieces:
             # one % per piece; every coordinate lies in the viewport, so
@@ -429,12 +429,11 @@ def _render_mark(out: list[str], mark: Mark, x_axis, y_axis, box) -> None:
             out.append(f'<polyline points="{coords}" {attrs}/>')
     elif kind is QUADRATIC:
         controls = [(_pixel(x, *x_axis), _pixel(y, *y_axis)) for x, y in zip(mark.xs, mark.ys)]
-        attrs = _STROKES[mark.style]
         # every end lies in the viewport, so only a control point may be negative
         for *_, (x0, y0), (cx, cy), (x1, y1) in _clip_quadratic(*controls, box):
-            out.append(
-                f'<path d="M{x0:.3f},{y0:.3f} Q{_fmt(cx)},{_fmt(cy)} {x1:.3f},{y1:.3f}" {attrs}/>'
-            )
+            if _shown((x0, cx, x1), (y0, cy, y1)):
+                d = f"M{x0:.3f},{y0:.3f} Q{_fmt(cx)},{_fmt(cy)} {x1:.3f},{y1:.3f}"
+                out.append(f'<path d="{d}" {_STROKES[mark.style]}/>')
     elif kind is POINT:
         x, y = _pixel(mark.xs[0], *x_axis), _pixel(mark.ys[0], *y_axis)
         if vx0 <= x <= vx1 and vy0 <= y <= vy1:

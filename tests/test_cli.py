@@ -22,6 +22,8 @@ from oracles import decimal_optimum, decimal_pi, decimal_required_velocity, ulps
 from test_solver import assert_correctly_rounded
 
 NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
+# a <polyline> or <path> whose points all print as one, so that it draws nothing
+ONE_POINT = re.compile(r'<polyline points="([^" ]+)(?: \1)+"|<path d="M([^ ]+) Q\2 \2"')
 PARAM_FLAGS = ("--altitude", "--distance", "--hoop-height", "--gravity")
 
 
@@ -512,6 +514,56 @@ class TestFigures:
         assert (code, err) == (0, "")
         assert len(list(out_dir.glob("figure_*.svg"))) == 7
 
+    @pytest.mark.parametrize("flag", ["--altitude=0", "--hoop-height=0"])
+    def test_a_post_of_no_height_is_not_written(self, tmp_path, flag):
+        # the release post (0, 0)-(0, a) or the hoop's (d, 0)-(d, h) has no
+        # length: it was written as 52.000,412.000 52.000,412.000 (or the
+        # hoop's column) in figures 1-3, four times in all
+        out_dir = tmp_path / "figs"
+        assert run_captured(["figures", flag, f"--out={out_dir}"])[0] == 0
+        for svg in sorted(out_dir.glob("*.svg")):
+            assert not ONE_POINT.search(svg.read_text()), svg.name
+        assert (out_dir / "figure_01.svg").read_text().count("<polyline ") == 3
+
+    def test_a_shot_that_grazes_the_floor_writes_no_sliver(self, tmp_path):
+        # the 4 m/s shot lands on the floor, and the clip left a piece of it
+        # there as M420.037,412.000 Q420.037,412.000 420.037,412.000 in
+        # figure 2 (206.526 in figure 3)
+        scenario = tmp_path / "fan.json"
+        scenario.write_text(json.dumps({"params": {"a": 1.51, "d": 8.69}, "velocities": [4.0]}))
+        out_dir = tmp_path / "figs"
+        assert run_captured(["figures", f"--scenario={scenario}", f"--out={out_dir}"])[0] == 0
+        for name in ("figure_02.svg", "figure_03.svg"):
+            svg = (out_dir / name).read_text()
+            assert "<path " in svg and not ONE_POINT.search(svg), name
+
+    def test_a_curve_under_half_a_unit_in_a_half_width_panel_is_not_written(self, tmp_path):
+        # the required-speed curve spans about 0.001 px across figure 4's
+        # viewport, and half that in each half of figure 5, whose two
+        # pieces printed as 288.000,412.000 and 588.000,412.000, twice each
+        out_dir = tmp_path / "figs"
+        argv = ["figures", "--altitude=9.79e-28", "--distance=1.32e-8",
+                "--hoop-height=0.00749", "--gravity=2.58e-210", f"--out={out_dir}"]
+        assert run_captured(argv)[0] == 0
+        blue = r'<polyline points="([^"]+)" stroke="#0000CC"'
+        assert re.findall(blue, (out_dir / "figure_04.svg").read_text()) == [
+            "587.999,412.000 588.000,412.000"
+        ]
+        assert re.findall(blue, (out_dir / "figure_05.svg").read_text()) == []
+
+    def test_a_trajectory_end_that_is_not_finite_exits_2(self, tmp_path):
+        # the 5e-324 m/s shot reaches the hoop plane, 1e-300 m away, after
+        # 2e23 s, when g t^2 / 2 overflows: its height there is -inf
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(
+            {"params": {"a": 0, "d": 1e-300, "h": 0, "g": 1.7e308}, "velocities": [5e-324]}
+        ))
+        out_dir = tmp_path / "figs"
+        assert run_captured(["figures", f"--scenario={scenario}", f"--out={out_dir}"]) == (
+            2, "", "trajectory sample is not finite: (2.0240225330731062e+23, 1e-300, -inf)\n"
+        )
+        assert not out_dir.exists()
+
 
 class TestNoCyclicGarbage:
     def test_a_figure_set_leaves_nothing_for_the_collector(self, tmp_path):
@@ -959,6 +1011,8 @@ class TestExitContract:
         names = [f"figure_{i:02d}.svg" for i in range(1, 8)] + ["ladder.json"]
         assert lines == [str(out_dir / name) for name in names]
         assert sorted(p.name for p in out_dir.iterdir()) == names
+        for name in names[:-1]:
+            assert not ONE_POINT.search((out_dir / name).read_text()), name
         assert run_captured(["validate-ladder", lines[-1]]) == (0, "0 violations\n", "")
 
 

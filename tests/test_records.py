@@ -175,6 +175,13 @@ def test_fields_cannot_be_assigned_or_deleted(build, text, name):
     assert repr(record) == text
 
 
+@pytest.mark.parametrize("build, text, name", RECORDS)
+def test_make_rebuilds_the_record_from_its_values(build, text, name):
+    record = build()
+    made = type(record)._make(iter(record))
+    assert made == record and type(made) is type(record) and repr(made) == text
+
+
 def test_replace_reruns_the_constructor_checks():
     with pytest.raises(ValueError) as built:
         ShotParams(distance=math.nan)
