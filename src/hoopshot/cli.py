@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 from . import solver
 from .kinematics import Infeasible, LaunchState, ShotParams, VerticalShot, sample_trajectory
-from .kinematics import TRAJECTORY_SAMPLES, json_object, json_value
+from .kinematics import TRAJECTORY_SAMPLES, _write_file, json_object, json_value
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -123,8 +123,7 @@ def _cmd_sweep(scenario: Scenario, args) -> int:
     curves = solver.sweep_altitudes(p, altitudes, d_grid)
     csv_text = solver.sweep_csv(curves)
     if args.out:
-        with open(args.out, "w") as file:
-            file.write(csv_text)
+        _write_file(args.out, csv_text.encode(), "sweep CSV")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(csv_text)
@@ -145,10 +144,13 @@ def _cmd_figures(scenario: Scenario, args) -> int:
         for v in violations:
             print(f"{v.kind.name}: {v.message}", file=sys.stderr)
         return EXIT_DOMAIN
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot make the output directory {out_dir}: {exc}") from exc
     paths = render.export_figures(scenes, out_dir)
     spec_path = out_dir / "ladder.json"
-    spec_path.write_text(ladder.ladder_to_json(spec))
+    _write_file(spec_path, ladder.ladder_to_json(spec).encode(), "ladder spec")
     for path in paths:
         print(path)
     print(spec_path)

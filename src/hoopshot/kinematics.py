@@ -4,13 +4,15 @@ All angles are radians internally; degrees appear only at the CLI
 boundary.  Everything here is pure and deterministic.  Every other
 submodule imports this one, so it also holds what they share: the
 `checked_record` base of the checked records, the `Infeasible` error,
-the point limit, and `json_value` and `json_object` (`short_repr` shows
-the bad value), which check every value the CLI reads from a JSON file.
+the point limit, `json_value` and `json_object` (`short_repr` shows the
+bad value), which check every value the CLI reads from a JSON file, and
+`_write_file`, which writes every file it writes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from collections import namedtuple
 
@@ -79,6 +81,20 @@ def json_object(value, what: str, keys, required=()) -> dict:
         if key not in value:
             raise ValueError(f"{what} is missing key {key!r}")
     return value
+
+
+def _write_file(path, data: bytes, what: str) -> None:
+    """Write data to the file at path, created or truncated, in os.write calls
+    on one descriptor, not a buffered file; an OSError names what and where."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:  # a call may write fewer bytes than it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def check_distance(distance: float) -> None:

@@ -39,6 +39,8 @@ class ColorRole(enum.Enum):
     CONCRETE = 1  # red: directly drawn trajectories
     SOLUTION = 2  # blue: the hoop-reaching solution
     OPTIMUM = 3  # green: the minimized solution
+    # a member is equal only to itself: hashed by identity in C, not by name in Python
+    __hash__ = object.__hash__
 
     @property
     def rank(self) -> int:

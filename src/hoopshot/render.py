@@ -1,9 +1,9 @@
 """Deterministic SVG rendering of scenes.
 
-Output is a pure function of the scene: fixed palette, fixed dash
-patterns, all numeric attributes formatted to exactly 3 decimal places
-with a locale-independent decimal point, so repeated renders are
-byte-identical and golden-file tests are stable.
+Output is a pure function of the scene: fixed palette and dash patterns,
+every numeric attribute to exactly 3 decimal places with a locale-free
+decimal point, and each element one % of a template formatted once at
+import, so repeated renders are byte-identical and goldens stable.
 
 Style constants (golden-file contract):
   colors   BASELINE #000000, CONCRETE #CC0000, SOLUTION #0000CC,
@@ -19,7 +19,8 @@ Style constants (golden-file contract):
   curves   a QUADRATIC mark is one <path d="Mx0,y0 Qcx,cy x1,y1"/> per
            in-viewport piece of its Bezier curve: each end on the curve
            and in the viewport, the control point the blossom of the
-           piece's parameter interval (see _clip_quadratic)
+           piece's parameter interval (see _clip_quadratic); the one
+           piece of a curve whose control points are all in it is them
   pieces   a POLYLINE is clipped one segment at a time; no POLYLINE or
            QUADRATIC piece spanning under 0.0005 px both ways is written
 """
@@ -31,7 +32,7 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
-from .kinematics import checked_record
+from .kinematics import _write_file, checked_record
 from .ladder import ColorRole, PlotSpace
 
 PALETTE = {
@@ -74,6 +75,7 @@ class Dash(enum.Enum):
     SOLID = "solid"
     DASHED = "dashed"
     DOTTED = "dotted"
+    __hash__ = object.__hash__  # as ColorRole's: a Style is a key of _STROKES
 
 
 Style = namedtuple("Style", "color_role dash", defaults=(Dash.SOLID,))
@@ -89,10 +91,22 @@ _STROKES = {
         (Dash.DOTTED, ' stroke-dasharray="1.500,3.000"'),
     )
 }
-# the font attributes of each text size, formatted once
-_FONTS = {
-    size: f'font-family="{FONT_FAMILY}" font-size="{size:.3f}"' for size in (13.0, 11.0, 10.0, 9.0)
-}
+# <text> templates, formatted once but for x, y, the % fields of the
+# attributes and the escaped content: _TEXT(size, anchor, attributes, fill)
+_TEXT = ('<text x="%%.3f" y="%%.3f" font-family="%s" font-size="{:.3f}" '
+         'text-anchor="{}"{} fill="{}">%%s</text>' % FONT_FAMILY).format
+_TITLE, _LABEL = _TEXT(13.0, "middle", "", "#000000"), _TEXT(10.0, "start", "", "%s")
+# a panel's frame after its title: the axis labels, the y one turned about its
+# anchor, the end-of-axis tick labels of x, then of y, and the clipped group
+_FRAME = "\n".join([
+    _TEXT(11.0, "middle", "", "#000000"),
+    _TEXT(11.0, "middle", ' transform="rotate(-90.000 %.3f %.3f)"', "#000000"),
+    *(_TEXT(9.0, anchor, "", "#000000") for anchor in ("start", "end", "end", "end")),
+    '<g clip-path="url(#%s)">',
+])
+# a VLINE or HLINE, and a QUADRATIC in the viewport: its points, then its stroke
+_LINE = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" %s/>'
+_CURVE = '<path d="M%.3f,%.3f Q%.3f,%.3f %.3f,%.3f" %s/>'
 # bound once: each MarkKind.X is a class-attribute lookup, ~0.13 us on Python 3.11
 POLYLINE, QUADRATIC, POINT, TEXT, VLINE, HLINE = MarkKind
 
@@ -153,12 +167,6 @@ Panel = namedtuple("Panel", "space marks title", defaults=("",))
 
 
 Scene = namedtuple("Scene", "panels")
-
-
-def _pixel(v: float, domain, pixels) -> float:
-    """The affine map of an axis's range onto its pixels; extrapolates."""
-    (d0, d1), (p0, p1) = domain, pixels
-    return p0 + (v - d0) * (p1 - p0) / (d1 - d0)
 
 
 def _fmt(v: float) -> str:
@@ -257,9 +265,6 @@ def _clip_quadratic(p0, c, p1, box):
         return []
     bx0, by0, bx1, by1 = box
     xs, ys = pts[0::2], pts[1::2]
-    if bx0 <= min(xs) and max(xs) <= bx1 and by0 <= min(ys) and max(ys) <= by1:
-        # a curve lies in the convex hull of its control points
-        return [((0.0, 1.0), (1.0, 0.0), p0, c, p1)]
     # scaled by a power of two, so that no square below overflows
     scale = 2.0 ** -max(0, math.frexp(max(map(abs, pts)))[1] - 500)
     axes = [([v * scale for v in col], lo, hi) for col, lo, hi in ((xs, bx0, bx1), (ys, by0, by1))]
@@ -304,27 +309,11 @@ def _clip_quadratic(p0, c, p1, box):
     return pieces
 
 
-# one writer per element kind written in more than one place; each is
-# given points of the canvas, none negative, so none needs _fmt's
-# "-0.000" rule
-def _text(x, y, content: str, size: float, anchor="middle", fill="#000000", turn=False):
-    """A <text> element; with turn, rotated -90 degrees about (x, y)."""
-    rotate = ' transform="rotate(-90.000 %.3f %.3f)"' % (x, y) if turn else ""
-    return '<text x="%.3f" y="%.3f" %s text-anchor="%s"%s fill="%s">%s</text>' % (
-        x, y, _FONTS[size], anchor, rotate, fill, _escape(content)
-    )
-
-
+# given points of the canvas, none negative, so none needs _fmt's "-0.000" rule
 def _rect(box, attrs: str = "") -> str:
     x0, y0, x1, y1 = box
     return '<rect x="%.3f" y="%.3f" width="%.3f" height="%.3f"%s/>' % (
         x0, y0, x1 - x0, y1 - y0, attrs
-    )
-
-
-def _line(x1: float, y1: float, x2: float, y2: float, style: Style) -> str:
-    return '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" %s/>' % (
-        x1, y1, x2, y2, _STROKES[style]
     )
 
 
@@ -361,25 +350,25 @@ def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
     px, py = rect[:2]
     box = vx0, vy0, vx1, vy1 = _viewport(rect)
     space = panel.space
-    # each axis: its range, and the pixels it maps onto (y grows downward)
-    x_axis, y_axis = (space.x_range, (vx0, vx1)), (space.y_range, (vy1, vy0))
+    (xd0, xd1), (yd0, yd1) = space.x_range, space.y_range
+    # each axis's affine map onto its pixels, extrapolated (y grows downward):
+    # v to p0 + (v - d0) * k / w, d0 the range's start at pixel p0, k and w the spans
+    xk, xw, yk, yw = vx1 - vx0, xd1 - xd0, vy0 - vy1, yd1 - yd0
+    axes = xd0, vx0, xk, xw, yd0, vy1, yk, yw
+    tx0, tx1 = [vx0 + (v - xd0) * xk / xw for v in (xd0, xd1)]
+    ty0, ty1 = [vy1 + (v - yd0) * yk / yw for v in (yd0, yd1)]
     mid_x, mid_y = (vx0 + vx1) / 2, (vy0 + vy1) / 2
 
     out.append(_rect(box, ' stroke="#000000" stroke-width="1.000" fill="none"'))
     if panel.title:
-        out.append(_text(mid_x, py + 18.0, panel.title, 13.0))
-    x_label, y_label = (f"{name} ({unit})" for name, unit in (space.x_var, space.y_var))
-    out.append(_text(mid_x, vy1 + 30.0, x_label, 11.0))
-    out.append(_text(px + 14.0, mid_y, y_label, 11.0, turn=True))
-    # end-of-axis tick labels
-    for dv, anchor in zip(space.x_range, ("start", "end")):
-        out.append(_text(_pixel(dv, *x_axis), vy1 + 14.0, _fmt(dv), 9.0, anchor))
-    for dv in space.y_range:
-        out.append(_text(vx0 - 4.0, _pixel(dv, *y_axis) + 3.0, _fmt(dv), 9.0, "end"))
-
-    out.append(f'<g clip-path="url(#{clip_id})">')
+        out.append(_TITLE % (mid_x, py + 18.0, _escape(panel.title)))
+    x_label, y_label = (_escape(f"{name} ({unit})") for name, unit in (space.x_var, space.y_var))
+    out.append(_FRAME % (
+        mid_x, vy1 + 30.0, x_label, px + 14.0, mid_y, px + 14.0, mid_y, y_label,
+        tx0, vy1 + 14.0, _fmt(xd0), tx1, vy1 + 14.0, _fmt(xd1),
+        vx0 - 4.0, ty0 + 3.0, _fmt(yd0), vx0 - 4.0, ty1 + 3.0, _fmt(yd1), clip_id))
     for mark in panel.marks:
-        _render_mark(out, mark, x_axis, y_axis, box)
+        _render_mark(out, mark, axes, box)
     out.append("</g>")
 
 
@@ -389,12 +378,11 @@ def _shown(xs, ys) -> bool:
     return max(xs) - min(xs) >= 0.0005 or max(ys) - min(ys) >= 0.0005
 
 
-def _render_mark(out: list[str], mark: Mark, x_axis, y_axis, box) -> None:
+def _render_mark(out: list[str], mark: Mark, axes, box) -> None:
     vx0, vy0, vx1, vy1 = box
+    # every map inlined in the one operand order, so the bits match
+    xd0, xr0, xk, xw, yd0, yr0, yk, yw = axes
     if (kind := mark.kind) is POLYLINE:
-        # _pixel inlined, with its operand order, so the bits match
-        ((xd0, xd1), (xr0, xr1)), ((yd0, yd1), (yr0, yr1)) = x_axis, y_axis
-        xk, xw, yk, yw = xr1 - xr0, xd1 - xd0, yr1 - yr0, yd1 - yd0
         px = [xr0 + (x - xd0) * xk / xw for x in mark.xs]
         py = [yr0 + (y - yd0) * yk / yw for y in mark.ys]
         flat = [0.0] * (2 * len(px))  # the pixels interleaved, x then y
@@ -428,51 +416,56 @@ def _render_mark(out: list[str], mark: Mark, x_axis, y_axis, box) -> None:
             coords = ("%.3f,%.3f " * (len(flat) // 2))[:-1] % tuple(flat)
             out.append(f'<polyline points="{coords}" {attrs}/>')
     elif kind is QUADRATIC:
-        controls = [(_pixel(x, *x_axis), _pixel(y, *y_axis)) for x, y in zip(mark.xs, mark.ys)]
-        # every end lies in the viewport, so only a control point may be negative
-        for *_, (x0, y0), (cx, cy), (x1, y1) in _clip_quadratic(*controls, box):
+        x0, cx, x1 = [xr0 + (x - xd0) * xk / xw for x in mark.xs]
+        y0, cy, y1 = [yr0 + (y - yd0) * yk / yw for y in mark.ys]
+        # a curve lies in the convex hull of its control points, so with all
+        # six in the box (none NaN) it is its own clip, and none is negative
+        attrs = _STROKES[mark.style]
+        if (vx0 <= x0 <= vx1 and vx0 <= cx <= vx1 and vx0 <= x1 <= vx1
+                and vy0 <= y0 <= vy1 and vy0 <= cy <= vy1 and vy0 <= y1 <= vy1):
             if _shown((x0, cx, x1), (y0, cy, y1)):
-                d = f"M{x0:.3f},{y0:.3f} Q{_fmt(cx)},{_fmt(cy)} {x1:.3f},{y1:.3f}"
-                out.append(f'<path d="{d}" {_STROKES[mark.style]}/>')
+                out.append(_CURVE % (x0, y0, cx, cy, x1, y1, attrs))
+        else:
+            # every end lies in the viewport, so only a control point may be negative
+            for *_, (x0, y0), (cx, cy), (x1, y1) in _clip_quadratic((x0, y0), (cx, cy), (x1, y1), box):
+                if _shown((x0, cx, x1), (y0, cy, y1)):
+                    d = f"M{x0:.3f},{y0:.3f} Q{_fmt(cx)},{_fmt(cy)} {x1:.3f},{y1:.3f}"
+                    out.append(f'<path d="{d}" {attrs}/>')
     elif kind is POINT:
-        x, y = _pixel(mark.xs[0], *x_axis), _pixel(mark.ys[0], *y_axis)
+        x, y = xr0 + (mark.xs[0] - xd0) * xk / xw, yr0 + (mark.ys[0] - yd0) * yk / yw
         if vx0 <= x <= vx1 and vy0 <= y <= vy1:
             out.append(
                 '<circle cx="%.3f" cy="%.3f" r="%.3f" fill="%s" stroke="none"/>'
                 % (x, y, mark.size, PALETTE[mark.style.color_role])
             )
     elif kind is TEXT:
-        x, y = _pixel(mark.xs[0], *x_axis), _pixel(mark.ys[0], *y_axis)
+        x, y = xr0 + (mark.xs[0] - xd0) * xk / xw, yr0 + (mark.ys[0] - yd0) * yk / yw
         # a NaN anchor is dropped, as a NaN POINT is; the clamp below would
         # keep it, and it keeps an infinite one on the edge
         if not (math.isnan(x) or math.isnan(y)):
             x, y = min(max(x, vx0), vx1), min(max(y, vy0), vy1)
-            out.append(_text(x, y, mark.text, 10.0, "start", PALETTE[mark.style.color_role]))
+            out.append(_LABEL % (x, y, PALETTE[mark.style.color_role], _escape(mark.text)))
     elif kind is VLINE:
-        x = _pixel(mark.value, *x_axis)
+        x = xr0 + (mark.value - xd0) * xk / xw
         if vx0 <= x <= vx1:
-            out.append(_line(x, vy0, x, vy1, mark.style))
+            out.append(_LINE % (x, vy0, x, vy1, _STROKES[mark.style]))
     elif kind is HLINE:
-        y = _pixel(mark.value, *y_axis)
+        y = yr0 + (mark.value - yd0) * yk / yw
         if vy0 <= y <= vy1:
-            out.append(_line(vx0, y, vx1, y, mark.style))
+            out.append(_LINE % (vx0, y, vx1, y, _STROKES[mark.style]))
+
+
+# the document up to its clip paths, whose size is fixed, then the white background
+_HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+         'width="%.3f" height="%.3f" viewBox="0.000 0.000 %.3f %.3f">\n<defs>' % (SIZE * 2))
+_BACKGROUND = "</defs>\n" + _rect((0.0, 0.0, *SIZE), ' fill="#FFFFFF" stroke="none"')
 
 
 def render_svg(scene: Scene) -> bytes:
     """Render a scene to a standalone SVG 1.1 document."""
-    w, h = SIZE
-    out = ['<?xml version="1.0" encoding="UTF-8"?>']
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(w)}" height="{_fmt(h)}" '
-        f'viewBox="0.000 0.000 {_fmt(w)} {_fmt(h)}">'
-    )
     rects = _panel_rects(scene)
-    out.append("<defs>")
-    for i, rect in enumerate(rects):
-        out.append(f'<clipPath id="panel-{i}">{_rect(_viewport(rect))}</clipPath>')
-    out.append("</defs>")
-    out.append(_rect((0.0, 0.0, w, h), ' fill="#FFFFFF" stroke="none"'))
+    clips = [f'<clipPath id="panel-{i}">{_rect(_viewport(r))}</clipPath>' for i, r in enumerate(rects)]
+    out = [_HEAD, *clips, _BACKGROUND]
     for i, (panel, rect) in enumerate(zip(scene.panels, rects)):
         _render_panel(out, panel, rect, f"panel-{i}")
     out.append("</svg>")
@@ -485,9 +478,6 @@ def export_figures(scenes, directory) -> list[Path]:
     paths = []
     for i, scene in enumerate(scenes, start=1):
         path = directory / f"figure_{i:02d}.svg"
-        try:
-            path.write_bytes(render_svg(scene))
-        except OSError as exc:
-            raise OSError(f"cannot write figure to {path}: {exc}") from exc
+        _write_file(path, render_svg(scene), "figure")
         paths.append(path)
     return paths

@@ -1,9 +1,11 @@
 import copy
+import errno
 import gc
 import hashlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import sys
@@ -579,6 +581,61 @@ class TestNoCyclicGarbage:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+FIGURE_SET = [f"figure_{i:02d}.svg" for i in range(1, 8)] + ["ladder.json"]
+
+
+def _errno_line(what, path, code):
+    """The one stderr line of a failed write of what to path."""
+    return f"cannot {what} {path}: [Errno {code}] {os.strerror(code)}: '{path}'\n"
+
+
+class TestWrites:
+    """Each file of a figure set is written by os.write calls on one
+    descriptor, and each write that fails is one line naming its target,
+    with exit 1."""
+
+    def test_a_longer_stale_figure_is_overwritten(self, tmp_path):
+        (tmp_path / "figure_01.svg").write_bytes(b"x" * 30_000)
+        assert run_captured(["figures", "--out", str(tmp_path)])[0] == 0
+        for name in FIGURE_SET:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_a_short_write_is_written_on(self, tmp_path, monkeypatch):
+        calls = []
+
+        def short_write(fd, data):
+            calls.append(len(data))
+            return os_write(fd, bytes(data[:1000]))
+
+        os_write = os.write
+        monkeypatch.setattr(os, "write", short_write)
+        assert run_captured(["figures", "--out", str(tmp_path)])[0] == 0
+        monkeypatch.undo()
+        for name in FIGURE_SET:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        assert len(calls) > len(FIGURE_SET)  # the figures are longer than 1,000 bytes
+
+    @pytest.mark.parametrize("name", ["figure_03.svg", "ladder.json"])
+    def test_a_file_that_cannot_be_written_is_named(self, tmp_path, name):
+        (tmp_path / name).mkdir()
+        code, out, err = run_captured(["figures", "--out", str(tmp_path)])
+        what = "write figure to" if name.endswith(".svg") else "write ladder spec to"
+        assert (code, err) == (1, _errno_line(what, tmp_path / name, errno.EISDIR))
+
+    def test_an_out_that_names_a_file_is_named(self, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code, out, err = run_captured(["figures", "--out", str(afile)])
+        assert (code, out) == (1, "")
+        assert err == _errno_line("make the output directory", afile, errno.EEXIST)
+
+    def test_a_sweep_that_cannot_be_written_is_named(self, tmp_path):
+        code, out, err = run_captured(["sweep", "--out", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert err == _errno_line("write sweep CSV to", tmp_path, errno.EISDIR)
 
 
 class TestValidateLadder:

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from hoopshot.figures import STAGES, build_basketball_ladder
 from hoopshot.kinematics import ShotParams
 from hoopshot.ladder import ColorRole, StrategyTag, ladder_to_json, validate_ladder
-from hoopshot.render import MarkKind, _pixel, render_svg
+from hoopshot.render import MarkKind, render_svg
 from hoopshot.solver import default_d_grid, optimal_angle, required_velocity, speed_crossings
-from test_render import SIDE_BY_SIDE, STACKED, clip_rects
+from test_render import SIDE_BY_SIDE, STACKED, _pixel, clip_rects
 
 
 @pytest.fixture(scope="module")

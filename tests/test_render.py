@@ -1,3 +1,4 @@
+import html
 import math
 import re
 from fractions import Fraction
@@ -29,11 +30,17 @@ from hoopshot.render import (
     _clip_segment,
     _fmt,
     _STROKES,
-    _pixel,
 )
 
 BLACK = Style(color_role=ColorRole.BASELINE)
 W, H = SIZE
+
+
+def _pixel(v, domain, pixels):
+    """The affine map of an axis's range onto its pixels, extrapolated, in
+    the operand order the renderer inlines for every mark and tick label."""
+    (d0, d1), (p0, p1) = domain, pixels
+    return p0 + (v - d0) * (p1 - p0) / (d1 - d0)
 
 
 def unit_space(x_range=(0.0, 10.0), y_range=(0.0, 10.0), x_name="x"):
@@ -747,3 +754,99 @@ class TestClipQuadratic:
         top, bottom = f"{BOX[1]:.3f}", f"{BOX[3]:.3f}"
         assert (sx, sy, ey, sy2) == (f"{BOX[0]:.3f}", bottom, top, top)
         assert float(ex) < float(sx2)
+
+
+def reference_text(x, y, content, size, anchor="middle", fill="#000000", turn=False):
+    """One <text> element, written on its own; with turn, rotated -90
+    degrees about (x, y).  html.escape is the oracle of the escaping."""
+    rotate = f' transform="rotate(-90.000 {x:.3f} {y:.3f})"' if turn else ""
+    return (
+        f'<text x="{x:.3f}" y="{y:.3f}" font-family="sans-serif" font-size="{size:.3f}" '
+        f'text-anchor="{anchor}"{rotate} fill="{fill}">{html.escape(content, quote=False)}</text>'
+    )
+
+
+def reference_frame(panel, rect, clip_id):
+    """The lines of a panel's frame in a panel rectangle, element by element
+    from reference_text, _pixel and _fmt: its viewport's outline, its title
+    if it has one, the axis labels, the end-of-axis tick labels of x and of
+    y, and the opener of its clipped group."""
+    px, py = rect[:2]
+    vx0, vy0, vx1, vy1 = box = viewport(rect)
+    space = panel.space
+    mid_x, mid_y = (vx0 + vx1) / 2, (vy0 + vy1) / 2
+    lines = [
+        f'<rect x="{vx0:.3f}" y="{vy0:.3f}" width="{vx1 - vx0:.3f}" height="{vy1 - vy0:.3f}"'
+        ' stroke="#000000" stroke-width="1.000" fill="none"/>'
+    ]
+    if panel.title:
+        lines.append(reference_text(mid_x, py + 18.0, panel.title, 13.0))
+    (x_name, x_unit), (y_name, y_unit) = space.x_var, space.y_var
+    lines.append(reference_text(mid_x, vy1 + 30.0, f"{x_name} ({x_unit})", 11.0))
+    lines.append(reference_text(px + 14.0, mid_y, f"{y_name} ({y_unit})", 11.0, turn=True))
+    for v, anchor in zip(space.x_range, ("start", "end")):
+        x = _pixel(v, space.x_range, box[0::2])
+        lines.append(reference_text(x, vy1 + 14.0, _fmt(v), 9.0, anchor))
+    for v in space.y_range:
+        y = _pixel(v, space.y_range, box[3::-2])
+        lines.append(reference_text(vx0 - 4.0, y + 3.0, _fmt(v), 9.0, "end"))
+    return [*lines, f'<g clip-path="url(#{clip_id})">']
+
+
+# range ends of every sign and size: +-0.0, subnormal, near the float range
+frame_ends = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, -2.5]),
+)
+frame_ranges = st.tuples(frame_ends, frame_ends).map(sorted).filter(lambda r: r[0] < r[1])
+# what XML escapes, and non-ASCII text, besides any text
+frame_words = st.one_of(
+    st.text(st.sampled_from("a Z&<>\"'é–✓😀;"), max_size=8),
+    st.text(max_size=6),
+)
+
+
+class TestFrameMatchesReference:
+    """A panel's frame, written through one template, equals the frame
+    written element by element, byte for byte, and so does the document's
+    head."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x_range=frame_ranges,
+        y_range=frame_ranges,
+        words=st.lists(frame_words, min_size=5, max_size=5),
+        place=st.sampled_from(list(PLACES)),
+    )
+    @example(
+        x_range=(-1e300, 1e300),  # the range's span overflows: a tick at nan
+        y_range=(-0.0, 5e-324),
+        words=["a & b", "<m>", "é – ✓", "s > 0", ""],
+        place="single",
+    )
+    def test_the_frame_of_any_space_and_words(self, x_range, y_range, words, place):
+        x_name, x_unit, y_name, y_unit, title = words
+        space = PlotSpace((x_name, x_unit), (y_name, y_unit), tuple(x_range), tuple(y_range))
+        # other_y stacks the lower panel under one with the y variable ("z", "m")
+        assume(place != "lower" or space.y_var != ("z", "m"))
+        scene, rect = placed_scene([], space, place)
+        scene = scene._replace(panels=(*scene.panels[:-1], scene.panels[-1]._replace(title=title)))
+        clip_id = f"panel-{len(scene.panels) - 1}"
+        svg = render_svg(scene).decode()
+        frame = "\n".join(reference_frame(scene.panels[-1], rect, clip_id))
+        opener = f'<g clip-path="url(#{clip_id})">'
+        end = svg.index(opener) + len(opener)  # an escaped word holds no "<"
+        assert svg[end - len(frame) : end + 5] == frame + "\n</g>"
+
+    def test_the_head_and_background(self):
+        lines = render_svg(one_panel_scene([])).decode().split("\n")
+        assert lines[:3] == [
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{W:.3f}" '
+            f'height="{H:.3f}" viewBox="0.000 0.000 {W:.3f} {H:.3f}">',
+            "<defs>",
+        ]
+        assert lines[4:6] == [
+            "</defs>",
+            f'<rect x="0.000" y="0.000" width="{W:.3f}" height="{H:.3f}" fill="#FFFFFF" stroke="none"/>',
+        ]
