@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 domain error (infeasible query, validation
 violations), 2 usage or scenario-parse error.
 
 Scenario files are JSON with top-level keys `params` (a, d, h, g),
-`velocities`, `altitudes`, `d_grid` (lo, hi, step), and `output`.  They
+`velocities`, `altitudes`, `d_grid` (lo, hi, step; the step shapes only
+the `sweep` CSV, as figures 6-7 draw the closed forms between lo and
+hi), and `output`, a non-empty directory path.  They
 and ladder specs are read by `kinematics.json_value` and `json_object`:
 an unknown key, a missing required one (`d_grid` lo and hi), a value of
 another JSON type or a number that is not finite or does not fit a
@@ -18,13 +20,15 @@ that default.
 Each flag is one `Flag` row of `COMMANDS`.  `run` parses a plain argv
 (see `_parse`) from those rows, and builds an argparse parser from them
 only for help, usage errors and other argv.  Only `figures` and
-`validate-ladder` import the ladder and renderer modules and `pathlib`,
-and only a scenario file imports `json`, so the others start without them.
+`validate-ladder` import the ladder and renderer modules, only a scenario
+file imports `json`, and no command imports `pathlib`: output paths are
+joined by `os.path`, so the others start without them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -89,6 +93,8 @@ def load_scenario(path: str | None) -> Scenario:
         )
     if "output" in doc:
         scenario.output = json_value(doc["output"], str, "output")
+        if not scenario.output:
+            raise ValueError("output must not be empty")
     return scenario
 
 
@@ -122,7 +128,7 @@ def _cmd_sweep(scenario: Scenario, args) -> int:
     d_grid = solver.default_d_grid() if scenario.d_grid is None else scenario.d_grid
     curves = solver.sweep_altitudes(p, altitudes, d_grid)
     csv_text = solver.sweep_csv(curves)
-    if args.out:
+    if args.out is not None:
         _write_file(args.out, csv_text.encode(), "sweep CSV")
         print(f"wrote {args.out}")
     else:
@@ -131,11 +137,9 @@ def _cmd_sweep(scenario: Scenario, args) -> int:
 
 
 def _cmd_figures(scenario: Scenario, args) -> int:
-    from pathlib import Path
-
     from . import figures, ladder, render
 
-    out_dir = Path(args.out if args.out else scenario.output)
+    out_dir = scenario.output if args.out is None else args.out
     spec, scenes = figures.build_basketball_ladder(
         scenario.params, scenario.velocities, scenario.altitudes, scenario.d_grid
     )
@@ -145,11 +149,11 @@ def _cmd_figures(scenario: Scenario, args) -> int:
             print(f"{v.kind.name}: {v.message}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot make the output directory {out_dir}: {exc}") from exc
     paths = render.export_figures(scenes, out_dir)
-    spec_path = out_dir / "ladder.json"
+    spec_path = os.path.join(out_dir, "ladder.json")
     _write_file(spec_path, ladder.ladder_to_json(spec).encode(), "ladder spec")
     for path in paths:
         print(path)
@@ -158,12 +162,11 @@ def _cmd_figures(scenario: Scenario, args) -> int:
 
 
 def _cmd_validate_ladder(args) -> int:
-    from pathlib import Path
-
     from . import ladder
 
     try:
-        spec = ladder.ladder_from_json(Path(args.file).read_text())
+        with open(args.file) as file:
+            spec = ladder.ladder_from_json(file.read())
     except (OSError, RecursionError, ValueError) as exc:
         print(f"cannot load ladder spec {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -314,6 +317,8 @@ def run(argv: list[str] | None = None) -> int:
         return command.handler(args)
 
     try:
+        if getattr(args, "out", None) == "":
+            raise ValueError("--out must not be empty")
         scenario = load_scenario(args.scenario)
         given = {k: v for k in PARAM_FIELDS.values() if (v := getattr(args, k)) is not None}
         scenario.params = scenario.params.replace(**given)

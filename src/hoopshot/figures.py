@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 
 from . import render, solver
-from .kinematics import LaunchState, ShotParams, trajectory_bezier
+from .kinematics import LaunchState, ShotParams, check_distance, trajectory_bezier
 from .ladder import ColorRole, LadderSpec, PlotSpace, Stage, StrategyTag
 from .render import (
     Dash,
@@ -33,6 +33,8 @@ DEMO_ANGLE = math.radians(30.0)
 ONE_SHOT_SPEED = 15.0
 # how far the drawn required-speed curve may stray: cairo's default flattening tolerance
 CURVE_TOLERANCE_PX = 0.1
+# the height of each of stage 5's two stacked panels, 536 x 159 px
+STACKED_HEIGHT = render.SIZE[1] / 2 - render.MARGIN_TOP - render.MARGIN_BOTTOM
 COUNT_WORDS = "zero one two three four five six seven eight nine".split()
 
 BLACK = Style(color_role=ColorRole.BASELINE)
@@ -162,26 +164,78 @@ def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
     return () if vs[0] is None else (polyline(map(math.degrees, ts), vs, BLUE),)
 
 
-def _optimum_marks(curves, column, label_dy: float | None) -> tuple:
-    """One green polyline of column(curve) over distance per curve; with a
-    label_dy, each is labelled with its release altitude near its end."""
-    marks = []
-    for curve in curves:
-        mark = polyline(curve.distances, column(curve), GREEN)
-        marks.append(mark)
-        if label_dy is not None:
-            label = f"a = {curve.release_altitude:g}"
-            marks.append(text(mark.xs[-1] - 1.6, mark.ys[-1] + label_dy, label, GREEN))
-    return tuple(marks)
+def _optimum_distances(k: float, g: float, lo: float, hi: float, scales) -> list[float]:
+    """Distances from lo to hi whose chords draw theta*(d) and v*(d),
+    k = h - a, within CURVE_TOLERANCE_PX of both, scales being their
+    pixels per radian and per m/s.  A chord of a C2 curve f over a step h
+    strays at most h^2 max|f''|/8, so a step is sqrt(8 tol/(s M)), M the
+    larger of |f''| at its start and at any peak ahead.  With
+    r = hypot(d, k), |theta*''| = |k| d/r^4 rises to a peak at
+    d = |k|/sqrt(3) and falls after it; |v*''| = v* |2k - r|/(4 r^3) falls
+    to 0 at r = 2k for k > 0, rises to a peak at r = k(1 + sqrt 5), or at
+    r = |k|(sqrt 5 - 1) for k < 0, and falls after it, or throughout for
+    k = 0.  As m = s r^2 |f''| (pixels) is at most
+    s/2 and 3/4 of the panel's height (v* is below its top), each step,
+    r sqrt(8 tol/m), is over 8 % of d (bar a subnormal d's rounding): at
+    most 2 + ln(hi/lo)/ln(1.08) vertices, and an overflowed r ends it."""
+    theta_scale, speed_scale = scales
+    root_g, tol8, hypot, sqrt = math.sqrt(g), 8.0 * CURVE_TOLERANCE_PX, math.hypot, math.sqrt
+
+    def pixels(d: float) -> tuple[float, float, float]:  # r, and m of theta* and of v*
+        r = hypot(d, k)
+        kr, v = k / r, root_g * (sqrt(r + k) if k >= 0 else d / sqrt(r - k))
+        # the min holds only an overflowed v* to the panel's top
+        speed = min(speed_scale * v, STACKED_HEIGHT) * abs(2.0 * kr - 1.0) / 4.0
+        return r, theta_scale * abs(kr) * (d / r), speed
+
+    def step(r: float, m: float) -> float:
+        return r * sqrt(tol8 / m) if m > 0 else math.inf
+
+    # the peak of |theta*''|, then of |v*''|, each with the least step at it or after
+    limits = []
+    if k:
+        peaks = abs(k) / sqrt(3.0), abs(k) * sqrt(5.0 + math.copysign(2.0 * sqrt(5.0), k))
+        (r0, m_theta, _), (r1, _, m_speed) = map(pixels, peaks)
+        speed_step = step(r1, m_speed)
+        limits = [(peaks[0], min(step(r0, m_theta), speed_step)), (peaks[1], speed_step)]
+    distances, d = [lo], lo
+    while True:
+        while limits and limits[0][0] <= d:  # passed: |f''| falls after its peak
+            del limits[0]
+        r, m_theta, m_speed = pixels(d)
+        h = step(r, max(m_theta, m_speed))
+        if limits and limits[0][1] < h:
+            h = limits[0][1]
+        # h > 0, but a subnormal d's step may round away
+        d = d + h if d + h > d else math.nextafter(d, math.inf)
+        if not d < hi:
+            break
+        distances.append(d)
+    distances.append(hi)
+    return distances
+
+
+def _optimum_marks(a: float, h: float, g: float, lo: float, hi: float, scales, label_dys):
+    """theta*(d) in degrees and v*(d) from lo to hi at release altitude a:
+    two green polylines through one list of distances, with the values of
+    one `solver._optima` pass, as the marks of the angle panel and of the
+    speed panel; with label_dys, each is labelled with a near its end."""
+    distances = _optimum_distances(h - a, g, lo, hi, scales)
+    angles, speeds = solver._optima(a, h, g, distances)
+    marks = (polyline(distances, map(math.degrees, angles), GREEN),
+             polyline(distances, speeds, GREEN))
+    if label_dys is None:
+        return [(mark,) for mark in marks]
+    label = f"a = {a:g}"
+    return [
+        (mark, text(mark.xs[-1] - 1.6, mark.ys[-1] + dy, label, GREEN))
+        for mark, dy in zip(marks, label_dys)
+    ]
 
 
 def _range(low: float, high: float, lo: float, hi: float) -> tuple[float, float]:
     """(lo, hi), widened to whole units where low..high leaves it."""
     return min(lo, float(math.floor(low))), max(hi, float(math.ceil(high)))
-
-
-def _theta_deg(curve: solver.OptimumCurve):
-    return map(math.degrees, curve.angles)
 
 
 def _count(n: int, noun: str) -> str:
@@ -253,6 +307,10 @@ def build_basketball_ladder(
             f"figures need a d_grid of at least 2 points from lo < hi, "
             f"got {len(d_grid)} point(s)"
         )
+    solver._check_order(d_grid)
+    for d in d_grid:
+        if not 0 < d < math.inf:
+            check_distance(d)  # raises, as for a sweep's first bad point
 
     court = _court_marks(params)
     feasibility = solver.feasibility_angle(params)
@@ -299,28 +357,35 @@ def build_basketball_ladder(
         point(opt_deg, optimum.speed, GREEN, size=4.0),
     )
 
-    # stage 5: optimum as a function of distance, then per altitude; one
-    # range per space, widened only where an optimum would leave it
-    base_curve = solver.sweep_distance(params, d_grid)
-    alt_curves = solver.sweep_altitudes(params, altitudes, d_grid)
-    angles = [f(c.angles) for c in (base_curve, *alt_curves) for f in (min, max)]
-    speeds = [f(c.speeds) for c in (base_curve, *alt_curves) for f in (min, max)]
-    x_var, x_range = ("distance", "m"), (d_grid[0], d_grid[-1])
+    # stage 5: optimum as a function of distance, then per altitude, drawn
+    # from the closed form between the grid's ends.  theta* and v* are
+    # monotone in d, so each space's range comes from the ends of its
+    # curves, widened only where an optimum would leave it
+    lo, hi = d_grid[0], d_grid[-1]
+    a, _, h, g = params
+    # each altitude checked as ShotParams checks it
+    shot_altitudes = [a, *(params.replace(release_altitude=x).release_altitude for x in altitudes)]
+    ends = [solver._optima(alt, h, g, (lo, hi)) for alt in shot_altitudes]
+    angles = [theta for column, _ in ends for theta in column]
+    speeds = [v for _, column in ends for v in column]
+    x_var, x_range = ("distance", "m"), (lo, hi)
     # degrees is monotone: these are the extremes of the plotted angles
     theta_y = _range(math.degrees(min(angles)), math.degrees(max(angles)), 40.0, 80.0)
     theta_space = PlotSpace(x_var, ("optimal angle", "deg"), x_range, theta_y)
     speed_y = _range(min(speeds), max(speeds), 0.0, 14.0)
     speed_space = PlotSpace(x_var, ("optimal speed", "m/s"), x_range, speed_y)
+    # pixels per radian and per m/s
+    scales = (
+        STACKED_HEIGHT / math.radians(theta_y[1] - theta_y[0]),
+        STACKED_HEIGHT / (speed_y[1] - speed_y[0]),
+    )
 
     curve_panel = Panel(angle_space, curve_panel_marks, "Required speed vs angle")
 
-    def distance_scene(curves, theta_dy, speed_dy, title: str) -> Scene:
-        return Scene(
-            (
-                Panel(theta_space, _optimum_marks(curves, _theta_deg, theta_dy), title),
-                Panel(speed_space, _optimum_marks(curves, lambda c: c.speeds, speed_dy)),
-            )
-        )
+    def distance_scene(altitudes, label_dys, title: str) -> Scene:
+        per_curve = [_optimum_marks(alt, h, g, lo, hi, scales, label_dys) for alt in altitudes]
+        theta_marks, speed_marks = (sum(panel, ()) for panel in zip(*per_curve))
+        return Scene((Panel(theta_space, theta_marks, title), Panel(speed_space, speed_marks)))
 
     scenes = [
         Scene((Panel(court_space, court, "The court"),)),
@@ -333,8 +398,8 @@ def build_basketball_ladder(
         Scene((Panel(court_space, court + fan + (solution_mark,), "The hoop-reaching shot"),)),
         Scene((curve_panel,)),
         Scene((curve_panel, Panel(angle_space, optimum_panel_marks, "The softest shot"))),
-        distance_scene([base_curve], None, None, "Optimum vs distance"),
-        distance_scene(alt_curves, 1.5, -0.5, "Optimum vs distance and release altitude"),
+        distance_scene(shot_altitudes[:1], None, "Optimum vs distance"),
+        distance_scene(shot_altitudes[1:], (1.5, -0.5), "Optimum vs distance and release altitude"),
     ]
     captions = (
         f"A shooter {params.distance:g} m from the hoop, releasing at "

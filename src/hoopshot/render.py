@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from collections import namedtuple
-from pathlib import Path
 
 from .kinematics import _write_file, checked_record
 from .ladder import ColorRole, PlotSpace
@@ -472,12 +472,12 @@ def render_svg(scene: Scene) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
-def export_figures(scenes, directory) -> list[Path]:
-    """Write scenes as figure_01.svg, figure_02.svg, ... in order."""
-    directory = Path(directory)
+def export_figures(scenes, directory: str) -> list[str]:
+    """Write scenes as figure_01.svg, figure_02.svg, ... in order into
+    directory; their paths, joined by os.path.join."""
     paths = []
     for i, scene in enumerate(scenes, start=1):
-        path = directory / f"figure_{i:02d}.svg"
+        path = os.path.join(directory, f"figure_{i:02d}.svg")
         _write_file(path, render_svg(scene), "figure")
         paths.append(path)
     return paths

@@ -203,12 +203,18 @@ def default_d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> list
     return [lo + i * step for i in range(round(intervals) + 1)]
 
 
+def _check_order(d_grid: Sequence[float]) -> None:
+    """Raise ValueError unless d_grid is strictly increasing: the order
+    check of `sweep_distance` and of the figures' grid."""
+    if any(map(le, d_grid[1:], d_grid)):
+        raise ValueError("d_grid must be strictly increasing")
+
+
 def sweep_distance(params: ShotParams, d_grid: Sequence[float]) -> OptimumCurve:
     """Optimal angle and speed at each distance in d_grid, the other
     parameters taken from params: `optimal_angle` of params at that
     distance, bit for bit, with no `ShotParams` or `Optimum` per point."""
-    if any(map(le, d_grid[1:], d_grid)):
-        raise ValueError("d_grid must be strictly increasing")
+    _check_order(d_grid)
     a, h, g = params.release_altitude, params.hoop_height, params.gravity
     return OptimumCurve(a, tuple(d_grid), *map(tuple, _optima(a, h, g, d_grid)))
 

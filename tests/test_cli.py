@@ -51,8 +51,9 @@ FLOAT_FLAG_CALLS = [
 # a twelve-speed fan on a quarter-metre grid; the SVG digests are of the
 # files that `figures` wrote for it before the polyline writer took its
 # present form, which must not move them, but for figures 2 and 3, whose
-# trajectories are each one quadratic Bezier <path>, and figures 4 and 5,
-# whose required-speed curve is sampled to 0.1 px; ladder.json's is of
+# trajectories are each one quadratic Bezier <path>, figures 4 and 5,
+# whose required-speed curve is sampled to 0.1 px, and figures 6 and 7,
+# whose optimum curves are drawn from the closed form to 0.1 px; ladder.json's is of
 # the file without the panels' retired "aspect" key and the stages'
 # retired "parent" key
 FAN_SCENARIO = {
@@ -67,8 +68,8 @@ FAN_SHA256 = {
     "figure_03.svg": "21dd6ab5e84a845862100ee93eaf345ed045f4e083eeb2fb89221ce70f2bd61f",
     "figure_04.svg": "886656090ca1c2270df53abc9a9d35b7463bc84e0840ed098301650e92199685",
     "figure_05.svg": "bf99f543edb232762cd86d30f00c5a8de88603547ee3403ec142308518bf414b",
-    "figure_06.svg": "5c25fc34fddaacf2a3aeb3f10a3766f5d5bf6590c0902a8e36dd2394836ebfeb",
-    "figure_07.svg": "57daad033f3e4c773e5e4d7ab7f3ccdd798b46957f72e31d4807ed524e624ef6",
+    "figure_06.svg": "9ebc1a423b4e55538f84b3492faeb5729d59c2d6a4ebd7b87e953b35d12a981c",
+    "figure_07.svg": "53edb1167d124de81c233fa0bce693ab3955568a528f54edbb9ad5f68371532c",
     "ladder.json": "582f1fb115d7d48011f7a92466b3c2c59d83706550d8a35a05670500551e959b",
 }
 
@@ -636,6 +637,30 @@ class TestWrites:
         code, out, err = run_captured(["sweep", "--out", str(tmp_path)])
         assert (code, out) == (1, "")
         assert err == _errno_line("write sweep CSV to", tmp_path, errno.EISDIR)
+
+
+class TestEmptyOutputPath:
+    """An empty output path is a usage error naming its flag or key, not a
+    fall back to another directory or to stdout."""
+
+    @pytest.mark.parametrize("out", [["--out", ""], ["--out="]], ids=["separate", "equals"])
+    def test_figures_out(self, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert run_captured(["figures", *out]) == (2, "", "--out must not be empty\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_figures_output_key(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        scenario = tmp_path / "empty_output.json"
+        scenario.write_text(json.dumps({"output": ""}))
+        code, out, err = run_captured(["figures", "--scenario", str(scenario)])
+        assert (code, out, err) == (2, "", "output must not be empty\n")
+        assert list(tmp_path.iterdir()) == [scenario]
+
+    def test_sweep_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_captured(["sweep", "--out", ""]) == (2, "", "--out must not be empty\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidateLadder:

@@ -3,13 +3,15 @@ import math
 import re
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hoopshot.figures import STAGES, build_basketball_ladder
 from hoopshot.kinematics import ShotParams
 from hoopshot.ladder import ColorRole, StrategyTag, ladder_to_json, validate_ladder
 from hoopshot.render import MarkKind, render_svg
 from hoopshot.solver import default_d_grid, optimal_angle, required_velocity, speed_crossings
+from hoopshot.solver import sweep_distance
+from test_cli import ANY_VALUE, PARAM_FLAGS
 from test_render import SIDE_BY_SIDE, STACKED, _pixel, clip_rects
 
 
@@ -280,8 +282,8 @@ class TestStage5PanelsHoldTheirData:
     @pytest.mark.parametrize(
         "kwargs, count",
         [
-            (dict(d_grid=default_d_grid(1, 40, 0.5)), 632),  # speeds above 14 m/s
-            (dict(altitudes=[3.5]), 564),  # angles below 40 deg
+            (dict(d_grid=default_d_grid(1, 40, 0.5)), 240),  # speeds above 14 m/s
+            (dict(altitudes=[3.5]), 86),  # angles below 40 deg
         ],
         ids=["long-grid", "release-above-the-hoop"],
     )
@@ -309,6 +311,62 @@ class TestStage5PanelsHoldTheirData:
         assert [s.y_range for s in spec.stages[4].panels] == [(40.0, 80.0), (0.0, 14.0)]
 
 
+class TestStage5FromTheClosedForm:
+    """Figures 6 and 7 draw theta*(d) and v*(d) between the grid's ends
+    from the closed form, so the grid's step shapes only the sweep CSV."""
+
+    def test_the_step_does_not_move_figures_6_and_7(self):
+        figures = set()
+        for step in (0.1, 0.316, 1.0):
+            d_grid = default_d_grid(1.0, 15.0, step)
+            d_grid[-1] = 15.0  # the 0.316 m grid ends at 1 + 44 * 0.316 = 14.904
+            _, scenes = build_basketball_ladder(altitudes=[1.2, 2.6], d_grid=d_grid)
+            figures.add(tuple(render_svg(s) for s in scenes[5:]))
+        assert len(figures) == 1
+
+    @pytest.mark.parametrize(
+        "d_grid, message",
+        [
+            ([1.0, 3.0, 2.0, 4.0], "d_grid must be strictly increasing"),
+            ([1.0, math.nan, 4.0], "distance must be finite, got nan"),
+            ([0.0, 1.0, 2.0], "distance must be positive, got 0.0"),
+            ([-2.0, 1.0], "distance must be positive, got -2.0"),
+        ],
+        ids=["not-increasing", "nan-inside", "zero", "negative"],
+    )
+    def test_a_bad_grid_is_rejected_as_the_sweep_rejects_it(self, d_grid, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_basketball_ladder(d_grid=d_grid)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep_distance(ShotParams(), d_grid)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        values=st.dictionaries(st.sampled_from(PARAM_FLAGS), ANY_VALUE, min_size=2),
+        ends=st.just((2.0, 4.0)) | st.tuples(st.floats(1e-300, 1e300), st.floats(1.0, 1e300)),
+    )
+    @example(values={"--altitude": 0.0, "--hoop-height": 1.35}, ends=(1e-300, 1e300))
+    def test_the_step_rule_ends_within_its_bound(self, values, ends):
+        # TestExitContract's parameters, on small.json's grid ends or others:
+        # each step is over 8 % of where it starts, so each curve has at
+        # most 2 + ln(hi/lo)/ln(1.08) vertices
+        lo, hi = ends[0], ends[0] * ends[1]
+        assume(lo < hi < math.inf)
+        fields = dict(zip(PARAM_FLAGS, ShotParams._fields))
+        try:
+            params = ShotParams(**{fields[flag]: v for flag, v in values.items()})
+            _, scenes = build_basketball_ladder(params, d_grid=[lo, hi])
+        except ValueError:  # the exit contract's one-line errors
+            return
+        bound = 2 + math.log(hi / lo) / math.log(1.08)
+        for scene in scenes[5:]:
+            for mark in scene.panels[0].marks:
+                if mark.kind is MarkKind.POLYLINE:
+                    xs = mark.xs
+                    assert xs[0] == lo and xs[-1] == hi and len(xs) <= bound
+                    assert all(x1 > 1.08 * x0 for x0, x1 in zip(xs, xs[1:-1]))
+
+
 # four non-default figure sets, each file pinned by its SHA-256
 PINNED_SETS = {
     # its two fastest shots rise above the 7 m court and are clipped
@@ -324,8 +382,8 @@ PINNED_SETS = {
             "figure_03.svg": "2070026ac7e7c8f7f261194c0532705cb0d5af022ffccd714f61bc5d1ccac644",
             "figure_04.svg": "ccefe62b7011468b87f72eb716bcc02bafee350ab45d290224a18acef5ec6cd6",
             "figure_05.svg": "f45961a66192b378d8d7111f5890843fb9d30f4fa698e26f6d16c350e85a5771",
-            "figure_06.svg": "895d01678bba374cbd1b5fbc0ee6ee89c797bb149740e2362852efa845819f9c",
-            "figure_07.svg": "3bd2e6b4eeae34ac44f8670d28559f6c3cff7c6aef1da7561e379c51145e783d",
+            "figure_06.svg": "fc406c2c4a1f5a49fe3bfaf3aea9d2127daed2038defa3f9e9d045f23363567e",
+            "figure_07.svg": "a9180dd78d12a75ff07f256b63eedb3ecc0a40ff7640876edeb0cf2b9cca0278",
             "ladder.json": "dcc5ee8b796adadb3d267efbe4662e8c83e0cac45c0dea48651f15c09b66c60a",
         },
     ),
@@ -337,8 +395,8 @@ PINNED_SETS = {
             "figure_03.svg": "66a068da030f884bbf3e853bcb90649ad6c5e35f4dcaf3dc1f536320471b2ad9",
             "figure_04.svg": "dcb37271d399e5b82837b431e58dd1dba2b32b2271785546f28a37a08a3003dc",
             "figure_05.svg": "51fb5dcfd93b26ea0dc0aeeb97b5ed783c00100b6ea762a4bba39c09c0edbebd",
-            "figure_06.svg": "1adf46ebb57c1b929f53077ceefd8e782e0b0a2f09196bb3c4104c89a4760480",
-            "figure_07.svg": "14380d20386af2b00c7953e4ebab9330e80f381e4c29b5e7b1c135714a8a57db",
+            "figure_06.svg": "874b927ab50b6306a468cbddb793aafe251de96558f6c230c4cd5cdcea5d1b01",
+            "figure_07.svg": "2a7b7527a1ab233a650b01fe45263a69db2d1bf9b38795bbc0ff3a620aa3c59b",
             "ladder.json": "ffc2860ad2e5bec56df6b811edc6a71d970f8fc36bbc04ed637cc38423566fc3",
         },
     ),
@@ -350,8 +408,8 @@ PINNED_SETS = {
             "figure_03.svg": "e66883812ec4ac3582d4d393bcf05c18dc5a5dacf3428aa31be02ec7d9e48181",
             "figure_04.svg": "06089b004c1b9c545be6ec10c1e5d947f8fbe81de328872af3f3e091e56caaa1",
             "figure_05.svg": "e121b8259fd52c85122d038a0d1439323c4295c2f5bd18ed6afe4a9d4cc1bb75",
-            "figure_06.svg": "764fb47978f92ecf3255be632022b396c3512e8bfdbaeb583245afef3c44e312",
-            "figure_07.svg": "d7f27fe3bc3d6d25dfd4a39a26f26294eb33f1ce1e126859f4ff9c0f6bca707d",
+            "figure_06.svg": "71074d4b8dee162933a4deac31072f87acb44bd476a5628313fd0d55965d3c33",
+            "figure_07.svg": "96447a4230593d5bef45bcf11fc34076800b3c1e1e09b9fe17df8564123601c1",
             "ladder.json": "d169c8572ca01e7379b0d141a019ba3c8b407c0c8c58a729059c98f681d2fb72",
         },
     ),
@@ -364,8 +422,8 @@ PINNED_SETS = {
             "figure_03.svg": "c919bf0a5b972c4ab56ac1c8269bf499feac66c57f52d82333d768845836f3e2",
             "figure_04.svg": "b02dc8f8499f0bd331c7bb11bfa66fcd8ac7ea02bffb10398120433b6922833b",
             "figure_05.svg": "9c28b5728937fecf17ef2c6e43cd778fc2759834cf1830a3df58550b9376bf1d",
-            "figure_06.svg": "1330e499170197b4f33930d84599d40019d1e3b194d6992d3789ebed5db333e9",
-            "figure_07.svg": "92a5f55e3e643a7254e66609482e69bf56f35942568d6261ce8a78268aa51d28",
+            "figure_06.svg": "71074d4b8dee162933a4deac31072f87acb44bd476a5628313fd0d55965d3c33",
+            "figure_07.svg": "a9180dd78d12a75ff07f256b63eedb3ecc0a40ff7640876edeb0cf2b9cca0278",
             "ladder.json": "e3d6f732ed9aefd59b80aed42e254191a18e441f2169874b04d2b2cc2506a62d",
         },
     ),

@@ -24,6 +24,13 @@ The blue dot (the stage-3 shot), the green dot (the optimum), the dashed
 feasibility line and the dotted optimum lines must be the correctly
 rounded pixels of their exact values.
 
+Figures 6 and 7 draw theta*(d) in degrees and v*(d) as one green polyline
+per release altitude in each of their two panels.  Each vertex, at its
+float distance, must be written as the exact optimum there
+(`decimal_optimum`), correctly rounded, and between two vertices GRID
+exact points of each curve must lie within CURVE_SLACK of the written
+segment, as for figures 4 and 5.
+
 Run as `PYTHONPATH=src python tests/test_golden_audit.py DIR [FLAGS]`, it
 audits a directory that `figures --out DIR [FLAGS]` wrote, FLAGS being
 the same --scenario and parameter flags, and exits 1 on any failure.
@@ -320,6 +327,48 @@ def audit_curve(svgs: dict[int, str], kwargs: dict) -> tuple[int, Decimal]:
     return checked, worst
 
 
+def audit_optimum(svgs: dict[int, str], kwargs: dict) -> tuple[int, Decimal]:
+    """Assert every polyline of figures 6 and 7 against theta*(d) and
+    v*(d); the number of values checked, and the farthest an audited point
+    of an exact curve lies from its written segment, in pixels."""
+    params = kwargs.get("params") or ShotParams()
+    a, _, h, g = params
+    altitudes = kwargs.get("altitudes", solver.DEFAULT_ALTITUDES)
+    _, scenes = build_basketball_ladder(**kwargs)
+    checked, worst = 0, Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        degree = 180 / decimal_pi()
+        for number, curve_altitudes in ((6, [a]), (7, altitudes)):
+            svg = svgs[number]
+            for column, (panel, rect, drawn) in enumerate(zip(
+                scenes[number - 1].panels, clip_rects(svg), drawn_elements(svg), strict=True
+            )):
+                x, y, width, height = rect
+                px, py = pixel_map(panel.space, (x, y, x + width, y + height))
+                marks = [m for m in panel.marks if m.kind is MarkKind.POLYLINE]
+                assert [t for t, _ in drawn] == ["polyline"] * len(marks), (number, drawn)
+                for mark, alt, (_, attrs) in zip(marks, curve_altitudes, drawn, strict=True):
+
+                    def on_curve(d: Decimal) -> tuple[Decimal, Decimal]:
+                        optimum = decimal_optimum(alt, d, h, g)
+                        return px(d), py(optimum[0] * degree if column == 0 else optimum[1])
+
+                    points = [p.split(",") for p in attrs["points"].split()]
+                    xs = [Decimal(d) for d in mark.xs]
+                    exact = [on_curve(d) for d in xs]
+                    flat = [v for point in exact for v in point]
+                    checked += assert_written(sum(points, []), flat, number)
+                    ends = [tuple(map(Decimal, p)) for p in points]
+                    for d0, d1, e0, e1 in zip(xs, xs[1:], ends, ends[1:]):
+                        for i in range(1, GRID + 1):
+                            point = on_curve(d0 + (d1 - d0) * i / (GRID + 1))
+                            gap = segment_distance(point, e0, e1)
+                            assert gap <= CURVE_SLACK, (number, e0, e1, point, gap)
+                            worst = max(worst, gap)
+    return checked, worst
+
+
 def figures_kwargs(flags: list[str]) -> dict:
     """The build_basketball_ladder arguments of `figures FLAGS`."""
     args = build_parser().parse_args(["figures", *flags])
@@ -335,15 +384,17 @@ def figures_kwargs(flags: list[str]) -> dict:
 
 
 def audit_directory(directory: Path, flags: list[str]) -> str:
-    """Audit figures 2-5 in a directory that `figures --out` wrote with
+    """Audit figures 2-7 in a directory that `figures --out` wrote with
     these flags; one line of what was checked."""
     kwargs = figures_kwargs(flags)
-    svgs = {n: (directory / f"figure_{n:02d}.svg").read_text() for n in range(2, 6)}
+    svgs = {n: (directory / f"figure_{n:02d}.svg").read_text() for n in range(2, 8)}
     paths = audit(svgs, kwargs)
     values, worst = audit_curve(svgs, kwargs)
+    optima, optimum_worst = audit_optimum(svgs, kwargs)
     return (
-        f"{directory}: {paths + values} values exact; the exact required-speed "
-        f"curve within {worst:.4f} px of its drawn segments"
+        f"{directory}: {paths + values + optima} values exact; the exact required-speed "
+        f"curve within {worst:.4f} px of its drawn segments, the exact optimum "
+        f"curves within {optimum_worst:.4f} px of theirs"
     )
 
 
@@ -380,6 +431,22 @@ def test_the_pinned_required_speed_curves_are_exact(kwargs):
     assert checked > 0 and worst <= Decimal("0.1")
 
 
+def test_the_golden_optimum_curves_are_exact():
+    # 1 + 3 curves of 23-24 vertices, each in two panels
+    svgs = {n: (GOLDEN / f"figure_{n:02d}.svg").read_text() for n in (6, 7)}
+    checked, worst = audit_optimum(svgs, {})
+    assert checked == 2 * 2 * (24 + 24 + 24 + 23)
+    assert worst <= CURVE_SLACK
+
+
+@pytest.mark.parametrize("kwargs", [kw for kw, _ in PINNED_SETS.values()], ids=PINNED_SETS)
+def test_the_pinned_optimum_curves_are_exact(kwargs):
+    _, scenes = build_basketball_ladder(**kwargs)
+    svgs = {n: render_svg(scenes[n - 1]).decode() for n in (6, 7)}
+    checked, worst = audit_optimum(svgs, kwargs)
+    assert checked > 0 and worst <= CURVE_SLACK
+
+
 def run_audit(*argv: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {"PYTHONPATH": src, "PATH": "/usr/bin:/bin"}
@@ -398,14 +465,16 @@ def test_the_audit_runs_on_a_figures_directory(tmp_path):
     assert run(["figures", "--scenario", str(scenario), "--out", str(out_dir)]) == 0
     result = run_audit(str(out_dir), "--scenario", str(scenario))
     assert result.returncode == 0, result.stderr
-    # one curve vertex a thousandth of a pixel off fails it
-    figure = out_dir / "figure_04.svg"
-    text = figure.read_text()
-    first = re.search(r'<polyline points="(\d+\.\d+),', text)
-    moved = f"{Decimal(first[1]) + Decimal('0.001'):f}"
-    figure.write_text(text[: first.start(1)] + moved + text[first.end(1):])
-    result = run_audit(str(out_dir), "--scenario", str(scenario))
-    assert result.returncode == 1 and "audit failed" in result.stderr
+    # one curve vertex a thousandth of a pixel off, in figure 4 or 7, fails it
+    for name in ("figure_04.svg", "figure_07.svg"):
+        figure = out_dir / name
+        text = figure.read_text()
+        first = re.search(r'<polyline points="(\d+\.\d+),', text)
+        moved = f"{Decimal(first[1]) + Decimal('0.001'):f}"
+        figure.write_text(text[: first.start(1)] + moved + text[first.end(1):])
+        result = run_audit(str(out_dir), "--scenario", str(scenario))
+        assert result.returncode == 1 and "audit failed" in result.stderr
+        figure.write_text(text)
 
 
 if __name__ == "__main__":

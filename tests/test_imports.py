@@ -40,6 +40,9 @@ PLAIN = (["optimize"], ["sweep"], ["velocity", "--angle", "60"],
 SCENARIO_UNWANTED = ("hoopshot.ladder", "hoopshot.render", "hoopshot.figures", "argparse",
                      "pathlib", "typing", "importlib")
 SCENARIO_LOADS = ("json", "re", "enum")
+# what writing a figure set and reading its ladder.json back must not load:
+# output paths are joined by os.path
+OUTPUT_UNWANTED = ("pathlib", "typing", "importlib", "argparse")
 SCENARIO = {"params": {"a": 2.0}, "velocities": [5], "altitudes": [1.7],
             "d_grid": {"lo": 1, "hi": 3}, "output": "figs"}
 PROBE = f"""
@@ -58,23 +61,31 @@ code = hoopshot.cli.run(["optimize", "--scenario", sys.argv[1]])
 sys.stdout = sys.__stdout__
 print(code, sorted(m for m in {SCENARIO_UNWANTED!r} if m in sys.modules),
       all(m in sys.modules for m in {SCENARIO_LOADS!r}))
+sys.stdout = io.StringIO()
+codes = [hoopshot.cli.run(["figures", "--out", sys.argv[2]]),
+         hoopshot.cli.run(["validate-ladder", sys.argv[2] + "/ladder.json"])]
+sys.stdout = sys.__stdout__
+print(codes, sorted(m for m in {OUTPUT_UNWANTED!r} if m in sys.modules))
 """
 
 
 def test_cli_and_optimize_skip_the_renderer_stack(tmp_path):
     # a fresh interpreter: this test process has imported everything
     # already; -S, because a site-packages .pth file may import typing,
-    # pathlib, re or enum at start-up and so hide them
+    # pathlib, re or enum at start-up and so hide them; then figures and
+    # validate-ladder, which load the renderer stack but not pathlib
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(SCENARIO))
     result = subprocess.run(
-        [sys.executable, "-S", "-c", PROBE, str(scenario)],
+        [sys.executable, "-S", "-c", PROBE, str(scenario), str(tmp_path / "figs")],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
     )
-    assert result.stdout.splitlines() == ["[]", "[]"] + ["0 []"] * len(PLAIN) + ["0 [] True"]
+    assert result.stdout.splitlines() == (
+        ["[]", "[]"] + ["0 []"] * len(PLAIN) + ["0 [] True", "[0, 0] []"]
+    )
 
 
 def test_every_exported_name_resolves():

@@ -1,5 +1,6 @@
 import html
 import math
+import os
 import re
 from fractions import Fraction
 
@@ -506,15 +507,12 @@ class TestNonFiniteVertices:
 
 class TestExportFigures:
     def test_naming_and_order(self, tmp_path):
+        # str paths in, str paths out, joined by os.path.join
         scenes = [one_panel_scene([]) for _ in range(3)]
-        paths = export_figures(scenes, tmp_path)
-        assert [p.name for p in paths] == [
-            "figure_01.svg",
-            "figure_02.svg",
-            "figure_03.svg",
-        ]
+        paths = export_figures(scenes, str(tmp_path))
+        assert paths == [os.path.join(str(tmp_path), f"figure_0{i}.svg") for i in (1, 2, 3)]
         for p in paths:
-            assert p.exists()
+            assert os.path.exists(p)
 
     def test_empty_list(self, tmp_path):
         assert export_figures([], tmp_path) == []
