@@ -88,26 +88,35 @@ def _trajectory_mark(params: ShotParams, angle: float, speed: float, style: Styl
     return quadratic(*trajectory_bezier(params, LaunchState(angle=angle, speed=speed)), style)
 
 
+def _speed_bends(beta: float, angle: float) -> tuple[float, float, float]:
+    """(w, v'/v, v''/v) of the required speed v at angle, in the phase form
+    (README, "Figures 4 and 5"): w = sin(phi) + sin(beta), phi = 2 angle +
+    beta, taken as 2 sin(angle + beta) cos(angle), which does not cancel;
+    both ratios infinite where w is not positive, within rounding of the
+    feasibility angle."""
+    w, c = 2.0 * math.sin(angle + beta) * math.cos(angle), math.cos(2.0 * angle + beta)
+    if not w > 0.0:
+        return w, -math.inf, math.inf
+    return w, -c / w, (c * c + 2.0 * (math.cos(beta) ** 2 + math.sin(beta) * w)) / w / w
+
+
 def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
     """v(theta) inside space, from the crossings of its top speed clamped
     to its angles: one polyline within CURVE_TOLERANCE_PX of the exact
     curve in render.VIEWPORT, the widest viewport, so in any narrower one,
     where the renderer drops it if it spans under 0.0005 px; none where the
-    softest shot is above the space.  Intervals are halved until the
-    triangle of chord and end tangents lies that near the chord.  A convex
-    arc lies in it, no farther from the chord than its apex, and v is
-    strictly convex: with k = a - h, R = hypot(d, k) > |k|, phi = 2 theta +
-    atan2(k, d) and w = R sin(phi) + k > 0, v ~ w^(-1/2) gives
-    v'' ~ w^(-5/2) R (R (2 + cos^2 phi) + 2k sin phi) > 0.  An interval at
-    most that wide whose end slopes share a sign is not halved: v' rises,
-    so the arc is monotone, inside the box of its ends and no farther from
-    the chord than the box's width.  A low end with no speed, within
-    rounding of the feasibility angle, is closed in on by halving until
-    the speed beside it is above the space, and that speed takes its place.
-    An end within 1e-6 px of the top is written on it.  v is even about
-    theta* = pi/4 - atan2(k, d)/2 and the pixels affine in theta, so where
-    the ends are the crossings, only theta* up is sampled, reflected to
-    2 theta* - theta: the bound holds but for that rounding."""
+    softest shot is above the space.  Each side of theta* is walked from
+    its end inward, each step h the longest with h^2 sy v''(outer)/8 under
+    the tolerance times sqrt(1 + m^2), m the pixel slope at its inner end:
+    v'' falls toward theta*, and the convex v's chord is steeper than m.
+    A step at most the tolerance wide, or from a vertex that near 0 m/s,
+    is always taken, as its monotone arc lies in the box of its ends (the
+    proof is in README, "Figures 4 and 5").  A low end with no speed, at
+    the feasibility angle, gives way to the speed beside it that halving
+    finds, above the space where it can.  An end within 1e-6 px of the top
+    is written on it.
+    v is even about theta*, so where the ends are the crossings only
+    theta* up is evaluated, and reflected."""
     (x0, x1), (y0, y1), (width, height) = space.x_range, space.y_range, render.VIEWPORT
     # no angle where the softest shot is above the space
     crossings = solver.speed_crossings(params, y1) or (math.inf, -math.inf)
@@ -117,51 +126,60 @@ def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
     # pixels per radian and per m/s in the widest viewport
     sx, sy = width / math.radians(x1 - x0), height / (y1 - y0)
     a, d, h, g = params
+    beta, tol8, widest = math.atan2(a - h, d), 8.0 * CURVE_TOLERANCE_PX, CURVE_TOLERANCE_PX / sx
 
-    def vertex(angle):  # (angle, speed or None, slope in pixels per pixel)
-        found = solver._hoop_speed(a, d, h, g, angle)
-        return (angle, None, None) if found is None else (angle, found[0], sy * found[1] / sx)
+    def speed(angle):  # the kernel's, or None
+        return solver._hoop_speed(a, d, h, g, angle)
 
-    first, last = vertex(lo), vertex(hi)
-    on_top = [v is not None and abs(sy * (v - y1)) <= 1e-6 for _, v, _ in (first, last)]
-    if mirror := all(on_top) and (lo, hi) == crossings and hi < math.nextafter(math.pi / 2, 0.0):
-        first = vertex(0.5 * (lo + hi))
+    def walk(t: float, v: float, inner: float) -> list:  # (angle, speed) from t toward inner
+        sign, vertices = math.copysign(1.0, inner - t), [(t, v)]
+        while True:
+            w, slope, bend = _speed_bends(beta, t)
+            step = math.inf if sy * v <= CURVE_TOLERANCE_PX or not bend else widest
+            if step < math.inf:  # h^2 sy v'' <= 8 tol sqrt(1 + m^2), m = sy v'/sx, over sy v
+                per_px = 1.0 / (sy * v)
+                guess = math.sqrt(tol8 * math.hypot(per_px, slope / sx) / bend)
+                w_in, slope_in, _ = _speed_bends(beta, t + sign * min(guess, abs(inner - t)))
+                if w_in > w:  # the slope at the guess's inner end, whose speed is v sqrt(w/w_in)
+                    slope = math.sqrt(w / w_in) * slope_in
+                step = max(step, math.sqrt(tol8 * math.hypot(per_px, slope / sx) / bend))
+            t += sign * step
+            if not (inner - t) * sign > 0.0:
+                return vertices
+            v = speed(t)
+            vertices.append((t, v))
+
+    first, last = (lo, speed(lo)), (hi, speed(hi))
+    on_top = [v is not None and abs(sy * (v - y1)) <= 1e-6 for _, v in (first, last)]
+    mirror = all(on_top) and (lo, hi) == crossings and hi < math.nextafter(math.pi / 2, 0.0)
     # d tan(theta) + k, the sign of the kernel's denominator, rises with
     # theta, so only the low end can lack a speed
-    elif first[1] is None and last[1] is not None and last[1] <= y1:
+    if first[1] is None and last[1] is not None and last[1] <= y1:
         none, t = lo, hi
-        while none < (mid := 0.5 * (none + t)) < t:
-            if (beside := vertex(mid))[1] is None:
-                none = mid
+        while none < (at := 0.5 * (none + t)) < t:
+            if (beside := speed(at)) is None:
+                none = at
             else:
-                first, t = beside, mid
-                if beside[1] > y1:
+                first, t = (at, beside), at
+                if beside > y1:
                     break
-    kept, stack = [first], [last]
-    while stack:
-        (t0, v0, m0), (t1, v1, m1) = kept[-1], stack[-1]
-        split = False
-        if v0 is not None and v1 is not None and m0 < m1:  # as convexity has it, bar rounding
-            w, rise = sx * (t1 - t0), sy * (v1 - v0)
-            n = math.hypot(w, rise)  # the chord's length, as (w, rise) may under- or overflow
-            u = w * (m1 - rise / w) / (m1 - m0)  # the apex is (u, m0 u) from the left end
-            cw, cr, mu = w / n, rise / n, m0 * u  # the chord's direction, unit ratios
-            along, across = u * cw + mu * cr, mu * cw - u * cr
-            # a monotone arc that narrow is within w of its chord; NaN, where
-            # an end is near vertical and its slope infinite, splits
-            narrow = w <= CURVE_TOLERANCE_PX and m0 * m1 >= 0.0
-            apart = math.hypot(across, max(-along, along - n, 0.0))
-            split = not (narrow or apart <= CURVE_TOLERANCE_PX)
-        if split and t0 < (mid := 0.5 * (t0 + t1)) < t1:
-            stack.append(vertex(mid))
-        else:
-            kept.append(stack.pop())
-    if mirror:
-        kept[:0] = [(lo + hi - t, v, m) for t, v, m in kept[:0:-1]]  # 2 theta* - theta
+    if first[1] is None or last[1] is None:
+        return ()
+    mid = 0.5 * (lo + hi) if mirror else min(max(0.25 * math.pi - 0.5 * beta, first[0]), hi)
+    high = walk(*last, mid)
+    # 2 theta* - theta as lo + (hi - t), hi - t exact for t >= hi/2: one rounding
+    low = [(lo + (hi - t), v) for t, v in high] if mirror else walk(*first, mid)
+    kept = low + high[::-1]
+    # a vertex at mid, but where the chord of those beside it keeps the
+    # vertical bound (v'' is largest at one of them) or both are that near 0 m/s
+    (t0, v0), (t1, v1) = low[-1], high[-1]
+    bend = sy * max(v0 * _speed_bends(beta, t0)[2], v1 * _speed_bends(beta, t1)[2])
+    if t0 < mid < t1 and (t1 - t0) ** 2 * bend > tol8 and sy * max(v0, v1) > CURVE_TOLERANCE_PX:
+        kept.insert(len(low), (mid, speed(mid)))
     for i in (0, -1):
-        kept[i] = (kept[i][0], y1, None) if on_top[i] else kept[i]
-    ts, vs, _ = zip(*kept)
-    return () if vs[0] is None else (polyline(map(math.degrees, ts), vs, BLUE),)
+        kept[i] = (kept[i][0], y1) if on_top[i] else kept[i]
+    ts, vs = zip(*kept)
+    return (polyline(map(math.degrees, ts), vs, BLUE),)
 
 
 def _optimum_distances(k: float, g: float, lo: float, hi: float, scales) -> list[float]:

@@ -3,7 +3,8 @@
 Output is a pure function of the scene: fixed palette and dash patterns,
 every numeric attribute to exactly 3 decimal places with a locale-free
 decimal point, and each element one % of a template formatted once at
-import, so repeated renders are byte-identical and goldens stable.
+import (a panel's frame once per rectangle), so repeated renders are
+byte-identical and goldens stable.
 
 Style constants (golden-file contract):
   colors   BASELINE #000000, CONCRETE #CC0000, SOLUTION #0000CC,
@@ -28,6 +29,7 @@ Style constants (golden-file contract):
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from collections import namedtuple
@@ -91,18 +93,22 @@ _STROKES = {
         (Dash.DOTTED, ' stroke-dasharray="1.500,3.000"'),
     )
 }
-# <text> templates, formatted once but for x, y, the % fields of the
-# attributes and the escaped content: _TEXT(size, anchor, attributes, fill)
-_TEXT = ('<text x="%%.3f" y="%%.3f" font-family="%s" font-size="{:.3f}" '
-         'text-anchor="{}"{} fill="{}">%%s</text>' % FONT_FAMILY).format
-_TITLE, _LABEL = _TEXT(13.0, "middle", "", "#000000"), _TEXT(10.0, "start", "", "%s")
+# <text> templates, formatted once but for the % fields given as x, y and the
+# content, and those of the attributes: _TEXT(x, y, size, anchor, attributes, fill, content)
+_TEXT = ('<text x="{}" y="{}" font-family="%s" font-size="{:.3f}" '
+         'text-anchor="{}"{} fill="{}">{}</text>' % FONT_FAMILY).format
+_TITLE, _LABEL = (_TEXT("%.3f", "%.3f", size, anchor, "", fill, "%s")
+                  for size, anchor, fill in ((13.0, "middle", "#000000"), (10.0, "start", "%s")))
 # a panel's frame after its title: the axis labels, the y one turned about its
-# anchor, the end-of-axis tick labels of x, then of y, and the clipped group
+# anchor, the end-of-axis tick labels of x, then of y, and the clipped group;
+# the %.3f fields are its rectangle's (see _frame), each %%-field the panel's own
 _FRAME = "\n".join([
-    _TEXT(11.0, "middle", "", "#000000"),
-    _TEXT(11.0, "middle", ' transform="rotate(-90.000 %.3f %.3f)"', "#000000"),
-    *(_TEXT(9.0, anchor, "", "#000000") for anchor in ("start", "end", "end", "end")),
-    '<g clip-path="url(#%s)">',
+    *(_TEXT("%.3f", "%.3f", 11.0, "middle", turn, "#000000", "%%s")
+      for turn in ("", ' transform="rotate(-90.000 %.3f %.3f)"')),
+    *(_TEXT(x, y, 9.0, anchor, "", "#000000", "%%s") for x, y, anchor in (
+        ("%.3f", "%.3f", "start"), ("%%.3f", "%.3f", "end"),
+        ("%.3f", "%.3f", "end"), ("%.3f", "%%.3f", "end"))),
+    '<g clip-path="url(#%%s)">',
 ])
 # a VLINE or HLINE, and a QUADRATIC in the viewport: its points, then its stroke
 _LINE = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" %s/>'
@@ -340,33 +346,43 @@ def _panel_rects(scene: Scene) -> list[tuple[float, float, float, float]]:
     return [(0.0, i * ch, w, ch) if stacked else (i * cw, 0.0, cw, h) for i in range(n)]
 
 
-def _viewport(rect) -> tuple[float, float, float, float]:
-    """The plotting box (x0, y0, x1, y1): panel rectangle less margins."""
+@functools.lru_cache(maxsize=128)  # _panel_rects's layouts give a few dozen rectangles
+def _frame(rect) -> tuple:
+    """A panel rectangle's viewport (the rectangle less margins), clip and
+    border <rect>s, and title and frame templates with its own numbers
+    written, once per rectangle: a figure set's 11 panels share 5.  The
+    low tick labels sit at the viewport's corner, as v - d0 is 0 there."""
     px, py, pw, ph = rect
-    return px + MARGIN_LEFT, py + MARGIN_TOP, px + pw - MARGIN_RIGHT, py + ph - MARGIN_BOTTOM
+    box = vx0, vy0, vx1, vy1 = (
+        px + MARGIN_LEFT, py + MARGIN_TOP, px + pw - MARGIN_RIGHT, py + ph - MARGIN_BOTTOM)
+    mid_x, mid_y = (vx0 + vx1) / 2, (vy0 + vy1) / 2
+    return (
+        box,
+        _rect(box),
+        _rect(box, ' stroke="#000000" stroke-width="1.000" fill="none"'),
+        _TITLE % (mid_x, py + 18.0, "%s"),
+        _FRAME % (mid_x, vy1 + 30.0, px + 14.0, mid_y, px + 14.0, mid_y,
+                  vx0, vy1 + 14.0, vy1 + 14.0, vx0 - 4.0, vy1 + 3.0, vx0 - 4.0),
+    )
 
 
 def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
-    px, py = rect[:2]
-    box = vx0, vy0, vx1, vy1 = _viewport(rect)
+    box, _, border, title, frame = _frame(rect)
+    vx0, vy0, vx1, vy1 = box
     space = panel.space
     (xd0, xd1), (yd0, yd1) = space.x_range, space.y_range
     # each axis's affine map onto its pixels, extrapolated (y grows downward):
     # v to p0 + (v - d0) * k / w, d0 the range's start at pixel p0, k and w the spans
     xk, xw, yk, yw = vx1 - vx0, xd1 - xd0, vy0 - vy1, yd1 - yd0
     axes = xd0, vx0, xk, xw, yd0, vy1, yk, yw
-    tx0, tx1 = [vx0 + (v - xd0) * xk / xw for v in (xd0, xd1)]
-    ty0, ty1 = [vy1 + (v - yd0) * yk / yw for v in (yd0, yd1)]
-    mid_x, mid_y = (vx0 + vx1) / 2, (vy0 + vy1) / 2
 
-    out.append(_rect(box, ' stroke="#000000" stroke-width="1.000" fill="none"'))
+    out.append(border)
     if panel.title:
-        out.append(_TITLE % (mid_x, py + 18.0, _escape(panel.title)))
+        out.append(title % _escape(panel.title))
     x_label, y_label = (_escape(f"{name} ({unit})") for name, unit in (space.x_var, space.y_var))
-    out.append(_FRAME % (
-        mid_x, vy1 + 30.0, x_label, px + 14.0, mid_y, px + 14.0, mid_y, y_label,
-        tx0, vy1 + 14.0, _fmt(xd0), tx1, vy1 + 14.0, _fmt(xd1),
-        vx0 - 4.0, ty0 + 3.0, _fmt(yd0), vx0 - 4.0, ty1 + 3.0, _fmt(yd1), clip_id))
+    out.append(frame % (
+        x_label, y_label, _fmt(xd0), vx0 + (xd1 - xd0) * xk / xw, _fmt(xd1),
+        _fmt(yd0), vy1 + (yd1 - yd0) * yk / yw + 3.0, _fmt(yd1), clip_id))
     for mark in panel.marks:
         _render_mark(out, mark, axes, box)
     out.append("</g>")
@@ -464,7 +480,7 @@ _BACKGROUND = "</defs>\n" + _rect((0.0, 0.0, *SIZE), ' fill="#FFFFFF" stroke="no
 def render_svg(scene: Scene) -> bytes:
     """Render a scene to a standalone SVG 1.1 document."""
     rects = _panel_rects(scene)
-    clips = [f'<clipPath id="panel-{i}">{_rect(_viewport(r))}</clipPath>' for i, r in enumerate(rects)]
+    clips = [f'<clipPath id="panel-{i}">{_frame(r)[1]}</clipPath>' for i, r in enumerate(rects)]
     out = [_HEAD, *clips, _BACKGROUND]
     for i, (panel, rect) in enumerate(zip(scene.panels, rects)):
         _render_panel(out, panel, rect, f"panel-{i}")

@@ -20,7 +20,7 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from math import atan, atan2, cos, degrees, hypot, inf, isfinite, sin, sqrt, tan
+from math import atan, atan2, cos, degrees, hypot, inf, isfinite, sqrt, tan
 from operator import le
 
 from .kinematics import MAX_GRID_POINTS, Infeasible, ShotParams, VerticalShot, check_distance
@@ -61,8 +61,8 @@ def required_velocity(params: ShotParams, angle: float) -> float:
     may move the speed by more than SPEED_TOLERANCE and 64 ulp, and
     ValueError when the speed overflows to a non-finite value."""
     a, d, h, g = params
-    result = _hoop_speed(a, d, h, g, angle)
-    if result is None:
+    v = _hoop_speed(a, d, h, g, angle)
+    if v is None:
         raise InfeasibleAngle(
             f"angle {degrees(angle):.3f} deg is at or below the "
             f"feasibility angle {degrees(feasibility_angle(params)):.3f} deg"
@@ -71,7 +71,7 @@ def required_velocity(params: ShotParams, angle: float) -> float:
     # so the float sum s is within 2*eps*(|d tan| + |a - h|) of the exact
     # one (bounded here at twice that); v ~ s^-1/2 then moves by at most
     # v*bound/(2(s - bound))
-    v, t, k = result[0], d * tan(angle), a - h
+    t, k = d * tan(angle), a - h
     s, bound = t + k, 4.0 * _EPS * (abs(t) + abs(k))
     allowed = max(SPEED_TOLERANCE, _SPEED_ULPS * math.ulp(v))
     if not (s > bound and bound / (s - bound) <= 2.0 * allowed / v):
@@ -82,11 +82,10 @@ def required_velocity(params: ShotParams, angle: float) -> float:
     return v
 
 
-def _hoop_speed(a: float, d: float, h: float, g: float, angle: float) -> tuple | None:
-    """The closed form in the module docstring at angle and its slope
-    dv/dtheta = -v (d cos 2theta - k sin 2theta)/(2u), with
-    u = cos^2 theta (d tan theta + k) its denominator and k = a - h, as
-    (v, slope): None where u is non-positive (an infeasible angle),
+def _hoop_speed(a: float, d: float, h: float, g: float, angle: float) -> float | None:
+    """The closed form in the module docstring at angle, with
+    u = cos^2 theta (d tan theta + k) its denominator and k = a - h:
+    None where u is non-positive (an infeasible angle),
     ValueError for an angle outside [-pi/2, pi/2) or a speed that is not
     finite, and Infeasible for a speed that underflows to 0."""
     if not -_HALF_PI <= angle < _HALF_PI:
@@ -106,7 +105,7 @@ def _hoop_speed(a: float, d: float, h: float, g: float, angle: float) -> tuple |
             raise Infeasible(f"required speed at angle {angle} rad underflows to 0")
     if not isfinite(v):
         raise ValueError(f"required speed at angle {angle} rad is not finite: {v}")
-    return v, -v * (d * cos(2.0 * angle) - k * sin(2.0 * angle)) / (2.0 * u)
+    return v
 
 
 def speed_crossings(params: ShotParams, speed: float) -> tuple[float, float] | None:

@@ -66,8 +66,8 @@ FAN_SHA256 = {
     "figure_01.svg": "1b618c802322e172a34e3cb8adcf56ec6cc60f8a94bef80be0eee442d381dca1",
     "figure_02.svg": "fd316f004d63303f14234fbca6e0907ec8ab1b0d28a905821780293cbb5da240",
     "figure_03.svg": "21dd6ab5e84a845862100ee93eaf345ed045f4e083eeb2fb89221ce70f2bd61f",
-    "figure_04.svg": "886656090ca1c2270df53abc9a9d35b7463bc84e0840ed098301650e92199685",
-    "figure_05.svg": "bf99f543edb232762cd86d30f00c5a8de88603547ee3403ec142308518bf414b",
+    "figure_04.svg": "689dbb044c995f38c8f087980114a0ed4b037aec977f08e89a80b0a5ddef9950",
+    "figure_05.svg": "a1b8a66089b3420de824193fa0b2026ebd13ee1680e0e31abee5fc827be61d7b",
     "figure_06.svg": "9ebc1a423b4e55538f84b3492faeb5729d59c2d6a4ebd7b87e953b35d12a981c",
     "figure_07.svg": "53edb1167d124de81c233fa0bce693ab3955568a528f54edbb9ad5f68371532c",
     "ladder.json": "582f1fb115d7d48011f7a92466b3c2c59d83706550d8a35a05670500551e959b",

@@ -5,9 +5,10 @@ import re
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hoopshot.figures import STAGES, build_basketball_ladder
+from hoopshot import solver
+from hoopshot.figures import STAGES, _speed_bends, _speed_curve, build_basketball_ladder
 from hoopshot.kinematics import ShotParams
-from hoopshot.ladder import ColorRole, StrategyTag, ladder_to_json, validate_ladder
+from hoopshot.ladder import ColorRole, PlotSpace, StrategyTag, ladder_to_json, validate_ladder
 from hoopshot.render import MarkKind, render_svg
 from hoopshot.solver import default_d_grid, optimal_angle, required_velocity, speed_crossings
 from hoopshot.solver import sweep_distance
@@ -182,6 +183,8 @@ class TestCustomInputs:
         assert {"6", "9"} <= labels
 
 
+# the space of figures 4 and 5
+ANGLE_SPACE = PlotSpace(("launch angle", "deg"), ("required speed", "m/s"), (0.0, 90.0), (0.0, 40.0))
 # the points of each piece of the blue required-speed curve, as written
 BLUE_POLYLINE = r'<polyline points="([^"]*)" stroke="#0000CC"'
 
@@ -235,10 +238,54 @@ class TestRequiredSpeedCurveVertices:
                 assert len(set(points.split())) > 1, points
 
 
+class TestRequiredSpeedCurveStepRule:
+    """The step rule over TestExitContract's parameters: the walk ends,
+    each vertex lies inside figure 4's panel, and the curve's ends are the
+    crossings of 40 m/s, clamped to 0-90 deg."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(values=st.dictionaries(st.sampled_from(PARAM_FLAGS), ANY_VALUE, min_size=2))
+    @example(values={"--altitude": 1.7, "--distance": 0.001})
+    @example(values={"--altitude": 3.5, "--distance": 10.0})
+    @example(values={"--altitude": 1.155166468069634e-11, "--hoop-height": 1.155166468069634e-11,
+                     "--distance": 1.0, "--gravity": 4.752e-320})
+    def test_the_walk_ends_inside_the_panel_on_the_crossings_or_the_clamps(self, values):
+        fields = dict(zip(PARAM_FLAGS, ShotParams._fields))
+        try:
+            params = ShotParams(**{fields[flag]: v for flag, v in values.items()})
+            marks = _speed_curve(params, ANGLE_SPACE)
+        except ValueError:  # the exit contract's one-line errors
+            return
+        if not marks:
+            return
+        (curve,) = marks
+        lo, hi = speed_crossings(params, 40.0)
+        ends = [max(lo, 0.0), min(hi, math.pi / 2)]
+        angles, speeds = curve.xs, curve.ys
+        assert len(angles) <= 200
+        assert all(0.0 <= a < b <= 90.0 for a, b in zip(angles, angles[1:]))
+        assert all(0.0 < v <= 40.0 for v in speeds[1:-1])
+
+        def at_most_the_top(angle, v):
+            # the kernel's speed at a crossing of 40 m/s strays from it by
+            # TestSpeedCrossings's bound; at a clamp it is below 40 m/s
+            slope = v * abs(_speed_bends(math.atan2(params[0] - params[2], params[1]), angle)[1])
+            return 0.0 < v <= 40.0 + 4 * (slope * math.ulp(max(angle, 1.0)) + math.ulp(40.0))
+
+        assert angles[-1] == math.degrees(ends[1]) and at_most_the_top(ends[1], speeds[-1])
+        if solver._hoop_speed(*params, ends[0]) is None:
+            # a low end with no speed gives way to the nearest found with
+            # one, above the panel where the halving finds such a speed
+            assert angles[0] >= math.degrees(ends[0]) and speeds[0] > 0.0
+        else:
+            assert angles[0] == math.degrees(ends[0]) and at_most_the_top(ends[0], speeds[0])
+
+
 class TestRequiredSpeedCurveInItsPanel:
     """Figure 4's curve at court scale: no vertex above the panel's top,
     and, where it spans the two crossings of 40 m/s, its vertices pair up
-    about the optimum's pixel column, each pair written at one height."""
+    about the optimum's pixel column, each pair written at one height (a
+    vertex at the optimum pairs with itself)."""
 
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(0.0, 4.0), d=st.floats(0.5, 20.0), h=st.floats(0.0, 4.0))
@@ -258,8 +305,7 @@ class TestRequiredSpeedCurveInItsPanel:
         if speed_crossings(params, space.y_range[1])[0] > 0:
             theta = math.degrees(optimal_angle(params).angle)
             center = _pixel(theta, space.x_range, (left, left + width))
-            assert len(px) % 2 == 1
-            for i in range(len(px) // 2 + 1):
+            for i in range((len(px) + 1) // 2):
                 j = len(px) - 1 - i
                 assert abs(px[i] + px[j] - 2.0 * center) <= 0.001, (i, px[i], px[j], center)
                 assert f"{py[i]:.3f}" == f"{py[j]:.3f}"
@@ -380,8 +426,8 @@ PINNED_SETS = {
             "figure_01.svg": "2103d3b79315953158a85f111c5324a77cac1360ef6c3ee104cc88f7722704cd",
             "figure_02.svg": "c2761575967ede73fac59b52562e0952969bb40d0dd6bc0851f8aa8d207d8e95",
             "figure_03.svg": "2070026ac7e7c8f7f261194c0532705cb0d5af022ffccd714f61bc5d1ccac644",
-            "figure_04.svg": "ccefe62b7011468b87f72eb716bcc02bafee350ab45d290224a18acef5ec6cd6",
-            "figure_05.svg": "f45961a66192b378d8d7111f5890843fb9d30f4fa698e26f6d16c350e85a5771",
+            "figure_04.svg": "dd547dbe2683fbf9797890ef45c32520433195389d01c6dfc218664fb2ab3075",
+            "figure_05.svg": "4536106c06d378c4e1ed46823fd796ece8f307cdba814875cec3d0a886e4e8e7",
             "figure_06.svg": "fc406c2c4a1f5a49fe3bfaf3aea9d2127daed2038defa3f9e9d045f23363567e",
             "figure_07.svg": "a9180dd78d12a75ff07f256b63eedb3ecc0a40ff7640876edeb0cf2b9cca0278",
             "ladder.json": "dcc5ee8b796adadb3d267efbe4662e8c83e0cac45c0dea48651f15c09b66c60a",
@@ -393,8 +439,8 @@ PINNED_SETS = {
             "figure_01.svg": "e3698099efdca1837dba1639d8f1fb292b7da48260e2457e9dd578ad5d18ba1d",
             "figure_02.svg": "c29ea5d8050dbf8af321efb0838984656596c24808c421ef85a6c973cb50b988",
             "figure_03.svg": "66a068da030f884bbf3e853bcb90649ad6c5e35f4dcaf3dc1f536320471b2ad9",
-            "figure_04.svg": "dcb37271d399e5b82837b431e58dd1dba2b32b2271785546f28a37a08a3003dc",
-            "figure_05.svg": "51fb5dcfd93b26ea0dc0aeeb97b5ed783c00100b6ea762a4bba39c09c0edbebd",
+            "figure_04.svg": "bfcc76e6c318dc2841ee1ff7251a0e5cabf82f79cf5217796de4b9bd5e9216b5",
+            "figure_05.svg": "1624fdb3348837edfefcb49b4f8409e0236396af6527420f62a22008cca49264",
             "figure_06.svg": "874b927ab50b6306a468cbddb793aafe251de96558f6c230c4cd5cdcea5d1b01",
             "figure_07.svg": "2a7b7527a1ab233a650b01fe45263a69db2d1bf9b38795bbc0ff3a620aa3c59b",
             "ladder.json": "ffc2860ad2e5bec56df6b811edc6a71d970f8fc36bbc04ed637cc38423566fc3",
@@ -406,8 +452,8 @@ PINNED_SETS = {
             "figure_01.svg": "abb315bef136173e48e545cb0ed27f3036232af90596222878689288a88dc948",
             "figure_02.svg": "c2122e3b3a7b51afa811117036917ab47aa495f11c77b4c3091d4d469807d9ad",
             "figure_03.svg": "e66883812ec4ac3582d4d393bcf05c18dc5a5dacf3428aa31be02ec7d9e48181",
-            "figure_04.svg": "06089b004c1b9c545be6ec10c1e5d947f8fbe81de328872af3f3e091e56caaa1",
-            "figure_05.svg": "e121b8259fd52c85122d038a0d1439323c4295c2f5bd18ed6afe4a9d4cc1bb75",
+            "figure_04.svg": "963888f30b677dcd64c74bd8b09baf7137c1d244b2900cc4ad529eab764962ca",
+            "figure_05.svg": "944710781f0eaf9923b0c32da966888c52207757c5115f59d2204bec0f1eca35",
             "figure_06.svg": "71074d4b8dee162933a4deac31072f87acb44bd476a5628313fd0d55965d3c33",
             "figure_07.svg": "96447a4230593d5bef45bcf11fc34076800b3c1e1e09b9fe17df8564123601c1",
             "ladder.json": "d169c8572ca01e7379b0d141a019ba3c8b407c0c8c58a729059c98f681d2fb72",
@@ -420,8 +466,8 @@ PINNED_SETS = {
             "figure_01.svg": "6cb20c486fd9d808ce908d17f89249101588b6a6f4cfd3aa5e46a6ecb80f4050",
             "figure_02.svg": "7898d53cf8f6d8eb8db288e54e0eef7bbdc83b804a922d52724cccbae53274b4",
             "figure_03.svg": "c919bf0a5b972c4ab56ac1c8269bf499feac66c57f52d82333d768845836f3e2",
-            "figure_04.svg": "b02dc8f8499f0bd331c7bb11bfa66fcd8ac7ea02bffb10398120433b6922833b",
-            "figure_05.svg": "9c28b5728937fecf17ef2c6e43cd778fc2759834cf1830a3df58550b9376bf1d",
+            "figure_04.svg": "ecd72a4cbe52e5ab730dbb3af4c17bb382da82c972cee54c32ae0c3be6a95a59",
+            "figure_05.svg": "5f25ea68449985738026045e0bcc4038d406cca66777c7fcf9b015e402f090aa",
             "figure_06.svg": "71074d4b8dee162933a4deac31072f87acb44bd476a5628313fd0d55965d3c33",
             "figure_07.svg": "a9180dd78d12a75ff07f256b63eedb3ecc0a40ff7640876edeb0cf2b9cca0278",
             "ladder.json": "e3d6f732ed9aefd59b80aed42e254191a18e441f2169874b04d2b2cc2506a62d",

@@ -28,7 +28,7 @@ from hoopshot.solver import (
     sweep_csv,
     sweep_distance,
 )
-from hoopshot.figures import _speed_curve, build_basketball_ladder
+from hoopshot.figures import _speed_bends, _speed_curve, build_basketball_ladder
 from hoopshot.ladder import PlotSpace
 
 from oracles import (
@@ -64,7 +64,7 @@ def kernel_calls(params, draw=lambda params: _speed_curve(params, ANGLE_SPACE)) 
 
     def recorded(*args, _kernel=solver._hoop_speed):
         result = _kernel(*args)
-        calls.append((args[-1], None if result is None else result[0]))
+        calls.append((args[-1], result))
         return result
 
     with pytest.MonkeyPatch.context() as patch:
@@ -73,9 +73,13 @@ def kernel_calls(params, draw=lambda params: _speed_curve(params, ANGLE_SPACE)) 
     return calls
 
 
-def speed_slope(params, angle):
-    """dv/dtheta at angle, as the speed kernel gives it with the speed."""
-    return solver._hoop_speed(*params, angle)[1]
+def speed_bends(params, angle):
+    """dv/dtheta and d2v/dtheta2 at angle, in the phase form of the
+    figures' step rule, from the speed kernel's speed."""
+    a, d, h, _ = params
+    _, slope, bend = _speed_bends(math.atan2(a - h, d), angle)
+    v = solver._hoop_speed(*params, angle)
+    return v * slope, v * bend
 
 
 def bisect_hoop_speed(params, angle, lo=1e-3, hi=1e4, iterations=200):
@@ -397,16 +401,17 @@ class TestAngleCurve:
 
     def test_two_points(self):
         # at d = 1 mm the curve is 0.04 deg wide: still at least two points,
-        # from 40 m/s down to v* and back up
+        # from 40 m/s down to v* and back up, and no more than the 5 that
+        # halving drew
         angles, speeds = drawn_curve(DEFAULTS.replace(distance=0.001))
-        assert len(angles) >= 2
+        assert 2 <= len(angles) <= 5
         assert speeds[0] == pytest.approx(40.0) and speeds[-1] == pytest.approx(40.0)
         assert min(speeds) == pytest.approx(optimal_angle(DEFAULTS.replace(distance=0.001)).speed)
 
-    def test_an_infinite_slope_is_halved_toward(self):
+    def test_an_infinite_slope_reaches_the_floor_within_a_tenth_of_a_pixel(self):
         # the speed falls from 1e131 m/s at 0 deg to the panel's floor
-        # within a sub-pixel angle, where its slope overflows to -inf; the
-        # apex test is NaN there and halves, so the curve reaches the floor
+        # within a sub-pixel angle, where v'' overflows to inf; a step at
+        # most 0.1 px wide is always taken, so the curve reaches the floor
         # within 0.1 px of the left edge, not by a chord across the panel
         params = ShotParams(
             5.554679153750614e-149, 1.3337177681997354e135, 4.784828043708341e-245, 6.882963232680403e-157
@@ -415,30 +420,32 @@ class TestAngleCurve:
         assert angles[1] <= 0.1 * 90.0 / 536.0 and speeds[1] <= 0.1 * 40.0 / 384.0
 
     def test_one_kernel_call_per_vertex(self):
-        # each vertex's speed and slope come from one call, and halving
-        # evaluates no angle it does not keep; an end on a crossing of
-        # 40 m/s is written on 40 m/s.  Where both ends are crossings (the
-        # low one above 0 deg), only the vertices from the optimum up are
-        # evaluated, and the low end once more to check it: the lower half
-        # is their reflection.  At a release above the hoop the low crossing
-        # is below 0 deg, so the curve is clamped and every vertex evaluated.
+        # each computed vertex's speed comes from one call, and the step
+        # rule evaluates no angle it does not keep (its slopes and v'' come
+        # from the phase form); an end on a crossing of 40 m/s is written on
+        # 40 m/s.  Where both ends are crossings (the low one above 0 deg),
+        # only the vertices from the optimum up are evaluated, and the low
+        # end once more to check it: the lower half is their reflection.  At
+        # a release above the hoop the low crossing is below 0 deg, so the
+        # curve is clamped and every vertex evaluated.
         for params in (DEFAULTS, ShotParams(release_altitude=3.5), ShotParams(distance=0.001)):
             angles, speeds = drawn_curve(params)
             calls = [(math.degrees(a), v) for a, v in sorted(kernel_calls(params))]
             lo, hi = speed_crossings(params, 40.0)
             assert calls[-1][0] == angles[-1] == math.degrees(hi) and speeds[-1] == 40.0
             if lo > 0:
-                half = len(angles) // 2
+                center = math.degrees(lo + hi) / 2
                 assert calls[0][0] == math.degrees(lo) and speeds[0] == 40.0
-                assert calls[1:-1] == list(zip(angles, speeds))[half:-1]
-                assert speeds[:half + 1] == speeds[half:][::-1]
+                assert all(angle >= center for angle, _ in calls[1:])
+                assert calls[1:-1] == list(zip(angles, speeds))[len(angles) // 2:-1]
+                assert speeds == speeds[::-1]
             else:
                 assert calls[:-1] == list(zip(angles, speeds))[:-1]
 
-    def test_a_default_figure_set_makes_at_most_60_kernel_calls(self):
-        # 59: the 57 of the curve's 113 vertices from the optimum up, its
-        # low end and the stage-3 speed; 114 where every vertex was evaluated
-        assert len(kernel_calls(DEFAULTS, build_basketball_ladder)) <= 60
+    def test_a_default_figure_set_makes_at_most_35_kernel_calls(self):
+        # 32: the 30 of the curve's 60 vertices from the optimum up, its
+        # low end and the stage-3 speed; 59 when intervals were halved
+        assert len(kernel_calls(DEFAULTS, build_basketball_ladder)) <= 35
 
     def test_grid_strictly_increasing(self):
         for params in (DEFAULTS, ShotParams(release_altitude=3.5), ShotParams(distance=0.001)):
@@ -473,7 +480,7 @@ class TestSpeedCrossings:
         lo, hi = speed_crossings(params, speed)
         assert feasibility_angle(params) < lo < optimum.angle < hi < math.pi / 2
         for angle in (lo, hi):
-            slope = abs(speed_slope(params, angle))
+            slope = abs(speed_bends(params, angle)[0])
             bound = 4 * (slope * math.ulp(max(abs(angle), 1.0)) + math.ulp(speed))
             exact = decimal_required_velocity(*params, Decimal(angle))
             assert abs(exact - Decimal(speed)) <= Decimal(bound), (angle, exact, speed)
@@ -515,7 +522,8 @@ class TestSpeedCrossings:
 
 
 class TestSpeedSlope:
-    """dv/dtheta against a central difference of the 50-digit speed."""
+    """The phase form's dv/dtheta and d2v/dtheta2, from the kernel's speed,
+    against central differences of the 50-digit speed."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -533,18 +541,40 @@ class TestSpeedSlope:
         speed = required_velocity(params, angle)
         with localcontext() as ctx:
             ctx.prec = 50
-            step = Decimal("1e-18")
-            rise = decimal_required_velocity(*params, Decimal(angle) + step)
-            fall = decimal_required_velocity(*params, Decimal(angle) - step)
-            exact = float((rise - fall) / (2 * step))
-        assert speed_slope(params, angle) == pytest.approx(exact, rel=1e-9, abs=1e-9 * speed)
+            step, at = Decimal("1e-12"), Decimal(angle)
+            rise, fall = (decimal_required_velocity(*params, at + s) for s in (step, -step))
+            slope = float((rise - fall) / (2 * step))
+            bend = float((rise - 2 * decimal_required_velocity(*params, at) + fall) / (step * step))
+        got = speed_bends(params, angle)
+        assert got[0] == pytest.approx(slope, rel=1e-9, abs=1e-9 * speed)
+        assert got[1] == pytest.approx(bend, rel=1e-9)
 
     def test_zero_at_the_optimum_and_signed_either_side(self):
         opt = optimal_angle(DEFAULTS)
         for angle, sign in ((opt.angle - 0.1, -1), (opt.angle + 0.1, 1)):
-            slope = speed_slope(DEFAULTS, angle)
+            slope = speed_bends(DEFAULTS, angle)[0]
             assert math.copysign(1, slope) == sign
-        assert abs(speed_slope(DEFAULTS, opt.angle)) < 1e-12
+        assert abs(speed_bends(DEFAULTS, opt.angle)[0]) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(0.0, 10.0),
+        d=st.floats(0.1, 100.0),
+        h=st.floats(0.0, 10.0),
+        near=st.floats(0.0, 0.999),
+        far=st.floats(0.0, 0.999),
+        side=st.sampled_from([-1, 1]),
+    )
+    def test_the_second_derivative_rises_away_from_the_optimum(self, a, d, h, near, far, side):
+        # the step rule's premise: on either side of theta*, v'' is least
+        # nearest theta*, so a step's largest v'' is at its outer end
+        params = ShotParams(a, d, h)
+        theta, feas = optimal_angle(params).angle, feasibility_angle(params)
+        end = feas if side < 0 else math.pi / 2
+        near, far = sorted((near, far))
+        inner, outer = (theta + f * (end - theta) for f in (near, far))
+        assume(feas < inner and outer < math.pi / 2 and outer != inner)
+        assert speed_bends(params, outer)[1] >= speed_bends(params, inner)[1] * (1 - 1e-12)
 
 
 def closed_form_optimum_angle(params):
