@@ -5,14 +5,15 @@ Exit codes: 0 success, 1 domain error (infeasible query, validation
 violations), 2 usage or scenario-parse error.
 
 Scenario files are JSON with top-level keys `params` (a, d, h, g),
-`velocities`, `altitudes`, `d_grid` (lo, hi, step; the step shapes only
-the `sweep` CSV, as figures 6-7 draw the closed forms between lo and
-hi), and `output`, a non-empty directory path.  They
-and ladder specs are read by `kinematics.json_value` and `json_object`:
-an unknown key, a missing required one (`d_grid` lo and hi), a value of
-another JSON type or a number that is not finite or does not fit a
-float exits 2 with one line naming the key path.  Flags override file
-values.  The defaults live where they are used: params in
+`velocities`, `altitudes`, `d_grid` (lo, hi, step: figures 6-7 span lo
+to lo + round((hi - lo) / step) * step, and only the `sweep` CSV has
+the points between), and `output`, a non-empty directory path.  They and
+ladder specs are read as UTF-8 in any locale, by `json_value` and
+`json_object` of `kinematics`: bytes that are not UTF-8 (named by the
+file), an unknown key, a missing required one (`d_grid` lo and hi), a
+value of another JSON type or a number that is not finite or does not
+fit a float exits 2 with one line naming the key path.  Flags override
+file values.  The defaults live where they are used: params in
 `kinematics.ShotParams`; velocities, altitudes and the distance grid
 (with its validation) in `solver`, so a key the file leaves out takes
 that default.
@@ -20,9 +21,9 @@ that default.
 Each flag is one `Flag` row of `COMMANDS`.  `run` parses a plain argv
 (see `_parse`) from those rows, and builds an argparse parser from them
 only for help, usage errors and other argv.  Only `figures` and
-`validate-ladder` import the ladder and renderer modules, only a scenario
-file imports `json`, and no command imports `pathlib`: output paths are
-joined by `os.path`, so the others start without them.
+`validate-ladder` import the ladder and renderer modules, only reading
+a file imports `json`, and no command imports `pathlib`: output paths
+are joined by `os.path`, so the others start without them.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def load_scenario(path: str | None) -> Scenario:
     import json
 
     try:
-        with open(path) as file:
+        with open(path, encoding="utf-8") as file:
             doc = json.load(file)
-    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read scenario file {path}: {exc}") from exc
     doc = json_object(doc, f"scenario file {path}", SCENARIO_KEYS)
     if "params" in doc:
@@ -146,7 +147,7 @@ def _cmd_figures(scenario: Scenario, args) -> int:
     violations = ladder.validate_ladder(spec)
     if violations:
         for v in violations:
-            print(f"{v.kind.name}: {v.message}", file=sys.stderr)
+            print(f"{v.kind}: {v.message}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -165,7 +166,7 @@ def _cmd_validate_ladder(args) -> int:
     from . import ladder
 
     try:
-        with open(args.file) as file:
+        with open(args.file, encoding="utf-8") as file:
             spec = ladder.ladder_from_json(file.read())
     except (OSError, RecursionError, ValueError) as exc:
         print(f"cannot load ladder spec {args.file}: {exc}", file=sys.stderr)
@@ -173,7 +174,7 @@ def _cmd_validate_ladder(args) -> int:
     violations = ladder.validate_ladder(spec)
     print(f"{len(violations)} violations")
     for v in violations:
-        print(f"{v.kind.name} (stages {', '.join(map(str, v.stages))}): {v.message}")
+        print(f"{v.kind} (stages {', '.join(map(str, v.stages))}): {v.message}")
     return EXIT_OK if not violations else EXIT_DOMAIN
 
 

@@ -21,8 +21,6 @@ value raises ValueError naming its key path.
 
 from __future__ import annotations
 
-import enum
-import json
 import math
 from collections import namedtuple
 from collections.abc import Iterable
@@ -32,31 +30,30 @@ from .kinematics import checked_record, json_object, json_value, short_repr
 RANGE_TOL = 1e-9
 
 
-class ColorRole(enum.Enum):
-    """Semantic color assignments, ranked from concrete to abstract."""
+# each member of these classes is its own name, as ladder.json and the CLI write it
+class ColorRole:
+    """Semantic color assignments; a role's rank is its place in ROLE_RANKS."""
 
-    BASELINE = 0  # black: court, axes
-    CONCRETE = 1  # red: directly drawn trajectories
-    SOLUTION = 2  # blue: the hoop-reaching solution
-    OPTIMUM = 3  # green: the minimized solution
-    # a member is equal only to itself: hashed by identity in C, not by name in Python
-    __hash__ = object.__hash__
-
-    @property
-    def rank(self) -> int:
-        return self.value
+    BASELINE = "BASELINE"  # black: court, axes
+    CONCRETE = "CONCRETE"  # red: directly drawn trajectories
+    SOLUTION = "SOLUTION"  # blue: the hoop-reaching solution
+    OPTIMUM = "OPTIMUM"  # green: the minimized solution
 
 
-class StrategyTag(enum.Enum):
-    DEFINE_ABSTRACT_SPACE = "define_abstract_space"
-    MODELED_OR_OPTIMIZED_VALUES = "modeled_or_optimized_values"
-    EXPAND_SAMPLING = "expand_sampling"
-    UNFIX_PARAMETER = "unfix_parameter"
+# the roles from concrete to abstract
+ROLE_RANKS = (ColorRole.BASELINE, ColorRole.CONCRETE, ColorRole.SOLUTION, ColorRole.OPTIMUM)
 
 
-class ViolationKind(enum.Enum):
-    SHARED_SPACE_MISMATCH = "shared_space_mismatch"
-    ROLE_RANK_REGRESSION = "role_rank_regression"
+class StrategyTag:
+    DEFINE_ABSTRACT_SPACE = "DEFINE_ABSTRACT_SPACE"
+    MODELED_OR_OPTIMIZED_VALUES = "MODELED_OR_OPTIMIZED_VALUES"
+    EXPAND_SAMPLING = "EXPAND_SAMPLING"
+    UNFIX_PARAMETER = "UNFIX_PARAMETER"
+
+
+class ViolationKind:
+    SHARED_SPACE_MISMATCH = "SHARED_SPACE_MISMATCH"
+    ROLE_RANK_REGRESSION = "ROLE_RANK_REGRESSION"
 
 
 class PlotSpace(checked_record("PlotSpace", "x_var y_var x_range y_range")):
@@ -120,11 +117,11 @@ def _check_axis_ranges(spec: LadderSpec) -> Iterable[Violation]:
 
 
 def _check_role_ranks(spec: LadderSpec) -> Iterable[Violation]:
-    seen: set[ColorRole] = set()
+    seen: set[str] = set()
     last_rank = -1
     last_stage = None
     for n, stage in enumerate(spec.stages, 1):
-        new_ranks = [r.rank for r in stage.roles_used - seen]
+        new_ranks = [ROLE_RANKS.index(r) for r in stage.roles_used - seen]
         seen |= stage.roles_used
         if not new_ranks:
             continue
@@ -157,12 +154,13 @@ def _pair(value, kind, what: str) -> tuple:
     return tuple(json_value(v, kind, f"{what}[{i}]") for i, v in enumerate(items))
 
 
-def _members(enum_type, names, what: str) -> frozenset:
+def _members(constants, names, what: str) -> frozenset:
     names = json_value(names, list, what)
     for i, name in enumerate(names):
-        if json_value(name, str, f"{what}[{i}]") not in enum_type.__members__:
-            raise ValueError(f"{what}[{i}]: unknown {enum_type.__name__} {short_repr(name)}")
-    return frozenset(enum_type[name] for name in names)
+        # no attribute but a member, such as __module__, is its own name
+        if vars(constants).get(json_value(name, str, f"{what}[{i}]")) != name:
+            raise ValueError(f"{what}[{i}]: unknown {constants.__name__} {short_repr(name)}")
+    return frozenset(names)
 
 
 def _checked(record_type, what: str, **fields):
@@ -207,7 +205,7 @@ def _stage_from_dict(item, n: int) -> Stage:
 
 # the JSON form as json.dumps(doc, indent=2, sort_keys=True) writes it:
 # one % per stage and per panel, whose pairs are lists of two, a range's
-# ends written by %r and a variable's strings given quoted
+# ends written by %r and a variable's strings given quoted by _quote
 _PAIR = "[\n            %s,\n            %s\n          ]"
 _PANEL = (
     '        {\n          "x_range": %s,\n          "x_var": %s,\n'
@@ -219,34 +217,44 @@ _STAGE = (
 )
 
 
-def _names(members) -> str:
-    """The sorted names of members as a JSON list at a stage's depth."""
-    names = sorted(m.name for m in members)
-    return '[\n        "' + '",\n        "'.join(names) + '"\n      ]' if names else "[]"
+def _quote(text: str) -> str:
+    """text as json.dumps writes it, printable ASCII with no " or \\ as it is."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+
+    return json.dumps(text)
+
+
+def _names(names) -> str:
+    """The sorted names as a JSON list at a stage's depth."""
+    names = [_quote(name) for name in sorted(names)]
+    return "[\n        " + ",\n        ".join(names) + "\n      ]" if names else "[]"
 
 
 def ladder_to_json(spec: LadderSpec) -> str:
     """Lossless JSON form of a LadderSpec, written from its fixed schema:
     each stage with its number `id`, a panel an object of its PlotSpace
-    fields.  Strings go through json's ASCII encoder and each range end is
-    written as the float it equals, as json.dumps(indent=2, sort_keys=True)
-    writes that document."""
-    quote = json.encoder.encode_basestring_ascii
+    fields.  Strings are quoted and each range end is written as the
+    float it equals, as json.dumps(indent=2, sort_keys=True) writes that
+    document."""
     stages = []
     for n, stage in enumerate(spec.stages, 1):
         panels = ",\n".join(
-            _PANEL % (float(x0), float(x1), quote(xn), quote(xu),
-                      float(y0), float(y1), quote(yn), quote(yu))
+            _PANEL % (float(x0), float(x1), _quote(xn), _quote(xu),
+                      float(y0), float(y1), _quote(yn), _quote(yu))
             for (xn, xu), (yn, yu), (x0, x1), (y0, y1) in stage.panels
         )
         roles, tags = _names(stage.roles_used), _names(stage.tags)
-        stages.append(_STAGE % (quote(stage.caption), n, panels, roles, tags))
+        stages.append(_STAGE % (_quote(stage.caption), n, panels, roles, tags))
     return '{\n  "stages": [\n' + ",\n".join(stages) + "\n  ]\n}"
 
 
 def ladder_from_json(text: str) -> LadderSpec:
     """Parse the JSON form of a LadderSpec.  Invalid JSON or a document
     not of that form raises ValueError with one line naming the key path."""
+    import json
+
     doc = json_object(json.loads(text), "ladder spec", ("stages",), ("stages",))
     items = json_value(doc["stages"], list, "stages")
     return LadderSpec(tuple(_stage_from_dict(item, n) for n, item in enumerate(items, 1)))

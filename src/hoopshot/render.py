@@ -28,13 +28,11 @@ Style constants (golden-file contract):
 
 from __future__ import annotations
 
-import enum
-import functools
 import math
 import os
 from collections import namedtuple
 
-from .kinematics import _write_file, checked_record
+from .kinematics import _write_file, checked_record, short_repr
 from .ladder import ColorRole, PlotSpace
 
 PALETTE = {
@@ -64,7 +62,8 @@ class LayoutError(ValueError):
     pass
 
 
-class MarkKind(enum.Enum):
+# each member is the kind's name in Mark's messages
+class MarkKind:
     POLYLINE = "polyline"
     QUADRATIC = "quadratic"
     POINT = "point"
@@ -73,11 +72,10 @@ class MarkKind(enum.Enum):
     HLINE = "hline"
 
 
-class Dash(enum.Enum):
+class Dash:
     SOLID = "solid"
     DASHED = "dashed"
     DOTTED = "dotted"
-    __hash__ = object.__hash__  # as ColorRole's: a Style is a key of _STROKES
 
 
 Style = namedtuple("Style", "color_role dash", defaults=(Dash.SOLID,))
@@ -113,8 +111,7 @@ _FRAME = "\n".join([
 # a VLINE or HLINE, and a QUADRATIC in the viewport: its points, then its stroke
 _LINE = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" %s/>'
 _CURVE = '<path d="M%.3f,%.3f Q%.3f,%.3f %.3f,%.3f" %s/>'
-# bound once: each MarkKind.X is a class-attribute lookup, ~0.13 us on Python 3.11
-POLYLINE, QUADRATIC, POINT, TEXT, VLINE, HLINE = MarkKind
+_KINDS = tuple(v for k, v in vars(MarkKind).items() if not k.startswith("_"))
 
 
 class Mark(checked_record("Mark", "kind style xs ys value text size", ((), (), 0.0, "", 3.0))):
@@ -127,15 +124,17 @@ class Mark(checked_record("Mark", "kind style xs ys value text size", ((), (), 0
     __slots__ = ()
 
     def _check(self) -> None:
+        if (kind := self.kind) not in _KINDS:
+            raise ValueError(f"unknown mark kind {short_repr(kind)}")
         if len(self.xs) != len(self.ys):
             raise ValueError(f"{len(self.xs)} x values but {len(self.ys)} y values")
-        if (kind := self.kind) is POLYLINE and len(self.xs) < 2:
+        if kind == MarkKind.POLYLINE and len(self.xs) < 2:
             raise ValueError("polyline needs at least 2 vertices")
-        if kind is QUADRATIC and len(self.xs) != 3:
+        if kind == MarkKind.QUADRATIC and len(self.xs) != 3:
             raise ValueError("quadratic needs exactly 3 control points")
-        if (kind is POINT or kind is TEXT) and len(self.xs) != 1:
-            raise ValueError(f"{kind.value} needs exactly 1 anchor point")
-        if kind is POINT and self.size <= 0:
+        if (kind == MarkKind.POINT or kind == MarkKind.TEXT) and len(self.xs) != 1:
+            raise ValueError(f"{kind} needs exactly 1 anchor point")
+        if kind == MarkKind.POINT and self.size <= 0:
             raise ValueError(f"point size must be positive, got {self.size}")
 
     @property
@@ -145,28 +144,28 @@ class Mark(checked_record("Mark", "kind style xs ys value text size", ((), (), 0
 
 
 def polyline(xs, ys, style: Style) -> Mark:
-    return Mark(kind=POLYLINE, xs=tuple(xs), ys=tuple(ys), style=style)
+    return Mark(kind=MarkKind.POLYLINE, xs=tuple(xs), ys=tuple(ys), style=style)
 
 
 def quadratic(xs, ys, style: Style) -> Mark:
     """The quadratic Bezier curve with control points (xs[i], ys[i])."""
-    return Mark(kind=QUADRATIC, xs=tuple(xs), ys=tuple(ys), style=style)
+    return Mark(kind=MarkKind.QUADRATIC, xs=tuple(xs), ys=tuple(ys), style=style)
 
 
 def point(x: float, y: float, style: Style, size: float = 3.0) -> Mark:
-    return Mark(kind=POINT, xs=(x,), ys=(y,), style=style, size=size)
+    return Mark(kind=MarkKind.POINT, xs=(x,), ys=(y,), style=style, size=size)
 
 
 def text(x: float, y: float, label: str, style: Style) -> Mark:
-    return Mark(kind=TEXT, xs=(x,), ys=(y,), text=label, style=style)
+    return Mark(kind=MarkKind.TEXT, xs=(x,), ys=(y,), text=label, style=style)
 
 
 def vline(x: float, style: Style) -> Mark:
-    return Mark(kind=VLINE, value=x, style=style)
+    return Mark(kind=MarkKind.VLINE, value=x, style=style)
 
 
 def hline(y: float, style: Style) -> Mark:
-    return Mark(kind=HLINE, value=y, style=style)
+    return Mark(kind=MarkKind.HLINE, value=y, style=style)
 
 
 Panel = namedtuple("Panel", "space marks title", defaults=("",))
@@ -346,24 +345,28 @@ def _panel_rects(scene: Scene) -> list[tuple[float, float, float, float]]:
     return [(0.0, i * ch, w, ch) if stacked else (i * cw, 0.0, cw, h) for i in range(n)]
 
 
-@functools.lru_cache(maxsize=128)  # _panel_rects's layouts give a few dozen rectangles
+_FRAMES: dict = {}  # rectangle -> _frame(rectangle): 65 at most (see _panel_rects)
+
+
 def _frame(rect) -> tuple:
     """A panel rectangle's viewport (the rectangle less margins), clip and
     border <rect>s, and title and frame templates with its own numbers
     written, once per rectangle: a figure set's 11 panels share 5.  The
     low tick labels sit at the viewport's corner, as v - d0 is 0 there."""
-    px, py, pw, ph = rect
-    box = vx0, vy0, vx1, vy1 = (
-        px + MARGIN_LEFT, py + MARGIN_TOP, px + pw - MARGIN_RIGHT, py + ph - MARGIN_BOTTOM)
-    mid_x, mid_y = (vx0 + vx1) / 2, (vy0 + vy1) / 2
-    return (
-        box,
-        _rect(box),
-        _rect(box, ' stroke="#000000" stroke-width="1.000" fill="none"'),
-        _TITLE % (mid_x, py + 18.0, "%s"),
-        _FRAME % (mid_x, vy1 + 30.0, px + 14.0, mid_y, px + 14.0, mid_y,
-                  vx0, vy1 + 14.0, vy1 + 14.0, vx0 - 4.0, vy1 + 3.0, vx0 - 4.0),
-    )
+    if rect not in _FRAMES:
+        px, py, pw, ph = rect
+        box = vx0, vy0, vx1, vy1 = (
+            px + MARGIN_LEFT, py + MARGIN_TOP, px + pw - MARGIN_RIGHT, py + ph - MARGIN_BOTTOM)
+        mid_x, mid_y = (vx0 + vx1) / 2, (vy0 + vy1) / 2
+        _FRAMES[rect] = (
+            box,
+            _rect(box),
+            _rect(box, ' stroke="#000000" stroke-width="1.000" fill="none"'),
+            _TITLE % (mid_x, py + 18.0, "%s"),
+            _FRAME % (mid_x, vy1 + 30.0, px + 14.0, mid_y, px + 14.0, mid_y,
+                      vx0, vy1 + 14.0, vy1 + 14.0, vx0 - 4.0, vy1 + 3.0, vx0 - 4.0),
+        )
+    return _FRAMES[rect]
 
 
 def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
@@ -398,7 +401,7 @@ def _render_mark(out: list[str], mark: Mark, axes, box) -> None:
     vx0, vy0, vx1, vy1 = box
     # every map inlined in the one operand order, so the bits match
     xd0, xr0, xk, xw, yd0, yr0, yk, yw = axes
-    if (kind := mark.kind) is POLYLINE:
+    if (kind := mark.kind) == MarkKind.POLYLINE:
         px = [xr0 + (x - xd0) * xk / xw for x in mark.xs]
         py = [yr0 + (y - yd0) * yk / yw for y in mark.ys]
         flat = [0.0] * (2 * len(px))  # the pixels interleaved, x then y
@@ -431,7 +434,7 @@ def _render_mark(out: list[str], mark: Mark, axes, box) -> None:
             # none is negative and none needs _fmt's "-0.000" rule
             coords = ("%.3f,%.3f " * (len(flat) // 2))[:-1] % tuple(flat)
             out.append(f'<polyline points="{coords}" {attrs}/>')
-    elif kind is QUADRATIC:
+    elif kind == MarkKind.QUADRATIC:
         x0, cx, x1 = [xr0 + (x - xd0) * xk / xw for x in mark.xs]
         y0, cy, y1 = [yr0 + (y - yd0) * yk / yw for y in mark.ys]
         # a curve lies in the convex hull of its control points, so with all
@@ -447,25 +450,25 @@ def _render_mark(out: list[str], mark: Mark, axes, box) -> None:
                 if _shown((x0, cx, x1), (y0, cy, y1)):
                     d = f"M{x0:.3f},{y0:.3f} Q{_fmt(cx)},{_fmt(cy)} {x1:.3f},{y1:.3f}"
                     out.append(f'<path d="{d}" {attrs}/>')
-    elif kind is POINT:
+    elif kind == MarkKind.POINT:
         x, y = xr0 + (mark.xs[0] - xd0) * xk / xw, yr0 + (mark.ys[0] - yd0) * yk / yw
         if vx0 <= x <= vx1 and vy0 <= y <= vy1:
             out.append(
                 '<circle cx="%.3f" cy="%.3f" r="%.3f" fill="%s" stroke="none"/>'
                 % (x, y, mark.size, PALETTE[mark.style.color_role])
             )
-    elif kind is TEXT:
+    elif kind == MarkKind.TEXT:
         x, y = xr0 + (mark.xs[0] - xd0) * xk / xw, yr0 + (mark.ys[0] - yd0) * yk / yw
         # a NaN anchor is dropped, as a NaN POINT is; the clamp below would
         # keep it, and it keeps an infinite one on the edge
         if not (math.isnan(x) or math.isnan(y)):
             x, y = min(max(x, vx0), vx1), min(max(y, vy0), vy1)
             out.append(_LABEL % (x, y, PALETTE[mark.style.color_role], _escape(mark.text)))
-    elif kind is VLINE:
+    elif kind == MarkKind.VLINE:
         x = xr0 + (mark.value - xd0) * xk / xw
         if vx0 <= x <= vx1:
             out.append(_LINE % (x, vy0, x, vy1, _STROKES[mark.style]))
-    elif kind is HLINE:
+    elif kind == MarkKind.HLINE:
         y = yr0 + (mark.value - yd0) * yk / yw
         if vy0 <= y <= vy1:
             out.append(_LINE % (vx0, y, vx1, y, _STROKES[mark.style]))

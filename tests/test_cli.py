@@ -8,6 +8,7 @@ import math
 import os
 import re
 import shutil
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
@@ -19,10 +20,12 @@ from hypothesis import example, given, settings, strategies as st
 from hoopshot import solver
 from hoopshot.cli import COMMANDS, _parse, build_parser, run
 from hoopshot.kinematics import ShotParams
+from hoopshot.ladder import LadderSpec
 from hoopshot.solver import feasibility_angle
 from oracles import decimal_optimum, decimal_pi, decimal_required_velocity, ulps
 from test_solver import assert_correctly_rounded
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
 # a <polyline> or <path> whose points all print as one, so that it draws nothing
 ONE_POINT = re.compile(r'<polyline points="([^" ]+)(?: \1)+"|<path d="M([^ ]+) Q\2 \2"')
@@ -487,6 +490,31 @@ class TestFigures:
         spec = json.loads((out_dir / "ladder.json").read_text())
         assert spec["stages"][1]["caption"] == caption
 
+    def test_a_ladder_that_breaks_a_rule_exits_1_and_writes_nothing(self, tmp_path, monkeypatch):
+        # the one-range mutation of validate-ladder's test, made before
+        # the ladder is validated: stage 2's first court panel 1 m wider
+        from hoopshot import figures
+
+        build = figures.build_basketball_ladder
+
+        def stretched(*args):
+            spec, scenes = build(*args)
+            stages = list(spec.stages)
+            lo, hi = stages[1].panels[0].x_range
+            panels = (stages[1].panels[0].replace(x_range=(lo, hi + 1.0)), *stages[1].panels[1:])
+            stages[1] = stages[1].replace(panels=panels)
+            return LadderSpec(tuple(stages)), scenes
+
+        monkeypatch.setattr(figures, "build_basketball_ladder", stretched)
+        out_dir = tmp_path / "figs"
+        code, out, err = run_captured(["figures", "--out", str(out_dir)])
+        assert (code, out) == (1, "")
+        assert err == (
+            "SHARED_SPACE_MISMATCH: the panels that draw horizontal position (m) "
+            "disagree on its range\n"
+        )
+        assert not out_dir.exists()
+
     def test_byte_identical_across_runs(self, tmp_path):
         scenario = _small_scenario(tmp_path)
         dir1 = tmp_path / "run1"
@@ -789,6 +817,44 @@ class TestScenarioHandling:
     def test_scenario_file_values_used(self, capsys, scenario_file):
         assert run(["optimize", "--scenario", str(scenario_file)]) == 0
         assert "48.8" in capsys.readouterr().out
+
+    def test_utf8_files_are_read_under_an_ascii_locale(self, tmp_path):
+        # a fresh interpreter whose locale encoding is ASCII: neither the
+        # C locale's coercion nor UTF-8 mode may rescue a locale-encoded read
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes('{"output": "figürs", "params": {"d": 8}}'.encode("utf-8"))
+        doc = copy.deepcopy(LADDER)
+        doc["stages"][0]["caption"] = "Ein Schütze, 10 m vor dem Korb."
+        spec = tmp_path / "ladder.json"
+        spec.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(SRC)}
+        for argv, want in (
+            (["optimize", "--scenario", str(scenario)], run_captured(["optimize", "--distance=8"])),
+            (["validate-ladder", str(spec)], (0, "0 violations\n", "")),
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "hoopshot.cli", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert (result.returncode, result.stdout, result.stderr) == want
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [(["optimize", "--scenario"], "cannot read scenario file"),
+         (["validate-ladder"], "cannot load ladder spec")],
+        ids=["scenario", "ladder-spec"],
+    )
+    def test_a_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, argv, what):
+        # a UTF-16 byte-order mark, which no UTF-8 text starts with
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_captured([*argv, str(path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"{what} {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
 
     @pytest.mark.parametrize(
         "text",

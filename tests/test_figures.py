@@ -8,7 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hoopshot import solver
 from hoopshot.figures import STAGES, _speed_bends, _speed_curve, build_basketball_ladder
 from hoopshot.kinematics import ShotParams
-from hoopshot.ladder import ColorRole, PlotSpace, StrategyTag, ladder_to_json, validate_ladder
+from hoopshot.ladder import (
+    ROLE_RANKS, ColorRole, PlotSpace, StrategyTag, ladder_to_json, validate_ladder,
+)
 from hoopshot.render import MarkKind, render_svg
 from hoopshot.solver import default_d_grid, optimal_angle, required_velocity, speed_crossings
 from hoopshot.solver import sweep_distance
@@ -51,7 +53,7 @@ class TestLadderStructure:
         seen = set()
         for stage in spec.stages:
             new = stage.roles_used - seen
-            introduced.extend(sorted(r.rank for r in new))
+            introduced.extend(sorted(ROLE_RANKS.index(r) for r in new))
             seen |= stage.roles_used
         assert introduced == [0, 1, 2, 3]
 
@@ -107,7 +109,7 @@ class TestSceneContent:
     def test_velocity_fan_labels_at_path_ends(self, built):
         _, scenes = built
         fan_panel = scenes[1].panels[1]
-        labels = [m for m in fan_panel.marks if m.kind is MarkKind.TEXT]
+        labels = [m for m in fan_panel.marks if m.kind == MarkKind.TEXT]
         label_texts = {m.text for m in labels}
         assert {"5", "10", "15", "20"} <= label_texts
 
@@ -121,8 +123,8 @@ class TestSceneContent:
             dots = [
                 m
                 for m in panel.marks
-                if m.kind is MarkKind.POINT
-                and m.style.color_role is ColorRole.SOLUTION
+                if m.kind == MarkKind.POINT
+                and m.style.color_role == ColorRole.SOLUTION
             ]
             assert len(dots) == 1
             x, y = dots[0].points[0]
@@ -135,7 +137,7 @@ class TestSceneContent:
         green = [
             m
             for m in right.marks
-            if m.style.color_role is ColorRole.OPTIMUM
+            if m.style.color_role == ColorRole.OPTIMUM
         ]
         kinds = {m.kind for m in green}
         assert MarkKind.VLINE in kinds
@@ -145,7 +147,7 @@ class TestSceneContent:
     def test_altitude_scene_has_three_curves_per_panel(self, built):
         _, scenes = built
         for panel in scenes[6].panels:
-            curves = [m for m in panel.marks if m.kind is MarkKind.POLYLINE]
+            curves = [m for m in panel.marks if m.kind == MarkKind.POLYLINE]
             assert len(curves) == 3
 
     def test_stacked_scenes_share_x(self, built):
@@ -179,7 +181,7 @@ class TestCustomInputs:
     def test_custom_velocities_label_fan(self):
         _, scenes = build_basketball_ladder(velocities=[6.0, 9.0])
         fan_panel = scenes[1].panels[1]
-        labels = {m.text for m in fan_panel.marks if m.kind is MarkKind.TEXT}
+        labels = {m.text for m in fan_panel.marks if m.kind == MarkKind.TEXT}
         assert {"6", "9"} <= labels
 
 
@@ -211,7 +213,7 @@ class TestRequiredSpeedCurveVertices:
     def test_no_vertex_written_twice_in_a_row(self, params):
         # one altitude, the scenario's: an optimum at another may be vertical
         _, scenes = build_basketball_ladder(params, altitudes=[params.release_altitude])
-        (curve,) = [m for m in scenes[3].panels[0].marks if m.kind is MarkKind.POLYLINE]
+        (curve,) = [m for m in scenes[3].panels[0].marks if m.kind == MarkKind.POLYLINE]
         assert len(curve.xs) <= 200
         for scene in scenes[3:5]:
             pieces = re.findall(BLUE_POLYLINE, render_svg(scene).decode())
@@ -296,7 +298,7 @@ class TestRequiredSpeedCurveInItsPanel:
         params = ShotParams(a, d, h)
         _, scenes = build_basketball_ladder(params, [5.0], [a], [1.0, 2.0])
         panel = scenes[3].panels[0]
-        (curve,) = [m for m in panel.marks if m.kind is MarkKind.POLYLINE]
+        (curve,) = [m for m in panel.marks if m.kind == MarkKind.POLYLINE]
         space = panel.space
         left, top, width, height = clip_rects(render_svg(scenes[3]).decode())[0]
         px = [_pixel(v, space.x_range, (left, left + width)) for v in curve.xs]
@@ -316,7 +318,7 @@ def stage_5_vertices(scenes):
     for scene in scenes[5:]:
         for panel in scene.panels:
             for mark in panel.marks:
-                if mark.kind is MarkKind.POLYLINE:
+                if mark.kind == MarkKind.POLYLINE:
                     for x, y in mark.points:
                         yield x, y, panel.space
 
@@ -407,7 +409,7 @@ class TestStage5FromTheClosedForm:
         bound = 2 + math.log(hi / lo) / math.log(1.08)
         for scene in scenes[5:]:
             for mark in scene.panels[0].marks:
-                if mark.kind is MarkKind.POLYLINE:
+                if mark.kind == MarkKind.POLYLINE:
                     xs = mark.xs
                     assert xs[0] == lo and xs[-1] == hi and len(xs) <= bound
                     assert all(x1 > 1.08 * x0 for x0, x1 in zip(xs, xs[1:-1]))
@@ -500,7 +502,7 @@ def test_the_pinned_fan_is_clipped():
     kwargs, _ = PINNED_SETS["fan-leaves-the-court"]
     scene = build_basketball_ladder(**kwargs)[1][1]
     top = scene.panels[1].space.y_range[1]
-    curves = [m for m in scene.panels[1].marks if m.kind is MarkKind.QUADRATIC]
+    curves = [m for m in scene.panels[1].marks if m.kind == MarkKind.QUADRATIC]
     assert [m.ys[-1] > top for m in curves] == [False] * 10 + [True] * 2
     ends = [piece[5] for piece in panel_paths(scene, 1)]
     assert len(ends) == 12 and ends[10:] == ["28.000", "28.000"] and "28.000" not in ends[:10]
@@ -533,7 +535,7 @@ class TestTrajectoryPieces:
         # not drawn, so their labels are not written either: once they
         # piled up where the viewport's edge clamps their end points
         scene = build_basketball_ladder(params=ShotParams(release_altitude=9.0))[1][1]
-        labels = [m.text for m in scene.panels[1].marks if m.kind is MarkKind.TEXT]
+        labels = [m.text for m in scene.panels[1].marks if m.kind == MarkKind.TEXT]
         assert labels == ["a = 9 m", "h = 3.05 m", "d = 10 m", "5"]
         assert len(re.findall(r'fill="#CC0000">', render_svg(scene).decode())) == 1
 
@@ -550,6 +552,6 @@ class TestTrajectoryPieces:
     def test_a_shot_that_ends_on_the_floor(self):
         # the default 5 m/s shot lands 3.9 m out: its end is on the floor
         _, scenes = build_basketball_ladder()
-        curve = next(m for m in scenes[1].panels[1].marks if m.kind is MarkKind.QUADRATIC)
+        curve = next(m for m in scenes[1].panels[1].marks if m.kind == MarkKind.QUADRATIC)
         assert curve.ys[-1] == pytest.approx(0.0, abs=1e-12)
         assert panel_paths(scenes[1], 1)[0][4:] == ("435.331", "412.000")

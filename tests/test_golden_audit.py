@@ -309,17 +309,17 @@ def audit_curve(svgs: dict[int, str], kwargs: dict) -> tuple[int, Decimal]:
                 want = []  # (tag, colour, exact numbers) of each element drawn
                 for mark in panel.marks:
                     key = (mark.kind, PALETTE[mark.style.color_role])
-                    if mark.kind is MarkKind.POLYLINE:
+                    if mark.kind == MarkKind.POLYLINE:
                         # one curve, drawn in every panel of the two figures
                         vertices, between = curve = curve or exact_curve(params, mark.xs)
                         want.append(("polyline", key[1], [(px(x), py(v)) for x, v in vertices]))
-                    elif mark.kind is MarkKind.POINT:
+                    elif mark.kind == MarkKind.POINT:
                         X, Y = px(exact[key][0]), py(exact[key][1])
                         want += [("circle", key[1], [X, Y])] if inside(X, Y) else []
-                    elif mark.kind is MarkKind.VLINE:
+                    elif mark.kind == MarkKind.VLINE:
                         X = px(exact[key])
                         want += [("line", key[1], [X, by0, X, by1])] if inside(X, by0) else []
-                    elif mark.kind is MarkKind.HLINE:
+                    elif mark.kind == MarkKind.HLINE:
                         Y = py(exact[key])
                         want += [("line", key[1], [bx0, Y, bx1, Y])] if inside(bx0, Y) else []
                 assert [(t, c) for t, c, _ in want] == [
@@ -364,7 +364,7 @@ def audit_optimum(svgs: dict[int, str], kwargs: dict) -> tuple[int, Decimal]:
             )):
                 x, y, width, height = rect
                 px, py = pixel_map(panel.space, (x, y, x + width, y + height))
-                marks = [m for m in panel.marks if m.kind is MarkKind.POLYLINE]
+                marks = [m for m in panel.marks if m.kind == MarkKind.POLYLINE]
                 assert [t for t, _ in drawn] == ["polyline"] * len(marks), (number, drawn)
                 for mark, alt, (_, attrs) in zip(marks, curve_altitudes, drawn, strict=True):
 
@@ -514,7 +514,7 @@ def test_the_pinned_courts_are_exact(kwargs):
 
 def test_the_golden_required_speed_curve_is_exact():
     _, scenes = build_basketball_ladder()
-    (curve,) = [m for m in scenes[3].panels[0].marks if m.kind is MarkKind.POLYLINE]
+    (curve,) = [m for m in scenes[3].panels[0].marks if m.kind == MarkKind.POLYLINE]
     assert len(curve.xs) <= 70
     # 60 vertices in each of 3 panels, 4 dots and 5 lines
     svgs = {n: (GOLDEN / f"figure_{n:02d}.svg").read_text() for n in (4, 5)}

@@ -1,5 +1,6 @@
 """Start-up cost: which modules the CLI and the package pull in."""
 
+import ast
 import importlib
 import json
 import os
@@ -86,6 +87,43 @@ def test_cli_and_optimize_skip_the_renderer_stack(tmp_path):
     assert result.stdout.splitlines() == (
         ["[]", "[]"] + ["0 []"] * len(PLAIN) + ["0 [] True", "[0, 0] []"]
     )
+
+
+# what a default figure set must not load: the ladder's constants are
+# plain strings, the renderer caches its frames in a dict, and ladder.json
+# of printable ASCII is quoted without json (with the re and enum it loads)
+FIGURES_UNWANTED = ("enum", "json", "re", "functools")
+FIGURES_PROBE = f"""
+import io, sys
+import hoopshot.cli
+sys.stdout = io.StringIO()
+code = hoopshot.cli.run(["figures", "--out", sys.argv[1]])
+sys.stdout = sys.__stdout__
+print(code, sorted(m for m in {FIGURES_UNWANTED!r} if m in sys.modules))
+"""
+
+
+def test_a_default_figure_set_loads_no_enum_json_re_or_functools(tmp_path):
+    # -S, as above: the site-packages .pth files may load all four
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", FIGURES_PROBE, str(tmp_path / "figs")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+    )
+    assert result.stdout == "0 []\n"
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "hoopshot").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_enum_or_functools(path):
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert not imported & {"enum", "functools"}
 
 
 def test_every_exported_name_resolves():

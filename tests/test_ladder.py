@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hoopshot.figures import build_basketball_ladder
 from hoopshot.kinematics import ShotParams
 from hoopshot.ladder import (
+    ROLE_RANKS,
     ColorRole,
     LadderSpec,
     PlotSpace,
@@ -70,7 +71,7 @@ class TestValidateLadder:
         )
         violations = validate_ladder(mutated)
         assert len(violations) == 1
-        assert violations[0].kind is ViolationKind.SHARED_SPACE_MISMATCH
+        assert violations[0].kind == ViolationKind.SHARED_SPACE_MISMATCH
 
     def test_range_tolerance(self, basketball):
         spec, _ = basketball
@@ -130,7 +131,7 @@ class TestValidateLadder:
         )
         violations = validate_ladder(spec)
         assert len(violations) == 1
-        assert violations[0].kind is ViolationKind.ROLE_RANK_REGRESSION
+        assert violations[0].kind == ViolationKind.ROLE_RANK_REGRESSION
         assert violations[0].stages == (3, 4)
 
     def test_idempotent_and_order_stable(self, basketball):
@@ -226,6 +227,16 @@ class TestJsonRoundTrip:
                 "stages[1] has unknown key 'parent'; known: id, panels, roles_used, tags, caption",
                 id="retired-parent",
             ),
+            pytest.param(  # an attribute of the class of constants, but no member
+                lambda stage: stage.update(roles_used=["__module__"]),
+                "stages[1].roles_used[0]: unknown ColorRole '__module__'",
+                id="role-class-attribute",
+            ),
+            pytest.param(  # the value of StrategyTag.__module__
+                lambda stage: stage.update(tags=["EXPAND_SAMPLING", "hoopshot.ladder"]),
+                "stages[1].tags[1]: unknown StrategyTag 'hoopshot.ladder'",
+                id="tag-module-name",
+            ),
             pytest.param(
                 lambda stage: stage.update(panels=[]),
                 "stages[1]: stage has no panels",
@@ -259,8 +270,8 @@ def json_dumps_form(spec) -> str:
             {
                 "id": n,
                 "panels": [p._asdict() for p in stage.panels],
-                "roles_used": sorted(r.name for r in stage.roles_used),
-                "tags": sorted(t.name for t in stage.tags),
+                "roles_used": sorted(stage.roles_used),
+                "tags": sorted(stage.tags),
                 "caption": stage.caption,
             }
             for n, stage in enumerate(spec.stages, 1)
@@ -270,10 +281,19 @@ def json_dumps_form(spec) -> str:
 
 
 # quotes, backslashes, control characters, non-ASCII text (a lone
-# surrogate too) and brackets, besides any text
+# surrogate and characters above U+FFFF too) and brackets, besides any
+# text, and printable ASCII, which ladder_to_json writes without json
 names = st.one_of(
     st.text(st.characters(exclude_categories=()), min_size=1, max_size=12),
-    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t", "é – ✓ 😀", "\ud800", "[]{}", '"],["']),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=12),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t", "é – ✓ 😀", "\ud800", "[]{}", '"],["',
+                     "\U0010ffff\U00010000", "a~ b", "\x7f"]),
+)
+TAGS = (
+    StrategyTag.DEFINE_ABSTRACT_SPACE,
+    StrategyTag.MODELED_OR_OPTIMIZED_VALUES,
+    StrategyTag.EXPAND_SAMPLING,
+    StrategyTag.UNFIX_PARAMETER,
 )
 range_ends = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -297,8 +317,8 @@ plot_spaces = st.builds(
 stages = st.builds(
     Stage,
     st.lists(plot_spaces, min_size=1, max_size=3).map(tuple),
-    st.frozensets(st.sampled_from(ColorRole)),
-    st.frozensets(st.sampled_from(StrategyTag)),
+    st.frozensets(st.sampled_from(ROLE_RANKS)),
+    st.frozensets(st.sampled_from(TAGS)),
     names,
 )
 specs = st.lists(stages, min_size=1, max_size=5).map(lambda s: LadderSpec(tuple(s)))
@@ -315,6 +335,13 @@ class TestSchemaWriter:
         text = ladder_to_json(spec)
         assert text == json_dumps_form(spec)
         assert ladder_from_json(text) == spec
+
+    def test_every_character_below_u0100_is_quoted_as_json_dumps_quotes_it(self):
+        for code in range(0x100):
+            for text in (chr(code), f"a{chr(code)}b"):
+                stage = simple_stage((), panels=(space(name=text),)).replace(caption=text)
+                spec = LadderSpec((stage,))
+                assert ladder_to_json(spec) == json_dumps_form(spec)
 
     @pytest.mark.parametrize(
         "kwargs", [{}, *(kw for kw, _ in PINNED_SETS.values())], ids=["defaults", *PINNED_SETS]

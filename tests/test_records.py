@@ -28,7 +28,7 @@ SPACE = (
     "PlotSpace(x_var=('x', 'm'), y_var=('y', 'm'), x_range=(0.0, 1.0), "
     "y_range=(0.0, 2.0))"
 )
-STYLE = "Style(color_role=<ColorRole.BASELINE: 0>, dash=<Dash.SOLID: 'solid'>)"
+STYLE = "Style(color_role='BASELINE', dash='solid')"
 
 
 def space():
@@ -78,9 +78,8 @@ RECORDS = [
     pytest.param(space, SPACE, "y_range", id="PlotSpace"),
     pytest.param(
         stage,
-        f"Stage(panels=({SPACE},), roles_used=frozenset({{<ColorRole.BASELINE: 0>}}), "
-        "tags=frozenset({<StrategyTag.UNFIX_PARAMETER: 'unfix_parameter'>}), "
-        "caption='c')",
+        f"Stage(panels=({SPACE},), roles_used=frozenset({{'BASELINE'}}), "
+        "tags=frozenset({'UNFIX_PARAMETER'}), caption='c')",
         "caption",
         id="Stage",
     ),
@@ -92,20 +91,19 @@ RECORDS = [
     ),
     pytest.param(
         lambda: Violation(ViolationKind.ROLE_RANK_REGRESSION, (2,), "m"),
-        "Violation(kind=<ViolationKind.ROLE_RANK_REGRESSION: 'role_rank_regression'>, "
-        "stages=(2,), message='m')",
+        "Violation(kind='ROLE_RANK_REGRESSION', stages=(2,), message='m')",
         "message",
         id="Violation",
     ),
     pytest.param(
         lambda: Style(ColorRole.CONCRETE),
-        "Style(color_role=<ColorRole.CONCRETE: 1>, dash=<Dash.SOLID: 'solid'>)",
+        "Style(color_role='CONCRETE', dash='solid')",
         "dash",
         id="Style",
     ),
     pytest.param(
         lambda: Mark(MarkKind.POINT, Style(ColorRole.BASELINE), (1.0,), (2.0,)),
-        f"Mark(kind=<MarkKind.POINT: 'point'>, style={STYLE}, xs=(1.0,), ys=(2.0,), "
+        f"Mark(kind='point', style={STYLE}, xs=(1.0,), ys=(2.0,), "
         "value=0.0, text='', size=3.0)",
         "xs",
         id="Mark",
@@ -260,7 +258,7 @@ SIGNATURES = {
     PlotSpace: "(x_var, y_var, x_range, y_range)",
     Stage: "(panels, roles_used, tags, caption)",
     LadderSpec: "(stages)",
-    Style: "(color_role, dash=<Dash.SOLID: 'solid'>)",
+    Style: "(color_role, dash='solid')",
     Mark: "(kind, style, xs=(), ys=(), value=0.0, text='', size=3.0)",
 }
 
