@@ -5,18 +5,18 @@ Exit codes: 0 success, 1 domain error (infeasible query, validation
 violations), 2 usage or scenario-parse error.
 
 Scenario files are JSON with top-level keys `params` (a, d, h, g),
-`velocities`, `altitudes`, `d_grid` (lo, hi, step: figures 6-7 span lo
-to lo + round((hi - lo) / step) * step, and only the `sweep` CSV has
-the points between), and `output`, a non-empty directory path.  They and
-ladder specs are read as UTF-8 in any locale, by `json_value` and
-`json_object` of `kinematics`: bytes that are not UTF-8 (named by the
-file), an unknown key, a missing required one (`d_grid` lo and hi), a
-value of another JSON type or a number that is not finite or does not
-fit a float exits 2 with one line naming the key path.  Flags override
-file values.  The defaults live where they are used: params in
-`kinematics.ShotParams`; velocities, altitudes and the distance grid
-(with its validation) in `solver`, so a key the file leaves out takes
-that default.
+`velocities`, `altitudes`, `d_grid` (lo, hi, step, kept as the shape
+(lo, step, n), n = round((hi - lo) / step) + 1: only `sweep` builds the
+points lo + i * step, and figures 6-7 span the first to the last), and
+`output`, a non-empty directory path.  They and ladder specs are read
+as UTF-8 in any locale, by `json_value` and `json_object` of
+`kinematics`: bytes that are not UTF-8 (named by the file), an unknown
+key, a missing required one (`d_grid` lo and hi), a value of another
+JSON type or a number that is not finite or does not fit a float exits
+2 with one line naming the key path.  Flags override file values.
+The defaults live where they are used: params in `kinematics.ShotParams`;
+velocities, altitudes and the distance grid (with its validation) in
+`solver`, so a key the file leaves out takes that default.
 
 Each flag is one `Flag` row of `COMMANDS`.  `run` parses a plain argv
 (see `_parse`) from those rows, and builds an argparse parser from them
@@ -56,7 +56,7 @@ class Scenario:
         self.params = ShotParams()
         self.velocities: list[float] | None = None  # not in the file
         self.altitudes: list[float] | None = None
-        self.d_grid: list[float] | None = None  # the default grid
+        self.d_grid = solver.d_grid()  # (lo, step, n)
         self.output = "figures"
 
 
@@ -89,7 +89,7 @@ def load_scenario(path: str | None) -> Scenario:
         scenario.altitudes = _numbers(doc["altitudes"], "altitudes")
     if "d_grid" in doc:
         g = json_object(doc["d_grid"], "d_grid", ("lo", "hi", "step"), ("lo", "hi"))
-        scenario.d_grid = solver.default_d_grid(
+        scenario.d_grid = solver.d_grid(
             **{k: json_value(v, float, f"d_grid.{k}") for k, v in g.items()}
         )
     if "output" in doc:
@@ -126,8 +126,8 @@ def _cmd_optimize(scenario: Scenario, args) -> int:
 def _cmd_sweep(scenario: Scenario, args) -> int:
     p = scenario.params
     altitudes = args.altitudes or scenario.altitudes or [p.release_altitude]
-    d_grid = solver.default_d_grid() if scenario.d_grid is None else scenario.d_grid
-    curves = solver.sweep_altitudes(p, altitudes, d_grid)
+    lo, step, n = scenario.d_grid
+    curves = solver.sweep_altitudes(p, altitudes, [lo + i * step for i in range(n)])
     csv_text = solver.sweep_csv(curves)
     if args.out is not None:
         _write_file(args.out, csv_text.encode(), "sweep CSV")
@@ -151,7 +151,7 @@ def _cmd_figures(scenario: Scenario, args) -> int:
         return EXIT_DOMAIN
     try:
         os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # a path the file-system encoding lacks
         raise OSError(f"cannot make the output directory {out_dir}: {exc}") from exc
     paths = render.export_figures(scenes, out_dir)
     spec_path = os.path.join(out_dir, "ladder.json")

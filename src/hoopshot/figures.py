@@ -304,7 +304,7 @@ def build_basketball_ladder(
     params: ShotParams | None = None,
     velocities: Sequence[float] | None = None,
     altitudes: Sequence[float] | None = None,
-    d_grid: Sequence[float] | None = None,
+    d_grid: tuple[float, float, int] = solver.d_grid(),
 ) -> tuple[LadderSpec, list[Scene]]:
     """The five-stage ladder and its seven figure scenes.
 
@@ -319,16 +319,19 @@ def build_basketball_ladder(
     params = params or ShotParams()
     velocities = solver.DEFAULT_VELOCITIES if velocities is None else tuple(velocities)
     altitudes = solver.DEFAULT_ALTITUDES if altitudes is None else tuple(altitudes)
-    d_grid = solver.default_d_grid() if d_grid is None else list(d_grid)
-    if len(d_grid) < 2 or not d_grid[0] < d_grid[-1]:
+    lo, step, n = d_grid
+    lo, hi = lo + 0 * step, lo + (n - 1) * step  # points 0 and n - 1 as `sweep` builds them
+    if n < 2 or not lo < hi:
         raise ValueError(
-            f"figures need a d_grid of at least 2 points from lo < hi, "
-            f"got {len(d_grid)} point(s)"
+            f"figures need a d_grid of at least 2 points from lo < hi, got {n} point(s)"
         )
-    solver._check_order(d_grid)
-    for d in d_grid:
-        if not 0 < d < math.inf:
-            check_distance(d)  # raises, as for a sweep's first bad point
+    # for n <= MAX_GRID_POINTS two points in a row, lo + fl(i * step) exactly, differ by over
+    # step * (1 - 1e-10), and two reals more than one float spacing apart never round to one
+    # float: only a step of at most two spacings at max(-lo, hi), their largest size, can stall
+    if step <= 2.0 * math.ulp(max(-lo, hi)):
+        solver._check_order([lo + i * step for i in range(n)])
+    check_distance(lo)  # the points rise from lo to hi, so these two
+    check_distance(hi)  # raise as a sweep's first bad point does
 
     court = _court_marks(params)
     feasibility = solver.feasibility_angle(params)
@@ -379,7 +382,6 @@ def build_basketball_ladder(
     # from the closed form between the grid's ends.  theta* and v* are
     # monotone in d, so each space's range comes from the ends of its
     # curves, widened only where an optimum would leave it
-    lo, hi = d_grid[0], d_grid[-1]
     a, _, h, g = params
     # each altitude checked as ShotParams checks it
     shot_altitudes = [a, *(params.replace(release_altitude=x).release_altitude for x in altitudes)]

@@ -67,6 +67,15 @@ class PlotSpace(checked_record("PlotSpace", "x_var y_var x_range y_range")):
                 raise ValueError(f"bad {name} {(lo, hi)}")
 
 
+def _check_members(constants, names, what: str = "") -> None:
+    """Raise ValueError, prefixed by what, naming the least by repr of names
+    that is not a member of constants: an attribute that is its own name,
+    which no other, such as __module__, is."""
+    unknown = [name for name in names if vars(constants).get(name) != name]
+    if unknown:
+        raise ValueError(f"{what}unknown {constants.__name__} {short_repr(min(unknown, key=repr))}")
+
+
 class Stage(checked_record("Stage", "panels roles_used tags caption")):
     __slots__ = ()
 
@@ -75,6 +84,8 @@ class Stage(checked_record("Stage", "panels roles_used tags caption")):
             raise ValueError("stage has no panels")
         if not self.caption:
             raise ValueError("stage has no caption")
+        _check_members(ColorRole, self.roles_used)
+        _check_members(StrategyTag, self.tags)
 
 
 class LadderSpec(checked_record("LadderSpec", "stages")):
@@ -157,9 +168,7 @@ def _pair(value, kind, what: str) -> tuple:
 def _members(constants, names, what: str) -> frozenset:
     names = json_value(names, list, what)
     for i, name in enumerate(names):
-        # no attribute but a member, such as __module__, is its own name
-        if vars(constants).get(json_value(name, str, f"{what}[{i}]")) != name:
-            raise ValueError(f"{what}[{i}]: unknown {constants.__name__} {short_repr(name)}")
+        _check_members(constants, [json_value(name, str, f"{what}[{i}]")], f"{what}[{i}]: ")
     return frozenset(names)
 
 

@@ -182,29 +182,26 @@ def _optima(a: float, h: float, g: float, distances) -> tuple[list, list]:
     return angles, speeds
 
 
-def default_d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> list[float]:
-    """Distances lo, lo + step, ... up to hi (the count rounded to the
-    nearest step).  Raises ValueError for a non-finite bound or step, a
-    non-positive step, lo > hi, or more than MAX_GRID_POINTS points."""
+def d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> tuple[float, float, int]:
+    """(lo, step, n): the distances lo + i * step, i < n, to hi, n rounded to the nearest step;
+    ValueError for a non-finite value, step <= 0, lo > hi or over MAX_GRID_POINTS points."""
     if not all(map(math.isfinite, (lo, hi, step))):
         raise ValueError(f"d_grid values must be finite, got {lo}, {hi}, {step}")
     if step <= 0:
         raise ValueError(f"d_grid.step must be positive, got {step}")
     if lo > hi:
         raise ValueError(f"d_grid.lo must not exceed d_grid.hi, got {lo} > {hi}")
-    # round(intervals) + 1 points; compared before rounding, since
-    # hi - lo may overflow to inf
+    # round(intervals) + 1 points, compared before rounding: hi - lo may overflow to inf
     intervals = (hi - lo) / step
     if not intervals < MAX_GRID_POINTS - 0.5:
         raise ValueError(
             f"d_grid has more than {MAX_GRID_POINTS} points: {lo}..{hi} step {step}"
         )
-    return [lo + i * step for i in range(round(intervals) + 1)]
+    return lo, step, round(intervals) + 1
 
 
 def _check_order(d_grid: Sequence[float]) -> None:
-    """Raise ValueError unless d_grid is strictly increasing: the order
-    check of `sweep_distance` and of the figures' grid."""
+    """Raise ValueError unless d_grid is strictly increasing (a sweep's or a figures grid's)."""
     if any(map(le, d_grid[1:], d_grid)):
         raise ValueError("d_grid must be strictly increasing")
 

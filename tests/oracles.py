@@ -10,15 +10,22 @@ measure the solver's rounding error in ulps (`ulps`), and
 `decimal_required_velocity` the hoop-reaching speed at one angle, from
 `decimal_sin_cos` (and `decimal_tan`): Taylor series after reducing the
 angle by the nearest multiple of pi/2.
+
+`default_d_grid` and `check_figures_grid` are the distance grid as a
+list, checked point by point: the path the figures and `sweep` took
+before they carried a grid as its shape (lo, step, n).  They are the
+oracle of `solver.d_grid` and of the figures' checks of a shape, and
+the points of the tests that sweep a grid.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, getcontext, localcontext
+from operator import le
 from typing import Callable, NamedTuple
 
-from hoopshot.kinematics import Infeasible, checked_record
+from hoopshot.kinematics import MAX_GRID_POINTS, Infeasible, check_distance, checked_record
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -238,3 +245,38 @@ def decimal_optimum(a: float, d: float, h: float, g: float, digits: int = 50):
 def ulps(x: float, exact: Decimal) -> float:
     """|x - exact| in units of the last place of exact rounded to a float."""
     return float(abs(Decimal(x) - exact) / Decimal(math.ulp(float(exact))))
+
+
+def default_d_grid(lo: float = 1.0, hi: float = 15.0, step: float = 0.1) -> list[float]:
+    """Distances lo, lo + step, ... up to hi (the count rounded to the
+    nearest step).  Raises ValueError for a non-finite bound or step, a
+    non-positive step, lo > hi, or more than MAX_GRID_POINTS points."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"d_grid values must be finite, got {lo}, {hi}, {step}")
+    if step <= 0:
+        raise ValueError(f"d_grid.step must be positive, got {step}")
+    if lo > hi:
+        raise ValueError(f"d_grid.lo must not exceed d_grid.hi, got {lo} > {hi}")
+    # round(intervals) + 1 points; compared before rounding, since
+    # hi - lo may overflow to inf
+    intervals = (hi - lo) / step
+    if not intervals < MAX_GRID_POINTS - 0.5:
+        raise ValueError(
+            f"d_grid has more than {MAX_GRID_POINTS} points: {lo}..{hi} step {step}"
+        )
+    return [lo + i * step for i in range(round(intervals) + 1)]
+
+
+def check_figures_grid(d_grid: list[float]) -> None:
+    """Raise ValueError unless the figures can draw from d_grid: at
+    least 2 points from lo < hi, strictly increasing, and each point a
+    distance, the first bad one raising."""
+    if len(d_grid) < 2 or not d_grid[0] < d_grid[-1]:
+        raise ValueError(
+            f"figures need a d_grid of at least 2 points from lo < hi, "
+            f"got {len(d_grid)} point(s)"
+        )
+    if any(map(le, d_grid[1:], d_grid)):
+        raise ValueError("d_grid must be strictly increasing")
+    for d in d_grid:
+        check_distance(d)

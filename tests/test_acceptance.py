@@ -15,7 +15,6 @@ from hoopshot.kinematics import LaunchState, ShotParams, height_at_plane
 from hoopshot.ladder import LadderSpec, ViolationKind, validate_ladder
 from hoopshot.solver import (
     InfeasibleAngle,
-    default_d_grid,
     feasibility_angle,
     optimal_angle,
     required_velocity,
@@ -23,7 +22,7 @@ from hoopshot.solver import (
     sweep_distance,
 )
 
-from oracles import Bracket, grid_scan, minimize_scalar
+from oracles import Bracket, default_d_grid, grid_scan, minimize_scalar
 from test_solver import bisect_hoop_speed, random_feasible_case
 
 DEFAULTS = ShotParams()
@@ -147,7 +146,7 @@ def test_criterion_08_bracket_sanity():
 
 
 def test_criterion_09_ladder_validation():
-    spec, _ = build_basketball_ladder(d_grid=[2.0, 3.0, 4.0])
+    spec, _ = build_basketball_ladder(d_grid=(2.0, 1.0, 3))
     assert validate_ladder(spec) == []
 
     def mutate(n, **changes):

@@ -751,7 +751,7 @@ class TestValidateLadder:
             from hoopshot.figures import build_basketball_ladder
             from hoopshot.ladder import ladder_to_json
 
-            spec, _ = build_basketball_ladder(d_grid=[2.0, 3.0])
+            spec, _ = build_basketball_ladder(d_grid=(2.0, 1.0, 2))
             broken = json.loads(ladder_to_json(spec))
             stage = broken["stages"][1]
             if callable(doc):
@@ -829,13 +829,19 @@ class TestScenarioHandling:
         spec.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
         env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
                "PYTHONPATH": str(SRC)}
+        # a directory name the file-system encoding cannot hold cannot be made
+        unmade = (
+            "cannot make the output directory fig\\xfcrs: 'ascii' codec can't encode "
+            "character '\\xfc' in position 3: ordinal not in range(128)\n"
+        )
         for argv, want in (
             (["optimize", "--scenario", str(scenario)], run_captured(["optimize", "--distance=8"])),
             (["validate-ladder", str(spec)], (0, "0 violations\n", "")),
+            (["figures", "--scenario", str(scenario)], (1, "", unmade)),
         ):
             result = subprocess.run(
                 [sys.executable, "-m", "hoopshot.cli", *argv],
-                capture_output=True, text=True, env=env, check=False,
+                capture_output=True, text=True, env=env, check=False, cwd=tmp_path,
             )
             assert (result.returncode, result.stdout, result.stderr) == want
 

@@ -1,20 +1,22 @@
 import hashlib
+import json
 import math
 import re
+import tempfile
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hoopshot import solver
+from hoopshot import figures, solver
 from hoopshot.figures import STAGES, _speed_bends, _speed_curve, build_basketball_ladder
-from hoopshot.kinematics import ShotParams
+from hoopshot.kinematics import Infeasible, ShotParams, VerticalShot
 from hoopshot.ladder import (
     ROLE_RANKS, ColorRole, PlotSpace, StrategyTag, ladder_to_json, validate_ladder,
 )
 from hoopshot.render import MarkKind, render_svg
-from hoopshot.solver import default_d_grid, optimal_angle, required_velocity, speed_crossings
-from hoopshot.solver import sweep_distance
-from test_cli import ANY_VALUE, PARAM_FLAGS
+from hoopshot.solver import optimal_angle, required_velocity, speed_crossings
+from oracles import check_figures_grid, default_d_grid
+from test_cli import ANY_VALUE, PARAM_FLAGS, run_captured
 from test_render import SIDE_BY_SIDE, STACKED, _pixel, clip_rects
 
 
@@ -64,7 +66,7 @@ class TestLadderStructure:
 
     def test_stage_2_caption_when_the_fan_is_too_fast(self):
         # 12.2 m/s reaches the hoop at 30 deg, below the whole fan
-        spec, _ = build_basketball_ladder(velocities=[15.0, 20.0], d_grid=[2.0, 3.0])
+        spec, _ = build_basketball_ladder(velocities=[15.0, 20.0], d_grid=(2.0, 1.0, 2))
         assert spec.stages[1].caption.endswith(
             "a fan of launch speeds stays above the hoop-reaching speed."
         )
@@ -86,7 +88,7 @@ class TestStagesFromFigures:
         self, altitude, distance, velocities, lo, span, step
     ):
         params = ShotParams(release_altitude=altitude, distance=distance)
-        d_grid = default_d_grid(lo, lo + span, step)
+        d_grid = solver.d_grid(lo, lo + span, step)
         spec, scenes = build_basketball_ladder(params, velocities, d_grid=d_grid)
         figures = [n for numbers, _ in STAGES for n in numbers]
         assert figures == list(range(1, len(scenes) + 1)) == list(range(1, 8))
@@ -160,7 +162,7 @@ class TestSceneContent:
 
 class TestCustomInputs:
     def test_custom_grid_sets_distance_range(self):
-        spec, _ = build_basketball_ladder(d_grid=[2.0, 3.0, 4.0])
+        spec, _ = build_basketball_ladder(d_grid=(2.0, 1.0, 3))
         top_space = spec.stages[4].panels[0]
         assert top_space.x_range == (2.0, 4.0)
 
@@ -173,7 +175,7 @@ class TestCustomInputs:
         ],
     )
     def test_stage_5_caption_counts_the_altitudes(self, altitudes, count):
-        spec, _ = build_basketball_ladder(altitudes=altitudes, d_grid=[2.0, 3.0])
+        spec, _ = build_basketball_ladder(altitudes=altitudes, d_grid=(2.0, 1.0, 2))
         assert spec.stages[4].caption == (
             f"Optimal angle and speed as the distance varies, then for {count}."
         )
@@ -296,7 +298,7 @@ class TestRequiredSpeedCurveInItsPanel:
     @example(a=4.0, d=0.5, h=0.0)  # the low crossing is below 0 deg
     def test_inside_the_top_and_mirrored_about_the_optimum(self, a, d, h):
         params = ShotParams(a, d, h)
-        _, scenes = build_basketball_ladder(params, [5.0], [a], [1.0, 2.0])
+        _, scenes = build_basketball_ladder(params, [5.0], [a], (1.0, 1.0, 2))
         panel = scenes[3].panels[0]
         (curve,) = [m for m in panel.marks if m.kind == MarkKind.POLYLINE]
         space = panel.space
@@ -330,7 +332,7 @@ class TestStage5PanelsHoldTheirData:
     @pytest.mark.parametrize(
         "kwargs, count",
         [
-            (dict(d_grid=default_d_grid(1, 40, 0.5)), 240),  # speeds above 14 m/s
+            (dict(d_grid=solver.d_grid(1, 40, 0.5)), 240),  # speeds above 14 m/s
             (dict(altitudes=[3.5]), 86),  # angles below 40 deg
         ],
         ids=["long-grid", "release-above-the-hoop"],
@@ -351,7 +353,7 @@ class TestStage5PanelsHoldTheirData:
         assert validate_ladder(spec) == []
 
     def test_figures_6_and_7_share_each_space(self):
-        _, scenes = build_basketball_ladder(altitudes=[3.5], d_grid=default_d_grid(1, 40, 0.5))
+        _, scenes = build_basketball_ladder(altitudes=[3.5], d_grid=solver.d_grid(1, 40, 0.5))
         assert [p.space for p in scenes[5].panels] == [p.space for p in scenes[6].panels]
 
     def test_default_ranges_kept(self, built):
@@ -359,34 +361,69 @@ class TestStage5PanelsHoldTheirData:
         assert [s.y_range for s in spec.stages[4].panels] == [(40.0, 80.0), (0.0, 14.0)]
 
 
+def run_on_grid(directory: str, lo, hi, step) -> list[tuple[int, str, str]]:
+    """The exit code, stdout and stderr of `sweep`, then of `figures`
+    writing to directory/out, on a scenario file whose d_grid is lo, hi
+    and step."""
+    scenario = f"{directory}/grid.json"
+    with open(scenario, "w", encoding="utf-8") as file:
+        json.dump({"d_grid": {"lo": lo, "hi": hi, "step": step}}, file)
+    return [
+        run_captured([*argv, "--scenario", scenario])
+        for argv in (["sweep"], ["figures", "--out", f"{directory}/out"])
+    ]
+
+
+def run_on_points(directory: str, lo, hi, step) -> list[tuple[int, str, str]]:
+    """`run_on_grid` as the list path ran it: `sweep` over the points of
+    `oracles.default_d_grid`, with `cli.run`'s exit codes, and `figures`
+    with those points checked one by one by `oracles.check_figures_grid`
+    and the shape's own order and distance checks switched off."""
+    try:
+        points = default_d_grid(lo, hi, step)
+        sweep = (0, solver.sweep_csv([solver.sweep_distance(ShotParams(), points)]), "")
+    except ValueError as exc:
+        sweep = (1 if isinstance(exc, (VerticalShot, Infeasible)) else 2, "", f"{exc}\n")
+    build = figures.build_basketball_ladder
+
+    def build_from_points(params, velocities, altitudes, d_grid):
+        check_figures_grid(points)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_check_order", lambda d_grid: None)
+            patch.setattr(figures, "check_distance", lambda d: None)
+            return build(params, velocities, altitudes, d_grid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(figures, "build_basketball_ladder", build_from_points)
+        return [sweep, run_on_grid(directory, lo, hi, step)[1]]
+
+
 class TestStage5FromTheClosedForm:
     """Figures 6 and 7 draw theta*(d) and v*(d) between the grid's ends
     from the closed form, so the grid's step shapes only the sweep CSV."""
 
     def test_the_step_does_not_move_figures_6_and_7(self):
-        figures = set()
-        for step in (0.1, 0.316, 1.0):
-            d_grid = default_d_grid(1.0, 15.0, step)
-            d_grid[-1] = 15.0  # the 0.316 m grid ends at 1 + 44 * 0.316 = 14.904
+        drawn = set()
+        for step in (0.1, 0.35, 1.0):  # each grid's last point is 15.0
+            lo, step, n = d_grid = solver.d_grid(1.0, 15.0, step)
+            assert lo + (n - 1) * step == 15.0
             _, scenes = build_basketball_ladder(altitudes=[1.2, 2.6], d_grid=d_grid)
-            figures.add(tuple(render_svg(s) for s in scenes[5:]))
-        assert len(figures) == 1
+            drawn.add(tuple(render_svg(s) for s in scenes[5:]))
+        assert len(drawn) == 1
 
     @pytest.mark.parametrize(
-        "d_grid, message",
+        "grid, message",
         [
-            ([1.0, 3.0, 2.0, 4.0], "d_grid must be strictly increasing"),
-            ([1.0, math.nan, 4.0], "distance must be finite, got nan"),
-            ([0.0, 1.0, 2.0], "distance must be positive, got 0.0"),
-            ([-2.0, 1.0], "distance must be positive, got -2.0"),
+            ((2.0**53, 2.0**53 + 4.0, 1.0), "d_grid must be strictly increasing"),
+            ((1e307, 1.7e308, 1.79e308), "distance must be finite, got inf"),
+            ((0.0, 2.0, 1.0), "distance must be positive, got 0.0"),
+            ((-2.0, 1.0, 3.0), "distance must be positive, got -2.0"),
         ],
-        ids=["not-increasing", "nan-inside", "zero", "negative"],
+        ids=["not-increasing", "last-overflows", "zero", "negative"],
     )
-    def test_a_bad_grid_is_rejected_as_the_sweep_rejects_it(self, d_grid, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            build_basketball_ladder(d_grid=d_grid)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            sweep_distance(ShotParams(), d_grid)
+    def test_a_bad_grid_is_rejected_as_the_sweep_rejects_it(self, tmp_path, grid, message):
+        # a scenario file's lo, hi and step: both commands exit 2 with one message
+        assert run_on_grid(str(tmp_path), *grid) == [(2, "", f"{message}\n")] * 2
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -400,10 +437,12 @@ class TestStage5FromTheClosedForm:
         # most 2 + ln(hi/lo)/ln(1.08) vertices
         lo, hi = ends[0], ends[0] * ends[1]
         assume(lo < hi < math.inf)
+        step = hi - lo
+        hi = lo + step  # the last point of the 2-point grid
         fields = dict(zip(PARAM_FLAGS, ShotParams._fields))
         try:
             params = ShotParams(**{fields[flag]: v for flag, v in values.items()})
-            _, scenes = build_basketball_ladder(params, d_grid=[lo, hi])
+            _, scenes = build_basketball_ladder(params, d_grid=(lo, step, 2))
         except ValueError:  # the exit contract's one-line errors
             return
         bound = 2 + math.log(hi / lo) / math.log(1.08)
@@ -415,6 +454,86 @@ class TestStage5FromTheClosedForm:
                     assert all(x1 > 1.08 * x0 for x0, x1 in zip(xs, xs[1:-1]))
 
 
+@st.composite
+def scenario_grids(draw):
+    """A scenario file's d_grid (lo, hi, step) of 1 to 41 points, or one
+    that `solver.d_grid` rejects: points on the court, a last point past
+    the largest float, or a step of 0.25 to 4 ulp of |lo| from 2**40 to
+    2**60, where lo + i * step can round to a point already made."""
+    zone = draw(st.sampled_from(["court", "overflow", "stall"]))
+    if zone == "court":
+        lo = draw(st.floats(-20.0, 20.0) | st.sampled_from([0.0, -0.0, 5e-324, 1e-300]))
+        step = draw(st.floats(1e-3, 10.0))
+    elif zone == "overflow":
+        lo = draw(st.floats(1e306, 1e308))
+        step = draw(st.floats(1e307, 1.79e308))
+    else:
+        lo = draw(st.floats(2.0**40, 2.0**60)) * draw(st.sampled_from([1.0, -1.0]))
+        step = draw(st.floats(0.25, 4.0)) * math.ulp(lo)
+    intervals = draw(st.integers(0, 2) | st.integers(0, 40)) + draw(st.floats(-0.5, 0.5))
+    hi = lo + intervals * step
+    if zone == "overflow":  # a last point from rounding up past hi
+        hi = min(hi, 1.7976931348623157e308)
+    elif zone == "court" and draw(st.booleans()):  # more than MAX_GRID_POINTS
+        hi = lo + draw(st.floats(1e5, 1e9)) * step
+    assume(math.isfinite(hi))
+    return lo, hi, step
+
+
+class TestTheGridIsItsShape:
+    """A scenario's d_grid is its shape (lo, step, n) from load to use:
+    only `sweep` builds the points, and the figures check the grid from
+    its ends, building its points only where they can stall."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(grid=scenario_grids())
+    @example(grid=(2.0**53, 2.0**53 + 4.0, 1.0))  # stalls: 2**53 + 1 rounds to 2**53
+    @example(grid=(2.0**53, 2.0**53 + 16.0, 4.0))  # in the stall zone, but exact
+    @example(grid=(1e307, 1.7e308, 1.79e308))  # the last point overflows
+    @example(grid=(1.0, 1.0, 0.1))  # one point
+    def test_figures_and_sweep_read_a_grid_as_the_list_path_did(self, grid):
+        lo, hi, step = grid
+        try:
+            points = default_d_grid(lo, hi, step)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                solver.d_grid(lo, hi, step)
+        else:
+            assert solver.d_grid(lo, hi, step) == (lo, step, len(points))
+        with tempfile.TemporaryDirectory() as directory:
+            assert run_on_grid(directory, *grid) == run_on_points(directory, *grid)
+
+    @pytest.mark.parametrize(
+        "step, code, stderr",
+        [(1.0, 2, "d_grid must be strictly increasing\n"), (4.0, 0, "")],
+        ids=["stalls", "exact"],
+    )
+    def test_a_grid_at_2_to_the_53(self, tmp_path, step, code, stderr):
+        # the spacing of floats there is 2: a step of 1 stalls, 4 does not
+        results = run_on_grid(str(tmp_path), 2.0**53, 2.0**53 + 4.0 * step, step)
+        assert [(c, e) for c, _, e in results] == [(code, stderr)] * 2
+
+    def test_a_fine_grid_costs_the_figures_no_point(self, tmp_path, monkeypatch):
+        # 99,994 points from 1 m to 15.00002 m: no order check, and the
+        # kernel calls of the default set, which come from figures 4-5
+        counts = {"_check_order": 0, "_hoop_speed": 0}
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(solver, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        assert run_captured(["figures", "--out", str(tmp_path / "default")])[0] == 0
+        default = dict(counts)
+        assert default["_check_order"] == 0 and default["_hoop_speed"] > 0
+        scenario = tmp_path / "fine.json"
+        scenario.write_text(json.dumps({"d_grid": {"lo": 1, "hi": 15, "step": 0.00014001}}))
+        assert solver.d_grid(1, 15, 0.00014001)[2] == 99_994
+        argv = ["figures", "--scenario", str(scenario), "--out", str(tmp_path / "fine")]
+        assert run_captured(argv)[0] == 0
+        assert counts == {"_check_order": 0, "_hoop_speed": 2 * default["_hoop_speed"]}
+
+
 # four non-default figure sets, each file pinned by its SHA-256
 PINNED_SETS = {
     # its two fastest shots rise above the 7 m court and are clipped
@@ -422,7 +541,7 @@ PINNED_SETS = {
         dict(
             params=ShotParams(release_altitude=2.5, distance=16.0),
             velocities=[5.0, 6.5, 8.0, 9.5, 11.0, 12.5, 14.0, 15.5, 17.0, 18.5, 20.0, 22.0],
-            d_grid=default_d_grid(1.0, 15.0, 0.5),
+            d_grid=solver.d_grid(1.0, 15.0, 0.5),
         ),
         {
             "figure_01.svg": "2103d3b79315953158a85f111c5324a77cac1360ef6c3ee104cc88f7722704cd",
@@ -449,7 +568,7 @@ PINNED_SETS = {
         },
     ),
     "three-altitudes-on-a-1-m-grid": (
-        dict(altitudes=[1.0, 2.0, 3.0], d_grid=default_d_grid(1.0, 15.0, 1.0)),
+        dict(altitudes=[1.0, 2.0, 3.0], d_grid=solver.d_grid(1.0, 15.0, 1.0)),
         {
             "figure_01.svg": "abb315bef136173e48e545cb0ed27f3036232af90596222878689288a88dc948",
             "figure_02.svg": "c2122e3b3a7b51afa811117036917ab47aa495f11c77b4c3091d4d469807d9ad",

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -84,7 +85,7 @@ class TestValidateLadder:
     def test_range_mismatch_at_small_scale(self):
         # a court 1.1e-10 m wide: one panel twice as wide is off by 1.1e-10
         params = ShotParams(release_altitude=4.0, distance=1e-10)
-        spec, _ = build_basketball_ladder(params, d_grid=[1e-10, 2e-10])
+        spec, _ = build_basketball_ladder(params, d_grid=(1e-10, 1e-10, 2))
         stage2 = spec.stages[1]
         lo, hi = stage2.panels[1].x_range
         doubled = stage2.panels[1].replace(x_range=(lo, 2 * hi))
@@ -166,6 +167,22 @@ class TestStructuralInvariants:
             Stage(panels=(), roles_used=frozenset(), tags=frozenset(), caption="x")
         with pytest.raises(ValueError, match="stage has no caption"):
             Stage(panels=(space(),), roles_used=frozenset(), tags=frozenset(), caption="")
+
+    @pytest.mark.parametrize(
+        "roles, tags, message",
+        [
+            ({"PURPLE"}, set(), "unknown ColorRole 'PURPLE'"),
+            ({ColorRole.BASELINE, "__module__"}, set(), "unknown ColorRole '__module__'"),
+            ({ColorRole.BASELINE}, {"NOT_A_TAG"}, "unknown StrategyTag 'NOT_A_TAG'"),
+            (set(), {StrategyTag.EXPAND_SAMPLING, "OPTIMUM"}, "unknown StrategyTag 'OPTIMUM'"),
+        ],
+        ids=["role", "attribute-as-role", "tag", "role-as-tag"],
+    )
+    def test_a_stage_has_only_known_roles_and_tags(self, roles, tags, message):
+        # named as the JSON reader names it, there after the key path
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Stage(panels=(space(),), roles_used=frozenset(roles), tags=frozenset(tags),
+                  caption="x")
 
     def test_plot_space_invariants(self):
         with pytest.raises(ValueError):
@@ -363,5 +380,5 @@ class TestSchemaWriter:
         assert text == json_dumps_form(one_panel((0.0, 10.0), (0.0, 1.0))) != json_dumps_form(spec)
         assert ladder_from_json(text) == spec
         # a library caller's int grid gives an int distance range
-        spec, _ = build_basketball_ladder(d_grid=[1, 2, 3])
+        spec, _ = build_basketball_ladder(d_grid=(1, 1, 3))
         assert '"x_range": [\n            1.0,\n            3.0\n' in ladder_to_json(spec)

@@ -19,7 +19,7 @@ from hoopshot.solver import (
     DEFAULT_ALTITUDES,
     MAX_GRID_POINTS,
     InfeasibleAngle,
-    default_d_grid,
+    d_grid,
     feasibility_angle,
     optimal_angle,
     required_velocity,
@@ -36,6 +36,7 @@ from oracles import (
     decimal_atan,
     decimal_optimum,
     decimal_required_velocity,
+    default_d_grid,
     grid_scan,
     minimize_scalar,
     ulps,
@@ -948,19 +949,19 @@ class TestAngleCurveMatchesRequiredVelocity:
 
 class TestDistanceGrid:
     def test_default(self):
-        grid = default_d_grid()
-        assert len(grid) == 141
-        assert grid[0] == 1.0 and grid[-1] == pytest.approx(15.0)
+        lo, step, n = d_grid()
+        assert (lo, step, n) == (1.0, 0.1, 141)
+        assert lo + (n - 1) * step == pytest.approx(15.0)
 
     def test_single_point(self):
-        assert default_d_grid(2.0, 2.0, 1.0) == [2.0]
+        assert d_grid(2.0, 2.0, 1.0) == (2.0, 1.0, 1)
 
     def test_size_bound(self):
-        assert len(default_d_grid(1.0, MAX_GRID_POINTS, 1.0)) == MAX_GRID_POINTS
+        assert d_grid(1.0, MAX_GRID_POINTS, 1.0) == (1.0, 1.0, MAX_GRID_POINTS)
         with pytest.raises(ValueError, match="more than"):
-            default_d_grid(1.0, MAX_GRID_POINTS + 1.0, 1.0)
+            d_grid(1.0, MAX_GRID_POINTS + 1.0, 1.0)
         with pytest.raises(ValueError, match="more than"):
-            default_d_grid(-1e308, 1e308, 1.0)  # hi - lo overflows
+            d_grid(-1e308, 1e308, 1.0)  # hi - lo overflows
 
     @pytest.mark.parametrize(
         "lo, hi, step",
@@ -975,7 +976,7 @@ class TestDistanceGrid:
     )
     def test_invalid_rejected(self, lo, hi, step):
         with pytest.raises(ValueError, match="d_grid"):
-            default_d_grid(lo, hi, step)
+            d_grid(lo, hi, step)
 
 
 class TestCsvExport:
