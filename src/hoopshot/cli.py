@@ -9,8 +9,9 @@ Scenario files are JSON with top-level keys `params` (a, d, h, g),
 (lo, step, n), n = round((hi - lo) / step) + 1: only `sweep` builds the
 points lo + i * step, and figures 6-7 span the first to the last), and
 `output`, a non-empty directory path.  They and ladder specs are read
-as UTF-8 in any locale, by `json_value` and `json_object` of
-`kinematics`: bytes that are not UTF-8 (named by the file), an unknown
+as UTF-8 in any locale, parsed by `json_loads` and checked by
+`json_value` and `json_object` of `kinematics`: bytes that are not
+UTF-8 or text that is not JSON (named by the file), an unknown
 key, a missing required one (`d_grid` lo and hi), a value of another
 JSON type or a number that is not finite or does not fit a float exits
 2 with one line naming the key path.  Flags override file values.
@@ -22,11 +23,10 @@ Each flag is one `Flag` row of `COMMANDS`.  `run` parses a plain argv
 (see `_parse`) from those rows, and builds an argparse parser from them
 only for help, usage errors and other argv.  Only `figures` and
 `validate-ladder` import the ladder and renderer modules, only reading
-a file imports `json`, and no command imports `pathlib`: output paths
-are joined by `os.path`, so the others start without them.
+a file imports `_json` (and the `json` package only to raise a parse
+error), and no command imports `pathlib`: output paths are joined by
+`os.path`, so the others start without them.
 """
-
-from __future__ import annotations
 
 import math
 import os
@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 from . import solver
 from .kinematics import Infeasible, LaunchState, ShotParams, VerticalShot, sample_trajectory
-from .kinematics import TRAJECTORY_SAMPLES, _write_file, json_object, json_value
+from .kinematics import TRAJECTORY_SAMPLES, _write_file, json_loads, json_object, json_value
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -70,12 +70,10 @@ def load_scenario(path: str | None) -> Scenario:
     scenario = Scenario()
     if path is None:
         return scenario
-    import json
-
     try:
         with open(path, encoding="utf-8") as file:
-            doc = json.load(file)
-    except (OSError, RecursionError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            doc = json_loads(file.read())
+    except (OSError, RecursionError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ValueError(f"cannot read scenario file {path}: {exc}") from exc
     doc = json_object(doc, f"scenario file {path}", SCENARIO_KEYS)
     if "params" in doc:

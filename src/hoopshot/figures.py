@@ -8,8 +8,6 @@ altitude.  Color roles climb with it: black court, red trajectories,
 blue solution, green optimum.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 

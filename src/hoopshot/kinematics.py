@@ -4,12 +4,11 @@ All angles are radians internally; degrees appear only at the CLI
 boundary.  Everything here is pure and deterministic.  Every other
 submodule imports this one, so it also holds what they share: the
 `checked_record` base of the checked records, the `Infeasible` error,
-the point limit, `json_value` and `json_object` (`short_repr` shows the
-bad value), which check every value the CLI reads from a JSON file, and
-`_write_file`, which writes every file it writes.
+the point limit, `json_loads`, which parses every JSON file the CLI
+reads, `json_value` and `json_object` (`short_repr` shows the bad
+value), which check every value read from one, and `_write_file`,
+which writes every file it writes.
 """
-
-from __future__ import annotations
 
 import math
 import os
@@ -62,6 +61,40 @@ def short_repr(value) -> str:
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
+class _JsonDefaults:
+    """The settings of `json.loads`, as `_json.make_scanner` reads them."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}.__getitem__
+
+
+def json_loads(text: str):
+    """json.loads(text): its value, or the error it raises.  It runs the C
+    scanner of `_json` as `json.decoder.JSONDecoder.decode` runs it, without
+    the `json` package, whose import compiles regular expressions (with `re`
+    and `enum`) that the scanner does not use."""
+    import _json
+
+    ws = " \t\n\r"  # JSON's whitespace, which has no form feed
+    if text.startswith("\ufeff"):
+        message, pos = "Unexpected UTF-8 BOM (decode using utf-8-sig)", 0
+    else:
+        try:
+            value, end = _json.make_scanner(_JsonDefaults)(text, len(text) - len(text.lstrip(ws)))
+        except StopIteration as exc:
+            message, pos = "Expecting value", exc.value
+        else:
+            rest = text[end:].lstrip(ws)
+            if not rest:
+                return value
+            message, pos = "Extra data", len(text) - len(rest)
+    from json.decoder import JSONDecodeError  # an error path: the C scanner imports it too
+
+    raise JSONDecodeError(message, text, pos)
+
+
 def json_value(value, kind: type, what: str):
     """value if it is a JSON value of `kind` (float: any number, returned
     as a float; true and false are none), else ValueError naming `what`."""
@@ -93,7 +126,7 @@ def _write_file(path, data: bytes, what: str) -> None:
                 data = data[os.write(fd, data):]
         finally:
             os.close(fd)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # a path the file-system encoding lacks
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 

@@ -19,13 +19,11 @@ and `json_object`: a stage or panel key missing, an unknown key or a bad
 value raises ValueError naming its key path.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .kinematics import checked_record, json_object, json_value, short_repr
+from .kinematics import checked_record, json_loads, json_object, json_value, short_repr
 
 RANGE_TOL = 1e-9
 
@@ -230,9 +228,9 @@ def _quote(text: str) -> str:
     """text as json.dumps writes it, printable ASCII with no " or \\ as it is."""
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return f'"{text}"'
-    import json
+    import _json
 
-    return json.dumps(text)
+    return _json.encode_basestring_ascii(text)  # what json.dumps(text) returns
 
 
 def _names(names) -> str:
@@ -262,8 +260,6 @@ def ladder_to_json(spec: LadderSpec) -> str:
 def ladder_from_json(text: str) -> LadderSpec:
     """Parse the JSON form of a LadderSpec.  Invalid JSON or a document
     not of that form raises ValueError with one line naming the key path."""
-    import json
-
-    doc = json_object(json.loads(text), "ladder spec", ("stages",), ("stages",))
+    doc = json_object(json_loads(text), "ladder spec", ("stages",), ("stages",))
     items = json_value(doc["stages"], list, "stages")
     return LadderSpec(tuple(_stage_from_dict(item, n) for n, item in enumerate(items, 1)))

@@ -26,8 +26,6 @@ Style constants (golden-file contract):
            QUADRATIC piece spanning under 0.0005 px both ways is written
 """
 
-from __future__ import annotations
-
 import math
 import os
 from collections import namedtuple

@@ -14,8 +14,6 @@ it directly, not through the speed formula above; the tests check it
 against golden-section search, a grid scan and a 50-digit oracle.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple

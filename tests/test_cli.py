@@ -134,6 +134,13 @@ def contract_dir(tmp_path_factory):
     return path
 
 
+# the two commands that read a JSON file, and how their messages start
+FILE_READERS = [
+    pytest.param(["optimize", "--scenario"], "cannot read scenario file", id="scenario"),
+    pytest.param(["validate-ladder"], "cannot load ladder spec", id="ladder-spec"),
+]
+
+
 def run_captured(argv):
     """Exit code, stdout and stderr of one CLI call; an exception that
     escapes run() fails the calling test, as a traceback would."""
@@ -845,12 +852,7 @@ class TestScenarioHandling:
             )
             assert (result.returncode, result.stdout, result.stderr) == want
 
-    @pytest.mark.parametrize(
-        "argv, what",
-        [(["optimize", "--scenario"], "cannot read scenario file"),
-         (["validate-ladder"], "cannot load ladder spec")],
-        ids=["scenario", "ladder-spec"],
-    )
+    @pytest.mark.parametrize("argv, what", FILE_READERS)
     def test_a_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, argv, what):
         # a UTF-16 byte-order mark, which no UTF-8 text starts with
         path = tmp_path / "utf16.json"
@@ -861,6 +863,31 @@ class TestScenarioHandling:
             f"{what} {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
             "invalid start byte\n"
         )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("", id="empty"),
+            pytest.param("\ufeff{}", id="byte-order-mark"),
+            pytest.param("{} \n {}", id="extra-data"),
+            pytest.param('{"output": "a\x01"}', id="control-character"),
+            pytest.param("\x0c{}", id="form-feed"),
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+            # past int's digit limit: the scenario reader names its file since
+            # it catches every ValueError, as the ladder-spec reader did
+            pytest.param("1" * 5000, id="too-many-digits"),
+        ],
+    )
+    @pytest.mark.parametrize("argv, what", FILE_READERS)
+    def test_a_file_that_is_not_json_exits_2_with_the_json_loads_message(
+        self, tmp_path, text, argv, what
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises((ValueError, RecursionError)) as excinfo:
+            json.loads(text)
+        code, out, err = run_captured([*argv, str(path)])
+        assert (code, out, err) == (2, "", f"{what} {path}: {excinfo.value}\n")
 
     @pytest.mark.parametrize(
         "text",

@@ -1,13 +1,15 @@
+import json
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hoopshot.kinematics import (
     LaunchState,
     ShotParams,
     ground_impact_time,
     height_at_plane,
+    json_loads,
     position_at,
     sample_trajectory,
     time_to_plane,
@@ -217,3 +219,63 @@ class TestValidation:
             LaunchState(math.pi / 2, 10.0)
         with pytest.raises(ValueError):
             LaunchState(0.5, 0.0)
+
+
+def outcome(loads, text):
+    """repr of loads(text), or the type and message of what it raises."""
+    try:
+        return repr(loads(text))
+    except Exception as exc:  # the oracle's own exception is the expected result
+        return type(exc), str(exc)
+
+
+# JSON's tokens and near misses: each whitespace and none, a byte-order
+# mark, a form feed (not JSON whitespace), lone surrogates, escapes good
+# and bad, control characters, the constants and numbers that overflow
+TOKENS = ["{", "}", "[", "]", ",", ":", '"', "\\", " ", "\t", "\n", "\r", "\x0c", "\ufeff",
+          "\ud800", "\udfff", "\\u", "\\ud83d", "\\n", "\x00", "\x1f", "a", "é", "0", "1",
+          "-", "+", ".", "e", "E", "1e400", "9" * 30, "true", "false", "null", "NaN",
+          "Infinity", "-Infinity", "tru", "nul", '"a"', '"k":', "[]", "{}"]
+whitespace = st.text(st.sampled_from(" \t\n\r"), max_size=3)
+documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def dumped(draw):
+    """A document as json.dumps writes it, with random separators and
+    ensure_ascii, between stray whitespace."""
+    separators = tuple(draw(whitespace) + sep + draw(whitespace) for sep in ",:")
+    text = json.dumps(draw(documents), separators=separators, ensure_ascii=draw(st.booleans()))
+    return draw(whitespace) + text + draw(whitespace)
+
+
+class TestJsonLoads:
+    """json_loads is json.loads without the json package; json.loads is
+    its oracle, for values and for errors alike."""
+
+    @settings(max_examples=500)
+    @given(text=st.one_of(
+        st.lists(st.sampled_from(TOKENS), max_size=12).map("".join),
+        dumped(),
+        st.text(max_size=12),
+    ))
+    @example(text="")
+    @example(text="\ufeff{}")
+    @example(text=' {"a": [1, 2.5, -0.0, NaN]} \n')
+    @example(text="[] []")
+    @example(text='"\x01"')
+    @example(text="\x0c1")
+    def test_equals_json_loads(self, text):
+        assert outcome(json_loads, text) == outcome(json.loads, text)
+
+    @pytest.mark.parametrize("brackets", ["[]", ['{"a": ', "}"]])
+    def test_too_deep_a_nesting_is_a_recursion_error_both_ways(self, brackets):
+        text = brackets[0] * 100_000 + brackets[1] * 100_000
+        want = outcome(json.loads, text)
+        assert want[0] is RecursionError
+        assert outcome(json_loads, text) == want

@@ -2,6 +2,8 @@ import html
 import math
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,6 +38,7 @@ from hoopshot.render import (
 
 BLACK = Style(color_role=ColorRole.BASELINE)
 W, H = SIZE
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _pixel(v, domain, pixels):
@@ -547,6 +550,27 @@ class TestExportFigures:
         with pytest.raises(OSError) as excinfo:
             export_figures([one_panel_scene([])], target)
         assert str(target) in str(excinfo.value)
+
+    def test_a_path_the_file_system_encoding_lacks_is_an_os_error(self, tmp_path):
+        # a fresh interpreter whose file-system encoding is ASCII, as neither
+        # the C locale's coercion nor UTF-8 mode leaves it
+        probe = (
+            "from hoopshot.figures import build_basketball_ladder\n"
+            "from hoopshot.render import export_figures\n"
+            "try:\n"
+            "    export_figures(build_basketball_ladder()[1], 'fig\\xfcrs')\n"
+            "except OSError as exc:\n"
+            "    print(ascii(str(exc)))\n"
+        )
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": SRC}
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env=env, check=False, cwd=tmp_path)
+        message = (
+            "cannot write figure to fig\xfcrs/figure_01.svg: 'ascii' codec can't encode "
+            "character '\\xfc' in position 3: ordinal not in range(128)"
+        )
+        assert (result.returncode, result.stdout) == (0, ascii(message) + "\n")
 
     def test_scene_permutation_only_permutes_contents(self, tmp_path):
         a = one_panel_scene([point(1.0, 1.0, BLACK)])
