@@ -1,5 +1,5 @@
 """Builds the basketball figure sequence: the declarative ladder and the
-renderer-facing scenes for its seven figures.
+renderer-facing scenes for its seven figures, one stage at a time.
 
 The sequence climbs from a court diagram, through concrete trajectories,
 to the hoop-reaching solution, the required-velocity curve with its
@@ -42,34 +42,9 @@ GREEN = Style(color_role=ColorRole.OPTIMUM)
 BLACK_DASHED = Style(color_role=ColorRole.BASELINE, dash=Dash.DASHED)
 GREEN_DOTTED = Style(color_role=ColorRole.OPTIMUM, dash=Dash.DOTTED)
 
-# each stage's figures (numbered from 1) and strategy tags; the rest of
-# its Stage is what those figures draw (see _ladder)
-STAGES = (
-    ((1,), (StrategyTag.DEFINE_ABSTRACT_SPACE,)),
-    ((2,), (StrategyTag.EXPAND_SAMPLING,)),
-    ((3,), (StrategyTag.MODELED_OR_OPTIMIZED_VALUES,)),
-    (
-        (4, 5),
-        (
-            StrategyTag.DEFINE_ABSTRACT_SPACE,
-            StrategyTag.MODELED_OR_OPTIMIZED_VALUES,
-            StrategyTag.UNFIX_PARAMETER,
-        ),
-    ),
-    (
-        (6, 7),
-        (
-            StrategyTag.UNFIX_PARAMETER,
-            StrategyTag.EXPAND_SAMPLING,
-            StrategyTag.DEFINE_ABSTRACT_SPACE,
-        ),
-    ),
-)
 
-
-def _court_marks(params: ShotParams) -> tuple:
+def _court_marks(params: ShotParams, x_max: float) -> tuple:
     a, d, h = params.release_altitude, params.distance, params.hoop_height
-    x_max = d * 1.1
     return (
         polyline((0.0, x_max), (0.0, 0.0), BLACK),
         polyline((0.0, 0.0), (0.0, a), BLACK),
@@ -110,9 +85,9 @@ def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
     A step at most the tolerance wide, or from a vertex that near 0 m/s,
     is always taken, as its monotone arc lies in the box of its ends (the
     proof is in README, "Figures 4 and 5").  A low end with no speed, at
-    the feasibility angle, gives way to the speed beside it that halving
-    finds, above the space where it can.  An end within 1e-6 px of the top
-    is written on it.
+    the feasibility angle, gives way to the speed beside it that bisecting
+    the floats up to the high end finds, above the space where it can.  An
+    end within 1e-6 px of the top is written on it.
     v is even about theta*, so where the ends are the crossings only
     theta* up is evaluated, and reflected."""
     (x0, x1), (y0, y1), (width, height) = space.x_range, space.y_range, render.VIEWPORT
@@ -153,12 +128,20 @@ def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
     # d tan(theta) + k, the sign of the kernel's denominator, rises with
     # theta, so only the low end can lack a speed
     if first[1] is None and last[1] is not None and last[1] <= y1:
-        none, t = lo, hi
-        while none < (at := 0.5 * (none + t)) < t:
+        # bisect the floats from lo to hi by their places in order, a float's
+        # bits as a signed integer with a negative one's 63 low bits flipped:
+        # at most 64 calls, where halving values walks one binary exponent per call
+        from struct import pack, unpack
+
+        def flip(n: int) -> int:  # its own inverse
+            return n ^ (n >> 63 & 0x7FFF_FFFF_FFFF_FFFF)
+        none, t = (flip(unpack("<q", pack("<d", x))[0]) for x in (lo, hi))
+        while (place := (none + t) // 2) > none:
+            at = unpack("<d", pack("<q", flip(place)))[0]
             if (beside := speed(at)) is None:
-                none = at
+                none = place
             else:
-                first, t = (at, beside), at
+                first, t = (at, beside), place
                 if beside > y1:
                     break
     if first[1] is None or last[1] is None:
@@ -282,22 +265,6 @@ def _stage_2_caption(demo: float, velocities: Sequence[float], v_solution: float
     )
 
 
-def _ladder(scenes: Sequence[Scene], captions: Sequence[str]) -> LadderSpec:
-    """The STAGES as their figures draw them.  A stage's last figure
-    draws it in full, so that figure's panels give the stage's panels;
-    its roles are BASELINE (every frame, axis label and tick is black)
-    plus the color of every mark in its figures."""
-    stages = []
-    for (figures, tags), caption in zip(STAGES, captions, strict=True):
-        drawn = [scenes[f - 1] for f in figures]
-        roles = {ColorRole.BASELINE}.union(
-            m.style.color_role for s in drawn for p in s.panels for m in p.marks
-        )
-        panels = tuple(p.space for p in drawn[-1].panels)
-        stages.append(Stage(panels, frozenset(roles), frozenset(tags), caption))
-    return LadderSpec(tuple(stages))
-
-
 def build_basketball_ladder(
     params: ShotParams | None = None,
     velocities: Sequence[float] | None = None,
@@ -309,7 +276,8 @@ def build_basketball_ladder(
     Stages: (1) court diagram, (2) one and several trajectories,
     (3) the hoop-reaching trajectory in context, (4) required speed vs
     angle and its minimum, (5) the optimum vs distance, then per
-    release altitude.  The returned spec validates with zero violations.
+    release altitude.  Each is one `climb` call with its figures, tags
+    and caption.  The returned spec validates with zero violations.
 
     The stage-2/3 shots are drawn at DEMO_ANGLE, or at the optimal angle
     where DEMO_ANGLE is not above the feasibility angle.
@@ -331,7 +299,6 @@ def build_basketball_ladder(
     check_distance(lo)  # the points rise from lo to hi, so these two
     check_distance(hi)  # raise as a sweep's first bad point does
 
-    court = _court_marks(params)
     feasibility = solver.feasibility_angle(params)
     optimum = solver.optimal_angle(params)
     demo = DEMO_ANGLE if DEMO_ANGLE > feasibility else optimum.angle
@@ -343,6 +310,7 @@ def build_basketball_ladder(
         x_range=(0.0, params.distance * 1.1),
         y_range=(0.0, 7.0),
     )
+    court = _court_marks(params, court_space.x_range[1])
 
     # stage 2: one concrete shot, then a fan of launch speeds, each labelled
     # where it is drawn: a concave parabola with both ends above the court stays above it
@@ -363,14 +331,13 @@ def build_basketball_ladder(
     angle_space = PlotSpace(
         ("launch angle", "deg"), ("required speed", "m/s"), (0.0, 90.0), (0.0, 40.0)
     )
-    feas_deg = math.degrees(feasibility)
     opt_deg = math.degrees(optimum.angle)
-    curve_panel_marks = (
+    curve_panel = Panel(angle_space, (
         *_speed_curve(params, angle_space),
-        vline(feas_deg, BLACK_DASHED),
+        vline(math.degrees(feasibility), BLACK_DASHED),
         point(demo_deg, v_solution, BLUE, size=4.0),
-    )
-    optimum_panel_marks = curve_panel_marks + (
+    ), "Required speed vs angle")
+    optimum_marks = curve_panel.marks + (
         vline(opt_deg, GREEN_DOTTED),
         hline(optimum.speed, GREEN_DOTTED),
         point(opt_deg, optimum.speed, GREEN, size=4.0),
@@ -398,36 +365,44 @@ def build_basketball_ladder(
         STACKED_HEIGHT / (speed_y[1] - speed_y[0]),
     )
 
-    curve_panel = Panel(angle_space, curve_panel_marks, "Required speed vs angle")
-
     def distance_scene(altitudes, label_dys, title: str) -> Scene:
         per_curve = [_optimum_marks(alt, h, g, lo, hi, scales, label_dys) for alt in altitudes]
         theta_marks, speed_marks = (sum(panel, ()) for panel in zip(*per_curve))
         return Scene((Panel(theta_space, theta_marks, title), Panel(speed_space, speed_marks)))
 
-    scenes = [
-        Scene((Panel(court_space, court, "The court"),)),
-        Scene(
-            (
-                Panel(court_space, court + (one_shot,), "One shot"),
-                Panel(court_space, court + fan, "Several launch speeds"),
-            )
-        ),
-        Scene((Panel(court_space, court + fan + (solution_mark,), "The hoop-reaching shot"),)),
-        Scene((curve_panel,)),
-        Scene((curve_panel, Panel(angle_space, optimum_panel_marks, "The softest shot"))),
-        distance_scene(shot_altitudes[:1], None, "Optimum vs distance"),
-        distance_scene(shot_altitudes[1:], (1.5, -0.5), "Optimum vs distance and release altitude"),
-    ]
-    captions = (
-        f"A shooter {params.distance:g} m from the hoop, releasing at "
-        f"{params.release_altitude:g} m; the hoop is {params.hoop_height:g} m high.",
-        _stage_2_caption(demo, velocities, v_solution),
-        f"The shot at {demo_deg:g} deg reaches the hoop at "
-        f"{v_solution:.1f} m/s, shown against the other speeds.",
-        f"Required speed as a function of launch angle; it is minimized at "
-        f"{opt_deg:.1f} deg, where {optimum.speed:.1f} m/s suffices.",
-        "Optimal angle and speed as the distance varies, then for "
-        f"{_count(len(altitudes), 'release altitude')}.",
-    )
-    return _ladder(scenes, captions), scenes
+    stages, scenes = [], []
+
+    def climb(rung: list[Scene], tags: Sequence[str], caption: str) -> None:
+        """Add the stage that rung, its figures, draws: the last figure holds
+        its panels, and its roles are BASELINE (frames, ticks) and every mark's."""
+        roles = {ColorRole.BASELINE}.union(
+            m.style.color_role for s in rung for p in s.panels for m in p.marks
+        )
+        panels = tuple(p.space for p in rung[-1].panels)
+        stages.append(Stage(panels, frozenset(roles), frozenset(tags), caption))
+        scenes.extend(rung)
+
+    climb([Scene((Panel(court_space, court, "The court"),))], [StrategyTag.DEFINE_ABSTRACT_SPACE],
+          f"A shooter {params.distance:g} m from the hoop, releasing at "
+          f"{params.release_altitude:g} m; the hoop is {params.hoop_height:g} m high.")
+    climb([Scene((Panel(court_space, court + (one_shot,), "One shot"),
+                  Panel(court_space, court + fan, "Several launch speeds")))],
+          [StrategyTag.EXPAND_SAMPLING], _stage_2_caption(demo, velocities, v_solution))
+    climb([Scene((Panel(court_space, court + fan + (solution_mark,), "The hoop-reaching shot"),))],
+          [StrategyTag.MODELED_OR_OPTIMIZED_VALUES],
+          f"The shot at {demo_deg:g} deg reaches the hoop at "
+          f"{v_solution:.1f} m/s, shown against the other speeds.")
+    climb([Scene((curve_panel,)),
+           Scene((curve_panel, Panel(angle_space, optimum_marks, "The softest shot")))],
+          [StrategyTag.DEFINE_ABSTRACT_SPACE, StrategyTag.MODELED_OR_OPTIMIZED_VALUES,
+           StrategyTag.UNFIX_PARAMETER],
+          f"Required speed as a function of launch angle; it is minimized at "
+          f"{opt_deg:.1f} deg, where {optimum.speed:.1f} m/s suffices.")
+    climb([distance_scene(shot_altitudes[:1], None, "Optimum vs distance"),
+           distance_scene(shot_altitudes[1:], (1.5, -0.5),
+                          "Optimum vs distance and release altitude")],
+          [StrategyTag.UNFIX_PARAMETER, StrategyTag.EXPAND_SAMPLING,
+           StrategyTag.DEFINE_ABSTRACT_SPACE],
+          "Optimal angle and speed as the distance varies, then for "
+          f"{_count(len(altitudes), 'release altitude')}.")
+    return LadderSpec(tuple(stages)), scenes

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hoopshot import figures, solver
-from hoopshot.figures import STAGES, _speed_bends, _speed_curve, build_basketball_ladder
+from hoopshot.figures import _stage_2_caption, _speed_bends, _speed_curve, build_basketball_ladder
 from hoopshot.kinematics import Infeasible, ShotParams, VerticalShot
 from hoopshot.ladder import (
     ROLE_RANKS, ColorRole, PlotSpace, StrategyTag, ladder_to_json, validate_ladder,
@@ -64,12 +64,31 @@ class TestLadderStructure:
         for stage in spec.stages:
             assert stage.caption.strip()
 
+    def test_stage_2_caption_when_the_one_shot_reaches_the_hoop(self):
+        caption = _stage_2_caption(math.radians(30.0), [10.0, 20.0], figures.ONE_SHOT_SPEED)
+        assert caption == (
+            "One shot at 30 deg and 15 m/s reaches the hoop; "
+            "a fan of launch speeds brackets the hoop-reaching speed."
+        )
+
     def test_stage_2_caption_when_the_fan_is_too_fast(self):
         # 12.2 m/s reaches the hoop at 30 deg, below the whole fan
         spec, _ = build_basketball_ladder(velocities=[15.0, 20.0], d_grid=(2.0, 1.0, 2))
         assert spec.stages[1].caption.endswith(
             "a fan of launch speeds stays above the hoop-reaching speed."
         )
+
+
+# the paper's ladder: each stage's figures (numbered from 1) and strategy tags
+PAPER_STAGES = (
+    ((1,), {StrategyTag.DEFINE_ABSTRACT_SPACE}),
+    ((2,), {StrategyTag.EXPAND_SAMPLING}),
+    ((3,), {StrategyTag.MODELED_OR_OPTIMIZED_VALUES}),
+    ((4, 5), {StrategyTag.DEFINE_ABSTRACT_SPACE, StrategyTag.MODELED_OR_OPTIMIZED_VALUES,
+              StrategyTag.UNFIX_PARAMETER}),
+    ((6, 7), {StrategyTag.UNFIX_PARAMETER, StrategyTag.EXPAND_SAMPLING,
+              StrategyTag.DEFINE_ABSTRACT_SPACE}),
+)
 
 
 class TestStagesFromFigures:
@@ -90,13 +109,14 @@ class TestStagesFromFigures:
         params = ShotParams(release_altitude=altitude, distance=distance)
         d_grid = solver.d_grid(lo, lo + span, step)
         spec, scenes = build_basketball_ladder(params, velocities, d_grid=d_grid)
-        figures = [n for numbers, _ in STAGES for n in numbers]
+        figures = [n for numbers, _ in PAPER_STAGES for n in numbers]
         assert figures == list(range(1, len(scenes) + 1)) == list(range(1, 8))
-        for stage, (numbers, _) in zip(spec.stages, STAGES, strict=True):
+        for stage, (numbers, tags) in zip(spec.stages, PAPER_STAGES, strict=True):
             drawn = [scenes[n - 1] for n in numbers]
             colors = {m.style.color_role for s in drawn for p in s.panels for m in p.marks}
             assert stage.roles_used == {ColorRole.BASELINE} | colors
             assert stage.panels == tuple(p.space for p in drawn[-1].panels)
+            assert stage.tags == tags
         assert validate_ladder(spec) == []
 
 
@@ -279,7 +299,7 @@ class TestRequiredSpeedCurveStepRule:
         assert angles[-1] == math.degrees(ends[1]) and at_most_the_top(ends[1], speeds[-1])
         if solver._hoop_speed(*params, ends[0]) is None:
             # a low end with no speed gives way to the nearest found with
-            # one, above the panel where the halving finds such a speed
+            # one, above the panel where the bisection finds such a speed
             assert angles[0] >= math.degrees(ends[0]) and speeds[0] > 0.0
         else:
             assert angles[0] == math.degrees(ends[0]) and at_most_the_top(ends[0], speeds[0])

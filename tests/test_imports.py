@@ -90,10 +90,11 @@ def test_cli_and_optimize_skip_the_renderer_stack(tmp_path):
 
 
 # what a default figure set must not load: the ladder's constants are
-# plain strings, the renderer caches its frames in a dict, and ladder.json
-# of printable ASCII is quoted without json (with the re and enum it loads)
-# or even json's C half, _json
-FIGURES_UNWANTED = ("enum", "json", "re", "functools", "_json")
+# plain strings, the renderer caches its frames in a dict, ladder.json of
+# printable ASCII is quoted without json (with the re and enum it loads)
+# or even json's C half, _json, and struct serves only the required-speed
+# curve's search for a low end with no speed
+FIGURES_UNWANTED = ("enum", "json", "re", "functools", "_json", "struct", "_struct")
 FIGURES_PROBE = f"""
 import io, sys
 import hoopshot.cli
@@ -129,6 +130,7 @@ def test_no_module_imports_enum_or_functools(path):
 
 def test_every_exported_name_resolves():
     assert len(hoopshot.__all__) == len(set(hoopshot.__all__)) == 36
+    assert set(hoopshot.__all__) <= set(dir(hoopshot))
     for name in hoopshot.__all__:
         value = getattr(hoopshot, name)
         assert value.__name__ == name
@@ -153,3 +155,9 @@ def test_removed_axis_records_are_gone(name):
     with pytest.raises(AttributeError, match=name):
         getattr(hoopshot, name)
     assert not hasattr(importlib.import_module("hoopshot.render"), name)
+
+
+@pytest.mark.parametrize("name", ["STAGES", "_ladder"])
+def test_removed_stage_table_is_gone(name):
+    # each stage's figures, tags and caption are one call in build_basketball_ladder
+    assert not hasattr(importlib.import_module("hoopshot.figures"), name)

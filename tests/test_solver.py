@@ -448,6 +448,36 @@ class TestAngleCurve:
         # low end and the stage-3 speed; 59 when intervals were halved
         assert len(kernel_calls(DEFAULTS, build_basketball_ladder)) <= 35
 
+    @pytest.mark.parametrize(
+        "params, space",
+        [
+            (ShotParams(1.155166468069634e-11, 1.0, 1.155166468069634e-11, 4.752e-320), ANGLE_SPACE),
+            (ShotParams(9.1e16, 1.0, 9.1e16, 3.8e-314), ANGLE_SPACE),
+            (ShotParams(3.05, 10.0, 3.05, 1e-310), ANGLE_SPACE),
+            # the low crossing, at -88.2 deg, has no speed
+            (
+                ShotParams(1.7939373204343163, 0.05596843220698833, 2.6215394287700255e-13,
+                           7.896476828505253e-241),
+                ANGLE_SPACE.replace(x_range=(-90.0, 90.0)),
+            ),
+        ],
+        ids=["g-4.752e-320", "a-h-9.1e16", "g-1e-310", "below-0-deg"],
+    )
+    def test_a_low_end_with_no_speed_takes_at_most_70_kernel_calls(self, params, space):
+        # the speed beside it is found by bisecting the floats between the
+        # ends, in order as integers, so in at most 64 calls; halving their
+        # values walked one binary exponent per call, 1,042-1,076 calls at
+        # the three subnormal g.  The first vertex is the float after one
+        # with no speed, or has a speed above the space
+        calls = kernel_calls(params, lambda params: _speed_curve(params, space))
+        (curve,) = _speed_curve(params, space)
+        low = max(math.radians(space.x_range[0]), speed_crossings(params, 40.0)[0])
+        first = min(angle for angle, v in calls if v is not None)
+        assert solver._hoop_speed(*params, low) is None and low < first
+        assert curve.xs[0] == math.degrees(first)
+        assert curve.ys[0] > 40.0 or solver._hoop_speed(*params, math.nextafter(first, low)) is None
+        assert len(calls) <= 70
+
     def test_grid_strictly_increasing(self):
         for params in (DEFAULTS, ShotParams(release_altitude=3.5), ShotParams(distance=0.001)):
             angles, _ = drawn_curve(params)
