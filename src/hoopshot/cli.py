@@ -20,8 +20,9 @@ velocities, altitudes and the distance grid (with its validation) in
 `solver`, so a key the file leaves out takes that default.
 
 Each flag is one `Flag` row of `COMMANDS`.  `run` parses a plain argv
-(see `_parse`) from those rows, and builds an argparse parser from them
-only for help, usage errors and other argv.  Only `figures` and
+(see `_parse`), or one plain once its flags are spelled out, from those
+rows, and builds an argparse parser from them only for help, usage
+errors and other argv.  Only `figures` and
 `validate-ladder` import the ladder and renderer modules, only reading
 a file imports `_json` (and the `json` package only to raise a parse
 error), and no command imports `pathlib`: output paths are joined by
@@ -301,10 +302,35 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **args)
 
 
+def _spelled_out(argv: list[str]) -> list[str]:
+    """argv with its flags as argparse reads them, up to a "--": each that
+    is one flag of its command (or --help) or that flag's unique prefix, in
+    full, and a flag that takes one number given its "=value" as the next
+    token.  So an argv that is plain but for those reads as `_parse` reads
+    it, a value starting with "-" included, where argparse would take
+    "-1e1" or "-inf" for an option."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return argv
+    names = ["--help", *(f.name for f in command.flags if f.name.startswith("-"))]
+    numbers = {f.name for f in command.flags if f.type and not f.nargs}
+    spelled = argv[:1]
+    for i, token in enumerate(argv[1:], 1):
+        if token == "--":
+            return spelled + argv[i:]
+        name, eq, value = token.partition("=")
+        full = [n for n in names if n == name] or [n for n in names if n.startswith(name)]
+        if not name.startswith("--") or len(full) != 1:
+            spelled.append(token)
+        else:
+            spelled += [full[0], value] if eq and full[0] in numbers else [full[0] + eq + value]
+    return spelled
+
+
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse(argv)
+    args = _parse(argv) or _parse(_spelled_out(argv))
     if args is None:
         try:
             args = build_parser().parse_args(argv)

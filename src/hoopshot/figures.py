@@ -31,8 +31,6 @@ DEMO_ANGLE = math.radians(30.0)
 ONE_SHOT_SPEED = 15.0
 # how far the drawn required-speed curve may stray: cairo's default flattening tolerance
 CURVE_TOLERANCE_PX = 0.1
-# the height of each of stage 5's two stacked panels, 536 x 159 px
-STACKED_HEIGHT = render.SIZE[1] / 2 - render.MARGIN_TOP - render.MARGIN_BOTTOM
 COUNT_WORDS = "zero one two three four five six seven eight nine".split()
 
 BLACK = Style(color_role=ColorRole.BASELINE)
@@ -76,21 +74,21 @@ def _speed_bends(beta: float, angle: float) -> tuple[float, float, float]:
 def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
     """v(theta) inside space, from the crossings of its top speed clamped
     to its angles: one polyline within CURVE_TOLERANCE_PX of the exact
-    curve in render.VIEWPORT, the widest viewport, so in any narrower one,
-    where the renderer drops it if it spans under 0.0005 px; none where the
-    softest shot is above the space.  Each side of theta* is walked from
-    its end inward, each step h the longest with h^2 sy v''(outer)/8 under
-    the tolerance times sqrt(1 + m^2), m the pixel slope at its inner end:
-    v'' falls toward theta*, and the convex v's chord is steeper than m.
-    A step at most the tolerance wide, or from a vertex that near 0 m/s,
-    is always taken, as its monotone arc lies in the box of its ends (the
-    proof is in README, "Figures 4 and 5").  A low end with no speed, at
-    the feasibility angle, gives way to the speed beside it that bisecting
-    the floats up to the high end finds, above the space where it can.  An
-    end within 1e-6 px of the top is written on it.
+    curve in the viewport of a one-panel scene (render.viewports), the
+    widest, so in any narrower one, where the renderer drops it if it spans
+    under 0.0005 px; none where the softest shot is above the space.  Each
+    side of theta* is walked from its end inward, each step h the longest
+    with h^2 sy v''(outer)/8 under the tolerance times sqrt(1 + m^2), m the
+    pixel slope at its inner end: v'' falls toward theta*, and the convex
+    v's chord is steeper than m.  A step at most the tolerance wide, or from
+    a vertex that near 0 m/s, is always taken, as its monotone arc lies in
+    the box of its ends (the proof is in README, "Figures 4 and 5").  A low
+    end with no speed, at the feasibility angle, gives way to the speed
+    beside it that bisecting the floats up to the high end finds, above the
+    space where it can.  An end within 1e-6 px of the top is written on it.
     v is even about theta*, so where the ends are the crossings only
     theta* up is evaluated, and reflected."""
-    (x0, x1), (y0, y1), (width, height) = space.x_range, space.y_range, render.VIEWPORT
+    (x0, x1), (y0, y1), [(width, height)] = space.x_range, space.y_range, render.viewports([space])
     # no angle where the softest shot is above the space
     crossings = solver.speed_crossings(params, y1) or (math.inf, -math.inf)
     lo, hi = max(math.radians(x0), crossings[0]), min(math.radians(x1), crossings[1])
@@ -165,26 +163,26 @@ def _speed_curve(params: ShotParams, space: PlotSpace) -> tuple:
 
 def _optimum_distances(k: float, g: float, lo: float, hi: float, scales) -> list[float]:
     """Distances from lo to hi whose chords draw theta*(d) and v*(d),
-    k = h - a, within CURVE_TOLERANCE_PX of both, scales being their
-    pixels per radian and per m/s.  A chord of a C2 curve f over a step h
-    strays at most h^2 max|f''|/8, so a step is sqrt(8 tol/(s M)), M the
-    larger of |f''| at its start and at any peak ahead.  With
-    r = hypot(d, k), |theta*''| = |k| d/r^4 rises to a peak at
-    d = |k|/sqrt(3) and falls after it; |v*''| = v* |2k - r|/(4 r^3) falls
-    to 0 at r = 2k for k > 0, rises to a peak at r = k(1 + sqrt 5), or at
-    r = |k|(sqrt 5 - 1) for k < 0, and falls after it, or throughout for
-    k = 0.  As m = s r^2 |f''| (pixels) is at most
-    s/2 and 3/4 of the panel's height (v* is below its top), each step,
-    r sqrt(8 tol/m), is over 8 % of d (bar a subnormal d's rounding): at
-    most 2 + ln(hi/lo)/ln(1.08) vertices, and an overflowed r ends it."""
-    theta_scale, speed_scale = scales
+    k = h - a, within CURVE_TOLERANCE_PX of both, scales being their pixels
+    per radian and per m/s and v*'s panel height, from render.viewports.  A
+    chord of a C2 curve f over a step h strays at most h^2 max|f''|/8, so a
+    step is sqrt(8 tol/(s M)), M the larger of |f''| at its start and at
+    any peak ahead.  With r = hypot(d, k), |theta*''| = |k| d/r^4 rises to
+    a peak at d = |k|/sqrt(3) and falls after it; |v*''| = v* |2k - r|/(4 r^3)
+    falls to 0 at r = 2k for k > 0, rises to a peak at r = k(1 + sqrt 5), or
+    at r = |k|(sqrt 5 - 1) for k < 0, and falls after it, or throughout for
+    k = 0.  As m = s r^2 |f''| (pixels) is at most s/2 and 3/4 of the
+    panel's height (v* is below its top), each step, r sqrt(8 tol/m), is
+    over 8 % of d (bar a subnormal d's rounding): at most
+    2 + ln(hi/lo)/ln(1.08) vertices, and an overflowed r ends it."""
+    theta_scale, speed_scale, speed_height = scales
     root_g, tol8, hypot, sqrt = math.sqrt(g), 8.0 * CURVE_TOLERANCE_PX, math.hypot, math.sqrt
 
     def pixels(d: float) -> tuple[float, float, float]:  # r, and m of theta* and of v*
         r = hypot(d, k)
         kr, v = k / r, root_g * (sqrt(r + k) if k >= 0 else d / sqrt(r - k))
         # the min holds only an overflowed v* to the panel's top
-        speed = min(speed_scale * v, STACKED_HEIGHT) * abs(2.0 * kr - 1.0) / 4.0
+        speed = min(speed_scale * v, speed_height) * abs(2.0 * kr - 1.0) / 4.0
         return r, theta_scale * abs(kr) * (d / r), speed
 
     def step(r: float, m: float) -> float:
@@ -359,11 +357,10 @@ def build_basketball_ladder(
     theta_space = PlotSpace(x_var, ("optimal angle", "deg"), x_range, theta_y)
     speed_y = _range(min(speeds), max(speeds), 0.0, 14.0)
     speed_space = PlotSpace(x_var, ("optimal speed", "m/s"), x_range, speed_y)
-    # pixels per radian and per m/s
-    scales = (
-        STACKED_HEIGHT / math.radians(theta_y[1] - theta_y[0]),
-        STACKED_HEIGHT / (speed_y[1] - speed_y[0]),
-    )
+    # pixels per radian and per m/s, in the two stacked panels, and v*'s panel height
+    (_, theta_height), (_, speed_height) = render.viewports([theta_space, speed_space])
+    scales = (theta_height / math.radians(theta_y[1] - theta_y[0]),
+              speed_height / (speed_y[1] - speed_y[0]), speed_height)
 
     def distance_scene(altitudes, label_dys, title: str) -> Scene:
         per_curve = [_optimum_marks(alt, h, g, lo, hi, scales, label_dys) for alt in altitudes]

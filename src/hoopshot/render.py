@@ -45,8 +45,6 @@ MARGIN_LEFT = 52.0
 MARGIN_RIGHT = 12.0
 MARGIN_TOP = 28.0
 MARGIN_BOTTOM = 38.0
-# (width, height) of a one-panel scene's viewport, the widest a panel has
-VIEWPORT = (SIZE[0] - MARGIN_LEFT - MARGIN_RIGHT, SIZE[1] - MARGIN_TOP - MARGIN_BOTTOM)
 FONT_FAMILY = "sans-serif"
 
 
@@ -320,18 +318,18 @@ def _rect(box, attrs: str = "") -> str:
     )
 
 
-def _panel_rects(scene: Scene) -> list[tuple[float, float, float, float]]:
-    """Each panel's rectangle (x, y, width, height).  One panel fills the
-    canvas.  Panels that share the x axis (its variable and range) but
-    not all the y variable are stacked in equal heights, so their x axes
-    line up; any others sit side by side in equal widths, so panels in
-    one space can be compared.  LayoutError where the margins leave no
-    viewport."""
+def _panel_rects(spaces) -> list[tuple[float, float, float, float]]:
+    """Each rectangle (x, y, width, height) of panels that draw these spaces.
+    One panel fills the canvas.  Panels that share the x axis (its variable
+    and range) but not all the y variable are stacked in equal heights, so
+    their x axes line up; any others sit side by side in equal widths, so
+    panels in one space can be compared.  LayoutError where the margins
+    leave no viewport."""
     w, h = SIZE
-    n = len(scene.panels)
+    n = len(spaces)
     if n <= 1:
         return [(0.0, 0.0, w, h)] * n
-    first, *rest = (p.space for p in scene.panels)
+    first, *rest = spaces
     shared_x = all((s.x_var, s.x_range) == (first.x_var, first.x_range) for s in rest)
     stacked = shared_x and any(s.y_var != first.y_var for s in rest)
     cw, ch = (w, h / n) if stacked else (w / n, h)
@@ -365,6 +363,11 @@ def _frame(rect) -> tuple:
                       vx0, vy1 + 14.0, vy1 + 14.0, vx0 - 4.0, vy1 + 3.0, vx0 - 4.0),
         )
     return _FRAMES[rect]
+
+
+def viewports(spaces) -> list[tuple[float, float]]:
+    """Each viewport (width, height) of panels that draw these spaces: the box render_svg clips to."""
+    return [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in (_frame(r)[0] for r in _panel_rects(spaces))]
 
 
 def _render_panel(out: list[str], panel: Panel, rect, clip_id: str) -> None:
@@ -480,7 +483,7 @@ _BACKGROUND = "</defs>\n" + _rect((0.0, 0.0, *SIZE), ' fill="#FFFFFF" stroke="no
 
 def render_svg(scene: Scene) -> bytes:
     """Render a scene to a standalone SVG 1.1 document."""
-    rects = _panel_rects(scene)
+    rects = _panel_rects([p.space for p in scene.panels])
     clips = [f'<clipPath id="panel-{i}">{_frame(r)[1]}</clipPath>' for i, r in enumerate(rects)]
     out = [_HEAD, *clips, _BACKGROUND]
     for i, (panel, rect) in enumerate(zip(scene.panels, rects)):

@@ -1379,3 +1379,44 @@ class TestQuickParse:
         code, out, err = run_captured(argv.split())
         assert (code, out, err) == run_captured(equals)
         assert code in (1, 2) and len((out + err).splitlines()) == 1
+
+
+class TestAbbreviatedFlags:
+    """argparse reads a flag's unique prefix as the flag, so run() reads an
+    argv with abbreviated flags as the same argv with every flag in full:
+    a negative value in any float form is the flag's value on either."""
+
+    @pytest.mark.parametrize(
+        "argv, full, code, message",
+        [
+            ("velocity --angle -1e1 --dist 5", "velocity --angle -1e1 --distance 5", 1,
+             "INFEASIBLE: angle -10 deg is at or below 15.110 deg"),
+            ("velocity --ang -1e1", "velocity --angle -1e1", 1,
+             "INFEASIBLE: angle -10 deg is at or below 7.688 deg"),
+            ("velocity --dist 5 --angle -inf", "velocity --distance 5 --angle -inf", 2,
+             "angle must be in [-pi/2, pi/2) rad, got -inf"),
+            ("velocity --dist 5 --angle -nan", "velocity --distance 5 --angle -nan", 2,
+             "angle must be in [-pi/2, pi/2) rad, got nan"),
+            ("sweep --altitudes 1 -1e1 --o OUT", "sweep --altitudes 1 -1e1 --out OUT", 2,
+             "release_altitude must be non-negative, got -10.0"),
+            ("optimize --alt=-1e1 --grav -inf", "optimize --altitude=-1e1 --gravity -inf", 2,
+             "gravity must be finite, got -inf"),
+        ],
+    )
+    def test_an_abbreviated_flag_reads_as_the_flag_in_full(self, tmp_path, argv, full, code, message):
+        out = str(tmp_path / "x.csv")
+        argv, full = ([out if t == "OUT" else t for t in a.split()] for a in (argv, full))
+        result = run_captured(full)
+        assert result[0] == code and (result[1] + result[2]).splitlines() == [message]
+        assert run_captured(argv) == result
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "argv", ["velocity --a 5", "optimize --he", "optimize -- --dist 5", "figures --dist"]
+    )
+    def test_an_ambiguous_prefix_help_and_usage_errors_stay_argparse_s(self, argv):
+        # "--a" could be --altitude or --angle, "--he" is --help, and after
+        # "--" argparse reads no flag
+        code, out, err = full_parser_captured(argv.split())
+        assert code in (0, 2)
+        assert run_captured(argv.split()) == (code, out, err)

@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hoopshot import figures, solver
+from hoopshot import figures, render, solver
 from hoopshot.figures import _stage_2_caption, _speed_bends, _speed_curve, build_basketball_ladder
 from hoopshot.kinematics import Infeasible, ShotParams, VerticalShot
 from hoopshot.ladder import (
@@ -127,6 +127,29 @@ class TestSceneContent:
         whole = [(52.0, 28.0, 536.0, 384.0)]
         rects = [clip_rects(render_svg(s).decode()) for s in scenes]
         assert rects == [whole, SIDE_BY_SIDE, whole, whole, SIDE_BY_SIDE, STACKED, STACKED]
+
+    def test_viewports_are_the_clipped_boxes(self, built):
+        # render.viewports of a scene's spaces is each <clipPath> rect's size
+        _, scenes = built
+        for scene in scenes:
+            sizes = [rect[2:] for rect in clip_rects(render_svg(scene).decode())]
+            assert render.viewports([p.space for p in scene.panels]) == sizes
+
+    def test_the_step_rules_follow_the_layout(self, built, monkeypatch):
+        # panels of half the width and height: each curve of figures 4-7 is
+        # drawn to 0.1 px in fewer pixels, so from fewer vertices
+        _, scenes = built
+        layout = render._panel_rects
+        halved = lambda spaces: [(x, y, w / 2, h / 2) for x, y, w, h in layout(spaces)]
+        monkeypatch.setattr(render, "_panel_rects", halved)
+        _, smaller = build_basketball_ladder()
+
+        def curves(scenes):
+            return [m.xs for s in scenes[3:] for p in s.panels for m in p.marks
+                    if m.kind == MarkKind.POLYLINE]
+        pairs = list(zip(curves(scenes), curves(smaller), strict=True))
+        assert len(pairs) == 3 + 2 * 4
+        assert all(len(after) < len(before) for before, after in pairs)
 
     def test_velocity_fan_labels_at_path_ends(self, built):
         _, scenes = built

@@ -25,9 +25,14 @@ must be that exact value, correctly rounded, except within TIE of a tie,
 where the float computation may round the other way.
 
 Figures 4 and 5 draw the required speed v(theta) as one blue polyline
-per panel.  Each vertex, at its float angle, must be written as the
-exact speed there, correctly rounded; between two vertices, GRID exact
-points of the curve must lie within CURVE_SLACK of the written segment:
+per panel.  Each vertex is drawn at x = math.degrees(theta), theta the
+radian float its speed was taken at: its x must be written as x, and
+its y as the exact speed at one of the floats theta with
+math.degrees(theta) == x, correctly rounded.  (Read at the real angle
+x pi/180 instead, a vertex beside 90 degrees can be 1e-16 rad from its
+theta, where the speed moves by metres per second.)  Between two
+vertices, GRID exact points of the curve, read at x pi/180, must lie
+within CURVE_SLACK of the written segment:
 the 0.1 px the sampler promises, plus the rounding of the segment's ends.
 The blue dot (the stage-3 shot), the green dot (the optimum), the dashed
 feasibility line and the dotted optimum lines must be the correctly
@@ -65,7 +70,7 @@ from hoopshot.figures import DEMO_ANGLE, ONE_SHOT_SPEED, build_basketball_ladder
 from hoopshot.kinematics import ShotParams
 from hoopshot.render import PALETTE, MarkKind, render_svg
 from oracles import decimal_atan, decimal_optimum, decimal_pi, decimal_required_velocity
-from oracles import decimal_sin_cos
+from oracles import decimal_sin_cos, ulps
 from test_cli import FAN_SCENARIO
 from test_figures import PINNED_SETS
 from test_render import clip_rects
@@ -256,18 +261,40 @@ def exact_marks(params, angle: float) -> dict:
     }
 
 
+def float_angles(x: float) -> list[float]:
+    """The radian floats theta with math.degrees(theta) == x, searched
+    four floats either side of math.radians(x)."""
+    near = [math.radians(x)]
+    for toward in (-math.inf, math.inf):
+        theta = near[0]
+        for _ in range(4):
+            theta = math.nextafter(theta, toward)
+            near.append(theta)
+    return [theta for theta in near if math.degrees(theta) == x]
+
+
 def exact_curve(params, xs) -> tuple[list, list]:
     """At each vertex of the drawn curve, its float angle in degrees and the
-    exact speed there; and GRID exact (angle, speed) points of the curve
-    evenly between each vertex and the next."""
+    exact speeds at each of its radian floats that has one; and GRID exact
+    (angle, speed) points of the curve evenly between each vertex and the
+    next."""
     radian = decimal_pi() / 180
-    xs = [Decimal(x) for x in xs]
     on_curve = lambda x: (x, decimal_required_velocity(*params, x * radian))
+
+    def vertex(x: float) -> tuple[Decimal, list[Decimal]]:
+        speeds = []
+        for theta in float_angles(x):
+            try:
+                speeds.append(decimal_required_velocity(*params, theta))
+            except ArithmeticError:  # a float at or below the feasibility angle
+                pass
+        return Decimal(x), speeds
+
     between = [
         [on_curve(x0 + (x1 - x0) * i / (GRID + 1)) for i in range(1, GRID + 1)]
-        for x0, x1 in zip(xs, xs[1:])
+        for x0, x1 in zip(map(Decimal, xs), map(Decimal, xs[1:]))
     ]
-    return [on_curve(x) for x in xs], between
+    return [vertex(x) for x in xs], between
 
 
 def segment_distance(p, a, b) -> Decimal:
@@ -312,7 +339,7 @@ def audit_curve(svgs: dict[int, str], kwargs: dict) -> tuple[int, Decimal]:
                     if mark.kind == MarkKind.POLYLINE:
                         # one curve, drawn in every panel of the two figures
                         vertices, between = curve = curve or exact_curve(params, mark.xs)
-                        want.append(("polyline", key[1], [(px(x), py(v)) for x, v in vertices]))
+                        want.append(("polyline", key[1], [(px(x), list(map(py, vs))) for x, vs in vertices]))
                     elif mark.kind == MarkKind.POINT:
                         X, Y = px(exact[key][0]), py(exact[key][1])
                         want += [("circle", key[1], [X, Y])] if inside(X, Y) else []
@@ -333,8 +360,12 @@ def audit_curve(svgs: dict[int, str], kwargs: dict) -> tuple[int, Decimal]:
                         checked += assert_written(texts, values, number)
                     else:
                         points = [p.split(",") for p in attrs["points"].split()]
-                        flat = [v for point in values for v in point]
-                        checked += assert_written(sum(points, []), flat, number)
+                        assert len(points) == len(values), (number, points)
+                        for (x_text, y_text), (X, Ys) in zip(points, values):
+                            checked += assert_written([x_text], [X], number)
+                            # y: the exact speed at one of the vertex's float angles
+                            assert any(three_places(Y) in (y_text, None) for Y in Ys), (number, y_text, Ys)
+                            checked += 1
                         ends = [tuple(map(Decimal, p)) for p in points]
                         for a, b, inner in zip(ends, ends[1:], between):
                             for x, v in inner:
@@ -529,6 +560,29 @@ def test_the_pinned_required_speed_curves_are_exact(kwargs):
     svgs = {n: render_svg(scenes[n - 1]).decode() for n in (4, 5)}
     checked, worst = audit_curve(svgs, kwargs)
     assert checked > 0 and worst <= Decimal("0.1")
+
+
+def test_a_vertex_beside_90_degrees_is_read_at_its_float_angle():
+    # figure 4's high end is the crossing theta = 1.5707963267948948 rad,
+    # drawn at x = math.degrees(theta); the real angle x pi/180 is 1e-16 rad
+    # away, where the exact speed is over 2 m/s higher, so a vertex the
+    # kernel gets right read there would be 21 px off
+    params = ShotParams(
+        release_altitude=708151016.2457604, distance=6.87248502792331e-09,
+        hoop_height=4.719481510566221e-16, gravity=0.1447258350584183,
+    )
+    _, scenes = build_basketball_ladder(params)
+    (curve,) = [m for m in scenes[3].panels[0].marks if m.kind == MarkKind.POLYLINE]
+    theta, v = solver.speed_crossings(params, 40.0)[1], curve.ys[-1]
+    assert (curve.xs[-1], v) == (math.degrees(theta), solver.required_velocity(params, theta))
+    assert ulps(v, decimal_required_velocity(*params, theta)) <= 2
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        real = Decimal(curve.xs[-1]) * decimal_pi() / 180
+        assert decimal_required_velocity(*params, real) - Decimal(v) > 2
+    svgs = {n: render_svg(scenes[n - 1]).decode() for n in (4, 5)}
+    checked, worst = audit_curve(svgs, {"params": params})
+    assert checked > 0 and worst <= CURVE_SLACK
 
 
 def test_the_golden_optimum_curves_are_exact():

@@ -161,3 +161,12 @@ def test_removed_axis_records_are_gone(name):
 def test_removed_stage_table_is_gone(name):
     # each stage's figures, tags and caption are one call in build_basketball_ladder
     assert not hasattr(importlib.import_module("hoopshot.figures"), name)
+
+
+@pytest.mark.parametrize("module, name", [("render", "VIEWPORT"), ("figures", "STACKED_HEIGHT")])
+def test_removed_viewport_constants_are_gone(module, name):
+    # a panel's viewport is render.viewports of its scene's spaces, and
+    # figures reads no canvas or margin size of its own
+    assert not hasattr(importlib.import_module(f"hoopshot.{module}"), name)
+    source = (SRC / "hoopshot" / "figures.py").read_text()
+    assert "render.SIZE" not in source and "MARGIN_" not in source
