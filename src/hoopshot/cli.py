@@ -19,14 +19,14 @@ The defaults live where they are used: params in `kinematics.ShotParams`;
 velocities, altitudes and the distance grid (with its validation) in
 `solver`, so a key the file leaves out takes that default.
 
-Each flag is one `Flag` row of `COMMANDS`.  `run` parses a plain argv
-(see `_parse`), or one plain once its flags are spelled out, from those
-rows, and builds an argparse parser from them only for help, usage
-errors and other argv.  Only `figures` and
-`validate-ladder` import the ladder and renderer modules, only reading
-a file imports `_json` (and the `json` package only to raise a parse
-error), and no command imports `pathlib`: output paths are joined by
-`os.path`, so the others start without them.
+Each flag is one `Flag` row of `COMMANDS`.  `run` parses argv from
+those rows in one pass (see `_parse`), and builds an argparse parser
+from them only where that pass returns None: in effect, to print help
+or a usage error.  Only `figures` and `validate-ladder` import the
+ladder and renderer modules, only reading a file imports `_json` (and
+the `json` package only to raise a parse error), and no command imports
+`pathlib`: output paths are joined by `os.path`, so the others start
+without them.
 """
 
 import math
@@ -262,75 +262,56 @@ def build_parser():
 
 
 def _parse(argv: list[str]) -> SimpleNamespace | None:
-    """`build_parser().parse_args(argv)` for a plain argv: a command, then
-    each of its flags at most once, in full, with its value(s) in the next
-    token(s), every required flag and the positional given, and no value
-    failing the flag's type.  A value may start with "-" where the flag
-    has a type, which no flag name passes, so "-1e1" and "-inf" read as
-    argparse reads "--angle=-1e1", not as options.  Else None: argparse
-    parses it, or prints the help or the usage error."""
+    """`build_parser().parse_args(argv)`, read from the `COMMANDS` rows: a
+    command, then its flags, each in full or as a prefix of it alone
+    ("--help" counts as a flag), its value(s) in the next token(s) or
+    joined to one by "=", and its positional's value.  A repeated flag
+    takes its last value, and every value is converted, as argparse
+    converts each.  A value may start with "-" where the flag has a type,
+    which no flag name passes, so "-1e1" and "-inf" read as argparse reads
+    "--angle=-1e1", not as options.  Else None: argparse prints the help or
+    the usage error, or reads an untyped value that starts with "-" or a
+    "--" (one in "=--" included), which Python versions read apart."""
     command = COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
-    options = {f.name: f for f in command.flags if f.name.startswith("-")}
+    names = {"--help": None, **{f.name: f for f in command.flags if f.name.startswith("-")}}
     positionals = [f for f in command.flags if not f.name.startswith("-")]
-    given: dict[Flag, list[str]] = {}
-    flag = None
+    given = []  # (flag, its values) of each occurrence, in order
+    flag = None  # the flag that the next token may be a value of
     for token in argv[1:]:
-        waiting = flag is not None and (not given[flag] or flag.nargs)
-        if token in options:
-            flag = options.pop(token)
-            given[flag] = []
-        elif token.startswith("-") and not (waiting and flag.type):
-            return None
-        elif waiting:
-            given[flag].append(token)
-        elif positionals:
-            flag = positionals.pop(0)
-            given[flag] = [token]
+        if token.startswith("--"):
+            name, eq, value = token.partition("=")
+            full = [name] if name in names else [n for n in names if n.startswith(name)]
+            if len(full) != 1 or names[full[0]] is None or value == "--":
+                return None
+            flag, values = names[full[0]], [value] if eq else []
+            given.append((flag, values))
+            flag = None if eq else flag
+        elif flag and (flag.type or not token.startswith("-")):
+            values.append(token)
+            flag = flag if flag.nargs else None
+        elif positionals and not token.startswith("-"):
+            given.append((positionals.pop(0), [token]))
         else:
             return None
-    if positionals or not all(given.values()) or any(f.required for f in options.values()):
+    missing = [f for f in command.flags if f.required and f not in dict(given)]
+    if positionals or missing or not all(values for _, values in given):
         return None
-    args = {f.key: f.default for f in options.values()}
-    for flag, tokens in given.items():
+    args = {f.key: f.default for f in command.flags}
+    for flag, values in given:
         try:
-            values = [flag.type(t) for t in tokens] if flag.type else tokens
+            values = [flag.type(v) for v in values] if flag.type else values
         except ValueError:
             return None
         args[flag.key] = values if flag.nargs else values[0]
     return SimpleNamespace(command=argv[0], **args)
 
 
-def _spelled_out(argv: list[str]) -> list[str]:
-    """argv with its flags as argparse reads them, up to a "--": each that
-    is one flag of its command (or --help) or that flag's unique prefix, in
-    full, and a flag that takes one number given its "=value" as the next
-    token.  So an argv that is plain but for those reads as `_parse` reads
-    it, a value starting with "-" included, where argparse would take
-    "-1e1" or "-inf" for an option."""
-    command = COMMANDS.get(argv[0]) if argv else None
-    if command is None:
-        return argv
-    names = ["--help", *(f.name for f in command.flags if f.name.startswith("-"))]
-    numbers = {f.name for f in command.flags if f.type and not f.nargs}
-    spelled = argv[:1]
-    for i, token in enumerate(argv[1:], 1):
-        if token == "--":
-            return spelled + argv[i:]
-        name, eq, value = token.partition("=")
-        full = [n for n in names if n == name] or [n for n in names if n.startswith(name)]
-        if not name.startswith("--") or len(full) != 1:
-            spelled.append(token)
-        else:
-            spelled += [full[0], value] if eq and full[0] in numbers else [full[0] + eq + value]
-    return spelled
-
-
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse(argv) or _parse(_spelled_out(argv))
+    args = _parse(argv)
     if args is None:
         try:
             args = build_parser().parse_args(argv)

@@ -1281,6 +1281,7 @@ def _argvs(draw):
         st.tuples(flag, value, value),
         st.tuples(flag.map(lambda f: f[:-1]), value),  # abbreviated
         st.builds(lambda f, v: (f"{f}={v}",), flag, value),
+        st.builds(lambda f, v: (f"{f[:-1]}={v}",), flag, value),  # both
         st.tuples(value),
     )
     # a positional ("file") is given as its value alone
@@ -1297,6 +1298,7 @@ def _argvs(draw):
 
 
 _FULL_PARSER = build_parser()  # parse_args leaves a parser as it was
+_DASHED = {v for v in _VALUES if v.startswith("-")}
 
 
 def _fields(namespace):
@@ -1305,12 +1307,12 @@ def _fields(namespace):
 
 
 class TestQuickParse:
-    """run() parses a plain argv without argparse; what it reads must be
-    what argparse reads, and any argv argparse rejects it leaves alone."""
+    """run() parses argv without argparse; what it reads must be what
+    argparse reads, and any argv argparse rejects it leaves alone."""
 
     @settings(max_examples=500, deadline=None)
     @given(argv=_argvs())
-    def test_quick_parse_is_none_or_what_argparse_returns(self, argv):
+    def test_quick_parse_is_what_argparse_returns(self, argv):
         quick = _parse(argv)
         try:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
@@ -1318,7 +1320,11 @@ class TestQuickParse:
         except SystemExit:  # argparse printed help or a usage error
             assert quick is None
         else:
-            assert quick is None or _fields(quick) == _fields(full)
+            if quick is None:
+                # only an argv with a value starting with "-" is left to argparse
+                assert any(t in _DASHED or t.partition("=")[2] in _DASHED for t in argv)
+            else:
+                assert _fields(quick) == _fields(full)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1331,6 +1337,10 @@ class TestQuickParse:
             "sweep --scenario s.json --altitudes 1.2 1_0 inf --out o.csv",
             "figures --out figs",
             "validate-ladder figs/ladder.json",
+            "optimize --dist 5",
+            "optimize --distance=5",
+            "optimize --distance 5 --distance 6",
+            "sweep --altitudes 1 2 --altitudes=3 --ou=o.csv",
         ],
     )
     def test_plain_argv_parses_as_argparse_does(self, argv):
@@ -1343,11 +1353,11 @@ class TestQuickParse:
         "argv",
         [
             "optimize -h",
-            "optimize --dist 5",
-            "optimize --distance=5",
-            "optimize --distance 5 --distance 6",
+            "optimize --altitude x --altitude 5",
+            "optimize --scenario=--",
             "figures --out -x",
             "optimize -- --distance 5",
+            "validate-ladder -- figs/ladder.json",
             "velocity --angle steep",
             "trajectory --angle 30 --speed 15 --samples 1e3",
             "trajectory --angle 30",
@@ -1379,6 +1389,32 @@ class TestQuickParse:
         code, out, err = run_captured(argv.split())
         assert (code, out, err) == run_captured(equals)
         assert code in (1, 2) and len((out + err).splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, plain, code, message",
+        [
+            ("velocity --angle -1e1 --distance 5 --distance 6", "velocity --angle -1e1 --distance 6",
+             1, "INFEASIBLE: angle -10 deg is at or below 12.680 deg"),
+            ("figures --out=OUT --distance -inf", "figures --out OUT --distance -inf", 2,
+             "distance must be finite, got -inf"),
+            ("velocity --scenario=FILE --angle -1e1", "velocity --scenario FILE --angle -1e1", 1,
+             "INFEASIBLE: angle -10 deg is at or below 15.110 deg"),
+            ("sweep --out=OUT --altitudes 1 -1e1", "sweep --out OUT --altitudes 1 -1e1", 2,
+             "release_altitude must be non-negative, got -10.0"),
+            ("sweep --altitudes 1 --altitudes -1e1 --out OUT", "sweep --altitudes -1e1 --out OUT",
+             2, "release_altitude must be non-negative, got -10.0"),
+        ],
+    )
+    def test_an_argv_argparse_accepts_answers_as_its_plain_form(self, tmp_path, argv, plain, code, message):
+        # a repeated flag takes its last value, and after a flag joined to
+        # its value by "=", a negative value is still a value
+        out, scenario = str(tmp_path / "out"), tmp_path / "d5.json"
+        scenario.write_text('{"params": {"d": 5}}')
+        argv, plain = (a.replace("OUT", out).replace("FILE", str(scenario)).split() for a in (argv, plain))
+        result = run_captured(plain)
+        assert result[0] == code and (result[1] + result[2]).splitlines() == [message]
+        assert run_captured(argv) == result
+        assert not os.path.exists(out)
 
 
 class TestAbbreviatedFlags:

@@ -20,9 +20,11 @@ points are P0 = (0, a), C = P0 + t_end/2 (vx, vy) and P1 = (vx, vy) t_end
 affine map of its ranges onto its viewport, read from the <clipPath>.
 The viewport cuts the curve at the roots of one quadratic in s per edge;
 each in-box s-interval [s0, s1] is one drawn piece, its ends on the curve
-and its control point the blossom at (s0, s1).  Every `%.3f` written
-must be that exact value, correctly rounded, except within TIE of a tie,
-where the float computation may round the other way.
+and its control point the blossom at (s0, s1), written unless its
+points span under 0.0005 px both ways, as `render._shown` rules.  Every
+`%.3f` written must be that exact value, correctly rounded, except
+within TIE of a tie, where the float computation may round the other
+way.
 
 Figures 4 and 5 draw the required speed v(theta) as one blue polyline
 per panel.  Each vertex is drawn at x = math.degrees(theta), theta the
@@ -34,9 +36,13 @@ theta, where the speed moves by metres per second.)  Between two
 vertices, GRID exact points of the curve, read at x pi/180, must lie
 within CURVE_SLACK of the written segment:
 the 0.1 px the sampler promises, plus the rounding of the segment's ends.
-The blue dot (the stage-3 shot), the green dot (the optimum), the dashed
-feasibility line and the dotted optimum lines must be the correctly
-rounded pixels of their exact values.
+The curve is clipped to the viewport one segment at a time, as `render`
+clips it: an end outside it is written at the crossing of the edge, by
+the segment between the exact vertices, and of a segment so clipped only
+the GRID points in the viewport are checked.  The blue dot (the stage-3 shot),
+the green dot (the optimum), the dashed feasibility line and the dotted
+optimum lines must be the correctly rounded pixels of their exact
+values; one within TIE of an edge may be written or left out.
 
 Figures 6 and 7 draw theta*(d) in degrees and v*(d) as one green polyline
 per release altitude in each of their two panels.  Each vertex, at its
@@ -94,6 +100,7 @@ CURVE_SLACK = Decimal("0.1") + Decimal("0.0005") * Decimal(2).sqrt()
 # chord of the exact vertices beside it: 0.1 px, and the float rounding of
 # the step rule, far under a printed unit
 VERTICAL_SLACK = Decimal("0.1") + Decimal("1e-9")
+HALF_UNIT = Decimal("0.0005")
 
 
 def drawn_pieces(svg: str) -> list[list[tuple]]:
@@ -187,6 +194,13 @@ def exact_pieces(controls, box) -> list[tuple[Decimal, ...]]:
     ]
 
 
+def shown(points) -> bool:
+    """render._shown of exact pixels (X, Y): a piece is written unless its
+    points span under 0.0005 px, half a printed unit, both ways."""
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    return max(xs) - min(xs) >= HALF_UNIT or max(ys) - min(ys) >= HALF_UNIT
+
+
 def three_places(exact: Decimal) -> str | None:
     """exact rounded half-even to 3 decimals, as %.3f writes a float, or
     None within TIE of a tie."""
@@ -218,7 +232,8 @@ def audit(svgs: dict[int, str], kwargs: dict) -> int:
                 want = []
                 for speed, colour in panel_shots:
                     controls = exact_controls(params, angle, speed, panel.space, box)
-                    want += [(piece, colour) for piece in exact_pieces(controls, box)]
+                    pieces = exact_pieces(controls, box)
+                    want += [(p, colour) for p in pieces if shown([p[0:2], p[2:4], p[4:6]])]
                 assert len(drawn) == len(want), (number, len(drawn), len(want))
                 for (texts, colour), (exact, want_colour) in zip(drawn, want):
                     assert colour == want_colour
@@ -305,6 +320,59 @@ def segment_distance(p, a, b) -> Decimal:
     return ((p[0] - a[0] - t * dx) ** 2 + (p[1] - a[1] - t * dy) ** 2).sqrt()
 
 
+def clip_segment(a, b, box) -> list | None:
+    """Liang-Barsky, exactly: the (t, edge) of each end of the part of the
+    segment a-b in box, edge the (axis, value) that moved the end or None;
+    None where no part is in it."""
+    ends = [(0, None), (1, None)]
+    for axis in (0, 1):
+        for value, sign in ((box[axis], 1), (box[axis + 2], -1)):
+            # inside this edge where t p >= q
+            p, q = sign * (b[axis] - a[axis]), sign * (value - a[axis])
+            if p == 0 and q > 0:
+                return None
+            if p > 0 and q / p > ends[0][0]:
+                ends[0] = (q / p, (axis, value))
+            elif p < 0 and q / p < ends[1][0]:
+                ends[1] = (q / p, (axis, value))
+    return ends if ends[0][0] <= ends[1][0] else None
+
+
+def clip_polyline(points, box) -> list[list[tuple]]:
+    """The pieces render writes of the polyline through points, each point
+    the list of exact pixels (X, Y) it may stand for, the first deciding
+    where the clip falls.  As in render, each segment is clipped to the
+    box, segments that meet at a point the clip leaves are one piece, and
+    a piece spanning under 0.0005 px both ways is dropped.  A piece is its
+    segments' (index, start, end, clipped), an end the clip moved being
+    the crossing of its edge by each pair of the segment's points, and
+    clipped whether it moved either end."""
+
+    def crossings(p0, p1, edge):
+        axis, value = edge
+        found = []
+        for a in p0:
+            for b in p1:
+                if a[axis] != b[axis]:
+                    t = (value - a[axis]) / (b[axis] - a[axis])
+                    found.append(tuple(value if k == axis else a[k] + t * (b[k] - a[k]) for k in (0, 1)))
+        return found
+
+    pieces, joins = [], None  # joins: the segment that may continue the last piece
+    for i, (p0, p1) in enumerate(zip(points, points[1:])):
+        if (ends := clip_segment(p0[0], p1[0], box)) is None:
+            continue
+        (_, moved0), (_, moved1) = ends
+        part = (i, p0 if moved0 is None else crossings(p0, p1, moved0),
+                p1 if moved1 is None else crossings(p0, p1, moved1), (moved0, moved1) != (None, None))
+        if moved0 is None and joins == i:
+            pieces[-1].append(part)
+        else:
+            pieces.append([part])
+        joins = i + 1 if moved1 is None else None
+    return [piece for piece in pieces if shown([piece[0][1][0]] + [end[0] for _, _, end, _ in piece])]
+
+
 def assert_written(texts, values, where) -> int:
     """Each written number the exact value correctly rounded; their count."""
     assert len(texts) == len(values), (where, texts)
@@ -316,7 +384,10 @@ def assert_written(texts, values, where) -> int:
 def audit_curve(svgs: dict[int, str], kwargs: dict) -> tuple[int, Decimal]:
     """Assert every polyline, circle and line of figures 4 and 5 against
     the model; the number of values checked, and the farthest an audited
-    point of the exact curve lies from its written segment, in pixels."""
+    point of the exact curve in the viewport lies from its written
+    segment, in pixels.  The curve is clipped as render clips it (see
+    clip_polyline), and a circle or line within TIE of an edge may be
+    written or not, as its float pixel falls."""
     params = kwargs.get("params") or ShotParams()
     _, scenes = build_basketball_ladder(**kwargs)
     angle = launch_speeds(kwargs)[0]
@@ -332,46 +403,61 @@ def audit_curve(svgs: dict[int, str], kwargs: dict) -> tuple[int, Decimal]:
                 x, y, width, height = rect
                 bx0, by0, bx1, by1 = box = tuple(map(Decimal, (x, y, x + width, y + height)))
                 px, py = pixel_map(panel.space, box)
-                inside = lambda X, Y: bx0 <= X <= bx1 and by0 <= Y <= by1
-                want = []  # (tag, colour, exact numbers) of each element drawn
+                # how far inside the viewport a pixel lies, negative outside it
+                depth_x, depth_y = (lambda X: min(X - bx0, bx1 - X)), (lambda Y: min(Y - by0, by1 - Y))
+                want = []  # (tag, colour, exact numbers, depth) of each element drawn
                 for mark in panel.marks:
                     key = (mark.kind, PALETTE[mark.style.color_role])
                     if mark.kind == MarkKind.POLYLINE:
                         # one curve, drawn in every panel of the two figures
                         vertices, between = curve = curve or exact_curve(params, mark.xs)
-                        want.append(("polyline", key[1], [(px(x), list(map(py, vs))) for x, vs in vertices]))
+                        points = [[(px(x), py(v)) for v in vs] for x, vs in vertices]
+                        assert all(points), (number, "a vertex with no exact speed", vertices)
+                        pieces = clip_polyline(points, box)
+                        want += [("polyline", key[1], piece, Decimal("Infinity")) for piece in pieces]
                     elif mark.kind == MarkKind.POINT:
                         X, Y = px(exact[key][0]), py(exact[key][1])
-                        want += [("circle", key[1], [X, Y])] if inside(X, Y) else []
+                        want.append(("circle", key[1], [X, Y], min(depth_x(X), depth_y(Y))))
                     elif mark.kind == MarkKind.VLINE:
                         X = px(exact[key])
-                        want += [("line", key[1], [X, by0, X, by1])] if inside(X, by0) else []
+                        want.append(("line", key[1], [X, by0, X, by1], depth_x(X)))
                     elif mark.kind == MarkKind.HLINE:
                         Y = py(exact[key])
-                        want += [("line", key[1], [bx0, Y, bx1, Y])] if inside(bx0, Y) else []
-                assert [(t, c) for t, c, _ in want] == [
-                    (t, a["fill"] if t == "circle" else a["stroke"]) for t, a in drawn
-                ], (number, drawn)
-                for (tag, _, values), (_, attrs) in zip(want, drawn):
+                        want.append(("line", key[1], [bx0, Y, bx1, Y], depth_y(Y)))
+                keys = [(t, a["fill"] if t == "circle" else a["stroke"]) for t, a in drawn]
+                kept = []  # (tag, colour, exact numbers) of each element to be written
+                for tag, colour, values, depth in want:
+                    # within TIE of an edge: kept where the panel wrote one like it
+                    if depth > TIE or depth >= -TIE and keys[len(kept) : len(kept) + 1] == [(tag, colour)]:
+                        kept.append((tag, colour, values))
+                assert [(t, c) for t, c, _ in kept] == keys, (number, drawn)
+                for (tag, _, values), (_, attrs) in zip(kept, drawn):
                     if tag == "circle":
                         checked += assert_written([attrs["cx"], attrs["cy"]], values, number)
                     elif tag == "line":
                         texts = [attrs[k] for k in ("x1", "y1", "x2", "y2")]
                         checked += assert_written(texts, values, number)
                     else:
-                        points = [p.split(",") for p in attrs["points"].split()]
-                        assert len(points) == len(values), (number, points)
-                        for (x_text, y_text), (X, Ys) in zip(points, values):
-                            checked += assert_written([x_text], [X], number)
-                            # y: the exact speed at one of the vertex's float angles
-                            assert any(three_places(Y) in (y_text, None) for Y in Ys), (number, y_text, Ys)
-                            checked += 1
-                        ends = [tuple(map(Decimal, p)) for p in points]
-                        for a, b, inner in zip(ends, ends[1:], between):
-                            for x, v in inner:
-                                gap = segment_distance((px(x), py(v)), a, b)
-                                assert gap <= CURVE_SLACK, (number, a, b, x, v, gap)
-                                worst = max(worst, gap)
+                        written = [p.split(",") for p in attrs["points"].split()]
+                        options = [values[0][1]] + [end for _, _, end, _ in values]
+                        assert len(written) == len(options), (number, written)
+                        for (x_text, y_text), exacts in zip(written, options):
+                            # a vertex: x, and the exact speed at one of its float
+                            # angles; a moved end: the crossing by one pair of those
+                            assert any(
+                                three_places(X) in (x_text, None) and three_places(Y) in (y_text, None)
+                                for X, Y in exacts
+                            ), (number, x_text, y_text, exacts)
+                            checked += 2
+                        ends = [tuple(map(Decimal, p)) for p in written]
+                        for a, b, (i, _, _, clipped) in zip(ends, ends[1:], values):
+                            for x, v in between[i]:
+                                X, Y = px(x), py(v)
+                                # a clipped segment: only its points in the viewport
+                                if not clipped or min(depth_x(X), depth_y(Y)) >= 0:
+                                    gap = segment_distance((X, Y), a, b)
+                                    assert gap <= CURVE_SLACK, (number, a, b, x, v, gap)
+                                    worst = max(worst, gap)
     return checked, worst
 
 
@@ -583,6 +669,54 @@ def test_a_vertex_beside_90_degrees_is_read_at_its_float_angle():
     svgs = {n: render_svg(scenes[n - 1]).decode() for n in (4, 5)}
     checked, worst = audit_curve(svgs, {"params": params})
     assert checked > 0 and worst <= CURVE_SLACK
+
+
+# two scenarios whose figures `render` writes by its rules at a panel's
+# edges: the curve's last vertex is above the top, and the feasibility
+# angle is a tiny negative; all of figures 1-7 are audited
+EDGE_FLAGS = {
+    "curve-end-above-the-top": "--altitude 318.42723076078494 --distance 13738.011810394108 "
+    "--hoop-height 2.265212692678821e-13 --gravity 4.0862551445310806e-13",
+    "feasibility-line-on-the-left-edge": "--altitude 1.1974532426563518e-14 "
+    "--distance 42587.83493831969 --hoop-height 1.5705114235937852e-16 --gravity 21022476857.160667",
+}
+
+
+def test_a_curve_end_beyond_the_top_is_audited_where_render_clips_it(tmp_path):
+    # the last vertex is 0.0075 px above the top, and the segment to it is
+    # written up to the edge, at y = 28.000
+    flags = EDGE_FLAGS["curve-end-above-the-top"].split()
+    kwargs = figures_kwargs(flags)
+    _, scenes = build_basketball_ladder(**kwargs)
+    (curve,) = [m for m in scenes[3].panels[0].marks if m.kind == MarkKind.POLYLINE]
+    assert curve.ys[-1] > 40.0 == scenes[3].panels[0].space.y_range[1]
+    assert run(["figures", "--out", str(tmp_path), *flags]) == 0
+    assert re.search(r'<polyline points="[^"]* 588\.000,28\.000"', (tmp_path / "figure_04.svg").read_text())
+    assert "values exact" in audit_directory(tmp_path, flags)
+
+
+def test_a_line_on_the_edge_and_a_piece_too_short_to_write_are_audited(tmp_path):
+    # the feasibility angle, -1.6e-17 degrees, is 1e-16 px left of the
+    # viewport, and its float pixel rounds onto the edge, where render
+    # writes the line; figure 2's one exact piece spans about 1e-10 px,
+    # under the half unit below which render writes none
+    flags = EDGE_FLAGS["feasibility-line-on-the-left-edge"].split()
+    kwargs = figures_kwargs(flags)
+    _, scenes = build_basketball_ladder(**kwargs)
+    (line,) = [m for m in scenes[3].panels[0].marks if m.kind == MarkKind.VLINE]
+    assert -1e-16 < line.value < 0.0
+    assert run(["figures", "--out", str(tmp_path), *flags]) == 0
+    assert '<line x1="52.000" y1="28.000" x2="52.000"' in (tmp_path / "figure_04.svg").read_text()
+    svg = (tmp_path / "figure_02.svg").read_text()
+    assert "<path" not in svg
+    angle, rect = launch_speeds(kwargs)[0], clip_rects(svg)[0]
+    box = (rect[0], rect[1], rect[0] + rect[2], rect[1] + rect[3])
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        controls = exact_controls(kwargs["params"], angle, ONE_SHOT_SPEED, scenes[1].panels[0].space, box)
+        (piece,) = exact_pieces(controls, box)
+        assert not shown([piece[0:2], piece[2:4], piece[4:6]])
+    assert "values exact" in audit_directory(tmp_path, flags)
 
 
 def test_the_golden_optimum_curves_are_exact():

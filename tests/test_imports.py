@@ -45,6 +45,11 @@ SCENARIO_UNWANTED = ("hoopshot.ladder", "hoopshot.render", "hoopshot.figures", "
 # what writing a figure set and reading its ladder.json back must not load:
 # output paths are joined by os.path
 OUTPUT_UNWANTED = ("pathlib", "typing", "importlib", "argparse") + READ_UNWANTED
+# argv in other forms argparse accepts, "=" and an abbreviated or repeated
+# flag: `_parse` reads them too, so none loads argparse (DIR: the figures
+# directory)
+ARGPARSE = ("argparse", "gettext", "locale")
+ARGPARSE_FREE = (["figures", "--out=DIR"], ["optimize", "--dist", "5", "--distance", "6"])
 SCENARIO = {"params": {"a": 2.0}, "velocities": [5], "altitudes": [1.7],
             "d_grid": {"lo": 1, "hi": 3}, "output": "figs"}
 PROBE = f"""
@@ -67,6 +72,10 @@ codes = [hoopshot.cli.run(["figures", "--out", sys.argv[2]]),
          hoopshot.cli.run(["validate-ladder", sys.argv[2] + "/ladder.json"])]
 sys.stdout = sys.__stdout__
 print(codes, sorted(m for m in {OUTPUT_UNWANTED!r} if m in sys.modules))
+sys.stdout = io.StringIO()
+codes = [hoopshot.cli.run([t.replace("DIR", sys.argv[2]) for t in argv]) for argv in {ARGPARSE_FREE!r}]
+sys.stdout = sys.__stdout__
+print(codes, sorted(m for m in {ARGPARSE!r} if m in sys.modules))
 """
 
 
@@ -85,7 +94,7 @@ def test_cli_and_optimize_skip_the_renderer_stack(tmp_path):
         check=True,
     )
     assert result.stdout.splitlines() == (
-        ["[]", "[]"] + ["0 []"] * len(PLAIN) + ["0 []", "[0, 0] []"]
+        ["[]", "[]"] + ["0 []"] * len(PLAIN) + ["0 []", "[0, 0] []", "[0, 0] []"]
     )
 
 
